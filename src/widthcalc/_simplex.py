@@ -9,12 +9,16 @@ termination even on the degenerate polytopes that piecewise-linear epigraph
 problems produce.
 
 The problems this package feeds in are tiny (a handful of variables, a few
-dozen rows), so a dense tableau is the right level of machinery.
+dozen rows), so a dense tableau is the right level of machinery.  The
+reduced costs are one more tableau row, updated by every pivot like the
+constraint rows, and the optimal basis and reduced-cost row come back with
+the result so callers can read facts such as uniqueness off the final
+tableau.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 __all__ = ["LpResult", "solve_lp", "LpError"]
@@ -29,9 +33,18 @@ class LpError(RuntimeError):
 
 @dataclass(frozen=True)
 class LpResult:
+    """Outcome of one solve.
+
+    When optimal, `basis` and `reduced_costs` describe the final tableau over
+    the standard-form columns: the variables of c, then one slack per A_ub
+    row.  `basis` lists the basic column of each remaining row.
+    """
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: tuple[Fraction, ...] | None
     value: Fraction | None
+    basis: tuple[int, ...] | None = None
+    reduced_costs: tuple[Fraction, ...] | None = None
 
 
 def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> LpResult:
@@ -59,7 +72,7 @@ def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> LpResult:
     res = _two_phase(rows, rhs, cost)
     if res.status != "optimal":
         return res
-    return LpResult("optimal", res.x[:n], res.value)
+    return replace(res, x=res.x[:n])
 
 
 def _two_phase(A: list[list[Fraction]], b: list[Fraction], c: list[Fraction]) -> LpResult:
@@ -68,7 +81,7 @@ def _two_phase(A: list[list[Fraction]], b: list[Fraction], c: list[Fraction]) ->
     if m == 0:
         # Unconstrained except x >= 0: minimum is 0 iff c >= 0.
         if all(v >= 0 for v in c):
-            return LpResult("optimal", tuple([_ZERO] * n), _ZERO)
+            return LpResult("optimal", tuple([_ZERO] * n), _ZERO, (), tuple(c))
         return LpResult("unbounded", None, None)
     # Normalize b >= 0 so the artificial basis is feasible.
     A = [row[:] for row in A]
@@ -81,10 +94,15 @@ def _two_phase(A: list[list[Fraction]], b: list[Fraction], c: list[Fraction]) ->
     for i in range(m):
         A[i] = A[i] + [_ONE if k == i else _ZERO for k in range(m)]
     basis = list(range(n, n + m))
-    phase1_cost = [_ZERO] * n + [_ONE] * m
-    _iterate(A, b, basis, phase1_cost, n + m)
-    if sum(phase1_cost[basis[i]] * b[i] for i in range(m)) != 0:
+    # Reduced-cost rows for that basis: phase 1 minimises the sum of the
+    # artificials; the phase-2 row (artificials cost nothing) rides along so
+    # phase 2 starts from it without recomputation.
+    phase1 = [-sum(A[i][j] for i in range(m)) for j in range(n)] + [_ZERO] * m
+    costs = [phase1, c + [_ZERO] * m]
+    _iterate(A, b, basis, costs, n + m)
+    if sum(b[i] for i in range(m) if basis[i] >= n) != 0:
         return LpResult("infeasible", None, None)
+    del costs[0]
     # Drive leftover artificials out of the basis (degenerate rows).
     i = 0
     while i < len(A):
@@ -94,32 +112,32 @@ def _two_phase(A: list[list[Fraction]], b: list[Fraction], c: list[Fraction]) ->
                 # Redundant constraint; drop the row.
                 del A[i], b[i], basis[i]
                 continue
-            _pivot(A, b, basis, i, col)
+            _pivot(A, b, basis, i, col, costs)
         i += 1
     # Phase 2 on the original columns only.
     m = len(A)
     A = [row[:n] for row in A]
-    status = _iterate(A, b, basis, c, n)
+    costs = [costs[0][:n]]
+    status = _iterate(A, b, basis, costs, n)
     if status == "unbounded":
         return LpResult("unbounded", None, None)
     x = [_ZERO] * n
     for i in range(m):
         x[basis[i]] = b[i]
     value = sum(c[j] * x[j] for j in range(n))
-    return LpResult("optimal", tuple(x), value)
+    return LpResult("optimal", tuple(x), value, tuple(basis), tuple(costs[0]))
 
 
-def _iterate(A, b, basis, cost, ncols) -> str:
-    """Run simplex pivots with Bland's rule until optimal or unbounded."""
+def _iterate(A, b, basis, costs, ncols) -> str:
+    """Run simplex pivots with Bland's rule until optimal or unbounded.
+
+    `costs[0]` is the reduced-cost row being minimised; every row of `costs`
+    is kept current by the pivots.
+    """
     m = len(A)
     while True:
-        # Reduced costs relative to the current basis.
-        entering = -1
-        for j in range(ncols):
-            rc = cost[j] - sum(cost[basis[i]] * A[i][j] for i in range(m))
-            if rc < 0:
-                entering = j
-                break  # Bland: lowest index wins.
+        # Bland: the lowest-index column with a negative reduced cost enters.
+        entering = next((j for j in range(ncols) if costs[0][j] < 0), -1)
         if entering < 0:
             return "optimal"
         leaving = -1
@@ -134,10 +152,10 @@ def _iterate(A, b, basis, cost, ncols) -> str:
                     leaving = i
         if leaving < 0:
             return "unbounded"
-        _pivot(A, b, basis, leaving, entering)
+        _pivot(A, b, basis, leaving, entering, costs)
 
 
-def _pivot(A, b, basis, row, col) -> None:
+def _pivot(A, b, basis, row, col, costs) -> None:
     m = len(A)
     piv = A[row][col]
     if piv == 0:
@@ -150,4 +168,8 @@ def _pivot(A, b, basis, row, col) -> None:
             f = A[i][col]
             A[i] = [v - f * w for v, w in zip(A[i], A[row])]
             b[i] -= f * b[row]
+    for k, z in enumerate(costs):
+        f = z[col]
+        if f != 0:
+            costs[k] = [v - f * w for v, w in zip(z, A[row])]
     basis[row] = col

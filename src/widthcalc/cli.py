@@ -5,7 +5,7 @@ Subcommands:
   exponent   decay exponent of one problem spec (closed form + LP route)
   regime     full regime classification report
   finite     width order of a finite-dimensional ball or intersection
-  sweep      CSV sweep of one parameter (concurrent, rows in input order)
+  sweep      CSV sweep of one parameter (rows in input order)
   verify     randomized cross-validation of the independent routes
 
 Exit codes: 0 success, 1 verification failure, 2 the embedding is not
@@ -29,7 +29,6 @@ import io
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import closedform, oracle
@@ -69,6 +68,13 @@ def parse_rational(text: str) -> Fraction:
             "(decimal notation is not accepted)"
         )
     return Fraction(t)
+
+
+def parse_integer(text: str, flag: str) -> int:
+    value = parse_rational(text)
+    if value.denominator != 1:
+        raise ParameterError(f"{flag} expects an integer, got {text!r}")
+    return int(value)
 
 
 def parse_extended(text: str):
@@ -268,8 +274,8 @@ def _parse_balls(text: str):
 
 def _cmd_finite(args: argparse.Namespace) -> int:
     _require(args, "N", "n", "q", "balls")
-    N = int(parse_rational(args.N))
-    n = int(parse_rational(args.n))
+    N = parse_integer(args.N, "--N")
+    n = parse_integer(args.n, "--n")
     q = parse_extended(args.q)
     balls = _parse_balls(args.balls)
     if len(balls) == 1:
@@ -323,7 +329,7 @@ def _sweep_values(args: argparse.Namespace) -> list[Fraction]:
     _require(args, "vary", "range_from", "range_to", "steps")
     lo = parse_rational(args.range_from)
     hi = parse_rational(args.range_to)
-    steps = int(parse_rational(args.steps))
+    steps = parse_integer(args.steps, "--steps")
     if steps < 1:
         raise ParameterError(f"--steps must be ≥ 1, got {steps}")
     if steps == 1:
@@ -368,15 +374,10 @@ def _sweep_row_spec(args: argparse.Namespace, value: Fraction) -> list[str]:
     ]
 
 
-def _sweep_row_n(args: argparse.Namespace, value: Fraction) -> list[str]:
+def _sweep_row_n(args: argparse.Namespace, m_vec: tuple[int, ...], value: Fraction) -> list[str]:
     if value.denominator != 1 or value < 0:
         return ["n", str(value), "", "", "", "", "", "", "invalid"]
-    spec = ProblemSpec(
-        r=parse_rational_tuple(args.r),
-        p=parse_rational_tuple(args.p),
-        q=parse_rational(args.q),
-    )
-    m_vec = tuple(int(parse_rational(v)) for v in args.m_vec.split(","))
+    spec = _build_spec(args)
     try:
         order = dyadic_block_order(spec, m_vec, int(value))
     except (ParameterError, RangeError):
@@ -401,11 +402,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ParameterError(f"--vary must be one of {sorted(valid)}, got {vary!r}")
     if vary == "n":
         _require(args, "m_vec")
-        worker = lambda v: _sweep_row_n(args, v)  # noqa: E731
+        m_vec = tuple(parse_integer(v, "--m-vec") for v in args.m_vec.split(","))
+        rows = [_sweep_row_n(args, m_vec, v) for v in values]
     else:
-        worker = lambda v: _sweep_row_spec(args, v)  # noqa: E731
-    with ThreadPoolExecutor(max_workers=min(8, len(values))) as pool:
-        rows = list(pool.map(worker, values))
+        rows = [_sweep_row_spec(args, v) for v in values]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -420,12 +420,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    samples = int(parse_rational(args.samples)) if args.samples is not None else 100
-    seed = int(parse_rational(args.seed)) if args.seed is not None else 0
+    samples = parse_integer(args.samples, "--samples") if args.samples is not None else 100
+    seed = parse_integer(args.seed, "--seed") if args.seed is not None else 0
     if samples < 0:
         raise ParameterError(f"--samples must be ≥ 0, got {samples}")
-    grid = int(parse_rational(args.grid)) if args.grid is not None else oracle.default_grid(2)
-    points = int(parse_rational(args.identity_points)) if args.identity_points is not None else 2
+    grid = oracle.default_grid(2) if args.grid is None else parse_integer(args.grid, "--grid")
+    points = 2
+    if args.identity_points is not None:
+        points = parse_integer(args.identity_points, "--identity-points")
     report = oracle.cross_validate(samples, seed, grid=grid, identity_points=points)
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     return 0 if report.ok else 1

@@ -236,12 +236,52 @@ def _face_constraints(obj: PiecewiseMax, theta: Fraction):
     return n, A_eq, b_eq, A_ub, b_ub
 
 
+def _face_is_a_point(obj: PiecewiseMax, theta: Fraction) -> bool:
+    """Probe each coordinate's minimum and maximum over the optimal face."""
+    n, A_eq, b_eq, A_ub, b_ub = _face_constraints(obj, theta)
+    for var in range(n):
+        c = [_ZERO] * n
+        c[var] = _ONE
+        lo = solve_lp(c, A_eq, b_eq, A_ub, b_ub)
+        c[var] = -_ONE
+        hi = solve_lp(c, A_eq, b_eq, A_ub, b_ub)
+        if lo.status != "optimal" or hi.status != "optimal":
+            raise ParameterError("optimal face probe failed")
+        if lo.value != -hi.value:
+            return False
+    return True
+
+
+def _tableau_certifies_unique(res, split: tuple[int, int]) -> bool:
+    """Whether the optimal tableau alone proves the argmin unique.
+
+    At an optimum every feasible point costs θ plus Σ rc_j x_j over the
+    nonbasic columns, so a column with a strictly positive reduced cost is
+    zero on the whole optimal face.  If that holds for every nonbasic
+    column, the optimal basic solution is the only optimum (Mangasarian,
+    "Uniqueness of solution in linear programming", LAA 25, 1979).  The
+    split t = t⁺ − t⁻ is exempt: its columns are negatives of each other,
+    one of them is basic, and the other has reduced cost 0 and moves only
+    the split, never (ᾱ, s) or t.  A zero reduced cost elsewhere (a
+    dual-degenerate optimum) leaves the question open.
+    """
+    basic = set(res.basis)
+    return all(
+        rc > 0
+        for j, rc in enumerate(res.reduced_costs)
+        if j not in basic and j not in split
+    )
+
+
 def minimize(obj: PiecewiseMax) -> ExponentResult:
     """Exact minimum of the objective over its domain, with uniqueness.
 
-    Uniqueness is decided by probing the optimal face: the face is a
-    polytope, and it is a single point iff every coordinate has equal
-    minimum and maximum over it (face dimension zero).
+    The epigraph LP gives θ and an optimal vertex.  Uniqueness is read off
+    its optimal tableau when every nonbasic reduced cost (the t⁺/t⁻ split
+    aside) is strictly positive.  Otherwise it is decided by probing the
+    optimal face: the face is a polytope, and it is a single point iff
+    every coordinate has equal minimum and maximum over it (face
+    dimension zero).
     """
     if not obj.pieces:
         raise ParameterError("objective has no pieces")
@@ -252,19 +292,8 @@ def minimize(obj: PiecewiseMax) -> ExponentResult:
     theta = res.value
     alpha = res.x[: obj.dim]
     s = (_ONE + res.x[i_sigma]) if i_sigma is not None else None
-    unique = True
-    n, fA_eq, fb_eq, fA_ub, fb_ub = _face_constraints(obj, theta)
-    for var in range(n):
-        c = [_ZERO] * n
-        c[var] = _ONE
-        lo = solve_lp(c, fA_eq, fb_eq, fA_ub, fb_ub)
-        c[var] = -_ONE
-        hi = solve_lp(c, fA_eq, fb_eq, fA_ub, fb_ub)
-        if lo.status != "optimal" or hi.status != "optimal":
-            raise ParameterError("optimal face probe failed")
-        if lo.value != -hi.value:
-            unique = False
-            break
+    split = (len(cost) - 2, len(cost) - 1)
+    unique = _tableau_certifies_unique(res, split) or _face_is_a_point(obj, theta)
     if theta > 0:
         compact = "compact"
     elif theta < 0:

@@ -121,10 +121,12 @@ class Lcg:
         lo, hi = as_fraction(lo), as_fraction(hi)
         if not lo < hi:
             raise ParameterError(f"empty interval ({lo}, {hi})")
+        # Integer floor and ceiling of lo·den and hi·den (denominators > 0).
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         feasible = []
         for den in range(1, max_den + 1):
-            nmin = math.floor(lo * den) + 1
-            nmax = math.ceil(hi * den) - 1
+            nmin = ln * den // ld + 1
+            nmax = -(-hn * den // hd) - 1
             if nmin <= nmax:
                 feasible.append((den, nmin, nmax))
         if not feasible:

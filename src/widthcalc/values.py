@@ -25,9 +25,10 @@ from functools import total_ordering
 import mpmath
 from sympy import factorint
 
+from .params import ParameterError
+
 __all__ = [
     "PowerProduct",
-    "ValueError_",
     "INF",
     "is_inf",
     "inv_exponent",
@@ -35,10 +36,6 @@ __all__ = [
 ]
 
 _MAX_PREC = 1 << 14
-
-
-class ValueError_(ValueError):
-    """Domain violation inside exact value arithmetic."""
 
 
 class _Infinity:
@@ -105,7 +102,7 @@ class PowerProduct:
         if x == 0:
             return cls.zero()
         if x < 0:
-            raise ValueError_(f"power products are nonnegative, got {x}")
+            raise ParameterError(f"power products are nonnegative, got {x}")
         return cls(_factor_fraction(x))
 
     @classmethod
@@ -116,10 +113,10 @@ class PowerProduct:
             return base ** exp
         base = Fraction(base)
         if base < 0:
-            raise ValueError_(f"negative base {base}")
+            raise ParameterError(f"negative base {base}")
         if base == 0:
             if exp <= 0:
-                raise ValueError_("0 ** nonpositive exponent")
+                raise ParameterError("0 ** nonpositive exponent")
             return cls.zero()
         if exp == 0:
             return cls.one()
@@ -140,7 +137,7 @@ class PowerProduct:
         if self._zero:
             return Fraction(0)
         if not self.is_rational:
-            raise ValueError_(f"{self} is irrational")
+            raise ParameterError(f"{self} is irrational")
         out = Fraction(1)
         for p, e in self._factors.items():
             out *= Fraction(p) ** int(e)
@@ -195,7 +192,7 @@ class PowerProduct:
     def __truediv__(self, other) -> "PowerProduct":
         other = self._coerce(other)
         if other._zero:
-            raise ValueError_("division by zero value")
+            raise ParameterError("division by zero value")
         if self._zero:
             return PowerProduct.zero()
         return self * (other ** Fraction(-1))
@@ -204,7 +201,7 @@ class PowerProduct:
         exp = Fraction(exp)
         if self._zero:
             if exp <= 0:
-                raise ValueError_("0 ** nonpositive exponent")
+                raise ParameterError("0 ** nonpositive exponent")
             return PowerProduct.zero()
         if exp == 0:
             return PowerProduct.one()
@@ -282,4 +279,4 @@ def _log_sign(factors: dict[int, Fraction]) -> int:
         prec *= 2
     # Unreachable for genuinely distinct values: ln of distinct primes are
     # linearly independent over Q, so the sum is bounded away from zero.
-    raise ValueError_("could not resolve sign of log-linear form")
+    raise ParameterError("could not resolve sign of log-linear form")

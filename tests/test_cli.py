@@ -138,6 +138,32 @@ def test_finite_input_validation(capsys):
         capsys, "finite", "--N", "16", "--n", "4", "--q", "2", "--balls", "3"
     )
     assert code == 4 and "p:nu" in err
+    code, out, err = run(
+        capsys, "finite", "--N", "16", "--n", "4", "--q", "2", "--balls", "2:-1,3:1"
+    )
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("finite", "--N", "3/2", "--n", "1", "--q", "2", "--balls", "2:1,3:1"),
+        ("finite", "--N", "16", "--n", "5/2", "--q", "2", "--balls", "2:1,3:1"),
+        ("sweep", "--r", "1,1", "--p", "3,3", "--q", "2", "--vary", "q",
+         "--from", "2", "--to", "4", "--steps", "7/2"),
+        ("sweep", "--r", "1,1", "--p", "3,3", "--q", "2", "--vary", "n",
+         "--m-vec", "3,3/2", "--from", "0", "--to", "4", "--steps", "2"),
+        ("verify", "--samples", "3/2"),
+        ("verify", "--samples", "0", "--seed", "1/2"),
+        ("verify", "--samples", "0", "--grid", "65/2"),
+        ("verify", "--samples", "0", "--identity-points", "3/2"),
+    ],
+)
+def test_integer_flags_refuse_fractions(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err.startswith("error: --") and "expects an integer" in err
 
 
 # ---------------------------------------------------------------------------

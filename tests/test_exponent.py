@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import widthcalc.exponent as exponent
+from widthcalc._simplex import solve_lp
 from widthcalc.exponent import (
     build_objective,
     candidate_vertices,
@@ -51,12 +53,73 @@ def test_small_smoothness_minimum_sits_on_a_vertex():
     assert any(t[0] == "cross-lambda" for t in res.active_pieces)
 
 
-def test_flat_objective_reports_non_unique_argmin():
+def _tableau_verdict(obj):
+    """(θ, whether the optimal epigraph tableau alone certifies uniqueness)."""
+    cost, A_eq, b_eq, A_ub, b_ub, _ = exponent._epigraph_lp(obj)
+    res = solve_lp(cost, A_eq, b_eq, A_ub, b_ub)
+    split = (len(cost) - 2, len(cost) - 1)
+    return res.value, exponent._tableau_certifies_unique(res, split)
+
+
+def _spy_on_probes(monkeypatch):
+    calls = []
+    real = exponent._face_is_a_point
+
+    def spy(obj, theta):
+        calls.append(theta)
+        return real(obj, theta)
+
+    monkeypatch.setattr(exponent, "_face_is_a_point", spy)
+    return calls
+
+
+def test_flat_objective_reports_non_unique_argmin(monkeypatch):
     # r = (2, 2), p = (3, 3/2), q = 2 ties theta1 with the margin: the
-    # optimal face is a segment, not a point.
-    res = minimize(build_objective(_spec((2, 2), (3, "3/2"), 2)))
+    # optimal face is a segment, not a point.  The tableau cannot certify
+    # that, so the face probes decide.
+    obj = build_objective(_spec((2, 2), (3, "3/2"), 2))
+    assert not _tableau_verdict(obj)[1]
+    probes = _spy_on_probes(monkeypatch)
+    res = minimize(obj)
     assert res.theta == F(1)
+    assert probes == [F(1)]
     assert not res.unique
+
+
+def test_generic_objective_is_certified_without_probes(monkeypatch):
+    probes = _spy_on_probes(monkeypatch)
+    res = minimize(build_objective(_spec((1, 1), (3, 3), 2)))
+    assert res.unique and probes == []
+
+
+def _seeded_specs(rng, per_side):
+    for d in range(3, 9):
+        for high in (False, True):
+            for _ in range(per_side):
+                if high:
+                    q = rng.fraction_between(2, 6)
+                else:
+                    q = F(2) if rng.rand_below(4) == 0 else rng.fraction_between(1, 2)
+                p = tuple(rng.fraction_between(1, q + 4) for _ in range(d))
+                r = tuple(rng.fraction_between(F(1, 2), 4) for _ in range(d))
+                yield ProblemSpec(r=r, p=p, q=q)
+
+
+def test_tableau_certificate_agrees_with_face_probes_at_higher_d():
+    certified = 0
+    specs = list(_seeded_specs(Lcg(2024), per_side=2))
+    for spec in specs:
+        obj = build_objective(spec)
+        theta, cert = _tableau_verdict(obj)
+        probed = exponent._face_is_a_point(obj, theta)
+        if cert:
+            certified += 1
+            assert probed, spec
+        res = minimize(obj)
+        assert res.theta == theta
+        assert res.unique == probed, spec
+    assert certified >= len(specs) // 2
+    print(f"PASS: {certified} of {len(specs)} specs certified by the tableau")
 
 
 def test_regularity_margins_worked_example():

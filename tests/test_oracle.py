@@ -1,6 +1,7 @@
 """The grid oracle, scaling-identity checks, and cross-validation reports."""
 
 import dataclasses
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -57,6 +58,32 @@ def test_fraction_between_lands_strictly_inside(seed, lo):
     hi = lo + F(1, 3)
     v = Lcg(seed).fraction_between(lo, hi, max_den=12)
     assert lo < v < hi and v.denominator <= 12
+
+
+def _fraction_between_reference(rng, lo, hi, max_den=12):
+    """The sampler as first written, with Fraction floor and ceiling."""
+    lo, hi = F(lo), F(hi)
+    feasible = []
+    for den in range(1, max_den + 1):
+        nmin = math.floor(lo * den) + 1
+        nmax = math.ceil(hi * den) - 1
+        if nmin <= nmax:
+            feasible.append((den, nmin, nmax))
+    den, nmin, nmax = feasible[rng.rand_below(len(feasible))]
+    return F(nmin + rng.rand_below(nmax - nmin + 1), den)
+
+
+def test_fraction_between_stream_matches_the_fraction_reference():
+    intervals = [
+        (0, 4, 12), (F(1, 4), 4, 12), (1, 2, 12), (2, 8, 12), (1, 8, 8),
+        (F(1, 64), 64, 16), (F(-7, 3), F(5, 2), 12), (F(1, 3), F(1, 2), 5),
+    ]
+    fast, slow = Lcg(77), Lcg(77)
+    for k in range(10_000):
+        lo, hi, max_den = intervals[k % len(intervals)]
+        assert fast.fraction_between(lo, hi, max_den) == _fraction_between_reference(
+            slow, lo, hi, max_den
+        ), k
 
 
 def test_fraction_between_rejects_empty_intervals():

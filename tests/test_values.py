@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from widthcalc.values import INF, PowerProduct, ValueError_, decimal_str, inv_exponent, is_inf
+from widthcalc.params import ParameterError
+from widthcalc.values import INF, PowerProduct, decimal_str, inv_exponent, is_inf
 
 PP = PowerProduct
 
@@ -30,7 +31,7 @@ def test_zero_element_behaviour():
     assert z.is_zero and z.as_fraction() == 0
     assert z * PP.from_fraction(F(7)) == z
     assert z < PP.from_fraction(F(1, 1000))
-    with pytest.raises(ValueError_):
+    with pytest.raises(ParameterError):
         PP.from_fraction(F(1)) / z
 
 
