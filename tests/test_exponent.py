@@ -122,6 +122,41 @@ def test_tableau_certificate_agrees_with_face_probes_at_higher_d():
     print(f"PASS: {certified} of {len(specs)} specs certified by the tableau")
 
 
+# Two specs at d = 16, the largest d the package accepts.  Their θ and
+# uniqueness verdicts were computed once with the earlier simplex, which
+# pivoted on a `Fraction` tableau (about 15 s for the q = 5 spec), and are
+# frozen here.
+D16_ANCHORS = [
+    (  # q > 2, compact; p̄ has coordinates below 2, between 2 and q, above q
+        "5/4,5/4,7/4,2,3/2,11/4,13/4,13/4,3/2,5/4,7/2,3/2,9/4,7/4,3/4,2",
+        "3/2,4,3/2,39/4,7/4,19/2,3,7/2,15/4,7/4,6,7,5/4,5/4,21/4,5/2",
+        "5",
+        F(3252249, 74654120),
+        True,
+    ),
+    (  # q ≤ 2, straddling: one p_j above q, the rest below it
+        "2,9/4,2,3,13/4,3/2,11/4,5/2,5/2,11/4,7/4,3/4,15/4,11/4,3/4,1",
+        "11/8,3/2,5/4,5/4,13/8,5,3/2,3/2,5/4,9/8,11/8,3/2,13/8,13/8,11/8,11/8",
+        "7/4",
+        F(3262545, 38309251),
+        True,
+    ),
+]
+
+
+@pytest.mark.parametrize("r,p,q,theta,unique", D16_ANCHORS, ids=["q5-compact", "q7_4-straddle"])
+def test_d16_exponents_match_frozen_anchors(r, p, q, theta, unique):
+    spec = _spec(r.split(","), p.split(","), q)
+    assert spec.d == 16
+    assert min(spec.p) < spec.q < max(spec.p)
+    if spec.q > 2:
+        assert min(spec.p) < 2 < max(spec.p)
+    res = minimize(build_objective(spec))
+    assert res.theta == theta
+    assert res.unique is unique
+    assert res.compact == "compact"
+
+
 def test_regularity_margins_worked_example():
     spec = _spec((1, "1/4"), (8, "8/5"), 2)
     assert regularity_margins(spec) == (F(2), F(-1, 2))

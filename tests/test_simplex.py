@@ -1,8 +1,11 @@
 """The exact two-phase simplex and the reduced-cost row it carries."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import widthcalc._simplex as simplex
 from widthcalc._simplex import solve_lp
@@ -35,15 +38,17 @@ ZERO_ONLY = ([F(1), F(-1), F(-1)], [[F(1), F(1), F(2)], [F(-2), F(1), F(0)]], [F
 
 
 @pytest.mark.parametrize(
-    "c,A_eq,b_eq,A_ub,b_ub,value,x",
+    "c,A_eq,b_eq,A_ub,b_ub,value,x,kinds",
     [
-        (C, A_EQ, B_EQ, A_UB, B_UB, F(-1, 20), (F(1, 25), F(0), F(1), F(0), F(2))),
-        (*ZERO_ONLY, None, None, F(0), (F(0), F(0), F(0))),
+        (C, A_EQ, B_EQ, A_UB, B_UB, F(-1, 20), (F(1, 25), F(0), F(1), F(0), F(2)),
+         {"phase 1", "phase 2"}),
+        (*ZERO_ONLY, None, None, F(0), (F(0), F(0), F(0)),
+         {"phase 1", "drive-out", "phase 2"}),
     ],
     ids=["beale-with-redundant-row", "zero-only-equalities"],
 )
 def test_carried_reduced_costs_match_recomputation_after_every_pivot(
-    monkeypatch, c, A_eq, b_eq, A_ub, b_ub, value, x
+    monkeypatch, c, A_eq, b_eq, A_ub, b_ub, value, x, kinds
 ):
     n_slack = len(A_ub or ())
     n_std = len(c) + n_slack  # variables, then one slack per A_ub row
@@ -51,25 +56,36 @@ def test_carried_reduced_costs_match_recomputation_after_every_pivot(
     real = simplex._pivot
     pivots = []
 
-    def checked(A, b, basis, row, col, costs):
-        degenerate = b[row] == 0
-        real(A, b, basis, row, col, costs)
-        n_art = len(A[0]) - n_std
+    def checked(A, D, basis, row, col):
+        if len(A) - len(basis) == 2:
+            kind = "phase 1"
+        else:
+            kind = "drive-out" if basis[row] >= n_std else "phase 2"
+        degenerate = A[row][-1] == 0
+        real(A, D, basis, row, col)
+        # Every row is integers over a positive, gcd-reduced denominator.
+        assert all(den > 0 and gcd(den, *ints) == 1 for ints, den in zip(A, D))
+        m = len(basis)  # constraint rows, then the carried reduced-cost rows
+        rows = [[F(v, den) for v in ints] for ints, den in zip(A[:m], D[:m])]
+        assert all(rows[i][basis[k]] == (i == k) for i in range(m) for k in range(m))
+        n_art = len(A[0]) - 1 - n_std  # the last column is the right-hand side
         # The last carried row is always phase 2 (artificials cost 0); in
-        # phase 1 the phase-1 row (artificials cost 1) precedes it.
-        expected = [c_std + [F(0)] * n_art]
-        if len(costs) == 2:
-            expected.insert(0, [F(0)] * n_std + [F(1)] * n_art)
-        assert len(costs) == len(expected)
-        for carried, cost in zip(costs, expected):
-            assert carried == _recomputed(A, basis, cost)
-        pivots.append(degenerate)
+        # phase 1 the phase-1 row (artificials cost 1) precedes it.  Each
+        # carries the negated objective value in its right-hand side.
+        expected = [c_std + [F(0)] * n_art + [F(0)]]
+        if len(A) - m == 2:
+            expected.insert(0, [F(0)] * n_std + [F(1)] * n_art + [F(0)])
+        assert len(A) - m == len(expected)
+        for ints, den, cost in zip(A[m:], D[m:], expected):
+            assert [F(v, den) for v in ints] == _recomputed(rows, basis, cost)
+        pivots.append((kind, degenerate))
 
     monkeypatch.setattr(simplex, "_pivot", checked)
     res = solve_lp(c, A_eq, b_eq, A_ub, b_ub)
     assert res.status == "optimal"
     assert res.value == value and res.x == x
-    assert pivots and any(pivots)  # some pivots have a zero ratio
+    assert {kind for kind, _ in pivots} == kinds
+    assert any(degenerate for _, degenerate in pivots)  # some have a zero ratio
 
 
 def test_optimal_result_carries_basis_and_reduced_costs():
@@ -87,3 +103,95 @@ def test_infeasible_and_unbounded_results_carry_no_tableau():
     assert res.status == "infeasible" and res.basis is None
     res = solve_lp([F(-1)], A_ub=[[F(-1)]], b_ub=[F(0)])
     assert res.status == "unbounded" and res.reduced_costs is None
+
+
+def _row_reduce(rows):
+    """Gauss-Jordan over `Fraction`s; (reduced rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        rows[r] = [v / rows[r][col] for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col] != 0:
+                rows[i] = [v - row[col] * w for v, w in zip(row, rows[r])]
+        pivots.append(col)
+    return rows, pivots
+
+
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def bounded_lps(draw):
+    """A feasible LP with box rows x_j ≤ 2, so it has an optimum.
+
+    The constraints pass through a drawn point x0 in the box.  Equality rows
+    may be negated so that their right-hand side is negative, and may repeat
+    a multiple of the first row; inequality rows may be tight at x0.
+    """
+    n = draw(st.integers(1, 4))
+    vectors = st.lists(coefficients, min_size=n, max_size=n)
+    x0 = draw(st.lists(st.fractions(0, 2, max_denominator=3), min_size=n, max_size=n))
+    A_eq, b_eq = [], []
+    for row in draw(st.lists(vectors, min_size=1, max_size=3)):
+        b = sum(a * x for a, x in zip(row, x0))
+        if b > 0 and draw(st.booleans()):
+            row, b = [-a for a in row], -b
+        A_eq.append(row)
+        b_eq.append(b)
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([-2, 3]))
+        A_eq.append([k * a for a in A_eq[0]])
+        b_eq.append(k * b_eq[0])
+    A_ub, b_ub = [], []
+    for row in draw(st.lists(vectors, max_size=3)):
+        A_ub.append(row)
+        b_ub.append(sum(a * x for a, x in zip(row, x0)) + draw(st.sampled_from([0, 0, F(1, 2), 1])))
+    for j in range(n):
+        A_ub.append([F(int(i == j)) for i in range(n)])
+        b_ub.append(F(2))
+    return draw(vectors), A_eq, b_eq, A_ub, b_ub
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_lps())
+def test_optimum_is_certified_in_plain_fraction_arithmetic(lp):
+    c, A_eq, b_eq, A_ub, b_ub = lp
+    res = solve_lp(c, A_eq, b_eq, A_ub, b_ub)
+    assert res.status == "optimal"
+    x = res.x
+    # x is feasible and has the reported value.
+    assert all(v >= 0 for v in x)
+    assert all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(A_eq, b_eq))
+    assert all(sum(a * v for a, v in zip(row, x)) <= b for row, b in zip(A_ub, b_ub))
+    assert res.value == sum(a * v for a, v in zip(c, x))
+    # The standard form: the variables, then one slack per inequality row.
+    n, k = len(c), len(A_ub)
+    rows = [list(row) + [F(0)] * k for row in A_eq]
+    rows += [list(row) + [F(int(i == j)) for i in range(k)] for j, row in enumerate(A_ub)]
+    b_std = list(b_eq) + list(b_ub)
+    c_std = list(c) + [F(0)] * k
+    x_std = list(x) + [b - sum(a * v for a, v in zip(row, x)) for row, b in zip(A_ub, b_ub)]
+    # The basis has one independent column per independent row (the
+    # dropped rows were redundant), and x is its basic solution.
+    basis = res.basis
+    assert len(set(basis)) == len(basis) == len(_row_reduce(rows)[1])
+    B = [[row[j] for row in rows] for j in basis]  # Bᵀ, one line per basic column
+    assert len(_row_reduce(B)[1]) == len(basis)
+    assert all(x_std[j] == 0 for j in range(n + k) if j not in basis)
+    # Duals y with yᵀB = c_B, then c − yᵀA, recomputed without the solver.
+    reduced, pivots = _row_reduce([line + [c_std[j]] for line, j in zip(B, basis)])
+    assert all(col < len(rows) for col in pivots)  # consistent: no pivot on c_B
+    y = [F(0)] * len(rows)
+    for line, col in zip(reduced, pivots):
+        y[col] = line[-1]
+    rc = [c_std[j] - sum(yi * row[j] for yi, row in zip(y, rows)) for j in range(n + k)]
+    assert list(res.reduced_costs) == rc
+    assert all(v >= 0 for v in rc)
+    # Dual feasible with the primal value: a certificate of optimality.
+    assert sum(yi * b for yi, b in zip(y, b_std)) == res.value
