@@ -22,7 +22,6 @@ from .exponent import (
     candidate_vertices,
     classify_region,
     minimize,
-    regularity_margins,
     render_provenance,
 )
 from .finitedim import (
@@ -56,15 +55,11 @@ from .oracle import (
 )
 from .params import (
     MAX_DIMENSION,
-    IndexPartition,
-    InterpCoeffs,
     ParameterError,
     ProblemSpec,
     RangeError,
     as_fraction,
     harmonic_mean,
-    interp_coeffs,
-    partition_indices,
 )
 from .values import INF, PowerProduct, decimal_str, inv_exponent, is_inf
 
@@ -81,7 +76,6 @@ __all__ = [
     "candidate_vertices",
     "classify_region",
     "minimize",
-    "regularity_margins",
     "render_provenance",
     "BallSpec",
     "CheckedInequality",
@@ -109,15 +103,11 @@ __all__ = [
     "refine_bracket",
     "sample_branch",
     "MAX_DIMENSION",
-    "IndexPartition",
-    "InterpCoeffs",
     "ParameterError",
     "ProblemSpec",
     "RangeError",
     "as_fraction",
     "harmonic_mean",
-    "interp_coeffs",
-    "partition_indices",
     "INF",
     "PowerProduct",
     "decimal_str",

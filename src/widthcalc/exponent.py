@@ -6,19 +6,10 @@ minimum of a finite max of affine functions over a simplex-like domain:
     q ≤ 2:   h(ᾱ)     over D  = {ᾱ ≥ 0, Σ α_j = 1},
     q > 2:   h̃(ᾱ, s)  over D̃ = {ᾱ ≥ 0, Σ α_j = s, 1 ≤ s ≤ q/2},
 
-where the affine pieces are built from the index partition of p̄ against q
-(and 2 when q > 2).  With x_j := 1/p_j the piece families are
-
-    large-p   (p_j ≥ q):          r_j α_j
-    small-p   (p_j ≤ q, q ≤ 2):   r_j α_j + 1/q − x_j
-    mid-p     (2 ≤ p_j ≤ q < ∞):  r_j α_j − (1/2) c_j (s − 1),
-                                  c_j = (x_j − 1/q)/(1/2 − 1/q)
-    small-p   (p_j ≤ 2 < q):      r_j α_j − s x_j + 1/2
-    cross-lambda (p_i > q > p_j): (1−λ_ij) r_i α_i + λ_ij r_j α_j
-    cross-mu  (p_i > 2 > p_j):    (1−μ_ij) r_i α_i + μ_ij r_j α_j − s/2 + 1/2
-
-with λ_ij, μ_ij the exact interpolation weights of 1/q resp. 1/2 between
-x_i and x_j.  A family with an empty index set contributes no pieces.
+where the affine pieces are the rows of `params.piece_rows` for x_j = 1/p_j
+and x_q = 1/q (the large-p, mid-p, small-p, cross-lambda and cross-mu
+families, in that order); a family with no switched-on index contributes
+no pieces.
 
 The minimum, its argmin, whether the argmin is the unique minimiser, and
 the active pieces there are all computed exactly with a rational simplex;
@@ -31,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import params
 from ._simplex import solve_lp
-from .params import ParameterError, ProblemSpec
+from .closedform import regularity_sums
+from .params import ParameterError, ProblemSpec, piece_rows
 
 __all__ = [
     "AffinePiece",
@@ -114,66 +105,24 @@ class ExponentResult:
     compact: str  # "compact" | "not-compact" | "boundary"
 
 
-def _unit_coeffs(d: int, terms: dict[int, Fraction]) -> tuple[Fraction, ...]:
-    out = [_ZERO] * d
-    for j, c in terms.items():
-        out[j] = c
-    return tuple(out)
-
-
 def build_objective(spec: ProblemSpec) -> PiecewiseMax:
     """Assemble the exact piecewise objective for `spec` (regime-dependent)."""
-    d = spec.d
-    part = params.partition_indices(spec)
-    coeff = params.interp_coeffs(spec, part)
-    inv_q = _ONE / spec.q
-    pieces: list[AffinePiece] = []
-    if part.regime == "low-q":
-        for j in sorted(part.I0):
-            pieces.append(
-                AffinePiece(_unit_coeffs(d, {j: spec.r[j]}), _ZERO, _ZERO, ("large-p", (j,)))
-            )
-        for j in sorted(part.J0):
-            const = inv_q - _ONE / spec.p[j]
-            pieces.append(
-                AffinePiece(_unit_coeffs(d, {j: spec.r[j]}), _ZERO, const, ("small-p", (j,)))
-            )
-        for (i, j), lam in sorted(coeff.lam.items()):
-            cs = _unit_coeffs(d, {i: (1 - lam) * spec.r[i], j: lam * spec.r[j]})
-            pieces.append(AffinePiece(cs, _ZERO, _ZERO, ("cross-lambda", (i, j))))
-        return PiecewiseMax(dim=d, has_s=False, s_max=None, pieces=tuple(pieces))
-    # q > 2
-    theta_q = _HALF - inv_q
-    for j in sorted(part.I):
-        pieces.append(
-            AffinePiece(_unit_coeffs(d, {j: spec.r[j]}), _ZERO, _ZERO, ("large-p", (j,)))
-        )
-    for j in sorted(part.J):
-        cj = (_ONE / spec.p[j] - inv_q) / theta_q
-        pieces.append(
-            AffinePiece(
-                _unit_coeffs(d, {j: spec.r[j]}),
-                -_HALF * cj,
-                _HALF * cj,
-                ("mid-p", (j,)),
-            )
-        )
-    for j in sorted(part.K):
-        pieces.append(
-            AffinePiece(
-                _unit_coeffs(d, {j: spec.r[j]}),
-                -_ONE / spec.p[j],
-                _HALF,
-                ("small-p", (j,)),
-            )
-        )
-    for (i, j), lam in sorted(coeff.lam.items()):
-        cs = _unit_coeffs(d, {i: (1 - lam) * spec.r[i], j: lam * spec.r[j]})
-        pieces.append(AffinePiece(cs, _ZERO, _ZERO, ("cross-lambda", (i, j))))
-    for (i, j), mu in sorted(coeff.mu.items()):
-        cs = _unit_coeffs(d, {i: (1 - mu) * spec.r[i], j: mu * spec.r[j]})
-        pieces.append(AffinePiece(cs, -_HALF, _HALF, ("cross-mu", (i, j))))
-    return PiecewiseMax(dim=d, has_s=True, s_max=spec.q / 2, pieces=tuple(pieces))
+    d, r = spec.d, spec.r
+    high = spec.q > 2
+    pieces = []
+    for family, idx, weights, t_coeff, logn_coeff, _ in piece_rows(
+        [_ONE / p for p in spec.p], _ONE / spec.q, high
+    ):
+        coeffs = [_ZERO] * d
+        for i, w in zip(idx, weights):
+            coeffs[i] = w * r[i]
+        if high:
+            s_coeff, const = t_coeff, logn_coeff
+        else:
+            s_coeff, const = _ZERO, t_coeff
+        pieces.append(AffinePiece(tuple(coeffs), s_coeff, const, (family, idx)))
+    s_max = spec.q / 2 if high else None
+    return PiecewiseMax(dim=d, has_s=high, s_max=s_max, pieces=tuple(pieces))
 
 
 def _epigraph_lp(obj: PiecewiseMax):
@@ -310,19 +259,6 @@ def minimize(obj: PiecewiseMax) -> ExponentResult:
     )
 
 
-def regularity_margins(spec: ProblemSpec) -> tuple[Fraction, ...]:
-    """The d sums  Σ_i (1/r_i)(1/p_i − 1/p_j),  one per j.
-
-    Every sum < 1 is the regularity condition under which the interior
-    candidate vertices below stay inside the domain.
-    """
-    inv_r = [_ONE / r for r in spec.r]
-    inv_p = [_ONE / p for p in spec.p]
-    return tuple(
-        sum(ir * (ip - inv_p[j]) for ir, ip in zip(inv_r, inv_p)) for j in range(spec.d)
-    )
-
-
 def candidate_vertices(
     spec: ProblemSpec,
 ) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
@@ -340,7 +276,7 @@ def candidate_vertices(
     """
     if spec.q <= 2:
         raise ParameterError("candidate vertices are defined for q > 2")
-    margins = regularity_margins(spec)
+    margins = regularity_sums(spec)
     if any(m >= 1 for m in margins):
         raise ParameterError("regularity sums must all be < 1 for candidate vertices")
     inv_r_sum = sum(_ONE / r for r in spec.r)
@@ -377,13 +313,14 @@ def classify_region(
         raise ParameterError("point dimension mismatch")
     if any(a < 0 for a in alpha) or sum(alpha) != s or not (_ONE <= s <= q / 2):
         raise ParameterError("point is not in the feasible domain")
-    part = params.partition_indices(spec)
     x = [_ONE / p for p in spec.p]
     g = [alpha[j] * spec.r[j] for j in range(d)]
     theta_q = _HALF - _ONE / q
     s1 = s - _ONE
 
-    I, J, K = sorted(part.I), sorted(part.J), sorted(part.K)
+    I = [j for j, pj in enumerate(spec.p) if pj >= q]
+    J = [j for j, pj in enumerate(spec.p) if 2 <= pj <= q]
+    K = [j for j, pj in enumerate(spec.p) if pj <= 2]
 
     def ratio(i: int, j: int) -> Fraction:
         return (g[i] - g[j]) / (x[i] - x[j])
@@ -398,7 +335,7 @@ def classify_region(
         if all(g[j] - g[i] >= s * x[j] - s * x[i] for i in range(d)):
             return ("small-p", (j,))
     for i in I:
-        for j in sorted(part.J | part.K):
+        for j in sorted(J + K):
             if g[i] - g[j] > 0:
                 continue
             if g[i] - g[j] < _HALF * ((x[i] - x[j]) / theta_q) * s1:
@@ -407,7 +344,7 @@ def classify_region(
             if all(rij >= ratio(i, k) for k in J + K if k != j):
                 if all(rij <= ratio(k, j) for k in I if k != i):
                     return ("cross-lambda", (i, j))
-    for i in sorted(part.I | part.J):
+    for i in sorted(I + J):
         for j in K:
             if g[i] - g[j] > _HALF * ((x[i] - x[j]) / theta_q) * s1:
                 continue

@@ -8,20 +8,9 @@ object of interest is
 
 Single balls have known orders (exact for q ≤ p), and an intersection's
 order is the minimum of closed-form terms, one per ball or interacting
-ball pair.  Writing x_α = 1/p_α, x_q = 1/q, θ_q = 1/2 − 1/q and
-g = n^(−1/2) N^(1/q):
-
-  q ≤ 2, 0 ≤ n ≤ N/2:
-      large-p   (p_α ≥ q):   ν_α N^(x_q − x_α)
-      small-p   (p_α ≤ q):   ν_α
-      cross-lambda (p_α > q > p_β):  ν_α^(1−λ) ν_β^λ,   x_q = (1−λ)x_α + λx_β
-
-  q > 2, N^(2/q) ≤ n ≤ N/2:
-      large-p   (p_α ≥ q):       ν_α N^(x_q − x_α)
-      mid-p     (2 ≤ p_α ≤ q):   ν_α g^((x_α − x_q)/θ_q)
-      small-p   (p_α ≤ 2):       ν_α g
-      cross-lambda (p_α > q > p_β):  ν_α^(1−λ) ν_β^λ
-      cross-mu  (p_α > 2 > p_β):     ν_α^(1−λ̃) ν_β^λ̃ g,  1/2 = (1−λ̃)x_α + λ̃x_β
+ball pair: the rows of `params.piece_rows` at x_α = 1/p_α and x_q = 1/q,
+read as ν-products times powers of N and of g = n^(−1/2) N^(1/q).  The
+terms hold on 0 ≤ n ≤ N/2 for q ≤ 2 and on N^(2/q) ≤ n ≤ N/2 for q > 2.
 
 The branch of the minimum admits a matching lower bound built from one of
 three convex bodies placed inside M0 (up to a factor 2):
@@ -40,13 +29,15 @@ integer k is folded into the recorded right-hand sides.
 
 from __future__ import annotations
 
+import functools
 import logging
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
-from .params import ParameterError, ProblemSpec, RangeError, as_fraction
+from .params import ParameterError, ProblemSpec, RangeError, as_fraction, piece_rows
 from .values import INF, PowerProduct, inv_exponent, is_inf
 
 __all__ = [
@@ -69,6 +60,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 _TWO = Fraction(2)
@@ -279,50 +271,19 @@ def _gaussian_factor(spec: IntersectionSpec) -> PowerProduct:
 
 def _terms(spec: IntersectionSpec) -> list[tuple[str, tuple[int, ...], PowerProduct]]:
     """The display terms in deterministic order: (family, indices, value)."""
-    x_q = _ONE / spec.q
-    x = [inv_exponent(b.p) for b in spec.balls]
     nu = [b.nu for b in spec.balls]
-    idx = range(len(spec.balls))
-    out: list[tuple[str, tuple[int, ...], PowerProduct]] = []
-    pow_N = lambda e: PowerProduct.from_pow(spec.N, e)  # noqa: E731
-    if spec.q <= 2:
-        for a in idx:
-            if x[a] <= x_q:
-                out.append(("large-p", (a,), nu[a] * pow_N(x_q - x[a])))
-        for a in idx:
-            if x[a] >= x_q:
-                out.append(("small-p", (a,), nu[a]))
-        for a in idx:
-            for b in idx:
-                if x[a] < x_q < x[b]:
-                    lam = (x_q - x[a]) / (x[b] - x[a])
-                    out.append(
-                        ("cross-lambda", (a, b), nu[a] ** (1 - lam) * nu[b] ** lam)
-                    )
-        return out
-    theta_q = _HALF - x_q
-    g = _gaussian_factor(spec)
-    for a in idx:
-        if x[a] <= x_q:
-            out.append(("large-p", (a,), nu[a] * pow_N(x_q - x[a])))
-    for a in idx:
-        if x_q <= x[a] <= _HALF:
-            out.append(("mid-p", (a,), nu[a] * g ** ((x[a] - x_q) / theta_q)))
-    for a in idx:
-        if x[a] >= _HALF:
-            out.append(("small-p", (a,), nu[a] * g))
-    for a in idx:
-        for b in idx:
-            if x[a] < x_q < x[b]:
-                lam = (x_q - x[a]) / (x[b] - x[a])
-                out.append(("cross-lambda", (a, b), nu[a] ** (1 - lam) * nu[b] ** lam))
-    for a in idx:
-        for b in idx:
-            if x[a] < _HALF < x[b]:
-                mut = (_HALF - x[a]) / (x[b] - x[a])
-                out.append(
-                    ("cross-mu", (a, b), nu[a] ** (1 - mut) * nu[b] ** mut * g)
-                )
+    high = spec.q > 2
+    g = _gaussian_factor(spec) if high else None
+    out = []
+    for family, idx, weights, _, logn_coeff, n_power in piece_rows(
+        [inv_exponent(b.p) for b in spec.balls], _ONE / spec.q, high
+    ):
+        factors = [nu[i] ** w for i, w in zip(idx, weights)]
+        if n_power:
+            factors.append(PowerProduct.from_pow(spec.N, n_power))
+        if logn_coeff:
+            factors.append(g ** (2 * logn_coeff))
+        out.append((family, idx, functools.reduce(operator.mul, factors)))
     return out
 
 
@@ -686,34 +647,35 @@ def dyadic_block_order(spec: ProblemSpec, m_vec: tuple[int, ...], n: int) -> Wid
     return intersection_order(IntersectionSpec(N=2**m, n=n, q=spec.q, balls=tuple(balls)))
 
 
+def _block_rate(spec, t_vec, t, log_n, high) -> Fraction:
+    """max over the rows of Σ w_i r_i t_i + t_coeff·t + logn_coeff·log n."""
+    rt = [ri * ti for ri, ti in zip(spec.r, t_vec)]  # r_i t_i, shared by every row
+    rates = []
+    for _, idx, weights, t_coeff, logn_coeff, _ in piece_rows(
+        [_ONE / p for p in spec.p], _ONE / spec.q, high
+    ):
+        rate = sum(rt[i] if w == 1 else w * rt[i] for i, w in zip(idx, weights))
+        if t_coeff:
+            rate += t_coeff * t
+        if logn_coeff:
+            rate += logn_coeff * log_n
+        rates.append(rate)
+    return max(rates)
+
+
 def phi_value(spec: ProblemSpec, t_vec: tuple[Fraction, ...]) -> Fraction:
     """φ(t̄): the block-decay rate in the low-q shape, any q.
 
-    φ(t̄) = max{ max_{p_j ≥ q} r_j t_j,
-                 max_{p_j ≤ q} (r_j t_j + t/q − t/p_j),
-                 max_{p_i > q > p_j} ((1−λ_ij) r_i t_i + λ_ij r_j t_j) },
-    t = Σ t_j.  Positively homogeneous: φ(c t̄) = c φ(t̄).
+    The maximum over the low-shape rows of `params.piece_rows` of
+    Σ w_i r_i t_i + t_coeff·t with t = Σ t_j.  Positively homogeneous:
+    φ(c t̄) = c φ(t̄).
     """
     t_vec = tuple(as_fraction(v) for v in t_vec)
     if len(t_vec) != spec.d:
         raise ParameterError("t̄ length mismatch")
     if any(v < 0 for v in t_vec):
         raise ParameterError("t̄ entries must be ≥ 0")
-    t = sum(t_vec)
-    x_q = _ONE / spec.q
-    x = [_ONE / p for p in spec.p]
-    vals = []
-    for j in range(spec.d):
-        if x[j] <= x_q:
-            vals.append(spec.r[j] * t_vec[j])
-        if x[j] >= x_q:
-            vals.append(spec.r[j] * t_vec[j] + t * x_q - t * x[j])
-    for i in range(spec.d):
-        for j in range(spec.d):
-            if x[i] < x_q < x[j]:
-                lam = (x_q - x[i]) / (x[j] - x[i])
-                vals.append((1 - lam) * spec.r[i] * t_vec[i] + lam * spec.r[j] * t_vec[j])
-    return max(vals)
+    return _block_rate(spec, t_vec, sum(t_vec), _ZERO, high=False)
 
 
 def psi_value(
@@ -724,16 +686,10 @@ def psi_value(
 ) -> Fraction:
     """ψ(t̄, t; log n) for q > 2: the block rate at budget n.
 
-    Pieces (x_j = 1/p_j, c_j = (x_j − 1/q)/θ_q):
-
-        p_j ≥ q:            r_j t_j
-        2 ≤ p_j ≤ q:        r_j t_j − (1/2) c_j t + (1/2) c_j log n
-        p_j ≤ 2:            r_j t_j − t x_j + (1/2) log n
-        p_i > q > p_j:      (1−λ_ij) r_i t_i + λ_ij r_j t_j
-        p_i > 2 > p_j:      (1−μ_ij) r_i t_i + μ_ij r_j t_j − t/2 + (1/2) log n
-
-    Scaling identity: ψ(t̄, t; L) = L · h̃(t̄/L, t/L) piece by piece, where
-    h̃ is the q > 2 objective of `exponent.build_objective`.
+    The maximum over the high-shape rows of `params.piece_rows` of
+    Σ w_i r_i t_i + t_coeff·t + logn_coeff·log n.  Scaling identity:
+    ψ(t̄, t; L) = L · h̃(t̄/L, t/L) piece by piece, where h̃ is the q > 2
+    objective of `exponent.build_objective`.
     """
     if spec.q <= 2:
         raise ParameterError("ψ is defined for q > 2")
@@ -742,33 +698,7 @@ def psi_value(
     log_n = as_fraction(log_n)
     if len(t_vec) != spec.d:
         raise ParameterError("t̄ length mismatch")
-    x_q = _ONE / spec.q
-    theta_q = _HALF - x_q
-    x = [_ONE / p for p in spec.p]
-    r = spec.r
-    vals = []
-    for j in range(spec.d):
-        if x[j] <= x_q:
-            vals.append(r[j] * t_vec[j])
-        if x_q <= x[j] <= _HALF:
-            cj = (x[j] - x_q) / theta_q
-            vals.append(r[j] * t_vec[j] - _HALF * cj * t + _HALF * cj * log_n)
-        if x[j] >= _HALF:
-            vals.append(r[j] * t_vec[j] - t * x[j] + _HALF * log_n)
-    for i in range(spec.d):
-        for j in range(spec.d):
-            if x[i] < x_q < x[j]:
-                lam = (x_q - x[i]) / (x[j] - x[i])
-                vals.append((1 - lam) * r[i] * t_vec[i] + lam * r[j] * t_vec[j])
-            if x[i] < _HALF < x[j]:
-                mu = (_HALF - x[i]) / (x[j] - x[i])
-                vals.append(
-                    (1 - mu) * r[i] * t_vec[i]
-                    + mu * r[j] * t_vec[j]
-                    - _HALF * t
-                    + _HALF * log_n
-                )
-    return max(vals)
+    return _block_rate(spec, t_vec, t, log_n, high=True)
 
 
 def cross_term_dominated(

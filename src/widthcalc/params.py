@@ -21,26 +21,24 @@ names, and that is purely presentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
 __all__ = [
     "ParameterError",
     "RangeError",
     "ProblemSpec",
-    "IndexPartition",
-    "InterpCoeffs",
+    "PieceRow",
     "harmonic_mean",
     "hadamard",
-    "partition_indices",
-    "interp_coeffs",
+    "piece_rows",
     "as_fraction",
 ]
 
 #: Hard cap on the number of coordinates.  The closed forms are cheap at any
-#: d, but the grid oracle enumerates a d-simplex lattice and the pair maps
-#: are quadratic, so keep d honest.
+#: d, but the grid oracle enumerates a d-simplex lattice and the cross-term
+#: pieces are quadratic in d, so keep d honest.
 MAX_DIMENSION = 16
 
 
@@ -161,113 +159,68 @@ class ProblemSpec:
         return f"ProblemSpec(r=({rs}), p=({ps}), q={self.q})"
 
 
-@dataclass(frozen=True)
-class IndexPartition:
-    """Coordinates split by how p_j compares with the thresholds.
+_ZERO = Fraction(0)
+_HALF = Fraction(1, 2)
+_UNIT = (Fraction(1),)
 
-    For q ≤ 2 the only threshold is q itself:
+#: One affine piece: (family, indices, weights, t_coeff, logn_coeff, n_power).
+PieceRow = tuple[str, tuple[int, ...], tuple[Fraction, ...], Fraction, Fraction, Fraction]
 
-        I0  = {j : p_j ≥ q}     J0  = {j : p_j ≤ q}
-        I0p = {j : p_j > q}     J0p = {j : p_j < q}
 
-    For q > 2 there are two thresholds, q and 2:
+def piece_rows(x: Sequence[Fraction], x_q: Fraction, high: bool) -> list[PieceRow]:
+    """The five piece families of every width order, as one table of rows.
 
-        I   = {j : p_j ≥ q}     J  = {j : 2 ≤ p_j ≤ q}    K  = {j : p_j ≤ 2}
-        Ip  = {j : p_j > q}     Jp = {j : 2 < p_j < q}    Kp = {j : p_j < 2}
+    x[j] = 1/p_j (0 for a p = ∞ ball), x_q = 1/q and θ_q = 1/2 − x_q;
+    `high` selects the q > 2 shape.  A row carries a coordinate term
+    Σ w_i r_i t_i over its indices plus the listed coefficients:
 
-    Sets are closed, primed sets open, so boundary coordinates (p_j = q, or
-    p_j = 2 when q > 2) belong to two closed sets and no open one.
+      family          switched on by        weights   t_coeff    logn_coeff  n_power
+      large-p         x_j ≤ x_q             1         0          0           x_q − x_j
+      mid-p  (high)   x_q ≤ x_j ≤ 1/2       1         −c_j/2     c_j/2       0
+      small-p (low)   x_j ≥ x_q             1         x_q − x_j  0           0
+      small-p (high)  x_j ≥ 1/2             1         −x_j       1/2         0
+      cross-lambda    x_i < x_q < x_j       1−λ, λ    0          0           0
+      cross-mu (high) x_i < 1/2 < x_j       1−μ, μ    −1/2       1/2         0
+
+    with c_j = (x_j − x_q)/θ_q and the weights fixed by (1−λ)x_i + λx_j = x_q
+    and (1−μ)x_i + μx_j = 1/2, so 0 < λ, μ < 1.  Rows come family by family
+    in the order above, j ascending, pairs (i, j) lexicographic.  Single
+    thresholds are closed, so a coordinate with x_j = x_q (or x_j = 1/2 in
+    the high shape) has a row in both neighbouring families.
+
+    The consumers read the rows as they stand:
+
+      exponent.build_objective  coefficients w_i r_i on α_i; q > 2: s slope
+                                t_coeff and constant logn_coeff; q ≤ 2:
+                                constant t_coeff (there s = 1);
+      finitedim.phi_value       Σ w_i r_i t_i + t_coeff·t, low shape at any q;
+      finitedim.psi_value       the same plus logn_coeff·log n, high shape;
+      finitedim._terms          Π ν_i^(w_i) · N^(n_power) · g^(2·logn_coeff),
+                                g = n^(−1/2) N^(1/q), in the shape of q.
     """
-
-    regime: str  # "low-q" (q ≤ 2) or "high-q" (q > 2)
-    I0: frozenset[int] | None = None
-    J0: frozenset[int] | None = None
-    I0p: frozenset[int] | None = None
-    J0p: frozenset[int] | None = None
-    I: frozenset[int] | None = None
-    J: frozenset[int] | None = None
-    K: frozenset[int] | None = None
-    Ip: frozenset[int] | None = None
-    Jp: frozenset[int] | None = None
-    Kp: frozenset[int] | None = None
-
-
-def partition_indices(spec: ProblemSpec) -> IndexPartition:
-    """Split coordinate indices by the comparisons p_j vs q (and 2 if q > 2)."""
-    q = spec.q
-    if q <= 2:
-        return IndexPartition(
-            regime="low-q",
-            I0=frozenset(j for j, pj in enumerate(spec.p) if pj >= q),
-            J0=frozenset(j for j, pj in enumerate(spec.p) if pj <= q),
-            I0p=frozenset(j for j, pj in enumerate(spec.p) if pj > q),
-            J0p=frozenset(j for j, pj in enumerate(spec.p) if pj < q),
-        )
-    two = Fraction(2)
-    return IndexPartition(
-        regime="high-q",
-        I=frozenset(j for j, pj in enumerate(spec.p) if pj >= q),
-        J=frozenset(j for j, pj in enumerate(spec.p) if two <= pj <= q),
-        K=frozenset(j for j, pj in enumerate(spec.p) if pj <= two),
-        Ip=frozenset(j for j, pj in enumerate(spec.p) if pj > q),
-        Jp=frozenset(j for j, pj in enumerate(spec.p) if two < pj < q),
-        Kp=frozenset(j for j, pj in enumerate(spec.p) if pj < two),
-    )
-
-
-def _interp_weight(level: Fraction, pi: Fraction, pj: Fraction) -> Fraction:
-    """Weight λ with  level = (1−λ)/p_i + λ/p_j,  exact.
-
-    Well defined whenever p_i ≠ p_j; the callers only ask for pairs with
-    1/p_j > level > 1/p_i, which lands λ strictly inside (0, 1).
-    """
-    xi, xj = Fraction(1) / pi, Fraction(1) / pj
-    return (level - xi) / (xj - xi)
-
-
-@dataclass(frozen=True)
-class InterpCoeffs:
-    """Interpolation weights between coordinate pairs.
-
-    lam[(i, j)] solves 1/q = (1−λ)/p_i + λ/p_j; defined for p_i > q > p_j
-    (within the pair families the objective construction needs).
-
-    mu[(i, j)] solves 1/2 = (1−μ)/p_i + μ/p_j; only present when q > 2,
-    for p_i > 2 > p_j.
-    """
-
-    lam: Mapping[tuple[int, int], Fraction] = field(default_factory=dict)
-    mu: Mapping[tuple[int, int], Fraction] = field(default_factory=dict)
-
-
-def interp_coeffs(spec: ProblemSpec, part: IndexPartition | None = None) -> InterpCoeffs:
-    """All λ (and, for q > 2, μ) pair weights the objective ever uses.
-
-    q ≤ 2: λ over I0p × J0p.
-    q > 2: λ over Ip × (Jp ∪ K), μ over (I ∪ Jp) × Kp.
-
-    d ≤ 16 keeps both maps tiny, so they are built eagerly.
-    """
-    part = part or partition_indices(spec)
-    inv_q = Fraction(1) / spec.q
-    half = Fraction(1, 2)
-    lam: dict[tuple[int, int], Fraction] = {}
-    mu: dict[tuple[int, int], Fraction] = {}
-    if part.regime == "low-q":
-        for i in sorted(part.I0p):
-            for j in sorted(part.J0p):
-                lam[(i, j)] = _interp_weight(inv_q, spec.p[i], spec.p[j])
+    idx = range(len(x))
+    rows = [("large-p", (j,), _UNIT, _ZERO, _ZERO, x_q - x[j]) for j in idx if x[j] <= x_q]
+    if high:
+        two_theta_q = 1 - 2 * x_q
+        for j in idx:
+            if x_q <= x[j] <= _HALF:
+                half_c = (x[j] - x_q) / two_theta_q
+                rows.append(("mid-p", (j,), _UNIT, -half_c, half_c, _ZERO))
+        rows += [("small-p", (j,), _UNIT, -x[j], _HALF, _ZERO) for j in idx if x[j] >= _HALF]
     else:
-        targets = sorted(part.Jp | part.K)
-        for i in sorted(part.Ip):
-            for j in targets:
-                if i == j:
-                    continue
-                lam[(i, j)] = _interp_weight(inv_q, spec.p[i], spec.p[j])
-        sources = sorted(part.I | part.Jp)
-        for i in sources:
-            for j in sorted(part.Kp):
-                if i == j:
-                    continue
-                mu[(i, j)] = _interp_weight(half, spec.p[i], spec.p[j])
-    return InterpCoeffs(lam=lam, mu=mu)
+        rows += [("small-p", (j,), _UNIT, x_q - x[j], _ZERO, _ZERO) for j in idx if x[j] >= x_q]
+    rows += _cross_rows("cross-lambda", x, x_q, _ZERO, _ZERO)
+    if high:
+        rows += _cross_rows("cross-mu", x, _HALF, -_HALF, _HALF)
+    return rows
+
+
+def _cross_rows(family, x, level, t_coeff, logn_coeff) -> list[PieceRow]:
+    below = [i for i, xi in enumerate(x) if xi < level]
+    above = [j for j, xj in enumerate(x) if xj > level]
+    rows = []
+    for i in below:
+        for j in above:
+            w = (level - x[i]) / (x[j] - x[i])
+            rows.append((family, (i, j), (1 - w, w), t_coeff, logn_coeff, _ZERO))
+    return rows

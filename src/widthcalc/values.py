@@ -205,6 +205,8 @@ class PowerProduct:
             return PowerProduct.zero()
         if exp == 0:
             return PowerProduct.one()
+        if exp == 1:
+            return self
         return PowerProduct({p: e * exp for p, e in self._factors.items()})
 
     # ------------------------------------------------------------------

@@ -66,6 +66,33 @@ def test_grid_brackets_contain_the_exponent(agreement):
     print(f"PASS: {len(report.records)} brackets at G=128·d")
 
 
+def _higher_d_specs(rng, per_side):
+    """Random specs at d = 3..8, `per_side` on each side of q = 2."""
+    for d in range(3, 9):
+        for high in (False, True):
+            for _ in range(per_side):
+                if high:
+                    q = rng.fraction_between(2, 6)
+                else:
+                    q = F(2) if rng.rand_below(4) == 0 else rng.fraction_between(1, 2)
+                p = tuple(rng.fraction_between(1, q + 4) for _ in range(d))
+                r = tuple(rng.fraction_between(F(1, 2), 4) for _ in range(d))
+                yield ProblemSpec(r=r, p=p, q=q)
+
+
+def test_closed_forms_match_the_lp_at_higher_d():
+    cases: Counter = Counter()
+    for spec in _higher_d_specs(Lcg(7), per_side=40):
+        report = classify_regime(spec)
+        cases[report.case] += 1
+        if report.exponent is not None:
+            assert report.exponent == minimize(build_objective(spec)).theta, spec
+    assert sum(cases.values()) == 480
+    for label in ("T1.1", "T1.2b", "T1.3b", "T1.3c"):
+        assert cases[label] >= 50, cases
+    print(f"PASS: 480 specs at d = 3..8, zero residual, {dict(cases)}")
+
+
 def test_scaling_identities_have_zero_residual():
     rng = Lcg(SEED + 3)
     labels = ("T1.3a", "T1.3b", "T1.3c", "T4.2a", "T4.2b")

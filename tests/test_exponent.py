@@ -13,10 +13,9 @@ from widthcalc.exponent import (
     candidate_vertices,
     classify_region,
     minimize,
-    regularity_margins,
 )
 from widthcalc.oracle import Lcg, h_high_value, h_low_style_value
-from widthcalc.params import ParameterError, ProblemSpec, partition_indices
+from widthcalc.params import ParameterError, ProblemSpec
 
 rationals = st.fractions(min_value=F(1, 6), max_value=F(6), max_denominator=10)
 
@@ -157,19 +156,12 @@ def test_d16_exponents_match_frozen_anchors(r, p, q, theta, unique):
     assert res.compact == "compact"
 
 
-def test_regularity_margins_worked_example():
-    spec = _spec((1, "1/4"), (8, "8/5"), 2)
-    assert regularity_margins(spec) == (F(2), F(-1, 2))
-
-
 def _tset(spec):
-    part = partition_indices(spec)
-    every = frozenset(range(spec.d))
-    if part.I == every:
+    if all(pj >= spec.q for pj in spec.p):
         return (0,)
-    if part.K == every:
+    if all(pj <= 2 for pj in spec.p):
         return (1, 2)
-    if part.I | part.J == every:
+    if all(pj >= 2 for pj in spec.p):
         return (0, 2)
     return (0, 1, 2)
 

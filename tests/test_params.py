@@ -1,4 +1,4 @@
-"""Parameter types: validation, harmonic means, partitions, interpolation."""
+"""Parameter types: validation, harmonic means, the piece-family table."""
 
 from fractions import Fraction as F
 
@@ -12,8 +12,7 @@ from widthcalc.params import (
     ProblemSpec,
     as_fraction,
     harmonic_mean,
-    interp_coeffs,
-    partition_indices,
+    piece_rows,
 )
 
 rationals = st.fractions(min_value=F(1, 8), max_value=F(8), max_denominator=12)
@@ -85,32 +84,48 @@ def test_permutation_preserves_margin_and_means(spec):
     assert flipped.pr_mean() == spec.pr_mean()
 
 
+def _rows(spec, high):
+    return piece_rows([1 / p for p in spec.p], 1 / spec.q, high)
+
+
+def _members(rows, family):
+    return [idx for fam, idx, *_ in rows if fam == family]
+
+
 def test_partition_places_thresholds_in_both_sets():
     spec = ProblemSpec(r=(F(1), F(1), F(1)), p=(F(2), F(4), F(3, 2)), q=F(4))
-    part = partition_indices(spec)
-    assert part.regime == "high-q"
-    assert 0 in part.J and 0 in part.K  # p = 2 sits on the mid/small boundary
-    assert 1 in part.I and 1 in part.J  # p = q sits on the large/mid boundary
-    assert 1 not in part.Ip and 0 not in part.Kp
+    rows = _rows(spec, high=True)
+    assert (0,) in _members(rows, "mid-p") and (0,) in _members(rows, "small-p")  # p = 2
+    assert (1,) in _members(rows, "large-p") and (1,) in _members(rows, "mid-p")  # p = q
+    # Cross families are open at their level: no pair starts at p = q or ends at p = 2.
+    assert all(i != 1 for i, _ in _members(rows, "cross-lambda"))
+    assert all(j != 0 for _, j in _members(rows, "cross-mu"))
+    low = ProblemSpec(r=(F(1), F(1)), p=(F(7, 4), F(3)), q=F(7, 4))
+    rows = _rows(low, high=False)
+    assert _members(rows, "large-p") == [(0,), (1,)]
+    assert _members(rows, "small-p") == [(0,)]  # p = q sits on the large/small boundary
+    assert _members(rows, "cross-lambda") == []
 
 
 def test_low_q_partition_worked_example():
     spec = ProblemSpec(r=(F(1), F(1)), p=(F(3), F(3, 2)), q=F(2))
-    part = partition_indices(spec)
-    assert part.regime == "low-q"
-    assert part.I0 == frozenset({0}) and part.J0 == frozenset({1})
-    assert part.I0p == frozenset({0}) and part.J0p == frozenset({1})
+    one, zero = (F(1),), F(0)
+    assert _rows(spec, high=False) == [
+        ("large-p", (0,), one, zero, zero, F(1, 6)),
+        ("small-p", (1,), one, F(-1, 6), zero, zero),
+        ("cross-lambda", (0, 1), (F(1, 2), F(1, 2)), zero, zero, zero),
+    ]
 
 
 @given(spec_strategy())
 def test_interp_weights_hit_their_levels_exactly(spec):
-    part = partition_indices(spec)
-    coeffs = interp_coeffs(spec, part)
-    for (i, j), lam in coeffs.lam.items():
-        xi, xj = 1 / spec.p[i], 1 / spec.p[j]
-        assert (1 - lam) * xi + lam * xj == 1 / spec.q
-        assert 0 < lam < 1
-    for (i, j), mu in coeffs.mu.items():
-        xi, xj = 1 / spec.p[i], 1 / spec.p[j]
-        assert (1 - mu) * xi + mu * xj == F(1, 2)
-        assert 0 < mu < 1
+    levels = {"cross-lambda": 1 / spec.q, "cross-mu": F(1, 2)}
+    for high in (False, True) if spec.q > 2 else (False,):
+        for family, idx, weights, *_ in _rows(spec, high):
+            if family not in levels:
+                assert weights == (1,)
+                continue
+            (i, j), (w_i, w_j) = idx, weights
+            assert w_i * (1 / spec.p[i]) + w_j * (1 / spec.p[j]) == levels[family]
+            assert w_i == 1 - w_j
+            assert 0 < w_j < 1
