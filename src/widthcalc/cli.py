@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -67,7 +68,12 @@ def parse_rational(text: str) -> Fraction:
             f"expected an exact rational like 3 or 3/2, got {text!r} "
             "(decimal notation is not accepted)"
         )
-    return Fraction(t)
+    try:
+        return Fraction(t)
+    except ZeroDivisionError:
+        raise ParameterError(f"zero denominator in {text!r}") from None
+    except ValueError:  # more digits than the interpreter converts
+        raise ParameterError(f"number too long to read ({len(t)} characters)") from None
 
 
 def parse_integer(text: str, flag: str) -> int:
@@ -495,10 +501,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 4
     flag_keys = {

@@ -190,9 +190,9 @@ def single_ball_order(N: int, n: int, p, q) -> WidthOrder:
         raise ParameterError(f"N must be a positive integer, got {N!r}")
     if not isinstance(n, int) or n < 0 or n > N:
         raise ParameterError(f"n must be an integer in [0, N], got {n!r}")
-    x_p = inv_exponent(p)
     if not is_inf(p) and as_fraction(p) < 1:
         raise ParameterError(f"p = {p} must be ≥ 1")
+    x_p = inv_exponent(p)
     if is_inf(q):
         if not is_inf(p):
             raise ParameterError("q = inf is only supported with p = inf")
@@ -254,9 +254,10 @@ def _check_display_range(spec: IntersectionSpec) -> None:
     if 2 * spec.n > spec.N:
         raise RangeError(f"need n ≤ N/2, got n = {spec.n}, N = {spec.N}")
     if spec.q > 2:
-        # n ≥ N^(2/q)  ⟺  n^q ≥ N², checked in integers.
-        a, b = spec.q.numerator, spec.q.denominator
-        if spec.n <= 0 or spec.n**a < spec.N ** (2 * b):
+        # n ≥ N^(2/q)  ⟺  n^q ≥ N², checked exactly without raising n to q's numerator.
+        if spec.n <= 0 or PowerProduct.from_pow(spec.n, spec.q) < PowerProduct.from_pow(
+            spec.N, _TWO
+        ):
             raise RangeError(
                 f"q > 2 needs n ≥ N^(2/q), got n = {spec.n}, N = {spec.N}, q = {spec.q}"
             )
@@ -302,8 +303,17 @@ def intersection_order(spec: IntersectionSpec) -> WidthOrder:
 # branch classification with certificates
 
 
+def _floor_ceil(x: PowerProduct) -> tuple[int, int]:
+    """⌊·⌋ and ⌈·⌉ of x to about 96 bits past the binary point, however
+    large x is, so the exact correction steps below take one or two turns."""
+    prec = 96 + max(0, mpmath.mag(x.to_mpf(32)))
+    with mpmath.workprec(prec):
+        approx = x.to_mpf(prec)
+        return int(mpmath.floor(approx)), int(mpmath.ceil(approx))
+
+
 def _int_ceil(x: PowerProduct) -> int:
-    k = int(mpmath.ceil(x.to_mpf(96)))
+    k = _floor_ceil(x)[1]
     while PowerProduct.from_fraction(max(k, 1)) < x:
         k += 1
     while k >= 1 and x <= PowerProduct.from_fraction(k - 1):
@@ -312,7 +322,7 @@ def _int_ceil(x: PowerProduct) -> int:
 
 
 def _int_floor(x: PowerProduct) -> int:
-    k = int(mpmath.floor(x.to_mpf(96)))
+    k = _floor_ceil(x)[0]
     while k >= 1 and PowerProduct.from_fraction(k) > x:
         k -= 1
     while x >= PowerProduct.from_fraction(k + 1):

@@ -394,7 +394,8 @@ def grid_minimize(spec: ProblemSpec, grid: int | None = None) -> GridBracket:
     has_s = q > 2
     if has_s:
         k_max = (G * q.numerator) // (2 * q.denominator)
-        counts = sum(math.comb(k + d - 1, d - 1) for k in range(G, k_max + 1))
+        # Σ_{G ≤ k ≤ k_max} C(k+d−1, d−1), by the hockey-stick identity.
+        counts = math.comb(k_max + d, d) - math.comb(G + d - 1, d)
     else:
         counts = math.comb(G + d - 1, d - 1)
     if counts > _GUARD:
@@ -414,16 +415,28 @@ def grid_minimize(spec: ProblemSpec, grid: int | None = None) -> GridBracket:
     coeff = np.zeros((len(pieces), d))
     s_coeff = np.zeros(len(pieces))
     const = np.zeros(len(pieces))
-    for idx, (cmap, sc, c0) in enumerate(pieces):
-        for j, cj in cmap.items():
-            coeff[idx, j] = float(cj)
-        s_coeff[idx] = float(sc)
-        const[idx] = float(c0)
+    try:
+        for idx, (cmap, sc, c0) in enumerate(pieces):
+            for j, cj in cmap.items():
+                coeff[idx, j] = float(cj)
+            s_coeff[idx] = float(sc)
+            const[idx] = float(c0)
+    except OverflowError:
+        raise RangeError("objective values exceed the float range of the lattice") from None
+    # The terms summed into any lattice value add up to at most `bound` in
+    # magnitude, so each float value is within 2^-48 · bound of the exact
+    # one (d ≤ 16 rounding steps plus the coefficient conversions), and the
+    # rows within twice that of the least float value hold the exact
+    # minimum and its ties.
+    s_max = k_max / G if has_s else 1.0
+    bound = (np.abs(coeff).max() + np.abs(s_coeff).max()) * s_max + np.abs(const).max()
+    if not bound < 1e300:
+        raise RangeError("objective values exceed the float range of the lattice")
     vals = (a_int / G) @ coeff.T + const[None, :]
     if s_int is not None:
         vals += (s_int / G)[:, None] * s_coeff[None, :]
     obj = vals.max(axis=1)
-    threshold = obj.min() + 1e-9
+    threshold = obj.min() + 2.0**-47 * bound
     candidates = np.nonzero(obj <= threshold)[0]
     best_val: Fraction | None = None
     best_alpha: tuple[Fraction, ...] | None = None

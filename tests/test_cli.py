@@ -1,10 +1,14 @@
 """End-to-end command-line behaviour: formats, exit codes, config files."""
 
+import contextlib
 import dataclasses
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import widthcalc.cli as cli
 from widthcalc.cli import CSV_HEADER, main, parse_extended, parse_rational
@@ -289,3 +293,110 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "exponent" in out and "verify" in out
+
+
+def test_one_parser_serves_back_to_back_calls(tmp_path, monkeypatch):
+    cfg = tmp_path / "widths.cfg"
+    cfg.write_text("r=1,1\np=3,3\nq=2\n")
+    calls = [
+        ["exponent", "--config", str(cfg)],
+        ["exponent", "--bogus"],
+        ["finite", "--N", "8", "--n", "x", "--q", "2", "--balls", "1:1"],
+        ["--help"],
+        ["exponent", "--r", "1,1", "--p", "3,3", "--q", "4", "--format", "json"],
+        ["sweep", "--help"],
+        ["exponent", "--config", str(cfg), "--grid-check"],
+        ["regime", "--config", str(cfg)],
+        ["exponent", "--config", str(cfg)],
+    ]
+
+    def outcomes():
+        seen = []
+        for argv in calls:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            seen.append((code, out.getvalue(), err.getvalue()))
+        return seen
+
+    monkeypatch.setenv(cli.oracle.GRID_ENV, "16")
+    monkeypatch.setenv("COLUMNS", "80")
+    shared = outcomes()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = outcomes()
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 4, 4, 0, 0, 0, 0, 0, 0]
+    assert shared[0] == shared[-1]
+    assert "grid      [" in shared[6][1] and "grid      [" not in shared[8][1]
+
+
+# ---------------------------------------------------------------------------
+# every argv ends in an exit code
+
+M61, M89, M107 = 2**61 - 1, 2**89 - 1, 2**107 - 1  # Mersenne primes
+SEMIPRIMES = [M61 * M89, M89 * M107, 1000003 * 998244353]
+
+rational_text = st.one_of(
+    st.fractions(min_value=F(1, 8), max_value=F(12), max_denominator=8).map(str),
+    st.integers(min_value=-3, max_value=12).map(str),
+    st.integers(min_value=10**15, max_value=10**400).map(str),
+    st.sampled_from(SEMIPRIMES).map(str),
+    st.sampled_from(SEMIPRIMES).map(lambda n: f"1/{n}"),
+    st.sampled_from(["inf", "0", "1/0", "-1/2", "1.5", "2e3", "", "x", "9" * 5000]),
+)
+exponent_text = st.one_of(
+    st.fractions(min_value=F(1), max_value=F(9), max_denominator=6).map(str),
+    st.just("inf"),
+    rational_text,
+)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["exponent", "regime", "finite", "sweep", "verify"]))
+    argv = [command]
+
+    def opt(flag, strategy, tenths_present=9):
+        if draw(st.integers(0, 9)) < tenths_present:
+            argv.extend([flag, draw(strategy)])
+
+    if command in ("exponent", "regime", "sweep"):
+        d = draw(st.integers(min_value=1, max_value=3))
+        opt("--r", st.lists(rational_text, min_size=d, max_size=d).map(",".join))
+        opt("--p", st.lists(exponent_text, min_size=d, max_size=d).map(",".join))
+        opt("--q", exponent_text)
+    if command in ("exponent", "regime", "finite"):
+        opt("--format", st.sampled_from(["text", "json"]), tenths_present=5)
+    if command == "exponent" and draw(st.booleans()):
+        argv.append("--grid-check")
+    if command == "finite":
+        opt("--N", st.one_of(st.integers(-2, 2**12).map(str), rational_text))
+        opt("--n", st.one_of(st.integers(-2, 2**10).map(str), rational_text))
+        opt("--q", exponent_text)
+        ball = st.tuples(exponent_text, rational_text).map(":".join)
+        opt("--balls", st.lists(ball, min_size=1, max_size=3).map(",".join))
+    if command == "sweep":
+        opt("--vary", st.sampled_from(["q", "p1", "r1", "p2", "r3", "n", "z"]))
+        opt("--from", rational_text)
+        opt("--to", rational_text)
+        opt("--steps", st.sampled_from(["-1", "0", "1", "2", "4", "3/2"]))
+        opt("--m-vec", st.lists(st.integers(-1, 40).map(str), min_size=1, max_size=3)
+            .map(",".join), tenths_present=5)
+    if command == "verify":
+        opt("--samples", st.sampled_from(["0", "1", "2", "-1", "1/2"]), tenths_present=10)
+        opt("--seed", st.integers(-5, 2**40).map(str))
+        opt("--grid", st.sampled_from(["0", "1", "4", "16", "-3", "10**9", "4000"]), tenths_present=5)
+        opt("--identity-points", st.sampled_from(["0", "1", "2", "-1"]), tenths_present=5)
+        if draw(st.booleans()):
+            argv.append("--json")
+    return argv
+
+
+@settings(max_examples=600, deadline=5000, derandomize=True)
+@given(argvs())
+@example(["exponent", "--r", "1,1", "--p", "3,3", "--q", "1/0"])
+@example(["finite", "--N", str(M61 * M89), "--n", "8", "--q", "34/7", "--balls", "0:1"])
+def test_every_argv_ends_in_an_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4)
