@@ -3,8 +3,8 @@ Three routes to the same exponent
 =================================
 
 The package computes every decay exponent three independent ways: a
-closed form picked by the regime classifier, an exact-rational LP, and a
-brute-force lattice bracket.  This script samples one spec per branch
+closed form picked by the regime classifier, an exact-rational LP, and an
+exact lattice bracket.  This script samples one spec per branch
 and shows the three routes landing on the same rational.
 """
 
@@ -16,7 +16,6 @@ from widthcalc import (
     cross_validate,
     grid_minimize,
     minimize,
-    refine_bracket,
     sample_branch,
 )
 
@@ -39,7 +38,7 @@ print()
 print("refining the bracket around theta =", minimize(build_objective(spec)).theta)
 for _ in range(3):
     print(f"  G = {bracket.grid:4d}  gap = {bracket.gap}")
-    bracket = refine_bracket(spec, bracket)
+    bracket = grid_minimize(spec, 4 * bracket.grid)
 
 # cross_validate wires the same comparison into a deterministic report;
 # the CLI `verify` subcommand prints exactly this.

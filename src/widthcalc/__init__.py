@@ -9,7 +9,7 @@ arithmetic:
     which closed-form regime applies;
   * `finitedim` / `oracle`: the finite-dimensional counterpart, orders of
     widths of ℓ_p ball intersections with verifiable lower-bound
-    certificates, plus independent brute-force and identity oracles that
+    certificates, plus independent lattice and identity oracles that
     cross-check every route against the others.
 """
 
@@ -50,7 +50,6 @@ from .oracle import (
     check_scaling_identities,
     cross_validate,
     grid_minimize,
-    refine_bracket,
     sample_branch,
 )
 from .params import (
@@ -100,7 +99,6 @@ __all__ = [
     "check_scaling_identities",
     "cross_validate",
     "grid_minimize",
-    "refine_bracket",
     "sample_branch",
     "MAX_DIMENSION",
     "ParameterError",

@@ -295,6 +295,7 @@ def _cmd_finite(args: argparse.Namespace) -> int:
         spec = IntersectionSpec(N=N, n=n, q=q, balls=tuple(balls))
         order = intersection_order(spec)
         case, cert = classify_branch(spec)
+    cert_ok = cert is None or cert.verify()
     if (args.format or "text") == "json":
         payload = {
             "N": N,
@@ -311,7 +312,7 @@ def _cmd_finite(args: argparse.Namespace) -> int:
                 "scale": _json_value(cert.scale),
                 "certified_value": _json_value(cert.certified_value),
                 "checks": len(cert.checked),
-                "ok": cert.verify(),
+                "ok": cert_ok,
                 "note": cert.note,
             },
         }
@@ -325,10 +326,8 @@ def _cmd_finite(args: argparse.Namespace) -> int:
         if cert is not None:
             print(f"cert      {cert.kind} k={cert.k} scale={cert.scale} "
                   f"value={cert.certified_value} checks={len(cert.checked)} "
-                  f"{'ok' if cert.verify() else 'FAILED'}")
-    if cert is not None and not cert.verify():
-        return 1
-    return 0
+                  f"{'ok' if cert_ok else 'FAILED'}")
+    return 0 if cert_ok else 1
 
 
 def _sweep_values(args: argparse.Namespace) -> list[Fraction]:
@@ -523,6 +522,16 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ParameterError, RangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except ValueError as exc:
+        # `str` refuses integers longer than the interpreter's digit limit;
+        # such an exact value is refused rather than printed.
+        if "integer string conversion" not in str(exc):
+            raise
+        print(
+            f"error: an exact result has more than {sys.get_int_max_str_digits()} digits",
+            file=sys.stderr,
+        )
         return 4
 
 

@@ -12,9 +12,10 @@ families, in that order); a family with no switched-on index contributes
 no pieces.
 
 The minimum, its argmin, whether the argmin is the unique minimiser, and
-the active pieces there are all computed exactly with a rational simplex;
-widths then decay like n^(−θ) (θ > 0) while θ ≤ 0 flags a class that is not
-compactly embedded (the widths do not vanish).
+the active pieces there are all computed exactly with a rational simplex.
+Whether the class is compactly embedded is not read off the sign of θ: the
+LP objective encodes the width estimate only under the paper's hypotheses,
+so compactness is decided by `closedform.check_compact`.
 """
 
 from __future__ import annotations
@@ -102,7 +103,6 @@ class ExponentResult:
     argmin_s: Fraction | None
     unique: bool
     active_pieces: tuple[Provenance, ...]
-    compact: str  # "compact" | "not-compact" | "boundary"
 
 
 def build_objective(spec: ProblemSpec) -> PiecewiseMax:
@@ -243,19 +243,12 @@ def minimize(obj: PiecewiseMax) -> ExponentResult:
     s = (_ONE + res.x[i_sigma]) if i_sigma is not None else None
     split = (len(cost) - 2, len(cost) - 1)
     unique = _tableau_certifies_unique(res, split) or _face_is_a_point(obj, theta)
-    if theta > 0:
-        compact = "compact"
-    elif theta < 0:
-        compact = "not-compact"
-    else:
-        compact = "boundary"
     return ExponentResult(
         theta=theta,
         argmin_alpha=alpha,
         argmin_s=s,
         unique=unique,
         active_pieces=obj.active_at(alpha, s),
-        compact=compact,
     )
 
 

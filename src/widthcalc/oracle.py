@@ -6,14 +6,14 @@ rebuilt from the defining formulas so that a bug in either route shows up
 as a disagreement:
 
   * `grid_minimize` brackets the true minimum of the piecewise objective
-    by brute force on a rational lattice.  The objective is a max of
-    affine pieces, hence Lipschitz; rounding any feasible point onto the
-    lattice moves each coordinate by at most 1/G, so
+    by the exact minimum over a rational lattice.  The objective is a max
+    of affine pieces, hence Lipschitz; rounding any feasible point onto
+    the lattice moves each coordinate by at most 1/G, so
 
         best − gap ≤ min ≤ best,   gap = (Σ_j max|coeff_j| + max|s coeff|)/G.
 
-    Floats only prefilter lattice points; every candidate is re-evaluated
-    in exact rational arithmetic before it can become `best`.
+    The lattice minimum comes from a branch and bound in integer
+    arithmetic, with no floats and no list of lattice points.
   * `check_scaling_identities` verifies, with zero tolerance, the two
     structural identities that tie the asymptotic objective to the
     finite-block rates: the s-face identity (the q > 2 objective on the
@@ -30,13 +30,13 @@ as a disagreement:
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import closedform
 from .exponent import build_objective, minimize
@@ -56,7 +56,6 @@ __all__ = [
     "GridBracket",
     "default_grid",
     "grid_minimize",
-    "refine_bracket",
     "IdentityReport",
     "check_scaling_identities",
     "ValidationRecord",
@@ -65,7 +64,10 @@ __all__ = [
 ]
 
 GRID_ENV = "WIDTHCALC_GRID"
-_GUARD = 1 << 20
+# Work allowed to one lattice bracket, in cells bounded × pieces per bound:
+# a cell's cost grows with the piece count (82 pieces at d = 16, q > 2), so
+# counting cells alone would let one input run far longer than another.
+_BUDGET = 1 << 17
 
 BRANCH_LABELS = (
     "T1.1",
@@ -319,14 +321,8 @@ def h_high_value(spec: ProblemSpec, alpha, s) -> Fraction:
     return max(_piece_value(pc, alpha, s) for pc in _high_pieces(spec))
 
 
-def _objective_value(spec: ProblemSpec, alpha, s) -> Fraction:
-    if spec.q <= 2:
-        return h_low_style_value(spec, alpha)
-    return h_high_value(spec, alpha, s)
-
-
 # ---------------------------------------------------------------------------
-# brute-force lattice bracket
+# exact lattice bracket
 
 
 @dataclass(frozen=True)
@@ -362,28 +358,41 @@ def default_grid(d: int) -> int:
     return 64 * d
 
 
-def _compositions(total: int, d: int) -> np.ndarray:
-    if d == 1:
-        return np.array([[total]], dtype=np.int64)
-    if d == 2:
-        a = np.arange(total + 1, dtype=np.int64)
-        return np.column_stack([a, total - a])
-    blocks = []
-    for first in range(total + 1):
-        rest = _compositions(total - first, d - 1)
-        col = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([col, rest]))
-    return np.vstack(blocks)
+def _fill(row, lo, hi, need, room):
+    """Least value of one integer row over a box cell and its minimiser.
+
+    The row's minimum over lo ≤ ā ≤ hi with `need` ≤ Σ(ā − lo) ≤ `room`
+    is a continuous knapsack with unit weights, so filling the cheapest
+    coordinates first is exact in integers: negative weights as far as
+    `room` allows, the rest only as far as `need` forces.
+    """
+    c, w, order = row
+    value = c + sum(map(operator.mul, w, lo))
+    point = list(lo)
+    for j in order:
+        wj = w[j]
+        if room <= 0 or (wj >= 0 and need <= 0):
+            break
+        take = min(hi[j] - lo[j], room if wj < 0 else need)
+        value += wj * take
+        point[j] += take
+        need -= take
+        room -= take
+    return value, tuple(point)
 
 
 def grid_minimize(spec: ProblemSpec, grid: int | None = None) -> GridBracket:
     """Exact bracket of the objective minimum from a denominator-G lattice.
 
     q ≤ 2: points ᾱ = ā/G with ā ∈ Z≥0^d, Σā = G.  q > 2: additionally
-    s = k/G for G ≤ k ≤ ⌊qG/2⌋ with Σā = k.  Lattice values are computed
-    in float64 to shortlist candidates near the minimum; candidates are
-    then re-evaluated exactly, so `best_value` is the exact lattice
-    minimum and the Lipschitz gap argument gives the lower bound.
+    s = Σā/G with G ≤ Σā ≤ ⌊qG/2⌋.  `best_value` is the exact lattice
+    minimum and `argmin` its lexicographically least minimiser, found by
+    box branch and bound over ā in integers (Land & Doig 1960): a cell's
+    lower bound is the largest piece minimum over the cell, the widest
+    coordinate is split, and a cell is dropped once its (bound, lo corner)
+    is not below the incumbent (value, argmin).  `points` is the lattice
+    size; the work is budgeted in cells × pieces, and a lattice that needs
+    more raises `RangeError`.
     """
     d = spec.d
     G = default_grid(d) if grid is None else int(grid)
@@ -393,65 +402,55 @@ def grid_minimize(spec: ProblemSpec, grid: int | None = None) -> GridBracket:
     pieces = _low_style_pieces(spec) if q <= 2 else _high_pieces(spec)
     has_s = q > 2
     if has_s:
-        k_max = (G * q.numerator) // (2 * q.denominator)
-        # Σ_{G ≤ k ≤ k_max} C(k+d−1, d−1), by the hockey-stick identity.
-        counts = math.comb(k_max + d, d) - math.comb(G + d - 1, d)
+        K = (G * q.numerator) // (2 * q.denominator)
+        # Σ_{G ≤ k ≤ K} C(k+d−1, d−1), by the hockey-stick identity.
+        points = math.comb(K + d, d) - math.comb(G + d - 1, d)
     else:
-        counts = math.comb(G + d - 1, d - 1)
-    if counts > _GUARD:
-        raise RangeError(
-            f"lattice of {counts} points exceeds the {_GUARD} guard; "
-            f"lower the grid (argument or {GRID_ENV})"
-        )
-    if has_s:
-        block_rows = [_compositions(k, d) for k in range(G, k_max + 1)]
-        a_int = np.vstack(block_rows)
-        s_int = np.concatenate(
-            [np.full(len(b), k, dtype=np.int64) for b, k in zip(block_rows, range(G, k_max + 1))]
-        )
-    else:
-        a_int = _compositions(G, d)
-        s_int = None
-    coeff = np.zeros((len(pieces), d))
-    s_coeff = np.zeros(len(pieces))
-    const = np.zeros(len(pieces))
-    try:
-        for idx, (cmap, sc, c0) in enumerate(pieces):
-            for j, cj in cmap.items():
-                coeff[idx, j] = float(cj)
-            s_coeff[idx] = float(sc)
-            const[idx] = float(c0)
-    except OverflowError:
-        raise RangeError("objective values exceed the float range of the lattice") from None
-    # The terms summed into any lattice value add up to at most `bound` in
-    # magnitude, so each float value is within 2^-48 · bound of the exact
-    # one (d ≤ 16 rounding steps plus the coefficient conversions), and the
-    # rows within twice that of the least float value hold the exact
-    # minimum and its ties.
-    s_max = k_max / G if has_s else 1.0
-    bound = (np.abs(coeff).max() + np.abs(s_coeff).max()) * s_max + np.abs(const).max()
-    if not bound < 1e300:
-        raise RangeError("objective values exceed the float range of the lattice")
-    vals = (a_int / G) @ coeff.T + const[None, :]
-    if s_int is not None:
-        vals += (s_int / G)[:, None] * s_coeff[None, :]
-    obj = vals.max(axis=1)
-    threshold = obj.min() + 2.0**-47 * bound
-    candidates = np.nonzero(obj <= threshold)[0]
-    best_val: Fraction | None = None
-    best_alpha: tuple[Fraction, ...] | None = None
-    best_s: Fraction | None = None
-    for row in candidates:
-        alpha = tuple(Fraction(int(a), G) for a in a_int[row])
-        s = Fraction(int(s_int[row]), G) if s_int is not None else None
-        v = max(_piece_value(pc, alpha, s) for pc in pieces)
-        key = (alpha, s if s is not None else Fraction(0))
-        if (
-            best_val is None
-            or v < best_val
-            or (v == best_val and key < (best_alpha, best_s if best_s is not None else Fraction(0)))
-        ):
-            best_val, best_alpha, best_s = v, alpha, s
+        K = G
+        points = math.comb(G + d - 1, d - 1)
+    # With s = Σā/G each piece is affine in ā: G·value = G·const +
+    # Σ_j (coeff_j + s coeff)·ā_j.  One common denominator L makes every
+    # row integer, so G·L·value is compared exactly as an int.
+    weights = [[cmap.get(j, 0) + sc for j in range(d)] for cmap, sc, _ in pieces]
+    L = math.lcm(
+        *(v.denominator for w in weights for v in w), *(c0.denominator for *_, c0 in pieces)
+    )
+    rows = []
+    for w, (_, _, c0) in zip(weights, pieces):
+        w = [int(v * L) for v in w]
+        rows.append((int(c0 * L) * G, w, sorted(range(d), key=w.__getitem__)))
+    heap: list = []
+    best = None
+    cells = 0
+
+    def visit(lo, hi):
+        nonlocal best, cells
+        s_lo = sum(lo)
+        if s_lo > K or sum(hi) < G:
+            return
+        cells += 1
+        if cells * len(rows) > _BUDGET:
+            raise RangeError(
+                f"lattice bracket needs more than {_BUDGET} piece bounds (cells × pieces); "
+                f"lower the grid (argument or {GRID_ENV})"
+            )
+        bound, point = max(_fill(row, lo, hi, G - s_lo, K - s_lo) for row in rows)
+        value = max(c + sum(map(operator.mul, w, point)) for c, w, _ in rows)
+        if best is None or (value, point) < best:
+            best = (value, point)
+        if lo != hi and (bound, lo) < best:
+            heapq.heappush(heap, (bound, lo, hi))
+
+    visit((0,) * d, (K,) * d)
+    # Cells leave the heap in (bound, lo) order, so once one cannot beat
+    # the incumbent none of the rest can.
+    while heap and heap[0][:2] < best:
+        _, lo, hi = heapq.heappop(heap)
+        j = max(range(d), key=lambda i: hi[i] - lo[i])
+        mid = (lo[j] + hi[j]) // 2
+        visit(lo, hi[:j] + (mid,) + hi[j + 1 :])
+        visit(lo[:j] + (mid + 1,) + lo[j + 1 :], hi)
+    value, point = best
     lip = sum(
         max(abs(cmap.get(j, Fraction(0))) for cmap, _, _ in pieces) for j in range(d)
     )
@@ -459,17 +458,12 @@ def grid_minimize(spec: ProblemSpec, grid: int | None = None) -> GridBracket:
         lip += max(abs(sc) for _, sc, _ in pieces)
     return GridBracket(
         grid=G,
-        best_value=best_val,
+        best_value=Fraction(value, G * L),
         gap=Fraction(lip, G),
-        argmin=best_alpha,
-        argmin_s=best_s,
-        points=int(len(a_int)),
+        argmin=tuple(Fraction(a, G) for a in point),
+        argmin_s=Fraction(sum(point), G) if has_s else None,
+        points=points,
     )
-
-
-def refine_bracket(spec: ProblemSpec, bracket: GridBracket) -> GridBracket:
-    """Re-run at four times the lattice density; the gap shrinks by 4."""
-    return grid_minimize(spec, bracket.grid * 4)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,8 @@ __all__ = [
 ]
 
 #: Hard cap on the number of coordinates.  The closed forms are cheap at any
-#: d, but the grid oracle enumerates a d-simplex lattice and the cross-term
-#: pieces are quadratic in d, so keep d honest.
+#: d, but the cross-term pieces are quadratic in d and the grid oracle's
+#: branch and bound over a d-simplex lattice grows with d, so keep d honest.
 MAX_DIMENSION = 16
 
 

@@ -215,7 +215,11 @@ def _factor(n: int) -> tuple[tuple[int, int, bool], ...]:
     probable prime at or above `_MR_PROVEN`.
     """
     out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
+    twos = (n & -n).bit_length() - 1
+    if twos:
+        out[2] = twos
+        n >>= twos
+    for p in _SMALL_PRIMES[1:]:
         if p * p > n:
             break
         if n % p == 0:

@@ -396,6 +396,8 @@ def argvs(draw):
 @given(argvs())
 @example(["exponent", "--r", "1,1", "--p", "3,3", "--q", "1/0"])
 @example(["finite", "--N", str(M61 * M89), "--n", "8", "--q", "34/7", "--balls", "0:1"])
+@example(["sweep", "--r", "1,1", "--p", "3,3", "--q", "2", "--vary", "n",
+          "--m-vec", "100000,1", "--from", "0", "--to", "16", "--steps", "2"])
 def test_every_argv_ends_in_an_exit_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import widthcalc.exponent as exponent
 from widthcalc._simplex import solve_lp
+from widthcalc.closedform import check_compact
 from widthcalc.exponent import (
     build_objective,
     candidate_vertices,
@@ -124,14 +125,16 @@ def test_tableau_certificate_agrees_with_face_probes_at_higher_d():
 # Two specs at d = 16, the largest d the package accepts.  Their θ and
 # uniqueness verdicts were computed once with the earlier simplex, which
 # pivoted on a `Fraction` tableau (about 15 s for the q = 5 spec), and are
-# frozen here.
+# frozen here.  The last field is the exact compactness verdict: the q = 5
+# spec has θ > 0 but margin −3862663/41018435, so it is not compact.
 D16_ANCHORS = [
-    (  # q > 2, compact; p̄ has coordinates below 2, between 2 and q, above q
+    (  # q > 2, not compact; p̄ has coordinates below 2, between 2 and q, above q
         "5/4,5/4,7/4,2,3/2,11/4,13/4,13/4,3/2,5/4,7/2,3/2,9/4,7/4,3/4,2",
         "3/2,4,3/2,39/4,7/4,19/2,3,7/2,15/4,7/4,6,7,5/4,5/4,21/4,5/2",
         "5",
         F(3252249, 74654120),
         True,
+        False,
     ),
     (  # q ≤ 2, straddling: one p_j above q, the rest below it
         "2,9/4,2,3,13/4,3/2,11/4,5/2,5/2,11/4,7/4,3/4,15/4,11/4,3/4,1",
@@ -139,12 +142,15 @@ D16_ANCHORS = [
         "7/4",
         F(3262545, 38309251),
         True,
+        True,
     ),
 ]
 
 
-@pytest.mark.parametrize("r,p,q,theta,unique", D16_ANCHORS, ids=["q5-compact", "q7_4-straddle"])
-def test_d16_exponents_match_frozen_anchors(r, p, q, theta, unique):
+@pytest.mark.parametrize(
+    "r,p,q,theta,unique,compact", D16_ANCHORS, ids=["q5-noncompact", "q7_4-straddle"]
+)
+def test_d16_exponents_match_frozen_anchors(r, p, q, theta, unique, compact):
     spec = _spec(r.split(","), p.split(","), q)
     assert spec.d == 16
     assert min(spec.p) < spec.q < max(spec.p)
@@ -153,7 +159,7 @@ def test_d16_exponents_match_frozen_anchors(r, p, q, theta, unique):
     res = minimize(build_objective(spec))
     assert res.theta == theta
     assert res.unique is unique
-    assert res.compact == "compact"
+    assert check_compact(spec) is compact
 
 
 def _tset(spec):

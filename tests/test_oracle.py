@@ -1,14 +1,23 @@
 """The grid oracle, scaling-identity checks, and cross-validation reports."""
 
+import contextlib
 import dataclasses
+import io
+import itertools
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import widthcalc.oracle as oracle
+from widthcalc.cli import main
 from widthcalc.closedform import classify_regime
 from widthcalc.finitedim import intersection_order
 from widthcalc.oracle import (
@@ -20,11 +29,12 @@ from widthcalc.oracle import (
     cross_validate,
     default_grid,
     grid_minimize,
-    refine_bracket,
+    h_high_value,
+    h_low_style_value,
     sample_branch,
     sample_intersection,
 )
-from widthcalc.params import ParameterError, ProblemSpec, RangeError
+from widthcalc.params import ParameterError, ProblemSpec
 
 
 def _spec(r, p, q):
@@ -117,12 +127,15 @@ def test_bracket_on_the_balanced_pair():
     assert bracket.contains(F(1, 2))
     assert bracket.contains(bracket.lower)
     assert not bracket.contains(F(1, 4))
+    # 2^21 + 1 lattice points, far more than listing them would allow.
+    huge = grid_minimize(_spec((1, 1), (3, 3), 2), grid=1 << 21)
+    assert huge.best_value == F(1, 2) and huge.points == (1 << 21) + 1
 
 
 def test_refinement_shrinks_the_gap_fourfold():
     spec = _spec((1, 1), (3, 3), 2)
     first = grid_minimize(spec, grid=100)
-    finer = refine_bracket(spec, first)
+    finer = grid_minimize(spec, 4 * first.grid)
     assert finer.grid == 400
     assert finer.gap == first.gap / 4
     assert finer.contains(F(1, 2))
@@ -135,9 +148,124 @@ def test_bracket_covers_the_lp_minimum_above_two():
     assert bracket.contains(F(1, 2))
 
 
-def test_lattice_guard_trips_before_allocating():
-    with pytest.raises(RangeError):
-        grid_minimize(_spec((1, 1), (3, 3), 2), grid=1 << 21)
+def _enumerated_bracket(spec, G):
+    """The bracket by listing the whole lattice.
+
+    ā runs over the compositions of each k in [G, K] (stars and bars),
+    with K = ⌊qG/2⌋ for q > 2 and K = G otherwise; the minimum and its
+    lexicographically least argmin come from exact evaluation of every
+    point, and the gap from the Lipschitz formula over the pieces.
+    """
+    d, q = spec.d, spec.q
+    K = math.floor(q * G / 2) if q > 2 else G
+    best, points = None, 0
+    for k in range(G, K + 1):
+        for bars in itertools.combinations(range(k + d - 1), d - 1):
+            cuts = (-1,) + bars + (k + d - 1,)
+            a = tuple(cuts[i + 1] - cuts[i] - 1 for i in range(d))
+            alpha = tuple(F(x, G) for x in a)
+            if q > 2:
+                v = h_high_value(spec, alpha, F(k, G))
+            else:
+                v = h_low_style_value(spec, alpha)
+            points += 1
+            if best is None or (v, alpha) < best:
+                best = (v, alpha)
+    pieces = oracle._high_pieces(spec) if q > 2 else oracle._low_style_pieces(spec)
+    lip = sum(max(abs(cmap.get(j, 0)) for cmap, _, _ in pieces) for j in range(d))
+    if q > 2:
+        lip += max(abs(sc) for _, sc, _ in pieces)
+    value, alpha = best
+    return oracle.GridBracket(
+        grid=G,
+        best_value=value,
+        gap=F(lip, G),
+        argmin=alpha,
+        argmin_s=sum(alpha) if q > 2 else None,
+        points=points,
+    )
+
+
+def _small_specs():
+    yield _spec((1, 1), (3, 3), 2), 7  # (3,4)/7 and (4,3)/7 tie
+    yield _spec((1, 1), (3, 3), 2), 12
+    yield _spec((1, 1), (3, 3), 4), 7
+    rng = Lcg(4242)
+    for d, G in ((2, 12), (3, 9), (4, 5)):
+        for high in (False, True):
+            for _ in range(4):
+                if high:
+                    q = rng.fraction_between(2, 4, max_den=4)
+                else:
+                    q = F(2) if rng.rand_below(3) == 0 else rng.fraction_between(1, 2)
+                # p_j < 2 gives pieces falling in s, so some minima sit at s > 1.
+                p = tuple(
+                    rng.fraction_between(1, 2 if rng.coin() else q + 4, max_den=4)
+                    for _ in range(d)
+                )
+                r = tuple(rng.fraction_between(F(1, 2), 4, max_den=4) for _ in range(d))
+                yield ProblemSpec(r=r, p=p, q=q), G
+
+
+def test_branch_and_bound_matches_full_enumeration():
+    checked = 0
+    for spec, G in _small_specs():
+        assert grid_minimize(spec, G) == _enumerated_bracket(spec, G), (spec, G)
+        checked += 1
+    assert checked == 27
+
+
+def test_float_inseparable_lattice_keeps_its_bracket():
+    # The values on this lattice differ by less than 2^-47 times their term
+    # magnitudes, so float64 cannot tell them apart.  The bracket was
+    # recorded by evaluating all 66049 lattice points exactly.
+    big = 1427247692705959880439315947500961989719490561
+    spec = _spec((F(1, big), F(1, big)), ("9/5", 11), 6)
+    start = time.perf_counter()
+    bracket = grid_minimize(spec, 128)
+    assert time.perf_counter() - start < 1.0
+    assert bracket == oracle.GridBracket(
+        grid=128,
+        best_value=F(1935, 16807268829305383552053384597771328390936720846336),
+        gap=F(
+            7136238463529799402196579737504809948597452823,
+            1644189341997265782266091971521108212156853126272,
+        ),
+        argmin=(F(129, 128), F(0)),
+        argmin_s=F(129, 128),
+        points=66049,
+    )
+
+
+def test_cli_refuses_a_bracket_over_budget():
+    # At d = 16 the default lattice (G = 1024) needs more branch-and-bound
+    # cells than the budget allows.
+    argv = [
+        "exponent",
+        "--r", "2,9/4,2,3,13/4,3/2,11/4,5/2,5/2,11/4,7/4,3/4,15/4,11/4,3/4,1",
+        "--p", "11/8,3/2,5/4,5/4,13/8,5,3/2,3/2,5/4,9/8,11/8,3/2,13/8,13/8,11/8,11/8",
+        "--q", "7/4",
+        "--grid-check",
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 4
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: lattice bracket needs more than")
+
+
+def test_import_leaves_numpy_out():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, widthcalc; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
