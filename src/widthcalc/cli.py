@@ -110,6 +110,11 @@ def _json_value(v: PowerProduct) -> dict:
     return out
 
 
+def _write_lines(lines: list[str]) -> None:
+    """Write a whole text report at once, so a refusal leaves no partial output."""
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -218,20 +223,23 @@ def _cmd_exponent(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        print(f"case      {report.case}")
-        print(f"theta     {result.theta} ({decimal_str(result.theta)})")
+        lines = [
+            f"case      {report.case}",
+            f"theta     {result.theta} ({decimal_str(result.theta)})",
+        ]
         if report.exponent is not None:
-            print(f"closed    {report.exponent} ({'match' if closed_ok else 'MISMATCH'})")
-        print(f"argmin    alpha={','.join(str(a) for a in result.argmin_alpha)}"
-              + (f" s={result.argmin_s}" if result.argmin_s is not None else ""))
-        print(f"unique    {str(result.unique).lower()}")
-        print(f"active    {', '.join(render_provenance(t) for t in result.active_pieces)}")
-        print(f"compact   {str(report.compact).lower()} (margin {spec.compact_margin()})")
+            lines.append(f"closed    {report.exponent} ({'match' if closed_ok else 'MISMATCH'})")
+        lines.append(f"argmin    alpha={','.join(str(a) for a in result.argmin_alpha)}"
+                     + (f" s={result.argmin_s}" if result.argmin_s is not None else ""))
+        lines.append(f"unique    {str(result.unique).lower()}")
+        lines.append(f"active    {', '.join(render_provenance(t) for t in result.active_pieces)}")
+        lines.append(f"compact   {str(report.compact).lower()} (margin {spec.compact_margin()})")
         if bracket is not None:
-            print(
+            lines.append(
                 f"grid      [{bracket.lower}, {bracket.best_value}] at G={bracket.grid} "
                 f"({'contains theta' if grid_ok else 'VIOLATION'})"
             )
+        _write_lines(lines)
     if not closed_ok or not grid_ok:
         return 1
     return _regime_exit(report)
@@ -254,17 +262,19 @@ def _cmd_regime(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        print(f"case        {report.case}")
-        print(f"bounded     {str(report.bounded).lower()}")
-        print(f"compact     {str(report.compact).lower()}")
-        print(f"regularity  {str(report.regularity).lower()}")
-        print(f"margin      {spec.compact_margin()}")
+        lines = [
+            f"case        {report.case}",
+            f"bounded     {str(report.bounded).lower()}",
+            f"compact     {str(report.compact).lower()}",
+            f"regularity  {str(report.regularity).lower()}",
+            f"margin      {spec.compact_margin()}",
+        ]
         if report.exponent is not None:
-            print(f"exponent    {report.exponent} ({decimal_str(report.exponent)})")
-        for name in sorted(report.thetas):
-            print(f"{name:11s} {report.thetas[name]}")
+            lines.append(f"exponent    {report.exponent} ({decimal_str(report.exponent)})")
+        lines += [f"{name:11s} {report.thetas[name]}" for name in sorted(report.thetas)]
         if report.tie:
-            print("tie         true")
+            lines.append("tie         true")
+        _write_lines(lines)
     return _regime_exit(report)
 
 
@@ -319,14 +329,14 @@ def _cmd_finite(args: argparse.Namespace) -> int:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         dec = order.value.decimal(12) if not order.value.is_zero else "0.0"
-        print(f"value     {order.value} ({dec})")
-        print(f"branch    {order.branch}")
+        lines = [f"value     {order.value} ({dec})", f"branch    {order.branch}"]
         if case is not None:
-            print(f"case      {case}")
+            lines.append(f"case      {case}")
         if cert is not None:
-            print(f"cert      {cert.kind} k={cert.k} scale={cert.scale} "
-                  f"value={cert.certified_value} checks={len(cert.checked)} "
-                  f"{'ok' if cert_ok else 'FAILED'}")
+            lines.append(f"cert      {cert.kind} k={cert.k} scale={cert.scale} "
+                         f"value={cert.certified_value} checks={len(cert.checked)} "
+                         f"{'ok' if cert_ok else 'FAILED'}")
+        _write_lines(lines)
     return 0 if cert_ok else 1
 
 

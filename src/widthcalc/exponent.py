@@ -159,36 +159,20 @@ def _epigraph_lp(obj: PiecewiseMax):
     return cost, A_eq, b_eq, A_ub, b_ub, i_sigma
 
 
-def _face_constraints(obj: PiecewiseMax, theta: Fraction):
-    """Constraints of the optimal face {max of pieces = θ} ∩ domain.
-
-    Same variables as the epigraph LP minus t; every point of the domain
-    has objective ≥ θ, so max ≤ θ pins the face exactly.
-    """
-    d = obj.dim
-    n = d + (1 if obj.has_s else 0)
-    i_sigma = d if obj.has_s else None
-    row = [_ONE] * d + ([_ZERO] if obj.has_s else [])
-    if i_sigma is not None:
-        row[i_sigma] = -_ONE
-    A_eq, b_eq = [row], [_ONE]
-    A_ub, b_ub = [], []
-    if i_sigma is not None:
-        up = [_ZERO] * n
-        up[i_sigma] = _ONE
-        A_ub.append(up)
-        b_ub.append(obj.s_max - _ONE)
-    for piece in obj.pieces:
-        row = list(piece.coeffs) + ([piece.s_coeff] if obj.has_s else [])
-        A_ub.append(row)
-        b_ub.append(theta - piece.const - (piece.s_coeff if obj.has_s else _ZERO))
-    return n, A_eq, b_eq, A_ub, b_ub
-
-
 def _face_is_a_point(obj: PiecewiseMax, theta: Fraction) -> bool:
-    """Probe each coordinate's minimum and maximum over the optimal face."""
-    n, A_eq, b_eq, A_ub, b_ub = _face_constraints(obj, theta)
-    for var in range(n):
+    """Probe each coordinate's minimum and maximum over the optimal face.
+
+    The face is the epigraph LP's feasible set with t⁺ − t⁻ = θ added:
+    every point of the domain has objective ≥ θ, so pieces ≤ θ pins it
+    exactly.  The t⁺/t⁻ columns are not probed; only their difference is
+    fixed.
+    """
+    _, A_eq, b_eq, A_ub, b_ub, _ = _epigraph_lp(obj)
+    n = len(A_eq[0])
+    pin = [_ZERO] * n
+    pin[n - 2], pin[n - 1] = _ONE, -_ONE
+    A_eq, b_eq = A_eq + [pin], b_eq + [theta]
+    for var in range(n - 2):
         c = [_ZERO] * n
         c[var] = _ONE
         lo = solve_lp(c, A_eq, b_eq, A_ub, b_ub)

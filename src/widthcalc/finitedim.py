@@ -30,7 +30,6 @@ integer k is folded into the recorded right-hand sides.
 from __future__ import annotations
 
 import functools
-import logging
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,8 +56,6 @@ __all__ = [
     "psi_value",
     "cross_term_dominated",
 ]
-
-log = logging.getLogger(__name__)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -465,171 +462,101 @@ def _ideal_sparsity(nu_a, nu_b, x_a, x_b) -> PowerProduct:
     return (nu_a / nu_b) ** (_ONE / (x_a - x_b))
 
 
+def _dominant_pair(nu, x, rows, cols, level, l_min, l_max):
+    """(a, l, c_ab) for the first pair (a, b) over `rows` × `cols` whose
+    interpolated radius c_ab at `level` is least along its row and its
+    column, and whose ideal sparsity l lies in [l_min, l_max], that is
+    ν_b l_max^(x_a−x_b) ≤ ν_a ≤ ν_b l_min^(x_a−x_b); None if there is none.
+    """
+    for a in rows:
+        for b in cols:
+            cab = _cross_value(nu[a], nu[b], x[a], x[b], level)
+            if (
+                all(cab <= _cross_value(nu[a], nu[g], x[a], x[g], level) for g in cols)
+                and all(cab <= _cross_value(nu[g], nu[b], x[g], x[b], level) for g in rows)
+                and nu[b] * l_max ** (x[a] - x[b]) <= nu[a] <= nu[b] * l_min ** (x[a] - x[b])
+            ):
+                return a, _ideal_sparsity(nu[a], nu[b], x[a], x[b]), cab
+    return None
+
+
 def classify_branch(spec: IntersectionSpec):
     """Which dominance pattern the radii form, plus its certificate.
 
-    Cases are tested in a fixed order and the first match wins; overlap
-    with later cases is logged at debug level.  Returns (case, certificate)
-    where case is one of "small-dominant", "large-dominant", "mid-dominant",
-    "cross-lambda-dominant", "cross-mu-dominant", or ("unclassified", None)
-    when a ball exponent sits on a threshold (p = q, or p = 2 for q > 2) or
-    no dominance pattern holds.
+    With large = {x_α < x_q}, mid = {x_q < x_α < 1/2} (empty for q ≤ 2) and
+    small = {x_α > max(x_q, 1/2)}, the cases are tested in this fixed order
+    and the first match wins:
+
+        small-dominant         a small ν_α is the least radius,
+        large-dominant         a large ν_α N^(x_γ−x_α) is below every ν_γ,
+        mid-dominant           a mid ν_α at the budget sparsity,
+        cross-lambda-dominant  a (large, mid + small) pair at level 1/q,
+        cross-mu-dominant      a (large + mid, small) pair at level 1/2 (q > 2).
+
+    The budget sparsity is (n^(1/2) N^(−1/q))^(1/θ_q), θ_q = 1/2 − 1/q: the
+    l with n = N^(2/q) l^(1−2/q).  A cross-lambda pair needs its ideal
+    sparsity in [budget, N] for q > 2 and in [1, N] for q ≤ 2; a cross-mu
+    pair needs it in [1, budget].  Returns (case, certificate), or
+    ("unclassified", None) when a ball exponent sits on a threshold (p = q,
+    or p = 2 for q > 2) or no pattern holds.
     """
     _check_display_range(spec)
+    high = spec.q > 2
     x_q = _ONE / spec.q
     x = [inv_exponent(b.p) for b in spec.balls]
+    if x_q in x or (high and _HALF in x):
+        return "unclassified", None
     nu = [b.nu for b in spec.balls]
     idx = range(len(spec.balls))
-    if spec.q <= 2:
-        if any(xi == x_q for xi in x):
-            return "unclassified", None
-        matches = []
-        small = [a for a in idx if x[a] > x_q]
-        large = [a for a in idx if x[a] < x_q]
-        for a in small:
-            if all(nu[a] <= nu[g] for g in idx):
-                matches.append(("small-dominant", _b1_certificate(spec, a)))
-                break
-        for a in large:
-            if all(
-                nu[a] * PowerProduct.from_pow(spec.N, x[g] - x[a]) <= nu[g] for g in idx
-            ):
-                matches.append(("large-dominant", _binf_certificate(spec, a)))
-                break
-        for a in large:
-            for b in small:
-                cab = _cross_value(nu[a], nu[b], x[a], x[b], x_q)
-                if not all(
-                    cab <= _cross_value(nu[a], nu[g], x[a], x[g], x_q) for g in small
-                ):
-                    continue
-                if not all(
-                    cab <= _cross_value(nu[g], nu[b], x[g], x[b], x_q) for g in large
-                ):
-                    continue
-                if nu[a] > nu[b]:
-                    continue
-                if nu[a] < nu[b] * PowerProduct.from_pow(spec.N, x[a] - x[b]):
-                    continue
-                l_value = _ideal_sparsity(nu[a], nu[b], x[a], x[b])
-                cert = _vk_certificate(
-                    spec,
-                    a,
-                    l_value,
-                    _int_ceil(l_value),
-                    cab,
-                    high_side=False,
-                    note="sparsity interpolates the two dominant balls at level 1/q",
-                )
-                matches.append(("cross-lambda-dominant", cert))
-                break
-            else:
-                continue
-            break
-        if len(matches) > 1:
-            log.debug("overlapping dominance cases: %s", [m[0] for m in matches])
-        return matches[0] if matches else ("unclassified", None)
-    # q > 2
-    if any(xi == x_q or xi == _HALF for xi in x):
-        return "unclassified", None
-    theta_q = _HALF - x_q
-    w_inv = PowerProduct.from_pow(spec.n, _HALF) * PowerProduct.from_pow(
-        spec.N, -x_q
-    )  # w = 1/g ≥ 1 on the valid range
     large = [a for a in idx if x[a] < x_q]
     mid = [a for a in idx if x_q < x[a] < _HALF]
-    small = [a for a in idx if x[a] > _HALF]
-    matches = []
+    small = [a for a in idx if x[a] > max(x_q, _HALF)]
     for a in small:
         if all(nu[a] <= nu[g] for g in idx):
-            matches.append(("small-dominant", _b1_certificate(spec, a)))
-            break
+            return "small-dominant", _b1_certificate(spec, a)
     for a in large:
-        if all(
-            nu[a] * PowerProduct.from_pow(spec.N, x[g] - x[a]) <= nu[g] for g in idx
-        ):
-            matches.append(("large-dominant", _binf_certificate(spec, a)))
-            break
+        if all(nu[a] * PowerProduct.from_pow(spec.N, x[g] - x[a]) <= nu[g] for g in idx):
+            return "large-dominant", _binf_certificate(spec, a)
+    one = PowerProduct.one()
+    # g^(−1/θ_q); for q ≤ 2 no budget bounds the sparsity from below.
+    budget = _gaussian_factor(spec) ** (_ONE / (x_q - _HALF)) if high else one
     for a in mid:
-        if all(nu[a] * w_inv ** ((x[g] - x[a]) / theta_q) <= nu[g] for g in idx):
-            l_value = w_inv ** (_ONE / theta_q)
-            branch_value = nu[a] * l_value ** (x_q - x[a])
-            cert = _vk_certificate(
+        if all(nu[a] * budget ** (x[g] - x[a]) <= nu[g] for g in idx):
+            return "mid-dominant", _vk_certificate(
                 spec,
                 a,
-                l_value,
-                _int_ceil(l_value),
-                branch_value,
+                budget,
+                _int_ceil(budget),
+                nu[a] * budget ** (x_q - x[a]),
                 high_side=False,
                 note="sparsity matches the budget: n = N^(2/q) l^(1-2/q)",
             )
-            matches.append(("mid-dominant", cert))
-            break
-    for a in large:
-        for b in mid + small:
-            cab = _cross_value(nu[a], nu[b], x[a], x[b], x_q)
-            if not all(
-                cab <= _cross_value(nu[a], nu[g], x[a], x[g], x_q) for g in mid + small
-            ):
-                continue
-            if not all(
-                cab <= _cross_value(nu[g], nu[b], x[g], x[b], x_q) for g in large
-            ):
-                continue
-            if nu[a] > nu[b] * w_inv ** ((x[a] - x[b]) / theta_q):
-                continue
-            if nu[a] < nu[b] * PowerProduct.from_pow(spec.N, x[a] - x[b]):
-                continue
-            l_value = _ideal_sparsity(nu[a], nu[b], x[a], x[b])
-            cert = _vk_certificate(
-                spec,
-                a,
-                l_value,
-                _int_ceil(l_value),
-                cab,
-                high_side=False,
-                note="sparsity interpolates the two dominant balls at level 1/q",
-            )
-            matches.append(("cross-lambda-dominant", cert))
-            break
-        else:
-            continue
-        break
-    for a in large + mid:
-        for b in small:
-            cab = _cross_value(nu[a], nu[b], x[a], x[b], _HALF)
-            if not all(
-                cab <= _cross_value(nu[a], nu[g], x[a], x[g], _HALF) for g in small
-            ):
-                continue
-            if not all(
-                cab <= _cross_value(nu[g], nu[b], x[g], x[b], _HALF)
-                for g in large + mid
-            ):
-                continue
-            if nu[a] > nu[b]:
-                continue
-            if nu[a] < nu[b] * w_inv ** ((x[a] - x[b]) / theta_q):
-                continue
-            l_value = _ideal_sparsity(nu[a], nu[b], x[a], x[b])
-            k = _int_floor(l_value)
-            cert = _vk_certificate(
-                spec,
-                a,
-                l_value,
-                k,
-                cab * _gaussian_factor(spec),
-                high_side=True,
-                note="sparsity interpolates the two dominant balls at level 1/2",
-            )
-            matches.append(("cross-mu-dominant", cert))
-            break
-        else:
-            continue
-        break
-    if len(matches) > 1:
-        log.debug("overlapping dominance cases: %s", [m[0] for m in matches])
-    return matches[0] if matches else ("unclassified", None)
+    full = PowerProduct.from_fraction(spec.N)  # l = N: the whole cube
+    pair = _dominant_pair(nu, x, large, mid + small, x_q, budget, full)
+    if pair:
+        a, l_value, cab = pair
+        return "cross-lambda-dominant", _vk_certificate(
+            spec,
+            a,
+            l_value,
+            _int_ceil(l_value),
+            cab,
+            high_side=False,
+            note="sparsity interpolates the two dominant balls at level 1/q",
+        )
+    pair = _dominant_pair(nu, x, large + mid, small, _HALF, one, budget) if high else None
+    if pair:
+        a, l_value, cab = pair
+        return "cross-mu-dominant", _vk_certificate(
+            spec,
+            a,
+            l_value,
+            _int_floor(l_value),
+            cab * _gaussian_factor(spec),
+            high_side=True,
+            note="sparsity interpolates the two dominant balls at level 1/2",
+        )
+    return "unclassified", None
 
 
 # ---------------------------------------------------------------------------

@@ -223,10 +223,17 @@ def _factor(n: int) -> tuple[tuple[int, int, bool], ...]:
         if p * p > n:
             break
         if n % p == 0:
-            mult = 0
-            while n % p == 0:
-                n //= p
-                mult += 1
+            # Divide by p, p², p⁴, … while exact, then by the same powers
+            # downwards: O(log mult) divisions, not one per factor of p.
+            powers = [p]
+            while n % powers[-1] == 0:
+                n //= powers[-1]
+                powers.append(powers[-1] ** 2)
+            mult = (1 << (len(powers) - 1)) - 1
+            for i in range(len(powers) - 2, -1, -1):
+                if n % powers[i] == 0:
+                    n //= powers[i]
+                    mult += 1 << i
             out[p] = mult
     unproven: set[int] = set()
     if n > 1:
@@ -391,11 +398,7 @@ class PowerProduct:
         """Decimal rendering to `sig` significant digits."""
         if self._zero:
             return "0"
-        with mpmath.workdps(sig + 15):
-            acc = mpmath.mpf(1)
-            for p, e in sorted(self._factors.items()):
-                acc *= mpmath.power(p, mpmath.mpf(e.numerator) / e.denominator)
-            return mpmath.nstr(acc, sig, strip_zeros=False)
+        return mpmath.nstr(self.to_mpf(mpmath.libmp.dps_to_prec(sig + 15)), sig, strip_zeros=False)
 
     # ------------------------------------------------------------------
     # arithmetic

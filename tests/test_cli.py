@@ -289,6 +289,17 @@ def test_missing_options_and_unknown_commands_exit_4(capsys):
     assert code == 4
 
 
+def test_refusal_of_an_over_long_result_prints_nothing(capsys):
+    # θ has more digits than `str` converts, so it fails to render after the
+    # case line is known; the report must not be written in part.
+    big = 10**3999
+    code, out, err = run(capsys, "exponent", "--r", f"{big + 7},{big + 9}", "--p", "3,3",
+                         "--q", "2")
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0

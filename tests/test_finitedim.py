@@ -1,5 +1,7 @@
 """Finite-dimensional widths: single balls, intersections, dyadic blocks."""
 
+import hashlib
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +22,7 @@ from widthcalc.finitedim import (
     vk_lower_bound,
     vk_vertex_norm,
 )
+from widthcalc.oracle import Lcg, sample_intersection
 from widthcalc.params import ParameterError, ProblemSpec, RangeError
 from widthcalc.values import INF, PowerProduct
 
@@ -185,6 +188,41 @@ def test_threshold_exponents_stay_unclassified():
         "unclassified",
         None,
     )
+
+
+# sha256 of the records below on 1000 specs from each of seeds 7 and 99,
+# recorded before classify_branch became one first-match scan.
+PINNED_RECORDS = "dcf43244f12e5fec8fb204c02866c1c17629bfcd263e460aa899a125c65afbb1"
+CASE_LABELS = {
+    "small-dominant",
+    "large-dominant",
+    "mid-dominant",
+    "cross-lambda-dominant",
+    "cross-mu-dominant",
+    "unclassified",
+}
+
+
+def _record(spec):
+    """Case, certificate fields and every check, as exact reprs."""
+    case, cert = classify_branch(spec)
+    if cert is None:
+        return repr((case, None))
+    checks = [(c.label, repr(c.lhs), repr(c.rhs)) for c in cert.checked]
+    return repr(
+        (case, cert.kind, cert.k, repr(cert.scale), repr(cert.certified_value), cert.note, checks)
+    )
+
+
+def test_certificates_match_pinned_records():
+    records = []
+    for seed in (7, 99):
+        rng = Lcg(seed)
+        records += [_record(sample_intersection(rng, max_balls=4)) for _ in range(1000)]
+    cases = Counter(record.split("'")[1] for record in records)
+    assert set(cases) == CASE_LABELS, cases
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == PINNED_RECORDS
 
 
 def test_display_range_is_enforced():

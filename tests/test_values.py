@@ -169,6 +169,15 @@ def test_factor_keeps_an_unsplit_cofactor_whole():
     assert _factor(12 * (m61 * m89) ** 2) == ((2, 2, True), (3, 1, True), (m61 * m89, 2, False))
 
 
+def test_factor_strips_a_high_small_prime_power_quickly():
+    n = 5 * 3**100000
+    start = time.perf_counter()
+    triples = _factor.__wrapped__(n)  # uncached
+    elapsed = time.perf_counter() - start
+    assert triples == ((3, 100000, True), (5, 1, True))
+    assert elapsed < 1.0
+
+
 # ---------------------------------------------------------------------------
 # exact order from integer log brackets
 
