@@ -352,11 +352,10 @@ def _sweep_values(args: argparse.Namespace) -> list[Fraction]:
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
-def _sweep_row_spec(args: argparse.Namespace, value: Fraction) -> list[str]:
-    vary = args.vary
-    r = list(parse_rational_tuple(args.r))
-    p = list(parse_rational_tuple(args.p))
-    q = parse_rational(args.q)
+def _sweep_row_spec(
+    vary: str, r: tuple[Fraction, ...], p: tuple[Fraction, ...], q: Fraction, value: Fraction
+) -> list[str]:
+    r, p = list(r), list(p)
     if vary == "q":
         q = value
     elif vary.startswith("p"):
@@ -389,10 +388,13 @@ def _sweep_row_spec(args: argparse.Namespace, value: Fraction) -> list[str]:
     ]
 
 
-def _sweep_row_n(args: argparse.Namespace, m_vec: tuple[int, ...], value: Fraction) -> list[str]:
-    if value.denominator != 1 or value < 0:
+def _is_block_rank(value: Fraction) -> bool:
+    return value.denominator == 1 and value >= 0
+
+
+def _sweep_row_n(spec: ProblemSpec | None, m_vec: tuple[int, ...], value: Fraction) -> list[str]:
+    if not _is_block_rank(value):
         return ["n", str(value), "", "", "", "", "", "", "invalid"]
-    spec = _build_spec(args)
     try:
         order = dyadic_block_order(spec, m_vec, int(value))
     except (ParameterError, RangeError):
@@ -418,9 +420,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if vary == "n":
         _require(args, "m_vec")
         m_vec = tuple(parse_integer(v, "--m-vec") for v in args.m_vec.split(","))
-        rows = [_sweep_row_n(args, m_vec, v) for v in values]
+        # A range holding no valid rank gives only `invalid` rows; it needs no spec.
+        spec = _build_spec(args) if any(_is_block_rank(v) for v in values) else None
+        rows = [_sweep_row_n(spec, m_vec, v) for v in values]
     else:
-        rows = [_sweep_row_spec(args, v) for v in values]
+        r, p, q = parse_rational_tuple(args.r), parse_rational_tuple(args.p), parse_rational(args.q)
+        if vary.startswith("p") and int(vary[1:]) > len(p):
+            raise ParameterError(f"--vary {vary}: --p has only {len(p)} entries")
+        rows = [_sweep_row_spec(vary, r, p, q, v) for v in values]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)

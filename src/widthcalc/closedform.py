@@ -95,11 +95,7 @@ class RegimeReport:
 
 def regularity_sums(spec: ProblemSpec) -> tuple[Fraction, ...]:
     """M_j = Σ_i (1/r_i)(1/p_i − 1/p_j) for each j."""
-    inv_r = [_ONE / r for r in spec.r]
-    inv_p = [_ONE / p for p in spec.p]
-    total_r = sum(inv_r)
-    dot = sum(ir * ip for ir, ip in zip(inv_r, inv_p))
-    return tuple(dot - ip * total_r for ip in inv_p)
+    return spec.reg_sums
 
 
 def check_bounded(spec: ProblemSpec) -> bool:
@@ -108,7 +104,7 @@ def check_bounded(spec: ProblemSpec) -> bool:
 
 def check_regularity(spec: ProblemSpec) -> bool:
     """All regularity sums strictly below 1."""
-    return all(m < 1 for m in regularity_sums(spec))
+    return all(m < 1 for m in spec.reg_sums)
 
 
 def noncompact_screen(spec: ProblemSpec) -> bool | None:
@@ -120,7 +116,7 @@ def noncompact_screen(spec: ProblemSpec) -> bool | None:
     """
     if any(pj > spec.q for pj in spec.p):
         return None
-    return any(m >= 1 for m in regularity_sums(spec))
+    return any(m >= 1 for m in spec.reg_sums)
 
 
 def check_compact(spec: ProblemSpec) -> bool:
@@ -208,14 +204,14 @@ def small_smoothness_exponent(spec: ProblemSpec) -> RegimeReport | None:
         hi, lo = 1, 0
     else:
         return None
-    x_hi, x_lo = _ONE / spec.p[hi], _ONE / spec.p[lo]
+    x_hi, x_lo = spec.x[hi], spec.x[lo]
     r_lo = spec.r[lo]
     if r_lo > x_lo - x_hi:
         return None
     regular = check_regularity(spec)  # always False here; reported for context
     q = spec.q
     t1 = _theta1(spec)
-    lam = (_ONE / q - x_hi) / (x_lo - x_hi)
+    lam = (spec.x_q - x_hi) / (x_lo - x_hi)
     if q <= 2:
         thetas = {"theta1": t1, "theta2": lam * r_lo}
         exponent, tie = _strict_min(thetas)

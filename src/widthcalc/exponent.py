@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._simplex import solve_lp
-from .closedform import regularity_sums
-from .params import ParameterError, ProblemSpec, piece_rows
+from .params import ParameterError, ProblemSpec
 
 __all__ = [
     "AffinePiece",
@@ -110,9 +109,7 @@ def build_objective(spec: ProblemSpec) -> PiecewiseMax:
     d, r = spec.d, spec.r
     high = spec.q > 2
     pieces = []
-    for family, idx, weights, t_coeff, logn_coeff, _ in piece_rows(
-        [_ONE / p for p in spec.p], _ONE / spec.q, high
-    ):
+    for family, idx, weights, t_coeff, logn_coeff, _ in spec.rows(high):
         coeffs = [_ZERO] * d
         for i, w in zip(idx, weights):
             coeffs[i] = w * r[i]
@@ -253,11 +250,11 @@ def candidate_vertices(
     """
     if spec.q <= 2:
         raise ParameterError("candidate vertices are defined for q > 2")
-    margins = regularity_sums(spec)
+    margins = spec.reg_sums
     if any(m >= 1 for m in margins):
         raise ParameterError("regularity sums must all be < 1 for candidate vertices")
-    inv_r_sum = sum(_ONE / r for r in spec.r)
-    a1 = tuple((_ONE / r) / inv_r_sum for r in spec.r)
+    inv_r_sum = sum(spec.inv_r)
+    a1 = tuple(ir / inv_r_sum for ir in spec.inv_r)
     a2 = tuple((_ONE - margins[j]) / (spec.r[j] * inv_r_sum) for j in range(spec.d))
     half_q = spec.q / 2
     a3 = tuple(half_q * v for v in a2)
@@ -290,9 +287,9 @@ def classify_region(
         raise ParameterError("point dimension mismatch")
     if any(a < 0 for a in alpha) or sum(alpha) != s or not (_ONE <= s <= q / 2):
         raise ParameterError("point is not in the feasible domain")
-    x = [_ONE / p for p in spec.p]
+    x = spec.x
     g = [alpha[j] * spec.r[j] for j in range(d)]
-    theta_q = _HALF - _ONE / q
+    theta_q = _HALF - spec.x_q
     s1 = s - _ONE
 
     I = [j for j, pj in enumerate(spec.p) if pj >= q]

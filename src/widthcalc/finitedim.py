@@ -579,7 +579,7 @@ def dyadic_block_order(spec: ProblemSpec, m_vec: tuple[int, ...], n: int) -> Wid
     m = sum(m_vec)
     balls = []
     for j in range(spec.d):
-        e = -m_vec[j] * spec.r[j] + Fraction(m) / spec.p[j] - Fraction(m) / spec.q
+        e = -m_vec[j] * spec.r[j] + m * spec.x[j] - m * spec.x_q
         balls.append(BallSpec(spec.p[j], PowerProduct.from_pow(2, e)))
     return intersection_order(IntersectionSpec(N=2**m, n=n, q=spec.q, balls=tuple(balls)))
 
@@ -588,9 +588,7 @@ def _block_rate(spec, t_vec, t, log_n, high) -> Fraction:
     """max over the rows of Σ w_i r_i t_i + t_coeff·t + logn_coeff·log n."""
     rt = [ri * ti for ri, ti in zip(spec.r, t_vec)]  # r_i t_i, shared by every row
     rates = []
-    for _, idx, weights, t_coeff, logn_coeff, _ in piece_rows(
-        [_ONE / p for p in spec.p], _ONE / spec.q, high
-    ):
+    for _, idx, weights, t_coeff, logn_coeff, _ in spec.rows(high):
         rate = sum(rt[i] if w == 1 else w * rt[i] for i, w in zip(idx, weights))
         if t_coeff:
             rate += t_coeff * t
@@ -661,9 +659,7 @@ def cross_term_dominated(
     if any(v < 0 for v in m_vec):
         raise ParameterError("m̄ entries must be ≥ 0")
     m = sum(m_vec)
-    x_q = _ONE / spec.q
-    x = [_ONE / p for p in spec.p]
-    r = spec.r
+    x_q, x, r = spec.x_q, spec.x, spec.r
     checks = []
     for i in range(spec.d):
         if x[i] >= _HALF:

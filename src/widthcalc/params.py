@@ -31,7 +31,6 @@ __all__ = [
     "ProblemSpec",
     "PieceRow",
     "harmonic_mean",
-    "hadamard",
     "piece_rows",
     "as_fraction",
 ]
@@ -40,6 +39,9 @@ __all__ = [
 #: d, but the cross-term pieces are quadratic in d and the grid oracle's
 #: branch and bound over a d-simplex lattice grows with d, so keep d honest.
 MAX_DIMENSION = 16
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class ParameterError(ValueError):
@@ -82,18 +84,24 @@ def harmonic_mean(values: Iterable[Fraction]) -> Fraction:
     return Fraction(len(vals)) / sum(Fraction(1) / v for v in vals)
 
 
-def hadamard(a: Iterable[Fraction], b: Iterable[Fraction]) -> tuple[Fraction, ...]:
-    """Coordinatewise product ā ∘ b̄."""
-    av = tuple(as_fraction(x) for x in a)
-    bv = tuple(as_fraction(x) for x in b)
-    if len(av) != len(bv):
-        raise ParameterError(f"length mismatch: {len(av)} vs {len(bv)}")
-    return tuple(x * y for x, y in zip(av, bv))
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
-    """An exact (r̄, p̄, q) triple with validated domains."""
+    """An exact (r̄, p̄, q) triple with validated domains.
+
+    Construction also derives, once, the exact quantities that every order
+    estimate is keyed by, and keeps them on the instance:
+
+        x         (1/p_1, ..., 1/p_d)
+        inv_r     (1/r_1, ..., 1/r_d)
+        x_q       1/q
+        reg_sums  (M_1, ..., M_d),  M_j = Σ_i (1/r_i)(1/p_i − 1/p_j)
+
+    together with <r̄>, <p̄ ∘ r̄> and the compactness margin, which
+    `r_mean`, `pr_mean` and `compact_margin` return.  `rows(high)` is the
+    `piece_rows` table at (x̄, 1/q) in the low or the high shape, built as
+    a tuple on first use.  None of this takes part in ==, hash, repr or
+    str: two specs with the same (r̄, p̄, q) are equal whatever they hold.
+    """
 
     r: tuple[Fraction, ...]
     p: tuple[Fraction, ...]
@@ -104,6 +112,23 @@ class ProblemSpec:
         object.__setattr__(self, "p", tuple(as_fraction(x) for x in p))
         object.__setattr__(self, "q", as_fraction(q))
         self._validate()
+        inv_r = tuple(_ONE / rj for rj in self.r)
+        x = tuple(_ONE / pj for pj in self.p)
+        x_q = _ONE / self.q
+        total = sum(inv_r, _ZERO)  # d / <r̄>
+        mixed = sum((a * b for a, b in zip(inv_r, x)), _ZERO)  # d / <p̄ ∘ r̄>
+        # Frozen: the derived values go straight into the instance dict.
+        self.__dict__.update(
+            x=x,
+            inv_r=inv_r,
+            x_q=x_q,
+            reg_sums=tuple(mixed - xj * total for xj in x),
+            _r_mean=len(x) / total,
+            _pr_mean=len(x) / mixed,
+            # <r̄>/d = 1/total and <r̄>/<p̄ ∘ r̄> = mixed/total.
+            _margin=(_ONE - mixed) / total + x_q,
+            _rows={},
+        )
 
     def _validate(self) -> None:
         d = len(self.r)
@@ -128,11 +153,11 @@ class ProblemSpec:
 
     def r_mean(self) -> Fraction:
         """Harmonic mean <r̄> of the smoothness orders."""
-        return harmonic_mean(self.r)
+        return self._r_mean
 
     def pr_mean(self) -> Fraction:
         """Harmonic mean <p̄ ∘ r̄> of the coordinatewise products p_j r_j."""
-        return harmonic_mean(hadamard(self.p, self.r))
+        return self._pr_mean
 
     def compact_margin(self) -> Fraction:
         """<r̄>/d + 1/q − <r̄>/<p̄ ∘ r̄>, the exact compactness margin.
@@ -140,8 +165,14 @@ class ProblemSpec:
         ≥ 0 means the class embeds boundedly into L_q; > 0 is the strict
         margin required by every order estimate in this package.
         """
-        rm = self.r_mean()
-        return rm / self.d + Fraction(1) / self.q - rm / self.pr_mean()
+        return self._margin
+
+    def rows(self, high: bool) -> tuple[PieceRow, ...]:
+        """`piece_rows(x̄, 1/q, high)` as a tuple, built on first use per shape."""
+        rows = self._rows.get(high)
+        if rows is None:
+            rows = self._rows[high] = tuple(piece_rows(self.x, self.x_q, high))
+        return rows
 
     def permuted(self, order: tuple[int, ...]) -> "ProblemSpec":
         """The same spec with coordinates reordered by `order`."""
@@ -159,7 +190,6 @@ class ProblemSpec:
         return f"ProblemSpec(r=({rs}), p=({ps}), q={self.q})"
 
 
-_ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 _UNIT = (Fraction(1),)
 

@@ -205,6 +205,23 @@ def test_sweep_over_n_uses_block_profiles(capsys, tmp_path):
     assert rows[3][8] == "ok"
 
 
+def test_sweep_refuses_an_axis_past_the_end_of_p(capsys):
+    code, out, err = run(
+        capsys, "sweep", "--r", "1,1,1", "--p", "2,2", "--q", "2",
+        "--vary", "p3", "--from", "2", "--to", "3", "--steps", "2",
+    )
+    assert (code, out, err) == (4, "", "error: --vary p3: --p has only 2 entries\n")
+
+
+def test_sweep_over_only_invalid_ranks_needs_no_valid_spec(capsys):
+    code, out, _ = run(
+        capsys, "sweep", "--r", "1", "--p", "3", "--q", "3",
+        "--vary", "n", "--m-vec", "3,2", "--from", "-2", "--to", "-1", "--steps", "2",
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == ["n,-2,,,,,,,invalid", "n,-1,,,,,,,invalid"]
+
+
 def test_sweep_rejects_unknown_axis(capsys):
     code, _, err = run(
         capsys, "sweep", "--r", "1,1", "--p", "3,3", "--q", "2",

@@ -16,7 +16,7 @@ from widthcalc.exponent import (
     minimize,
 )
 from widthcalc.oracle import Lcg, h_high_value, h_low_style_value
-from widthcalc.params import ParameterError, ProblemSpec
+from widthcalc.params import MAX_DIMENSION, ParameterError, ProblemSpec
 
 rationals = st.fractions(min_value=F(1, 6), max_value=F(6), max_denominator=10)
 
@@ -228,6 +228,41 @@ def test_region_classification_rejects_threshold_exponents():
         classify_region(_spec((1, 1), (2, 5), 4), (F(1, 2), F(1, 2)), F(1))
     with pytest.raises(ParameterError):
         classify_region(_spec((1, 1), (3, 5), 4), (F(1), F(1)), F(1))  # sum != s
+
+
+units = st.fractions(min_value=F(1, 10), max_value=1, max_denominator=10)
+
+
+@st.composite
+def regular_specs(draw):
+    """Specs at d = 2..16 whose regularity sums M_j all stay below 1.
+
+    Half keep p̄ in a narrow band below q: only there can a regular spec
+    have a negative margin.  When some M_j reaches 1, r̄ is scaled up by
+    2·max M_j, which divides every M_j by that factor.
+    """
+    d = draw(st.integers(2, MAX_DIMENSION))
+    q = 1 + 6 * draw(units)
+    if draw(st.booleans()):
+        low = 1 + (q - 1) * draw(units)
+        p = [low + (q - low) * draw(units) / 4 for _ in range(d)]
+    else:
+        p = [1 + (2 * q + 3) * draw(units) for _ in range(d)]
+    r = [4 * draw(units) for _ in range(d)]
+    spec = ProblemSpec(r=r, p=p, q=q)
+    worst = max(spec.reg_sums)
+    if worst >= 1:
+        spec = ProblemSpec(r=[2 * worst * v for v in r], p=p, q=q)
+    return spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(regular_specs())
+def test_lp_sign_matches_the_margin_when_every_regularity_sum_is_below_one(spec):
+    assert max(spec.reg_sums) < 1
+    theta, _ = _tableau_verdict(build_objective(spec))  # θ alone: no uniqueness probes
+    margin = spec.compact_margin()
+    assert (theta > 0) == (margin > 0) and (theta < 0) == (margin < 0), (spec, theta, margin)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widthcalc.params import (
@@ -25,6 +25,19 @@ def spec_strategy(d=2):
         st.tuples(*[rationals.map(lambda x: 1 + x)] * d),
         rationals.map(lambda x: 1 + x),
     )
+
+
+@st.composite
+def wide_specs(draw):
+    """Specs at every supported d from 2 to MAX_DIMENSION, with a coordinate order."""
+    d = draw(st.integers(2, MAX_DIMENSION))
+    coords = st.lists(rationals, min_size=d, max_size=d)
+    spec = ProblemSpec(
+        r=[x + F(1, 8) for x in draw(coords)],
+        p=[1 + x for x in draw(coords)],
+        q=1 + draw(rationals),
+    )
+    return spec, tuple(draw(st.permutations(range(d))))
 
 
 def test_as_fraction_accepts_exact_inputs_only():
@@ -82,6 +95,62 @@ def test_permutation_preserves_margin_and_means(spec):
     assert flipped.compact_margin() == spec.compact_margin()
     assert flipped.r_mean() == spec.r_mean()
     assert flipped.pr_mean() == spec.pr_mean()
+
+
+def _shapes(spec):
+    """The row shapes defined at q: the high shape needs q > 2."""
+    return (False, True) if spec.q > 2 else (False,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_specs())
+def test_cached_invariants_equal_their_definitions(case):
+    spec, _ = case
+    d = spec.d
+    assert spec.x == tuple(1 / p for p in spec.p)
+    assert spec.inv_r == tuple(1 / r for r in spec.r)
+    assert spec.x_q == 1 / spec.q
+    assert spec.r_mean() == harmonic_mean(spec.r)
+    assert spec.pr_mean() == harmonic_mean([p * r for p, r in zip(spec.p, spec.r)])
+    rm = harmonic_mean(spec.r)
+    assert spec.compact_margin() == rm / d + 1 / spec.q - rm / spec.pr_mean()
+    inv_r_sum = sum(1 / r for r in spec.r)
+    mixed = sum((1 / p) / r for p, r in zip(spec.p, spec.r))
+    assert spec.compact_margin() == (1 - mixed) / inv_r_sum + 1 / spec.q
+    assert spec.reg_sums == tuple(
+        sum((1 / spec.r[i]) * (1 / spec.p[i] - 1 / spec.p[j]) for i in range(d))
+        for j in range(d)
+    )
+    for high in _shapes(spec):
+        assert spec.rows(high) == tuple(_rows(spec, high))
+        assert spec.rows(high) is spec.rows(high)  # built once
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_specs())
+def test_equal_specs_stay_equal_whatever_their_caches_hold(case):
+    spec, _ = case
+    twin = ProblemSpec(r=spec.r, p=spec.p, q=spec.q)
+    for high in _shapes(spec):
+        spec.rows(high)  # only one of the two has its row tables filled
+    assert spec == twin and hash(spec) == hash(twin)
+    assert repr(spec) == repr(twin) == f"ProblemSpec(r={spec.r!r}, p={spec.p!r}, q={spec.q!r})"
+    assert str(spec) == str(twin)
+    assert len({spec, twin}) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_specs())
+def test_permuted_spec_derives_its_own_invariants(case):
+    spec, order = case
+    spec.rows(False)  # a filled cache on the original must not leak
+    moved = spec.permuted(order)
+    assert moved.x == tuple(spec.x[i] for i in order)
+    assert moved.inv_r == tuple(spec.inv_r[i] for i in order)
+    assert moved.reg_sums == tuple(spec.reg_sums[i] for i in order)
+    assert moved.compact_margin() == spec.compact_margin()
+    for high in _shapes(moved):
+        assert moved.rows(high) == tuple(_rows(moved, high))
 
 
 def _rows(spec, high):
