@@ -2,12 +2,18 @@
 
 Solves   minimize c·x   subject to   A_eq x = b_eq,  A_ub x ≤ b_ub,  x ≥ 0
 
-exactly.  The input is read as `fractions.Fraction`s and the answer comes
-back as `Fraction`s; no floats anywhere, so optima are exact and
-reproducible bit for bit.  Bland's anti-cycling rule (always pick the
+exactly.  The input is read as integers and `fractions.Fraction`s and the
+answer comes back as `Fraction`s; no floats anywhere, so optima are exact
+and reproducible bit for bit.  Bland's anti-cycling rule (always pick the
 lowest-index eligible entering and leaving variable) guarantees termination
 even on the degenerate polytopes that piecewise-linear epigraph problems
 produce.
+
+Phase 1 starts each row on a slack where it can: an A_ub row whose
+right-hand side is ≥ 0 starts on its own slack, and only equality rows and
+A_ub rows with b < 0 (negated so that b > 0) get an artificial variable.
+Phase 1 minimises the sum of those artificials, and is skipped when there
+are none.
 
 Between those edges the tableau holds Python integers.  Every row (each
 constraint row with its right-hand side, and each carried reduced-cost row
@@ -23,13 +29,14 @@ without the gcd that `Fraction` computes on every multiply and add.
 The problems this package feeds in are tiny (a handful of variables, a few
 dozen rows), so a dense tableau is the right level of machinery.  The
 reduced costs are tableau rows updated by every pivot like the constraint
-rows, and the optimal basis and reduced-cost row come back with the result
-so callers can read facts such as uniqueness off the final tableau.
+rows.  The optimal value is read off the reduced-cost row, and the optimal
+basis, reduced costs and slacks come back with the result so callers can
+read facts such as uniqueness and tight rows off the final tableau.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -46,9 +53,10 @@ class LpError(RuntimeError):
 class LpResult:
     """Outcome of one solve.
 
-    When optimal, `basis` and `reduced_costs` describe the final tableau over
-    the standard-form columns: the variables of c, then one slack per A_ub
-    row.  `basis` lists the basic column of each remaining row.
+    When optimal, `slack` holds b − A_ub x, one value per A_ub row, and
+    `basis` and `reduced_costs` describe the final tableau over the
+    standard-form columns: the variables of c, then one slack per A_ub row.
+    `basis` lists the basic column of each remaining row.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -56,17 +64,25 @@ class LpResult:
     value: Fraction | None
     basis: tuple[int, ...] | None = None
     reduced_costs: tuple[Fraction, ...] | None = None
+    slack: tuple[Fraction, ...] | None = None
 
 
 def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> LpResult:
-    """Minimize c·x over {x ≥ 0 : A_eq x = b_eq, A_ub x ≤ b_ub}, exactly."""
-    c = [Fraction(v) for v in c]
+    """Minimize c·x over {x ≥ 0 : A_eq x = b_eq, A_ub x ≤ b_ub}, exactly.
+
+    Entries may be `int`s, `Fraction`s or anything `Fraction()` reads.  An
+    A_ub row with b ≥ 0 starts phase 1 on its slack; equality rows and A_ub
+    rows with b < 0 start on an artificial.  The optimal value is minus the
+    right-hand side of the final reduced-cost row.
+    """
     n = len(c)
     n_slack = 0 if A_ub is None else len(A_ub)
     # Standard-form rows: the n variables, one slack per A_ub row, then the
-    # right-hand side, as integers over a row denominator.
+    # right-hand side, as integers over a row denominator.  `basis` holds
+    # each row's starting column, or None where the row needs an artificial.
     rows: list[list[int]] = []
     dens: list[int] = []
+    basis: list[int | None] = []
     if A_eq is not None:
         for row, b in zip(A_eq, b_eq):
             if len(row) != n:
@@ -74,6 +90,7 @@ def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> LpResult:
             ints, den = _lift([*row, b])
             rows.append(ints[:n] + [0] * n_slack + ints[n:])
             dens.append(den)
+            basis.append(None)
     if A_ub is not None:
         for k, (row, b) in enumerate(zip(A_ub, b_ub)):
             if len(row) != n:
@@ -83,18 +100,37 @@ def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> LpResult:
             slack[k] = den
             rows.append(ints[:n] + slack + ints[n:])
             dens.append(den)
-    res = _two_phase(rows, dens, c + [_ZERO] * n_slack)
-    if res.status != "optimal":
-        return res
-    return replace(res, x=res.x[:n])
+            basis.append(n + k if ints[-1] >= 0 else None)
+    cost, cost_den = _lift([*c, *[0] * n_slack, 0])
+    rows.append(cost)
+    dens.append(cost_den)
+    status = _two_phase(rows, dens, basis)
+    if status != "optimal":
+        return LpResult(status, None, None)
+    values = [_ZERO] * (n + n_slack)
+    for i, j in enumerate(basis):
+        if rows[i][-1]:
+            values[j] = Fraction(rows[i][-1], dens[i])
+    z, dz = rows[-1], dens[-1]
+    return LpResult(
+        "optimal",
+        tuple(values[:n]),
+        Fraction(-z[-1], dz),
+        tuple(basis),
+        tuple(Fraction(v, dz) if v else _ZERO for v in z[:-1]),
+        tuple(values[n:]),
+    )
 
 
 def _lift(values: list) -> tuple[list[int], int]:
     """`values` as integers over one positive denominator, gcd-reduced.
 
-    `int`s and `Fraction`s are read as they are; any other entry (a string
-    such as "3/2", say) goes through `Fraction(v)`.
+    A list of `int`s is taken as it stands, over denominator 1.  `int`s and
+    `Fraction`s are read as they are; any other entry (a string such as
+    "3/2", say) goes through `Fraction(v)`.
     """
+    if all(type(v) is int for v in values):
+        return values, 1
     values = [v if type(v) is Fraction or type(v) is int else Fraction(v) for v in values]
     den = lcm(*(v.denominator for v in values))
     return _reduced([v.numerator * (den // v.denominator) for v in values], den)
@@ -107,67 +143,63 @@ def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
     return [v // g for v in row], den // g
 
 
-def _two_phase(A: list[list[int]], D: list[int], c: list[Fraction]) -> LpResult:
-    """Solve the standard form: row i of A over D[i] is [a_i | b_i], cost c.
+def _two_phase(A: list[list[int]], D: list[int], basis: list[int | None]) -> str:
+    """Solve the standard form in place; "optimal", "infeasible" or "unbounded".
 
-    A and D are the tableau.  Below the constraint rows sit the carried
-    reduced-cost rows, the one being minimised first; `basis` has one entry
-    per constraint row.
+    Row i of A over D[i] is [a_i | b_i] for each of the m = len(basis)
+    constraint rows, and the row below them is the cost row [c | 0].
+    `basis[i]` is the starting basic column of row i (a slack, whose entry
+    is the row denominator, with b_i ≥ 0) or None for a row that needs an
+    artificial.  When optimal, A, D and `basis` hold the final tableau; its
+    last row carries the reduced costs and the negated optimal value.
     """
-    m = len(A)
-    n = len(c)
-    if m == 0:
-        # Unconstrained except x >= 0: minimum is 0 iff c >= 0.
-        if all(v >= 0 for v in c):
-            return LpResult("optimal", tuple([_ZERO] * n), _ZERO, (), tuple(c))
-        return LpResult("unbounded", None, None)
-    # Normalize b >= 0 so the artificial basis is feasible.
-    A = [[-v for v in row] if row[-1] < 0 else row for row in A]
-    # Phase 1 minimises the sum of the artificials: its reduced costs are
-    # minus the column sums, over the lcm of the row denominators.
-    L = lcm(*D)
-    scale = [L // d for d in D]
-    phase1 = [-sum(v * s for v, s in zip(col, scale)) for col in zip(*A)]
-    # Artificial variables n..n+m-1 form the starting basis, one unit column
-    # per row (the entry equals the row denominator).
-    for i in range(m):
-        art = [0] * m
-        art[i] = D[i]
-        A[i] = A[i][:n] + art + A[i][n:]
-    basis = list(range(n, n + m))
-    # The phase-2 row (artificials cost nothing) rides along so phase 2
-    # starts from it without recomputation.
-    for z, dz in (_reduced(phase1, L), _lift(c + [_ZERO])):
-        A.append(z[:n] + [0] * m + z[n:])
-        D.append(dz)
-    _iterate(A, D, basis)
-    # Every b_i stays >= 0, so phase 1 reached 0 iff no artificial is positive.
-    if any(A[i][-1] for i in range(m) if basis[i] >= n):
-        return LpResult("infeasible", None, None)
-    del A[m], D[m]
-    # Drive leftover artificials out of the basis (degenerate rows).
-    i = 0
-    while i < len(basis):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if A[i][j] != 0), None)
-            if col is None:
-                # Redundant constraint; drop the row.
-                del A[i], D[i], basis[i]
-                continue
-            _pivot(A, D, basis, i, col)
-        i += 1
-    # Phase 2 on the original columns only.
     m = len(basis)
-    for i, row in enumerate(A):
-        A[i], D[i] = _reduced(row[:n] + row[-1:], D[i])
-    if _iterate(A, D, basis) == "unbounded":
-        return LpResult("unbounded", None, None)
-    x = [_ZERO] * n
-    for i in range(m):
-        x[basis[i]] = Fraction(A[i][-1], D[i])
-    value = sum(c[j] * x[j] for j in range(n))
-    reduced_costs = tuple(Fraction(v, D[m]) for v in A[m][:n])
-    return LpResult("optimal", tuple(x), value, tuple(basis), reduced_costs)
+    n = len(A[m]) - 1
+    art_rows = [i for i in range(m) if basis[i] is None]
+    if art_rows:
+        # Normalize b >= 0 so the artificial basis is feasible.
+        for i in art_rows:
+            if A[i][-1] < 0:
+                A[i] = [-v for v in A[i]]
+        # Phase 1 minimises the sum of the artificials: its reduced costs are
+        # minus the column sums of their rows, over the lcm of those rows'
+        # denominators.
+        L = lcm(*(D[i] for i in art_rows))
+        scale = [L // D[i] for i in art_rows]
+        columns = zip(*(A[i] for i in art_rows))
+        phase1 = [-sum(v * s for v, s in zip(col, scale)) for col in columns]
+        z, dz = _reduced(phase1, L)
+        A.insert(m, z)
+        D.insert(m, dz)
+        # Artificial columns n..n+k-1, one unit column per row in art_rows (the
+        # entry equals the row denominator).  The phase-2 row (artificials
+        # cost nothing) rides along so phase 2 starts from it.
+        k = len(art_rows)
+        for i, row in enumerate(A):
+            A[i] = row[:n] + [0] * k + row[n:]
+        for t, i in enumerate(art_rows):
+            A[i][n + t] = D[i]
+            basis[i] = n + t
+        _iterate(A, D, basis)
+        # Every b_i stays >= 0, so phase 1 reached 0 iff no artificial is positive.
+        if any(A[i][-1] for i in range(m) if basis[i] >= n):
+            return "infeasible"
+        del A[m], D[m]
+        # Drive leftover artificials out of the basis (degenerate rows).
+        i = 0
+        while i < len(basis):
+            if basis[i] >= n:
+                col = next((j for j in range(n) if A[i][j] != 0), None)
+                if col is None:
+                    # Redundant constraint; drop the row.
+                    del A[i], D[i], basis[i]
+                    continue
+                _pivot(A, D, basis, i, col)
+            i += 1
+        # Phase 2 on the original columns only.
+        for i, row in enumerate(A):
+            A[i], D[i] = _reduced(row[:n] + row[-1:], D[i])
+    return _iterate(A, D, basis)
 
 
 def _iterate(A: list[list[int]], D: list[int], basis: list[int]) -> str:

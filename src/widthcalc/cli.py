@@ -420,13 +420,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if vary == "n":
         _require(args, "m_vec")
         m_vec = tuple(parse_integer(v, "--m-vec") for v in args.m_vec.split(","))
-        # A range holding no valid rank gives only `invalid` rows; it needs no spec.
-        spec = _build_spec(args) if any(_is_block_rank(v) for v in values) else None
+        # A range holding no valid rank gives only `invalid` rows; it needs no
+        # spec, unless |p| ≠ |r|, which no rank can mend.
+        needs_spec = len(args.p.split(",")) != d or any(_is_block_rank(v) for v in values)
+        spec = _build_spec(args) if needs_spec else None
         rows = [_sweep_row_n(spec, m_vec, v) for v in values]
     else:
         r, p, q = parse_rational_tuple(args.r), parse_rational_tuple(args.p), parse_rational(args.q)
         if vary.startswith("p") and int(vary[1:]) > len(p):
             raise ParameterError(f"--vary {vary}: --p has only {len(p)} entries")
+        if len(p) != len(r):
+            _build_spec(args)  # no value of the axis mends |p| ≠ |r|: refuse as `exponent` does
         rows = [_sweep_row_spec(vary, r, p, q, v) for v in values]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from ._simplex import solve_lp
 from .params import ParameterError, ProblemSpec
@@ -87,13 +88,6 @@ class PiecewiseMax:
             raise ParameterError("objective needs an s coordinate")
         return max(p.value(alpha, s) for p in self.pieces)
 
-    def active_at(
-        self, alpha: tuple[Fraction, ...], s: Fraction | None = None
-    ) -> tuple[Provenance, ...]:
-        vals = [(p.value(alpha, s), p.provenance) for p in self.pieces]
-        top = max(v for v, _ in vals)
-        return tuple(tag for v, tag in vals if v == top)
-
 
 @dataclass(frozen=True)
 class ExponentResult:
@@ -123,37 +117,48 @@ def build_objective(spec: ProblemSpec) -> PiecewiseMax:
 
 
 def _epigraph_lp(obj: PiecewiseMax):
-    """Standard-form data for  min t  s.t.  pieces ≤ t  on the domain.
+    """Integer standard-form data for  min t  s.t.  pieces ≤ t  on the domain.
 
     Variables (all ≥ 0):  α_0..α_{d−1} [, σ] , t⁺, t⁻   with s = 1 + σ and
-    t = t⁺ − t⁻ (θ may be negative for non-compact classes).
+    t = t⁺ − t⁻ (θ may be negative for non-compact classes).  The rows are
+    (Σ α − σ = 1 or Σ α = 1), then σ ≤ q/2 − 1 when there is an s, then one
+    row per piece.  Each ≤ row is its rational row times the lcm of its
+    denominators, so every row is a list of `int`s; those factors come back
+    last.  The piece rows have b = −const − s_coeff ≥ 0, so each starts on
+    its slack, and scaling a row that starts on its slack changes neither
+    the pivots nor which slacks are zero.
     """
     d = obj.dim
     n = d + (1 if obj.has_s else 0) + 2
-    i_sigma = d if obj.has_s else None
-    i_tp, i_tm = n - 2, n - 1
-    cost = [_ZERO] * n
-    cost[i_tp], cost[i_tm] = _ONE, -_ONE
-    # Σ α − σ = 1  (or Σ α = 1 when there is no s).
-    row = [_ONE] * d + [_ZERO] * (n - d)
-    if i_sigma is not None:
-        row[i_sigma] = -_ONE
-    A_eq, b_eq = [row], [_ONE]
-    A_ub, b_ub = [], []
-    if i_sigma is not None:
-        up = [_ZERO] * n
-        up[i_sigma] = _ONE
+    cost = [0] * n
+    cost[-2], cost[-1] = 1, -1
+    row = [1] * d + [0] * (n - d)
+    if obj.has_s:
+        row[d] = -1
+    A_eq, b_eq = [row], [1]
+    A_ub, b_ub, scale = [], [], []
+    if obj.has_s:
+        bound = obj.s_max - _ONE
+        up = [0] * n
+        up[d] = bound.denominator
         A_ub.append(up)
-        b_ub.append(obj.s_max - _ONE)
+        b_ub.append(bound.numerator)
+        scale.append(bound.denominator)
     for piece in obj.pieces:
-        row = list(piece.coeffs) + [_ZERO] * (n - d)
-        if i_sigma is not None:
-            row[i_sigma] = piece.s_coeff
-        row[i_tp], row[i_tm] = -_ONE, _ONE
+        const = piece.const
+        terms = [(i, c) for i, c in enumerate(piece.coeffs) if c]
+        if obj.has_s:
+            terms.append((d, piece.s_coeff))
+        den = lcm(const.denominator, *(c.denominator for _, c in terms))
+        row = [0] * n
+        for i, c in terms:
+            row[i] = c.numerator * (den // c.denominator)
+        row[-2], row[-1] = -den, den
         A_ub.append(row)
         # piece ≤ t with s = 1 + σ folds s_coeff into the constant.
-        b_ub.append(-piece.const - (piece.s_coeff if obj.has_s else _ZERO))
-    return cost, A_eq, b_eq, A_ub, b_ub, i_sigma
+        b_ub.append(-const.numerator * (den // const.denominator) - (row[d] if obj.has_s else 0))
+        scale.append(den)
+    return cost, A_eq, b_eq, A_ub, b_ub, scale
 
 
 def _face_is_a_point(obj: PiecewiseMax, theta: Fraction) -> bool:
@@ -166,14 +171,14 @@ def _face_is_a_point(obj: PiecewiseMax, theta: Fraction) -> bool:
     """
     _, A_eq, b_eq, A_ub, b_ub, _ = _epigraph_lp(obj)
     n = len(A_eq[0])
-    pin = [_ZERO] * n
-    pin[n - 2], pin[n - 1] = _ONE, -_ONE
+    pin = [0] * n
+    pin[n - 2], pin[n - 1] = 1, -1
     A_eq, b_eq = A_eq + [pin], b_eq + [theta]
     for var in range(n - 2):
-        c = [_ZERO] * n
-        c[var] = _ONE
+        c = [0] * n
+        c[var] = 1
         lo = solve_lp(c, A_eq, b_eq, A_ub, b_ub)
-        c[var] = -_ONE
+        c[var] = -1
         hi = solve_lp(c, A_eq, b_eq, A_ub, b_ub)
         if lo.status != "optimal" or hi.status != "optimal":
             raise ParameterError("optimal face probe failed")
@@ -203,33 +208,63 @@ def _tableau_certifies_unique(res, split: tuple[int, int]) -> bool:
     )
 
 
+def _vertex_from_artificials(cost, A_eq, b_eq, A_ub, b_ub, scale):
+    """(x, slacks) of the epigraph LP solved with every row on an artificial.
+
+    Each ≤ row goes in as an equality row over its own explicit slack
+    column, at its rational scale (row / scale), so phase 1 starts with an
+    artificial on every row and minimises their plain sum.
+    """
+    n, k = len(cost), len(A_ub)
+    rows = [row + [0] * k for row in A_eq]
+    for j, (row, f) in enumerate(zip(A_ub, scale)):
+        unit = [0] * k
+        unit[j] = 1
+        rows.append([Fraction(v, f) for v in row] + unit)
+    b = b_eq + [Fraction(v, f) for v, f in zip(b_ub, scale)]
+    res = solve_lp(cost + [0] * k, rows, b)
+    return res.x[:n], res.x[n:]
+
+
 def minimize(obj: PiecewiseMax) -> ExponentResult:
     """Exact minimum of the objective over its domain, with uniqueness.
 
-    The epigraph LP gives θ and an optimal vertex.  Uniqueness is read off
-    its optimal tableau when every nonbasic reduced cost (the t⁺/t⁻ split
-    aside) is strictly positive.  Otherwise it is decided by probing the
-    optimal face: the face is a polytope, and it is a single point iff
-    every coordinate has equal minimum and maximum over it (face
-    dimension zero).
+    The epigraph LP gives θ, read off its final reduced-cost row, and an
+    optimal vertex.  Uniqueness is read off its optimal tableau when every
+    nonbasic reduced cost (the t⁺/t⁻ split aside) is strictly positive.
+    Otherwise it is decided by probing the optimal face: the face is a
+    polytope, and it is a single point iff every coordinate has equal
+    minimum and maximum over it (face dimension zero).
+
+    The active pieces are those whose epigraph row has a zero slack at the
+    vertex: there t = θ, the maximum of the pieces.  θ and uniqueness do
+    not depend on the vertex.  A unique argmin is the vertex every start
+    reaches; when the argmin is not unique, the LP is solved once more from
+    an artificial on every row, and the argmin and active pieces are read
+    from that vertex, so the reported point of a flat objective stays fixed.
     """
     if not obj.pieces:
         raise ParameterError("objective has no pieces")
-    cost, A_eq, b_eq, A_ub, b_ub, i_sigma = _epigraph_lp(obj)
+    cost, A_eq, b_eq, A_ub, b_ub, scale = _epigraph_lp(obj)
     res = solve_lp(cost, A_eq, b_eq, A_ub, b_ub)
     if res.status != "optimal":  # the domain is compact and nonempty
         raise ParameterError(f"degenerate objective: LP status {res.status}")
     theta = res.value
-    alpha = res.x[: obj.dim]
-    s = (_ONE + res.x[i_sigma]) if i_sigma is not None else None
     split = (len(cost) - 2, len(cost) - 1)
     unique = _tableau_certifies_unique(res, split) or _face_is_a_point(obj, theta)
+    x, slack = res.x, res.slack
+    if not unique:
+        x, slack = _vertex_from_artificials(cost, A_eq, b_eq, A_ub, b_ub, scale)
+    d = obj.dim
+    first = len(A_ub) - len(obj.pieces)  # the σ bound row comes first
     return ExponentResult(
         theta=theta,
-        argmin_alpha=alpha,
-        argmin_s=s,
+        argmin_alpha=x[:d],
+        argmin_s=_ONE + x[d] if obj.has_s else None,
         unique=unique,
-        active_pieces=obj.active_at(alpha, s),
+        active_pieces=tuple(
+            piece.provenance for piece, gap in zip(obj.pieces, slack[first:]) if not gap
+        ),
     )
 
 

@@ -501,12 +501,13 @@ def check_scaling_identities(spec: ProblemSpec, points: int = 100, seed: int = 0
         t_vec = tuple(rng.fraction_between(0, 4) for _ in range(d))
         t = sum(t_vec)
         c = rng.fraction_between(0, 8)
+        phi = phi_value(spec, t_vec)
         checked += 1
-        if phi_value(spec, tuple(c * v for v in t_vec)) != c * phi_value(spec, t_vec):
+        if phi_value(spec, tuple(c * v for v in t_vec)) != c * phi:
             failures.append(f"homogeneity at t={t_vec} c={c}")
         checked += 1
         unit = tuple(v / t for v in t_vec)
-        if phi_value(spec, t_vec) != t * max(_piece_value(pc, unit, None) for pc in low):
+        if phi != t * max(_piece_value(pc, unit, None) for pc in low):
             failures.append(f"phi normalisation at t={t_vec}")
         if high is not None:
             u = tuple(rng.fraction_between(0, 4) for _ in range(d))

@@ -201,8 +201,9 @@ def piece_rows(x: Sequence[Fraction], x_q: Fraction, high: bool) -> list[PieceRo
     """The five piece families of every width order, as one table of rows.
 
     x[j] = 1/p_j (0 for a p = ∞ ball), x_q = 1/q and θ_q = 1/2 − x_q;
-    `high` selects the q > 2 shape.  A row carries a coordinate term
-    Σ w_i r_i t_i over its indices plus the listed coefficients:
+    `high` selects the q > 2 shape, which is refused (`ParameterError`)
+    when q ≤ 2.  A row carries a coordinate term Σ w_i r_i t_i over its
+    indices plus the listed coefficients:
 
       family          switched on by        weights   t_coeff    logn_coeff  n_power
       large-p         x_j ≤ x_q             1         0          0           x_q − x_j
@@ -228,6 +229,8 @@ def piece_rows(x: Sequence[Fraction], x_q: Fraction, high: bool) -> list[PieceRo
       finitedim._terms          Π ν_i^(w_i) · N^(n_power) · g^(2·logn_coeff),
                                 g = n^(−1/2) N^(1/q), in the shape of q.
     """
+    if high and x_q >= _HALF:
+        raise ParameterError(f"the high (q > 2) piece rows need 1/q < 1/2, got 1/q = {x_q}")
     idx = range(len(x))
     rows = [("large-p", (j,), _UNIT, _ZERO, _ZERO, x_q - x[j]) for j in idx if x[j] <= x_q]
     if high:

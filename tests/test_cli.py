@@ -213,6 +213,21 @@ def test_sweep_refuses_an_axis_past_the_end_of_p(capsys):
     assert (code, out, err) == (4, "", "error: --vary p3: --p has only 2 entries\n")
 
 
+@pytest.mark.parametrize(
+    "vary,lo,hi", [("q", "2", "3"), ("r1", "1", "2"), ("p1", "2", "3"), ("n", "2", "3"),
+                   ("n", "-2", "-1")],  # the last range holds no valid rank
+)
+def test_sweep_refuses_mismatched_p_and_r_as_exponent_does(capsys, vary, lo, hi):
+    spec = ("--r", "1,1,1", "--p", "2,2", "--q", "2")
+    code, out, err = run(capsys, "exponent", *spec)
+    assert (code, out) == (4, "") and err.count("\n") == 1 and err.startswith("error: ")
+    got = run(
+        capsys, "sweep", *spec, "--vary", vary, "--m-vec", "3,2",
+        "--from", lo, "--to", hi, "--steps", "2",
+    )
+    assert got == (4, "", err)
+
+
 def test_sweep_over_only_invalid_ranks_needs_no_valid_spec(capsys):
     code, out, _ = run(
         capsys, "sweep", "--r", "1", "--p", "3", "--q", "3",

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import widthcalc.exponent as exponent
@@ -292,3 +292,57 @@ def test_low_and_high_objectives_agree_with_oracle_tables():
     alpha, s = (F(1, 2), F(3, 2)), F(2)
     direct = max(piece.value(alpha, s) for piece in obj.pieces)
     assert direct == h_high_value(spec, alpha, s)
+
+
+@st.composite
+def threshold_specs(draw):
+    """Specs at d = 2..16 on both sides of q = 2, some p_j on 2 or on q."""
+    d = draw(st.integers(2, MAX_DIMENSION))
+    q = draw(st.sampled_from([F(2), 1 + draw(units), 2 + 4 * draw(units)]))
+    on = st.sampled_from([F(2), q])
+    off = units.map(lambda u: 1 + (2 * q + 2) * u)
+    p = [draw(st.one_of(on, off)) for _ in range(d)]
+    r = [4 * draw(units) for _ in range(d)]
+    return ProblemSpec(r=r, p=p, q=q)
+
+
+def _solve_from_artificials(obj):
+    """The epigraph LP with every row an equality over an explicit slack.
+
+    Built here from the pieces in `Fraction`s, so every row starts phase 1
+    on an artificial.
+    """
+    d, k = obj.dim, len(obj.pieces) + obj.has_s
+    n = d + obj.has_s + 2
+    eq = [F(1)] * d + [F(-1)] * obj.has_s + [F(0), F(0)]
+    ub = [([F(0)] * d + [F(1), F(0), F(0)], obj.s_max - 1)] if obj.has_s else []
+    for pc in obj.pieces:
+        s_part = [pc.s_coeff] if obj.has_s else []
+        ub.append((list(pc.coeffs) + s_part + [F(-1), F(1)], -pc.const - sum(s_part, F(0))))
+    rows = [eq + [F(0)] * k]
+    rows += [row + [F(int(i == j)) for i in range(k)] for j, (row, _) in enumerate(ub)]
+    cost = [F(0)] * (n - 2) + [F(1), F(-1)] + [F(0)] * k
+    return solve_lp(cost, rows, [F(1)] + [b for _, b in ub]), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(threshold_specs())
+@example(_spec((2, 2), (3, "3/2"), 2))  # flat: the optimal face is a segment
+@example(_spec((3, "1/3", "11/3"), ("19/3", "3/2", "29/6"), "19/3"))  # θ = 0 on a face
+def test_active_pieces_and_verdict_agree_with_an_all_artificial_solve(spec):
+    obj = build_objective(spec)
+    res = minimize(obj)
+    point = (res.argmin_alpha, res.argmin_s)
+    assert res.active_pieces == tuple(
+        pc.provenance for pc in obj.pieces if pc.value(*point) == res.theta
+    )
+    ref, n = _solve_from_artificials(obj)
+    assert ref.value == res.theta
+    split = (n - 2, n - 1)
+    unique = exponent._tableau_certifies_unique(ref, split) or exponent._face_is_a_point(
+        obj, ref.value
+    )
+    assert unique is res.unique
+    if unique:
+        assert ref.x[: spec.d] == res.argmin_alpha
+        assert (1 + ref.x[spec.d] if obj.has_s else None) == res.argmin_s

@@ -176,6 +176,17 @@ def test_partition_places_thresholds_in_both_sets():
     assert _members(rows, "cross-lambda") == []
 
 
+@pytest.mark.parametrize("q", [F(2), F(7, 4)])
+def test_high_shape_is_refused_at_q_up_to_two(q):
+    # p1 = 2 at q = 2 would make θ_q = 0 the divisor of the mid-p slope.
+    spec = ProblemSpec(r=(F(1), F(1), F(1)), p=(F(2), F(3), F(3, 2)), q=q)
+    with pytest.raises(ParameterError):
+        spec.rows(True)
+    with pytest.raises(ParameterError):
+        piece_rows(spec.x, spec.x_q, high=True)
+    assert spec.rows(False)  # the low shape stays defined
+
+
 def test_low_q_partition_worked_example():
     spec = ProblemSpec(r=(F(1), F(1)), p=(F(3), F(3, 2)), q=F(2))
     one, zero = (F(1),), F(0)

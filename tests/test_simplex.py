@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import widthcalc._simplex as simplex
+import widthcalc.exponent as exponent
 from widthcalc._simplex import solve_lp
+from widthcalc.exponent import build_objective
+from widthcalc.params import ProblemSpec
 
 # Beale's cycling example (degenerate: two zero right-hand sides), plus a
 # variable x5 tied to x4 by an equality row and its duplicate, so phase 1
@@ -37,18 +40,28 @@ def _recomputed(A, basis, cost):
 ZERO_ONLY = ([F(1), F(-1), F(-1)], [[F(1), F(1), F(2)], [F(-2), F(1), F(0)]], [F(0), F(0)])
 
 
+# The epigraph LP of a d = 4, q > 2 spec whose p̄ straddles both 2 and q:
+# every ≤ row starts on its slack, so only Σ α − σ = 1 has an artificial.
+EPIGRAPH_D4 = exponent._epigraph_lp(
+    build_objective(ProblemSpec(r=(1, 1, 1, 1), p=(3, F(3, 2), 5, F(9, 4)), q=F(7, 2)))
+)[:5]
+
+
 @pytest.mark.parametrize(
-    "c,A_eq,b_eq,A_ub,b_ub,value,x,kinds",
+    "c,A_eq,b_eq,A_ub,b_ub,value,x,kinds,arts",
     [
         (C, A_EQ, B_EQ, A_UB, B_UB, F(-1, 20), (F(1, 25), F(0), F(1), F(0), F(2)),
-         {"phase 1", "phase 2"}),
+         {"phase 1", "phase 2"}, 2),
         (*ZERO_ONLY, None, None, F(0), (F(0), F(0), F(0)),
-         {"phase 1", "drive-out", "phase 2"}),
+         {"phase 1", "drive-out", "phase 2"}, 2),
+        (*EPIGRAPH_D4, F(157, 720),
+         (F(217, 720), F(637, 720), F(49, 720), F(119, 240), F(3, 4), F(157, 720), F(0)),
+         {"phase 1", "phase 2"}, 1),
     ],
-    ids=["beale-with-redundant-row", "zero-only-equalities"],
+    ids=["beale-with-redundant-row", "zero-only-equalities", "epigraph-d4-high-q"],
 )
 def test_carried_reduced_costs_match_recomputation_after_every_pivot(
-    monkeypatch, c, A_eq, b_eq, A_ub, b_ub, value, x, kinds
+    monkeypatch, c, A_eq, b_eq, A_ub, b_ub, value, x, kinds, arts
 ):
     n_slack = len(A_ub or ())
     n_std = len(c) + n_slack  # variables, then one slack per A_ub row
@@ -69,6 +82,7 @@ def test_carried_reduced_costs_match_recomputation_after_every_pivot(
         rows = [[F(v, den) for v in ints] for ints, den in zip(A[:m], D[:m])]
         assert all(rows[i][basis[k]] == (i == k) for i in range(m) for k in range(m))
         n_art = len(A[0]) - 1 - n_std  # the last column is the right-hand side
+        assert n_art in (0, arts)  # artificials only on rows without a feasible slack
         # The last carried row is always phase 2 (artificials cost 0); in
         # phase 1 the phase-1 row (artificials cost 1) precedes it.  Each
         # carries the negated objective value in its right-hand side.
