@@ -307,11 +307,12 @@ def _cmd_finite(args: argparse.Namespace) -> int:
         case, cert = classify_branch(spec)
     cert_ok = cert is None or cert.verify()
     if (args.format or "text") == "json":
+        value = _json_value(order.value)
         payload = {
             "N": N,
             "n": n,
             "q": "inf" if is_inf(q) else str(q),
-            "value": _json_value(order.value),
+            "value": value,
             "branch": order.branch,
             "case": case,
             "certificate": None
@@ -320,7 +321,9 @@ def _cmd_finite(args: argparse.Namespace) -> int:
                 "kind": cert.kind,
                 "k": cert.k,
                 "scale": _json_value(cert.scale),
-                "certified_value": _json_value(cert.certified_value),
+                "certified_value": value
+                if cert.certified_value == order.value
+                else _json_value(cert.certified_value),
                 "checks": len(cert.checked),
                 "ok": cert_ok,
                 "note": cert.note,

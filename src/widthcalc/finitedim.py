@@ -34,7 +34,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
+from mpmath.libmp import round_ceiling, round_floor, to_int
 
 from .params import ParameterError, ProblemSpec, RangeError, as_fraction, piece_rows
 from .values import INF, PowerProduct, inv_exponent, is_inf
@@ -303,10 +303,9 @@ def intersection_order(spec: IntersectionSpec) -> WidthOrder:
 def _floor_ceil(x: PowerProduct) -> tuple[int, int]:
     """⌊·⌋ and ⌈·⌉ of x to about 96 bits past the binary point, however
     large x is, so the exact correction steps below take one or two turns."""
-    prec = 96 + max(0, mpmath.mag(x.to_mpf(32)))
-    with mpmath.workprec(prec):
-        approx = x.to_mpf(prec)
-        return int(mpmath.floor(approx)), int(mpmath.ceil(approx))
+    _, _, exp, bc = x.to_libmp(32)  # exp + bc is about log2 x
+    approx = x.to_libmp(96 + max(0, exp + bc))
+    return to_int(approx, round_floor), to_int(approx, round_ceiling)
 
 
 def _int_ceil(x: PowerProduct) -> int:

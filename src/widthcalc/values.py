@@ -4,7 +4,8 @@ Width formulas for ball intersections multiply rational radii with
 expressions like N^(1/q−1/p) or n^(−1/2); the results are usually
 irrational but always products of integer powers with rational exponents.
 `PowerProduct` keeps that form exactly, over pairwise-coprime integer bases
-greater than 1, none of them a perfect power:
+greater than 1, none of them a perfect power, as integer exponent
+numerators over one positive denominator per value:
 
   * integers are split by `_factor` (trial division by the primes below
     2^10, a perfect-power check, deterministic Miller–Rabin, and
@@ -12,22 +13,27 @@ greater than 1, none of them a perfect power:
     process.  A base is prime whenever that bounded split succeeds; a
     cofactor it cannot split stays one base, as does a probable prime
     beyond the proven Miller–Rabin range,
+  * the denominator D is kept coprime to the numerators, so it is the
+    least D with value^D rational; products, quotients and powers bring
+    both operands to one denominator and add or scale integers,
   * equality is exact: over pairwise-coprime bases greater than 1 a product
     ∏ b^e equals 1 only when every e is 0.  Values over proven primes
-    compare their exponent maps directly; a value holding any other base is
-    first refined with its partner by gcd onto one common coprime base
-    (Bernstein, "Factoring into coprimes in essentially linear time",
-    J. Algorithms 54, 2005),
-  * ordering is decided by the sign of Σ e_b · ln b, summed with integer
-    weights over the common exponent denominator from cached integer
+    compare their denominators and numerator maps directly; a value holding
+    any other base is first refined with its partner by gcd onto one common
+    coprime base (Bernstein, "Factoring into coprimes in essentially linear
+    time", J. Algorithms 54, 2005),
+  * ordering is decided by the sign of Σ n_b · ln b, summed with the
+    integer numerators over a common denominator from cached integer
     brackets lo ≤ 2^k · ln b ≤ hi (ln b rounded outward).  k doubles until
     the sign resolves, which it always does: the logs of pairwise-coprime
     bases are linearly independent over the rationals, so a nonzero
     exponent vector never sums to zero,
   * a special zero element covers boundary cases like (N−n)^c at n = N.
 
-Nothing here ever rounds into the stored representation; floats appear
-only in rendered output, and comparing values writes no mpmath precision.
+Nothing here ever rounds into the stored representation.  Decimal output
+calls mpmath's `libmp` functions on raw values at sig + 15 digits, rounding
+to nearest, and enters no mpmath context, so neither comparing nor
+rendering writes mpmath precision.
 """
 
 from __future__ import annotations
@@ -38,7 +44,22 @@ from functools import lru_cache, total_ordering
 from math import gcd, isqrt, lcm
 
 import mpmath
-from mpmath.libmp import from_int, mpf_shift, mpi_log, round_ceiling, round_floor, to_int
+from mpmath.libmp import (
+    dps_to_prec,
+    fone,
+    from_int,
+    fzero,
+    mpf_div,
+    mpf_mul,
+    mpf_pow,
+    mpf_shift,
+    mpi_log,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+    to_int,
+    to_str,
+)
 
 from .params import ParameterError
 
@@ -284,47 +305,60 @@ def _over(factors: dict, base: set[int]) -> dict:
     return out
 
 
-def _refined(a: dict[int, Fraction], b: dict[int, Fraction]) -> tuple[dict, dict]:
+def _refined(a: dict[int, int], b: dict[int, int]) -> tuple[dict, dict]:
     """Both exponent maps over one common coprime base."""
     base = _coprime_base(a.keys() | b.keys())
     return _over(a, base), _over(b, base)
 
 
 @lru_cache(maxsize=1 << 12)
-def _factor_fraction(x: Fraction) -> tuple[tuple[tuple[int, Fraction], ...], bool]:
-    """(base, exponent) pairs of x > 0, and whether a base is not proven prime."""
-    pairs = [(b, Fraction(m)) for b, m, _ in _factor(x.numerator)]
-    pairs += [(b, Fraction(-m)) for b, m, _ in _factor(x.denominator)]
-    proven = all(ok for _, _, ok in _factor(x.numerator) + _factor(x.denominator))
-    return tuple(pairs), not proven
+def _factor_fraction(x: Fraction) -> tuple[tuple[tuple[int, int], ...], bool]:
+    """(base, multiplicity) pairs of x > 0, negative for the denominator's
+    bases, and whether a base is not proven prime."""
+    num, den = _factor(x.numerator), _factor(x.denominator)
+    pairs = tuple((b, m) for b, m, _ in num) + tuple((b, -m) for b, m, _ in den)
+    return pairs, not all(ok for _, _, ok in num + den)
 
 
 @total_ordering
 class PowerProduct:
-    """Exact ∏ b^e_b over pairwise-coprime bases b with Fraction exponents, or zero.
+    """Exact ∏ b^(n_b / D) over pairwise-coprime bases b, or zero.
 
-    `_unproven` marks a value holding a base that is not a proven prime;
-    only such values pay for gcd refinement in products and comparisons.
+    `_factors` maps each base to its integer exponent numerator n_b ≠ 0 and
+    `_den` is the value's one denominator D ≥ 1, kept canonical:
+    gcd(D, every n_b) = 1, which makes D the least integer with value^D
+    rational, the same on every base.  `_unproven` marks a value holding a
+    base that is not a proven prime; only such values pay for gcd
+    refinement in products and comparisons.
     """
 
-    __slots__ = ("_factors", "_zero", "_unproven")
+    __slots__ = ("_factors", "_den", "_zero", "_unproven")
 
     def __init__(
         self,
-        factors: dict[int, Fraction] | None = None,
+        factors: dict[int, int] | None = None,
+        den: int = 1,
         zero: bool = False,
         unproven: bool = False,
     ):
+        """∏ b^(n / den) over `factors` ({b: n}, no zero n; the dict is kept)."""
         self._zero = zero
-        self._factors = {} if zero or factors is None else dict(factors)
         self._unproven = unproven and not zero
+        if zero or not factors:
+            self._factors, self._den = {}, 1
+            return
+        g = gcd(den, *factors.values())
+        if g > 1:
+            factors = {p: n // g for p, n in factors.items()}
+            den //= g
+        self._factors, self._den = factors, den
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
     def one(cls) -> "PowerProduct":
-        return cls({})
+        return cls()
 
     @classmethod
     def zero(cls) -> "PowerProduct":
@@ -356,7 +390,8 @@ class PowerProduct:
         if exp == 0:
             return cls.one()
         pairs, unproven = _factor_fraction(base)
-        return cls({p: e * exp for p, e in pairs}, unproven=unproven)
+        a = exp.numerator
+        return cls({p: m * a for p, m in pairs}, exp.denominator, unproven=unproven)
 
     # ------------------------------------------------------------------
     # predicates and conversions
@@ -369,36 +404,49 @@ class PowerProduct:
     def is_rational(self) -> bool:
         # Bases are coprime and no perfect powers, so a fractional exponent
         # always leaves some prime with a fractional exponent.
-        return self._zero or all(e.denominator == 1 for e in self._factors.values())
+        return self._den == 1
 
     def as_fraction(self) -> Fraction:
         if self._zero:
             return Fraction(0)
         if not self.is_rational:
             raise ParameterError(f"{self} is irrational")
-        out = Fraction(1)
-        for p, e in self._factors.items():
-            out *= Fraction(p) ** int(e)
-        return out
+        num = den = 1
+        for p, n in self._factors.items():
+            if n > 0:
+                num *= p**n
+            else:
+                den *= p**-n
+        return Fraction(num, den)
 
     def __float__(self) -> float:
         return float(self.to_mpf(64))
 
+    def to_libmp(self, prec: int) -> tuple:
+        """The raw libmp value at binary precision `prec`, rounded to nearest.
+
+        Each base in ascending order contributes b^(n_b/D), its exponent
+        rounded first; the products are rounded in the same order.
+        """
+        if self._zero:
+            return fzero
+        acc = fone
+        for p, n in sorted(self._factors.items()):
+            g = gcd(n, self._den)
+            e = mpf_div(from_int(n // g, prec, round_nearest), from_int(self._den // g),
+                        prec, round_nearest)
+            acc = mpf_mul(acc, mpf_pow(from_int(p), e, prec, round_nearest), prec, round_nearest)
+        return acc
+
     def to_mpf(self, prec: int = 128):
         """mpmath approximation at binary precision `prec` (display only)."""
-        if self._zero:
-            return mpmath.mpf(0)
-        with mpmath.workprec(prec):
-            acc = mpmath.mpf(1)
-            for p, e in sorted(self._factors.items()):
-                acc *= mpmath.power(p, mpmath.mpf(e.numerator) / e.denominator)
-            return acc
+        return mpmath.mp.make_mpf(self.to_libmp(prec))
 
     def decimal(self, sig: int = 12) -> str:
         """Decimal rendering to `sig` significant digits."""
         if self._zero:
             return "0"
-        return mpmath.nstr(self.to_mpf(mpmath.libmp.dps_to_prec(sig + 15)), sig, strip_zeros=False)
+        return to_str(self.to_libmp(dps_to_prec(sig + 15)), sig, strip_zeros=False)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -414,21 +462,27 @@ class PowerProduct:
             return _refined(self._factors, other._factors)
         return self._factors, other._factors
 
+    def _combine(self, other: "PowerProduct", sign: int) -> tuple[dict[int, int], int]:
+        """Exponent numerators of self · other^sign over the lcm D of both
+        denominators, zero exponents dropped, and D."""
+        mine, theirs = self._pair(other)
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, sign * (den // other._den)
+        out = {p: n * a for p, n in mine.items()}
+        for p, n in theirs.items():
+            s = out.get(p, 0) + n * b
+            if s:
+                out[p] = s
+            else:
+                del out[p]
+        return out, den
+
     def __mul__(self, other) -> "PowerProduct":
         other = self._coerce(other)
         if self._zero or other._zero:
             return PowerProduct.zero()
-        mine, theirs = self._pair(other)
-        out = dict(mine)
-        for p, e in theirs.items():
-            s = out.get(p)
-            if s is None:
-                out[p] = e
-            elif s + e:
-                out[p] = s + e
-            else:
-                del out[p]
-        return PowerProduct(out, unproven=self._unproven or other._unproven)
+        out, den = self._combine(other, 1)
+        return PowerProduct(out, den, unproven=self._unproven or other._unproven)
 
     __rmul__ = __mul__
 
@@ -438,7 +492,8 @@ class PowerProduct:
             raise ParameterError("division by zero value")
         if self._zero:
             return PowerProduct.zero()
-        return self * (other ** Fraction(-1))
+        out, den = self._combine(other, -1)
+        return PowerProduct(out, den, unproven=self._unproven or other._unproven)
 
     def __pow__(self, exp) -> "PowerProduct":
         exp = Fraction(exp)
@@ -450,56 +505,63 @@ class PowerProduct:
             return PowerProduct.one()
         if exp == 1:
             return self
+        a = exp.numerator
         return PowerProduct(
-            {p: e * exp for p, e in self._factors.items()}, unproven=self._unproven
+            {p: n * a for p, n in self._factors.items()},
+            self._den * exp.denominator,
+            unproven=self._unproven,
         )
 
     # ------------------------------------------------------------------
-    # exact order
+    # exact order; every value is ≥ 0, so above any negative rational
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (PowerProduct, Fraction, int)):
             return NotImplemented
+        if not isinstance(other, PowerProduct) and other < 0:
+            return False
         other = self._coerce(other)
         if self._zero or other._zero:
             return self._zero == other._zero
+        if self._den != other._den:
+            return False
         mine, theirs = self._pair(other)
         return mine == theirs
 
     def __hash__(self) -> int:
-        # Equal values may sit on different coprime bases (p·q as one base or
-        # as two), so hash what every representation agrees on: the least
-        # D with value^D rational, and that rational's numerator and
-        # denominator modulo the hash prime.
-        if self._zero:
-            return hash(0)
-        den = lcm(*(e.denominator for e in self._factors.values()))
+        # A rational value hashes as its Fraction, so it is one key with an
+        # equal int or Fraction.  Otherwise equal values may sit on different
+        # coprime bases (p·q as one base or as two), so hash what every
+        # representation agrees on: the least D with value^D rational, and
+        # that rational's numerator and denominator modulo the hash prime.
+        if self._den == 1:
+            return hash(self.as_fraction())
         num_mod = den_mod = 1
-        for p, e in self._factors.items():
-            w = e.numerator * (den // e.denominator)
-            if w > 0:
-                num_mod = num_mod * pow(p, w, _HASH_PRIME) % _HASH_PRIME
+        for p, n in self._factors.items():
+            if n > 0:
+                num_mod = num_mod * pow(p, n, _HASH_PRIME) % _HASH_PRIME
             else:
-                den_mod = den_mod * pow(p, -w, _HASH_PRIME) % _HASH_PRIME
-        return hash((den, num_mod, den_mod))
+                den_mod = den_mod * pow(p, -n, _HASH_PRIME) % _HASH_PRIME
+        return hash((self._den, num_mod, den_mod))
 
     def __lt__(self, other) -> bool:
+        if not isinstance(other, PowerProduct) and other < 0:
+            return False
         other = self._coerce(other)
         if self._zero:
             return not other._zero
         if other._zero:
             return False
-        return _log_sign(*self._pair(other)) < 0
+        return _log_sign(self._combine(other, -1)[0]) < 0
 
     def __repr__(self) -> str:
         if self._zero:
             return "0"
-        if not self._factors:
-            return "1"
         if self.is_rational:
             return str(self.as_fraction())
         parts = []
-        for p, e in sorted(self._factors.items()):
+        for p, n in sorted(self._factors.items()):
+            e = Fraction(n, self._den)
             parts.append(str(p) if e == 1 else f"{p}^({e})")
         return "*".join(parts)
 
@@ -509,9 +571,10 @@ class PowerProduct:
 def decimal_str(x, sig: int = 12) -> str:
     """Signed decimal rendering of a rational, `sig` significant digits."""
     x = Fraction(x)
-    with mpmath.workdps(sig + 15):
-        v = mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-        return mpmath.nstr(v, sig, strip_zeros=False)
+    prec = dps_to_prec(sig + 15)
+    v = mpf_div(from_int(x.numerator, prec, round_nearest),
+                from_int(x.denominator, prec, round_nearest), prec, round_nearest)
+    return to_str(v, sig, strip_zeros=False)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -524,23 +587,17 @@ def _log_bracket(b: int, k: int) -> tuple[int, int]:
     return to_int(mpf_shift(lo, k), round_floor), to_int(mpf_shift(hi, k), round_ceiling)
 
 
-def _log_sign(plus: dict[int, Fraction], minus: dict[int, Fraction]) -> int:
-    """Sign of Σ e_b ln b over `plus` minus the same sum over `minus`.
+def _log_sign(weights: dict[int, int]) -> int:
+    """Sign of Σ w_b ln b over a pairwise-coprime base, every w_b ≠ 0.
 
-    Both maps sit on one pairwise-coprime base, so the sign is zero only
-    when the maps are equal.
+    The sign is zero only when there are no weights.
     """
-    den = lcm(*(e.denominator for e in plus.values()), *(e.denominator for e in minus.values()))
-    weights = {b: e.numerator * (den // e.denominator) for b, e in plus.items()}
-    for b, e in minus.items():
-        weights[b] = weights.get(b, 0) - e.numerator * (den // e.denominator)
-    weights = [(b, w) for b, w in weights.items() if w]
     if not weights:
         return 0
     k = 64
     while k <= _MAX_LOG_BITS:
         lo = hi = 0
-        for b, w in weights:
+        for b, w in weights.items():
             b_lo, b_hi = _log_bracket(b, k)
             if w > 0:
                 lo += w * b_lo

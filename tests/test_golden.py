@@ -4,7 +4,9 @@ Each argv below is run through `widthcalc.cli.main`; its exit code and the
 sha256 of its stdout are pinned.  The list covers every consumer of the
 piece families: `exponent` (objective pieces, their order, the witness and
 the active pieces) at d = 2, 4, 8 and 16 on both sides of q = 2, `finite`
-on each dominance branch and on threshold exponents, `sweep --vary n`
+on each dominance branch and on threshold exponents (in text too, with a
+value in exponent notation and a radius whose denominator stays one
+unfactored base), `sweep --vary n`
 (dyadic blocks through the intersection terms) and `verify` (the block
 rates φ/ψ against the oracle).  A changed digest is a changed output:
 update one only together with the behaviour change that explains it.
@@ -33,8 +35,13 @@ def _exponent(*spec):
     return ("exponent", *spec, "--format", "json")
 
 
-def _finite(N, n, q, balls):
-    return ("finite", "--N", N, "--n", n, "--q", q, "--balls", balls, "--format", "json")
+def _finite(N, n, q, balls, fmt="json"):
+    return ("finite", "--N", N, "--n", n, "--q", q, "--balls", balls, "--format", fmt)
+
+
+# The 25- and 27-digit primes of test_values.py: a radius 1/(P·Q) whose
+# denominator the bounded factoring keeps as one base.
+BIG_PQ = 4000000000000000000000027 * 900000000000000000000000089
 
 
 ARGV = [
@@ -62,6 +69,10 @@ ARGV = [
     ("finite-low-cross-lambda", _finite("1024", "8", "2", "inf:1/4,1:1")),
     ("finite-high-thresholds", _finite("4096", "512", "4", "2:1/8,4:1/4,inf:1/64,3/2:1/4,3:1/2")),
     ("finite-low-threshold", _finite("256", "16", "3/2", "3/2:1/4,inf:1/8,1:1,2:1/2")),
+    ("finite-text-mid", _finite("4096", "512", "4", "inf:1/64,3:1/64", "text")),
+    ("finite-text-low-cross-lambda", _finite("1024", "8", "2", "inf:1/4,1:1", "text")),
+    ("finite-exponent-notation", _finite("4096", "512", "4", "inf:1/10000000000,3:1/640000000000")),
+    ("finite-radius-pq", _finite("4096", "512", "4", f"inf:1,3:1/{BIG_PQ}")),
     ("sweep-n-high", (
         "sweep", "--r", "1,1,2", "--p", "3,3/2,5", "--q", "4", "--vary", "n",
         "--m-vec", "3,2,1", "--from", "8", "--to", "32", "--steps", "7")),
@@ -92,6 +103,10 @@ GOLDEN = {
     "finite-low-cross-lambda": (0, "1be532905b451fbbc4c234c81b9af9ca4027ba4301b831e9d59c28c43d655325"),
     "finite-high-thresholds": (0, "3d540a524f74dbd6aa4c19955e3205de8e65a9c54c69945842a7769778753307"),
     "finite-low-threshold": (0, "44b886c29b219b61f5f4dd4a910adb90598ab5298709503504088aa1a529e7b2"),
+    "finite-text-mid": (0, "ddc9fcaf9fcca7ef243714e5ed0f510a8ca986adf1d115b1c0ae9fe9956f848e"),
+    "finite-text-low-cross-lambda": (0, "68d427f84008a873de64839a9af09013d5280bc022a8a83b041b5a2b1fcfe02d"),
+    "finite-exponent-notation": (0, "8d6145e14dfaac16e824421f9e7705aea57517d1e0a03ee6651944188290ad31"),
+    "finite-radius-pq": (0, "6d148b7f252519bde43940bb6f3d3fe9e993c41ac697395319fe230c3b340218"),
     "sweep-n-high": (0, "b06aba07c853fdda9e78712f9f9c2886632f1037ac4d6ee218cba56ce65076fd"),
     "sweep-n-low": (0, "b97c5ba2c325c9ac96bfb5a626865d84e14510ef0e86c86a51d171a89076c9fb"),
     "verify": (0, "2f39bfaf93c00ad8400283ab096e20c35f439adcdd63670b99e0f177b5175c1e"),

@@ -3,13 +3,16 @@
 The factoring and ordering checks use oracles independent of the code under
 test: a numpy sieve for primality by trial division, and exact integer
 comparison of both sides raised to their common exponent denominator.
+Arithmetic is checked against a model with `Fraction` exponents over true
+primes, and rendering against mpmath's high-level `power`/`nstr` route.
 """
 
 import functools
 import random
+import sys
 import time
 from fractions import Fraction as F
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import mpmath
 import numpy as np
@@ -80,6 +83,24 @@ def test_multiplication_and_division_are_exact(a, b):
 def test_power_law_exponent_addition(base, e):
     v = PP.from_fraction(base)
     assert (v**e) * (v ** (1 - e)) == v
+
+
+def test_comparisons_with_negative_rationals_are_exact():
+    two = PP.from_fraction(2)
+    assert not two == -1
+    assert two != -3
+    assert not two < -1
+    assert two > F(-1, 2)
+    assert PP.zero() > -1 and PP.zero() >= F(-1, 3) and not PP.zero() <= -1
+    assert PP.from_pow(2, F(1, 2)) != F(-1, 2)
+
+
+@given(positive, st.integers(min_value=-3, max_value=3))
+def test_rational_values_hash_as_their_fraction(x, k):
+    v = PP.from_fraction(x) ** k
+    assert hash(v) == hash(v.as_fraction()) == hash(x**k)
+    assert len({v: "a", x**k: "b"}) == 1
+    assert hash(PP.from_fraction(2)) == hash(2) and hash(PP.zero()) == hash(0)
 
 
 def test_decimal_renders_twelve_significant_digits():
@@ -192,13 +213,21 @@ def _raised(factors: dict, d: int) -> F:
     return prod((F(b) ** int(e * d) for b, e in factors.items()), start=F(1))
 
 
+def _weights(plus: dict, minus: dict, d: int) -> dict[int, int]:
+    """Integer weights d·(plus − minus), zero weights dropped."""
+    out = {b: int(e * d) for b, e in plus.items()}
+    for b, e in minus.items():
+        out[b] = out.get(b, 0) - int(e * d)
+    return {b: w for b, w in out.items() if w}
+
+
 @settings(max_examples=300, deadline=None)
 @given(exponent_maps, exponent_maps)
 def test_log_sign_matches_exact_integer_comparison(plus, minus):
     d = lcm(*(e.denominator for e in [*plus.values(), *minus.values()]))
     lhs, rhs = _raised(plus, d), _raised(minus, d)
     expected = (lhs > rhs) - (lhs < rhs)
-    assert _log_sign(plus, minus) == expected
+    assert _log_sign(_weights(plus, minus, d)) == expected
 
 
 def test_log_sign_resolves_near_ties():
@@ -210,11 +239,11 @@ def test_log_sign_resolves_near_ties():
         gap = h * mpmath.log(2) - k * mpmath.log(3)
     assert abs(gap) < mpmath.mpf(2) ** -40
     expected = 1 if gap > 0 else -1
-    assert _log_sign({2: F(h)}, {3: F(k)}) == expected
-    assert _log_sign({3: F(k)}, {2: F(h)}) == -expected
-    assert _log_sign({2: F(h, 7)}, {3: F(k, 7)}) == expected
-    assert _log_sign({3: F(1, 3)}, {2: F(1, 2)}) == 1
-    assert _log_sign({6: F(1, 2)}, {6: F(1, 2)}) == 0
+    assert _log_sign({2: h, 3: -k}) == expected
+    assert _log_sign({3: k, 2: -h}) == -expected
+    assert _log_sign({2: 7 * h, 3: -7 * k}) == expected
+    assert _log_sign({3: 2, 2: -3}) == 1
+    assert _log_sign({}) == 0
 
 
 def test_comparisons_leave_mpmath_precision_alone():
@@ -286,3 +315,202 @@ def test_unsplit_cofactors_refine_to_exact_equality():
     assert (cube_root / PP.from_pow(BIG_Q, F(1, 3))) ** 3 == PP.from_fraction(BIG_P)
     assert PP.from_pow(BIG_P**2, F(1, 2)).is_rational
     assert PP.from_pow(BIG_P**2, F(1, 2)).as_fraction() == BIG_P
+
+
+# ---------------------------------------------------------------------------
+# the integer-numerator representation against a Fraction-exponent model
+
+M61, M89 = 2**61 - 1, 2**89 - 1
+# The prime factors of every pool entry; M61·M89 is one base to `_factor`,
+# so values holding it go through gcd refinement.
+MODEL_POOL = {2: {2: 1}, 3: {3: 1}, 6: {2: 1, 3: 1}, 1009: {1009: 1},
+              10**12 + 39: {10**12 + 39: 1}, M61: {M61: 1}, M61 * M89: {M61: 1, M89: 1}}
+model_exponent = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=4)
+power_exponent = st.one_of(
+    st.integers(min_value=-2, max_value=2),
+    st.fractions(min_value=F(-2), max_value=F(2), max_denominator=3),
+)
+leaves = st.lists(
+    st.tuples(st.sampled_from(sorted(MODEL_POOL)), model_exponent, st.booleans()),
+    min_size=1, max_size=3,
+)
+
+
+def _build(leaf_list, power):
+    """The value ∏ base^(±e) raised to `power`, and its model: a map from
+    true primes to Fraction exponents, zero exponents dropped."""
+    value, model = PP.one(), {}
+    for base, e, divide in leaf_list:
+        term = PP.from_pow(base, e)
+        value = value / term if divide else value * term
+        for prime, m in MODEL_POOL[base].items():
+            model[prime] = model.get(prime, 0) + (-1 if divide else 1) * m * e
+    value = value**power
+    return value, {b: e * power for b, e in model.items() if e * power}
+
+
+def _combined(ma: dict, mb: dict, sign: int) -> dict:
+    out = {k: ma.get(k, 0) + sign * mb.get(k, 0) for k in ma.keys() | mb.keys()}
+    return {k: e for k, e in out.items() if e}
+
+
+def _model_fraction(model: dict) -> F | None:
+    if any(e.denominator != 1 for e in model.values()):
+        return None
+    return prod((F(b) ** int(e) for b, e in model.items()), start=F(1))
+
+
+def _model_den(model: dict) -> int:
+    return lcm(*(e.denominator for e in model.values()))
+
+
+def _model_hash(model: dict) -> int:
+    """Hash of a rational as its Fraction; otherwise of the least D with
+    value^D rational and that rational modulo the hash prime."""
+    ratio = _model_fraction(model)
+    if ratio is not None:
+        return hash(ratio)
+    d = _model_den(model)
+    ratio = _raised(model, d)
+    modulus = sys.hash_info.modulus
+    return hash((d, ratio.numerator % modulus, ratio.denominator % modulus))
+
+
+def _model_value(text: str) -> dict:
+    """A rendered form "b^(e)*b*…" (or a rational) read back onto true primes."""
+    if "^" not in text:
+        return {b: F(e) for b, e in _prime_exponents(F(text)).items()}
+    out: dict = {}
+    for part in text.split("*"):
+        base, _, exp = part.partition("^")
+        e = F(exp.strip("()")) if exp else F(1)
+        assert e != 1 or not exp
+        for prime, m in MODEL_POOL.get(int(base), {int(base): 1}).items():
+            out[prime] = out.get(prime, 0) + m * e
+    return out
+
+
+def _prime_exponents(x: F) -> dict[int, int]:
+    out: dict = {}
+    for n, sign in ((x.numerator, 1), (x.denominator, -1)):
+        for prime in (2, 3, 1009, 10**12 + 39, M61, M89):
+            while n % prime == 0:
+                n //= prime
+                out[prime] = out.get(prime, 0) + sign
+        assert n == 1
+    return out
+
+
+def _assert_canonical(v: PP) -> None:
+    assert v._den >= 1
+    assert gcd(v._den, *v._factors.values()) == 1
+    assert all(isinstance(n, int) and n != 0 for n in v._factors.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(leaves, power_exponent, leaves, power_exponent)
+def test_power_products_match_the_fraction_exponent_model(la, pa, lb, pb):
+    a, ma = _build(la, pa)
+    b, mb = _build(lb, pb)
+    for v, m in ((a, ma), (b, mb), (a * b, _combined(ma, mb, 1)), (a / b, _combined(ma, mb, -1))):
+        _assert_canonical(v)
+        ratio = _model_fraction(m)
+        assert v.is_rational == (ratio is not None)
+        if ratio is not None:
+            assert v.as_fraction() == ratio and repr(v) == str(ratio)
+        assert v._den == _model_den(m)
+        assert hash(v) == _model_hash(m)
+        assert _model_value(repr(v)) == m
+    d = lcm(_model_den(ma), _model_den(mb))
+    lhs, rhs = _raised(ma, d), _raised(mb, d)
+    assert (a == b) == (lhs == rhs) == (ma == mb)
+    assert (a < b) == (lhs < rhs) and (b < a) == (rhs < lhs)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_proven_prime_forms_print_fraction_exponents():
+    v = PP.from_pow(2, F(-3, 4)) * PP.from_pow(1009, F(2, 3)) * PP.from_fraction(9)
+    assert repr(v) == "2^(-3/4)*3^(2)*1009^(2/3)"
+    assert (v._den, v._factors) == (12, {2: -9, 3: 24, 1009: 8})
+    assert repr(PP.from_pow(6, F(1, 2)) ** 2) == "6"
+
+
+# ---------------------------------------------------------------------------
+# rendering pinned to mpmath's high-level functions
+
+
+def _reference_to_mpf(v: PP, prec: int):
+    """Each base's power and the running product through mpmath.power and
+    mpf arithmetic at binary precision `prec`, bases ascending."""
+    if v.is_zero:
+        return mpmath.mpf(0)
+    with mpmath.workprec(prec):
+        acc = mpmath.mpf(1)
+        for p, n in sorted(v._factors.items()):
+            e = F(n, v._den)
+            acc *= mpmath.power(p, mpmath.mpf(e.numerator) / e.denominator)
+        return acc
+
+
+def _reference_decimal(v: PP, sig: int) -> str:
+    if v.is_zero:
+        return "0"
+    return mpmath.nstr(
+        _reference_to_mpf(v, mpmath.libmp.dps_to_prec(sig + 15)), sig, strip_zeros=False
+    )
+
+
+def _reference_decimal_str(x, sig: int) -> str:
+    x = F(x)
+    with mpmath.workdps(sig + 15):
+        v = mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+        return mpmath.nstr(v, sig, strip_zeros=False)
+
+
+PINNED_RATIONALS = [
+    F(0), F(1), F(7), F(-5, 4), F(1, 3), F(10**12), F(10**13 + 1), F(3, 10**7),
+    F(-7, 10**9), F(10**12 + 39, 999999999989), F(999999999989, 10**12 + 39),
+    F(4 * 10**11 + 1, 7 * 10**9 + 3), F(1, BIG_P * BIG_Q), F(BIG_P, BIG_Q),
+    F(2**200 + 1, 3**90),
+]
+PINNED_VALUES = [
+    PP.zero(), PP.one(), PP.from_fraction(F(10**12)), PP.from_pow(2, F(-33, 2)),
+    PP.from_pow(2, F(-33, 2)) * PP.from_fraction(F(1, 5**10)),
+    PP.from_pow(10**12 + 39, F(3, 2)), PP.from_pow(F(999999999989, 10**12 + 39), F(-7, 3)),
+    PP.from_pow(2, F(-1, 2)) / PP.from_fraction(BIG_P * BIG_Q),
+    PP.from_pow(BIG_P * BIG_Q, F(1, 3)), PP.from_pow(M61 * M89, F(-5, 6)),
+    PP.from_fraction(F(3, 10**7)), PP.from_pow(7, F(50, 3)),
+    # stored bases out of order: rendering must still multiply in ascending order
+    PP.from_pow(1009, F(2, 3)) * PP.from_pow(3, F(-1, 2)) * PP.from_pow(2, F(1, 5)),
+    PP.from_pow(10**12 + 39, F(-1, 7)) * PP.from_pow(7, F(3, 5)) * PP.from_pow(5, F(1, 3)),
+]
+
+
+@pytest.mark.parametrize("sig", [12, 5, 20])
+def test_rendering_matches_mpmath_reference(sig):
+    saved = mpmath.mp.prec
+    try:
+        mpmath.mp.prec = 11
+        for x in PINNED_RATIONALS:
+            assert decimal_str(x, sig) == _reference_decimal_str(x, sig), x
+            if x >= 0:
+                v = PP.from_fraction(x)
+                assert v.decimal(sig) == _reference_decimal(v, sig), x
+        for v in PINNED_VALUES:
+            assert v.decimal(sig) == _reference_decimal(v, sig), v
+            for prec in (32, 64, 160):
+                assert v.to_mpf(prec)._mpf_ == _reference_to_mpf(v, prec)._mpf_, (v, prec)
+        assert mpmath.mp.prec == 11
+    finally:
+        mpmath.mp.prec = saved
+    assert "e-" in PP.from_fraction(F(3, 10**7)).decimal(12)
+    assert "e+" in PP.from_pow(7, F(50, 3)).decimal(12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(leaves, power_exponent, st.fractions(min_value=F(-10**13), max_value=F(10**13)))
+def test_rendering_matches_mpmath_reference_on_random_values(la, pa, x):
+    v, _ = _build(la, pa)
+    assert v.decimal(12) == _reference_decimal(v, 12)
+    assert decimal_str(x) == _reference_decimal_str(x, 12)
