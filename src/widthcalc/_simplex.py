@@ -1,4 +1,4 @@
-"""Exact two-phase simplex over rationals, pivoted on integer rows.
+"""Exact two-phase simplex over rationals, pivoted on condensed integer rows.
 
 Solves   minimize c·x   subject to   A_eq x = b_eq,  A_ub x ≤ b_ub,  x ≥ 0
 
@@ -9,29 +9,40 @@ lowest-index eligible entering and leaving variable) guarantees termination
 even on the degenerate polytopes that piecewise-linear epigraph problems
 produce.
 
-Phase 1 starts each row on a slack where it can: an A_ub row whose
-right-hand side is ≥ 0 starts on its own slack, and only equality rows and
-A_ub rows with b < 0 (negated so that b > 0) get an artificial variable.
-Phase 1 minimises the sum of those artificials, and is skipped when there
-are none.
+The variables carry fixed labels: the n variables of c are 0..n−1, the
+slack of A_ub row k is n + k, and the artificial of the t-th row that needs
+one comes after every slack.  Phase 1 starts each row on a slack where it
+can: an A_ub row whose right-hand side is ≥ 0 starts on its own slack, and
+only equality rows and A_ub rows with b < 0 (negated so that b > 0) get an
+artificial.  Phase 1 minimises the sum of those artificials, and is skipped
+when there are none.
 
-Between those edges the tableau holds Python integers.  Every row (each
-constraint row with its right-hand side, and each carried reduced-cost row
-with the negated objective value) is a list of `int`s over one positive row
-denominator, divided by the gcd of its entries and denominator after every
-update.  A pivot rewrites only the rows with a nonzero entry in the pivot
-column, and only over the pivot row's nonzero columns.  The ratio test
-compares right-hand side over pivot-column entry by cross-multiplication,
-where the row denominators cancel.  The rows stand for the same rational
-tableau, so the pivots are exactly the ones a `Fraction` tableau takes,
-without the gcd that `Fraction` computes on every multiply and add.
+The tableau is condensed, the "dictionary" of Chvátal (Linear Programming,
+1983): a basic variable's column is a unit column, so it is never stored.
+Each row holds one integer per nonbasic variable, in the order of the
+`cols` labels, then the right-hand side, all over one positive row
+denominator and divided by the gcd of its entries and denominator after
+every update.  Those are exactly the integers of the full tableau with its
+basic columns left out.  A pivot on (row, col) swaps the labels: the
+entering variable takes the row in `basis`, and the leaving variable takes
+the column in `cols`, whose entries are the ones the leaving variable's
+unit column would have had after the pivot.  Rows with a zero entry in the
+pivot column are left as they are.  The ratio test compares right-hand side
+over pivot-column entry by cross-multiplication, where the row denominators
+cancel.  The rows stand for the same rational tableau, so the pivots are
+exactly the ones a `Fraction` tableau takes, without the gcd that
+`Fraction` computes on every multiply and add.
 
-The problems this package feeds in are tiny (a handful of variables, a few
-dozen rows), so a dense tableau is the right level of machinery.  The
-reduced costs are tableau rows updated by every pivot like the constraint
-rows.  The optimal value is read off the reduced-cost row, and the optimal
-basis, reduced costs and slacks come back with the result so callers can
-read facts such as uniqueness and tight rows off the final tableau.
+The problems this package feeds in are tiny (a handful of variables, at
+most a couple of hundred rows), so a dense condensed tableau is the right
+level of machinery.  The reduced costs are a row below the constraint rows,
+updated by every pivot like them; its right-hand side holds the negated
+objective value.  When optimal, a basic variable's value is its row's
+right-hand side and its reduced cost is 0, and a nonbasic variable's value
+is 0 and its reduced cost is its entry in the reduced-cost row; the slacks
+are the values of the slack labels.  The optimal basis, reduced costs and
+slacks come back with the result, so callers can read facts such as
+uniqueness and tight rows off the final tableau.
 """
 
 from __future__ import annotations
@@ -76,10 +87,10 @@ def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> LpResult:
     right-hand side of the final reduced-cost row.
     """
     n = len(c)
-    n_slack = 0 if A_ub is None else len(A_ub)
-    # Standard-form rows: the n variables, one slack per A_ub row, then the
-    # right-hand side, as integers over a row denominator.  `basis` holds
-    # each row's starting column, or None where the row needs an artificial.
+    n_ub = 0 if A_ub is None else len(A_ub)
+    n_std = n + n_ub
+    # Each row as integers over a row denominator, and its starting label,
+    # or None where the row needs an artificial.
     rows: list[list[int]] = []
     dens: list[int] = []
     basis: list[int | None] = []
@@ -88,7 +99,7 @@ def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> LpResult:
             if len(row) != n:
                 raise LpError("equality row length mismatch")
             ints, den = _lift([*row, b])
-            rows.append(ints[:n] + [0] * n_slack + ints[n:])
+            rows.append(ints)
             dens.append(den)
             basis.append(None)
     if A_ub is not None:
@@ -96,28 +107,39 @@ def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> LpResult:
             if len(row) != n:
                 raise LpError("inequality row length mismatch")
             ints, den = _lift([*row, b])
-            slack = [0] * n_slack
-            slack[k] = den
-            rows.append(ints[:n] + slack + ints[n:])
+            rows.append(ints)
             dens.append(den)
             basis.append(n + k if ints[-1] >= 0 else None)
-    cost, cost_den = _lift([*c, *[0] * n_slack, 0])
+    cost, cost_den = _lift([*c, 0])
     rows.append(cost)
     dens.append(cost_den)
-    status = _two_phase(rows, dens, basis)
+    # The nonbasic labels: the n variables, then the slack of each A_ub row
+    # that starts on an artificial.  That slack's column is the row
+    # denominator in its own row and 0 in every other.
+    first = len(basis) - n_ub
+    art_ub = [i for i in range(first, len(basis)) if basis[i] is None]
+    cols = list(range(n)) + [n + i - first for i in art_ub]
+    if art_ub:
+        for i, row in enumerate(rows):
+            rows[i] = row[:n] + [dens[i] if i == k else 0 for k in art_ub] + row[n:]
+    status = _two_phase(rows, dens, basis, cols, n_std)
     if status != "optimal":
         return LpResult(status, None, None)
-    values = [_ZERO] * (n + n_slack)
+    values = [_ZERO] * n_std
     for i, j in enumerate(basis):
         if rows[i][-1]:
             values[j] = Fraction(rows[i][-1], dens[i])
     z, dz = rows[-1], dens[-1]
+    reduced = [_ZERO] * n_std
+    for j, v in zip(cols, z):
+        if v:
+            reduced[j] = Fraction(v, dz)
     return LpResult(
         "optimal",
         tuple(values[:n]),
         Fraction(-z[-1], dz),
         tuple(basis),
-        tuple(Fraction(v, dz) if v else _ZERO for v in z[:-1]),
+        tuple(reduced),
         tuple(values[n:]),
     )
 
@@ -129,7 +151,7 @@ def _lift(values: list) -> tuple[list[int], int]:
     `Fraction`s are read as they are; any other entry (a string such as
     "3/2", say) goes through `Fraction(v)`.
     """
-    if all(type(v) is int for v in values):
+    if set(map(type, values)) == {int}:
         return values, 1
     values = [v if type(v) is Fraction or type(v) is int else Fraction(v) for v in values]
     den = lcm(*(v.denominator for v in values))
@@ -143,18 +165,20 @@ def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
     return [v // g for v in row], den // g
 
 
-def _two_phase(A: list[list[int]], D: list[int], basis: list[int | None]) -> str:
-    """Solve the standard form in place; "optimal", "infeasible" or "unbounded".
+def _two_phase(
+    A: list[list[int]], D: list[int], basis: list[int | None], cols: list[int], n_std: int
+) -> str:
+    """Solve the condensed tableau in place; "optimal", "infeasible" or "unbounded".
 
-    Row i of A over D[i] is [a_i | b_i] for each of the m = len(basis)
-    constraint rows, and the row below them is the cost row [c | 0].
-    `basis[i]` is the starting basic column of row i (a slack, whose entry
-    is the row denominator, with b_i ≥ 0) or None for a row that needs an
-    artificial.  When optimal, A, D and `basis` hold the final tableau; its
-    last row carries the reduced costs and the negated optimal value.
+    Row i of A over D[i] holds the entries of the nonbasic labels `cols`
+    and then b_i, for each of the m = len(basis) constraint rows, and the
+    row below them is the cost row over the same labels.  `basis[i]` is the
+    starting basic label of row i (a slack, with b_i ≥ 0) or None for a row
+    that needs an artificial; labels below `n_std` are the standard-form
+    columns.  When optimal, A, D, `basis` and `cols` hold the final tableau;
+    its last row carries the reduced costs and the negated optimal value.
     """
     m = len(basis)
-    n = len(A[m]) - 1
     art_rows = [i for i in range(m) if basis[i] is None]
     if art_rows:
         # Normalize b >= 0 so the artificial basis is feasible.
@@ -171,38 +195,43 @@ def _two_phase(A: list[list[int]], D: list[int], basis: list[int | None]) -> str
         z, dz = _reduced(phase1, L)
         A.insert(m, z)
         D.insert(m, dz)
-        # Artificial columns n..n+k-1, one unit column per row in art_rows (the
-        # entry equals the row denominator).  The phase-2 row (artificials
-        # cost nothing) rides along so phase 2 starts from it.
-        k = len(art_rows)
-        for i, row in enumerate(A):
-            A[i] = row[:n] + [0] * k + row[n:]
+        # The artificials are basic, labelled after every standard-form
+        # column in row order.  The phase-2 row (artificials cost nothing)
+        # rides along so phase 2 starts from it.
         for t, i in enumerate(art_rows):
-            A[i][n + t] = D[i]
-            basis[i] = n + t
-        _iterate(A, D, basis)
+            basis[i] = n_std + t
+        _iterate(A, D, basis, cols)
         # Every b_i stays >= 0, so phase 1 reached 0 iff no artificial is positive.
-        if any(A[i][-1] for i in range(m) if basis[i] >= n):
+        if any(A[i][-1] for i in range(m) if basis[i] >= n_std):
             return "infeasible"
         del A[m], D[m]
-        # Drive leftover artificials out of the basis (degenerate rows).
+        # Drive leftover artificials out of the basis (degenerate rows) on
+        # the lowest standard-form label with a nonzero entry.
         i = 0
         while i < len(basis):
-            if basis[i] >= n:
-                col = next((j for j in range(n) if A[i][j] != 0), None)
+            if basis[i] >= n_std:
+                row = A[i]
+                col = min(
+                    (j for j, label in enumerate(cols) if label < n_std and row[j]),
+                    key=cols.__getitem__,
+                    default=None,
+                )
                 if col is None:
                     # Redundant constraint; drop the row.
                     del A[i], D[i], basis[i]
                     continue
-                _pivot(A, D, basis, i, col)
+                _pivot(A, D, basis, cols, i, col)
             i += 1
-        # Phase 2 on the original columns only.
+        # Phase 2 on the standard-form labels only.
+        keep = [j for j, label in enumerate(cols) if label < n_std]
+        cols[:] = [cols[j] for j in keep]
+        keep.append(-1)
         for i, row in enumerate(A):
-            A[i], D[i] = _reduced(row[:n] + row[-1:], D[i])
-    return _iterate(A, D, basis)
+            A[i], D[i] = _reduced([row[j] for j in keep], D[i])
+    return _iterate(A, D, basis, cols)
 
 
-def _iterate(A: list[list[int]], D: list[int], basis: list[int]) -> str:
+def _iterate(A: list[list[int]], D: list[int], basis: list[int], cols: list[int]) -> str:
     """Run simplex pivots with Bland's rule until optimal or unbounded.
 
     The row below the constraint rows holds the reduced costs being
@@ -211,10 +240,11 @@ def _iterate(A: list[list[int]], D: list[int], basis: list[int]) -> str:
     m = len(basis)
     while True:
         z = A[m]
-        # Bland: the lowest-index column with a negative reduced cost enters.
-        entering = next((j for j in range(len(z) - 1) if z[j] < 0), -1)
-        if entering < 0:
+        # Bland: the lowest label with a negative reduced cost enters.
+        negative = [j for j, v in enumerate(z[:-1]) if v < 0]
+        if not negative:
             return "optimal"
+        entering = min(negative, key=cols.__getitem__)
         # Ratio b_i / a_i over rows with a_i > 0; the row denominator cancels,
         # and b_i / a_i < b_k / a_k  iff  b_i a_k < b_k a_i.
         leaving = -1
@@ -230,25 +260,29 @@ def _iterate(A: list[list[int]], D: list[int], basis: list[int]) -> str:
                     leaving, best_b, best_a = i, b, a
         if leaving < 0:
             return "unbounded"
-        _pivot(A, D, basis, leaving, entering)
+        _pivot(A, D, basis, cols, leaving, entering)
 
 
-def _pivot(A: list[list[int]], D: list[int], basis: list[int], row: int, col: int) -> None:
-    """Pivot the tableau on entry (row, col); `basis[row]` becomes `col`.
+def _pivot(
+    A: list[list[int]], D: list[int], basis: list[int], cols: list[int], row: int, col: int
+) -> None:
+    """Pivot on entry (row, col): `cols[col]` enters, `basis[row]` leaves.
 
-    With p the pivot entry, the pivot row keeps its integers over the new
-    denominator p (so its pivot-column entry reads 1), and a row a over d
-    with entry f in the pivot column becomes (p·a − f·pivot row) over p·d.
-    Rows with f = 0 are left as they are.
+    With p the pivot entry of the row a_r over d_r, the pivot row keeps its
+    integers over the new denominator p, except that column col now holds
+    the leaving variable: d_r (its unit entry) where the entering entry
+    was.  A row a over d with entry f in the pivot column becomes
+    (p·a − f·pivot row) over p·d, with its column col starting from the
+    leaving variable's 0.  Rows with f = 0 are left as they are.
     """
-    piv = A[row]
+    piv = A[row][:]
     p = piv[col]
     if p == 0:
         raise LpError("pivot on a zero entry")
+    piv[col] = D[row]
     if p < 0:  # only when driving an artificial out; keep denominators positive
         piv = [-v for v in piv]
         p = -p
-    nonzero = [(j, w) for j, w in enumerate(piv) if w]
     for i, a in enumerate(A):
         f = a[col]
         if f and i != row:
@@ -256,9 +290,8 @@ def _pivot(A: list[list[int]], D: list[int], basis: list[int], row: int, col: in
             # divided by their gcd first, which keeps the integers small.
             g = gcd(p, f)
             pg, fg = p // g, f // g
-            new = [pg * v for v in a] if pg != 1 else a[:]
-            for j, w in nonzero:
-                new[j] -= fg * w
+            new = [pg * v - fg * w for v, w in zip(a, piv)]
+            new[col] = -fg * piv[col]
             A[i], D[i] = _reduced(new, pg * D[i])
     A[row], D[row] = _reduced(piv, p)
-    basis[row] = col
+    basis[row], cols[col] = cols[col], basis[row]

@@ -35,6 +35,7 @@ from fractions import Fraction
 from . import closedform, oracle
 from .exponent import build_objective, minimize, render_provenance
 from .finitedim import (
+    BallSpec,
     IntersectionSpec,
     classify_branch,
     dyadic_block_order,
@@ -58,18 +59,20 @@ CSV_HEADER = [
     "status",
 ]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 def parse_rational(text: str) -> Fraction:
     t = text.strip()
-    if not _RATIONAL_RE.match(t):
+    match = _RATIONAL_RE.match(t)
+    if not match:
         raise ParameterError(
             f"expected an exact rational like 3 or 3/2, got {text!r} "
             "(decimal notation is not accepted)"
         )
+    num, den = match.groups()
     try:
-        return Fraction(t)
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise ParameterError(f"zero denominator in {text!r}") from None
     except ValueError:  # more digits than the interpreter converts
@@ -295,9 +298,9 @@ def _cmd_finite(args: argparse.Namespace) -> int:
     q = parse_extended(args.q)
     balls = _parse_balls(args.balls)
     if len(balls) == 1:
-        p, nu = balls[0]
-        base = single_ball_order(N, n, p, q)
-        order = type(base)(base.value * PowerProduct.from_fraction(nu), base.branch)
+        base = single_ball_order(N, n, balls[0][0], q)
+        ball = BallSpec(*balls[0])
+        order = type(base)(base.value * ball.nu, base.branch)
         case, cert = None, None
     else:
         if is_inf(q):
@@ -457,6 +460,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     points = 2
     if args.identity_points is not None:
         points = parse_integer(args.identity_points, "--identity-points")
+        if points < 0:
+            raise ParameterError(f"--identity-points must be ≥ 0, got {points}")
     report = oracle.cross_validate(samples, seed, grid=grid, identity_points=points)
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     return 0 if report.ok else 1

@@ -63,12 +63,6 @@ _HALF = Fraction(1, 2)
 _TWO = Fraction(2)
 
 
-def _as_value(x) -> PowerProduct:
-    if isinstance(x, PowerProduct):
-        return x
-    return PowerProduct.from_fraction(as_fraction(x))
-
-
 @dataclass(frozen=True)
 class BallSpec:
     """One ball ν · B_p^N; p may be the INF sentinel, ν is exact positive."""
@@ -81,9 +75,11 @@ class BallSpec:
             p = as_fraction(p)
             if p < 1:
                 raise ParameterError(f"ball exponent p = {p} must be ≥ 1")
-        nu = _as_value(nu)
-        if nu.is_zero:
+        nu = nu if isinstance(nu, PowerProduct) else as_fraction(nu)
+        if not nu > 0:
             raise ParameterError("ball radius must be positive")
+        if isinstance(nu, Fraction):
+            nu = PowerProduct.from_fraction(nu)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "nu", nu)
 

@@ -12,7 +12,9 @@ Everything downstream is driven by a handful of exact quantities:
     ā ∘ b̄         = (a_1 b_1, ..., a_d b_d)          coordinatewise product,
     <r̄>/d + 1/q − <r̄>/<p̄ ∘ r̄>                        compactness margin.
 
-All arithmetic is over `fractions.Fraction`; nothing in this module rounds.
+All arithmetic is exact: sums and comparisons run on integers over one
+common denominator, and each value handed out is a `fractions.Fraction`.
+Nothing in this module rounds.
 
 Index conventions: coordinates are 0-based everywhere in code.  Rendered
 output (CLI, reports) prints 1-based names like ``p1`` to match the flag
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -41,7 +44,6 @@ __all__ = [
 MAX_DIMENSION = 16
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class ParameterError(ValueError):
@@ -97,7 +99,10 @@ class ProblemSpec:
         reg_sums  (M_1, ..., M_d),  M_j = Σ_i (1/r_i)(1/p_i − 1/p_j)
 
     together with <r̄>, <p̄ ∘ r̄> and the compactness margin, which
-    `r_mean`, `pr_mean` and `compact_margin` return.  `rows(high)` is the
+    `r_mean`, `pr_mean` and `compact_margin` return.  The sums behind them
+    run on integers over one denominator D, the lcm of the numerators of
+    the products p_j r_j, and each value is built as one `Fraction` at the
+    end rather than one per arithmetic step.  `rows(high)` is the
     `piece_rows` table at (x̄, 1/q) in the low or the high shape, built as
     a tuple on first use.  None of this takes part in ==, hash, repr or
     str: two specs with the same (r̄, p̄, q) are equal whatever they hold.
@@ -112,21 +117,32 @@ class ProblemSpec:
         object.__setattr__(self, "p", tuple(as_fraction(x) for x in p))
         object.__setattr__(self, "q", as_fraction(q))
         self._validate()
-        inv_r = tuple(_ONE / rj for rj in self.r)
-        x = tuple(_ONE / pj for pj in self.p)
-        x_q = _ONE / self.q
-        total = sum(inv_r, _ZERO)  # d / <r̄>
-        mixed = sum((a * b for a, b in zip(inv_r, x)), _ZERO)  # d / <p̄ ∘ r̄>
+        # Over D, the lcm of the numerators of p_j r_j, each of 1/r_j, 1/p_j
+        # = X_j/D and (1/r_j)(1/p_j) is an integer numerator; the sums run on
+        # those integers, and each output is one Fraction.
+        d = len(self.r)
+        rn = [v.numerator for v in self.r]
+        rd = [v.denominator for v in self.r]
+        pn = [v.numerator for v in self.p]
+        pd = [v.denominator for v in self.p]
+        qn, qd = self.q.numerator, self.q.denominator
+        D = lcm(*(a * b for a, b in zip(rn, pn)))
+        X = [b * (D // a) for a, b in zip(pn, pd)]
+        total = sum(b * (D // a) for a, b in zip(rn, rd))  # d/<r̄>, times D
+        mixed = sum(  # d/<p̄ ∘ r̄>, times D
+            b1 * b2 * (D // (a1 * a2)) for a1, b1, a2, b2 in zip(rn, rd, pn, pd)
+        )
         # Frozen: the derived values go straight into the instance dict.
         self.__dict__.update(
-            x=x,
-            inv_r=inv_r,
-            x_q=x_q,
-            reg_sums=tuple(mixed - xj * total for xj in x),
-            _r_mean=len(x) / total,
-            _pr_mean=len(x) / mixed,
-            # <r̄>/d = 1/total and <r̄>/<p̄ ∘ r̄> = mixed/total.
-            _margin=(_ONE - mixed) / total + x_q,
+            x=tuple(Fraction(b, a) for a, b in zip(pn, pd)),
+            inv_r=tuple(Fraction(b, a) for a, b in zip(rn, rd)),
+            x_q=Fraction(qd, qn),
+            # M_j = mixed − x_j·total, over D².
+            reg_sums=tuple(Fraction(mixed * D - xj * total, D * D) for xj in X),
+            _r_mean=Fraction(d * D, total),
+            _pr_mean=Fraction(d * D, mixed),
+            # <r̄>/d + 1/q − <r̄>/<p̄ ∘ r̄> = (1 − mixed)/total + 1/q.
+            _margin=Fraction((D - mixed) * qn + qd * total, total * qn),
             _rows={},
         )
 
@@ -138,13 +154,15 @@ class ProblemSpec:
             raise RangeError(f"d = {d} exceeds the supported maximum {MAX_DIMENSION}")
         if len(self.p) != d:
             raise ParameterError(f"|p| = {len(self.p)} does not match |r| = {d}")
+        # Denominators are positive: a > 0 iff its numerator is, and a > 1
+        # iff its numerator exceeds its denominator.
         for j, rj in enumerate(self.r):
-            if rj <= 0:
+            if rj.numerator <= 0:
                 raise ParameterError(f"r{j + 1} = {rj} must be > 0")
         for j, pj in enumerate(self.p):
-            if pj <= 1:
+            if pj.numerator <= pj.denominator:
                 raise ParameterError(f"p{j + 1} = {pj} must be > 1 (and finite)")
-        if self.q <= 1:
+        if self.q.numerator <= self.q.denominator:
             raise ParameterError(f"q = {self.q} must be > 1 (and finite)")
 
     @property
@@ -217,7 +235,9 @@ def piece_rows(x: Sequence[Fraction], x_q: Fraction, high: bool) -> list[PieceRo
     and (1−μ)x_i + μx_j = 1/2, so 0 < λ, μ < 1.  Rows come family by family
     in the order above, j ascending, pairs (i, j) lexicographic.  Single
     thresholds are closed, so a coordinate with x_j = x_q (or x_j = 1/2 in
-    the high shape) has a row in both neighbouring families.
+    the high shape) has a row in both neighbouring families.  The threshold
+    tests and the weights run on x̄, x_q and 1/2 as integers over their
+    common denominator, and each coefficient is built as one `Fraction`.
 
     The consumers read the rows as they stand:
 
@@ -231,29 +251,38 @@ def piece_rows(x: Sequence[Fraction], x_q: Fraction, high: bool) -> list[PieceRo
     """
     if high and x_q >= _HALF:
         raise ParameterError(f"the high (q > 2) piece rows need 1/q < 1/2, got 1/q = {x_q}")
+    # x_j, x_q and 1/2 as integers X_j, Q and H over one denominator D.
+    D = lcm(2, x_q.denominator, *(v.denominator for v in x))
+    X = [v.numerator * (D // v.denominator) for v in x]
+    Q = x_q.numerator * (D // x_q.denominator)
+    H = D // 2
     idx = range(len(x))
-    rows = [("large-p", (j,), _UNIT, _ZERO, _ZERO, x_q - x[j]) for j in idx if x[j] <= x_q]
+    rows = [("large-p", (j,), _UNIT, _ZERO, _ZERO, Fraction(Q - X[j], D)) for j in idx if X[j] <= Q]
     if high:
-        two_theta_q = 1 - 2 * x_q
+        two_theta_q = D - 2 * Q  # (1 − 2x_q)·D
         for j in idx:
-            if x_q <= x[j] <= _HALF:
-                half_c = (x[j] - x_q) / two_theta_q
+            if Q <= X[j] <= H:
+                half_c = Fraction(X[j] - Q, two_theta_q)
                 rows.append(("mid-p", (j,), _UNIT, -half_c, half_c, _ZERO))
-        rows += [("small-p", (j,), _UNIT, -x[j], _HALF, _ZERO) for j in idx if x[j] >= _HALF]
+        rows += [("small-p", (j,), _UNIT, -x[j], _HALF, _ZERO) for j in idx if X[j] >= H]
     else:
-        rows += [("small-p", (j,), _UNIT, x_q - x[j], _ZERO, _ZERO) for j in idx if x[j] >= x_q]
-    rows += _cross_rows("cross-lambda", x, x_q, _ZERO, _ZERO)
+        rows += [
+            ("small-p", (j,), _UNIT, Fraction(Q - X[j], D), _ZERO, _ZERO) for j in idx if X[j] >= Q
+        ]
+    rows += _cross_rows("cross-lambda", X, Q, _ZERO, _ZERO)
     if high:
-        rows += _cross_rows("cross-mu", x, _HALF, -_HALF, _HALF)
+        rows += _cross_rows("cross-mu", X, H, -_HALF, _HALF)
     return rows
 
 
-def _cross_rows(family, x, level, t_coeff, logn_coeff) -> list[PieceRow]:
-    below = [i for i, xi in enumerate(x) if xi < level]
-    above = [j for j, xj in enumerate(x) if xj > level]
+def _cross_rows(family, X, level, t_coeff, logn_coeff) -> list[PieceRow]:
+    """Pairs X_i < level < X_j, weighted (X_j − level, level − X_i)/(X_j − X_i)."""
+    below = [i for i, v in enumerate(X) if v < level]
+    above = [j for j, v in enumerate(X) if v > level]
     rows = []
     for i in below:
         for j in above:
-            w = (level - x[i]) / (x[j] - x[i])
-            rows.append((family, (i, j), (1 - w, w), t_coeff, logn_coeff, _ZERO))
+            span = X[j] - X[i]
+            weights = (Fraction(X[j] - level, span), Fraction(level - X[i], span))
+            rows.append((family, (i, j), weights, t_coeff, logn_coeff, _ZERO))
     return rows

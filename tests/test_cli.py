@@ -147,6 +147,10 @@ def test_finite_input_validation(capsys):
     )
     assert code == 4 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    # A zero or negative radius is refused with one line, one ball or several.
+    for balls in ("2:0", "2:0,5:1", "2:-1", "2:-1,5:1", "inf:0"):
+        code, out, err = run(capsys, "finite", "--N", "8", "--n", "2", "--q", "3", "--balls", balls)
+        assert (code, out, err) == (4, "", "error: ball radius must be positive\n")
 
 
 @pytest.mark.parametrize(
@@ -253,6 +257,12 @@ def test_verify_zero_samples_passes(capsys):
     code, out, _ = run(capsys, "verify", "--samples", "0")
     assert code == 0
     assert out.endswith("result: PASS (0 failures)\n")
+
+
+def test_verify_refuses_a_negative_identity_point_count(capsys):
+    code, out, err = run(capsys, "verify", "--samples", "3", "--identity-points", "-1")
+    assert (code, out) == (4, "")
+    assert err == "error: --identity-points must be ≥ 0, got -1\n"
 
 
 def test_verify_runs_are_byte_identical(capsys):

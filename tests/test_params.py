@@ -209,3 +209,93 @@ def test_interp_weights_hit_their_levels_exactly(spec):
             assert w_i * (1 / spec.p[i]) + w_j * (1 / spec.p[j]) == levels[family]
             assert w_i == 1 - w_j
             assert 0 < w_j < 1
+
+
+# ---------------------------------------------------------------------------
+# the one-denominator arithmetic against plain Fraction formulas
+
+
+@st.composite
+def threshold_specs(draw):
+    """Specs at d = 2..16 whose p_j may sit on q or on 2."""
+    d = draw(st.integers(2, MAX_DIMENSION))
+    q = 1 + draw(rationals)
+    p = st.one_of(rationals.map(lambda x: 1 + x), st.just(q), st.just(F(2)))
+    return ProblemSpec(
+        r=[x + F(1, 8) for x in draw(st.lists(rationals, min_size=d, max_size=d))],
+        p=draw(st.lists(p, min_size=d, max_size=d)),
+        q=q,
+    )
+
+
+def _plain_rows(x, x_q, high):
+    """The piece table of `piece_rows`' docstring, one Fraction step at a time."""
+    d, half = len(x), F(1, 2)
+    rows = [("large-p", (j,), (1,), 0, 0, x_q - x[j]) for j in range(d) if x[j] <= x_q]
+    if high:
+        theta_q = half - x_q
+        for j in range(d):
+            if x_q <= x[j] <= half:
+                c = (x[j] - x_q) / theta_q
+                rows.append(("mid-p", (j,), (1,), -c / 2, c / 2, 0))
+        rows += [("small-p", (j,), (1,), -x[j], half, 0) for j in range(d) if x[j] >= half]
+    else:
+        rows += [("small-p", (j,), (1,), x_q - x[j], 0, 0) for j in range(d) if x[j] >= x_q]
+    levels = [("cross-lambda", x_q, 0, 0)] + ([("cross-mu", half, -half, half)] if high else [])
+    for family, level, t_coeff, logn_coeff in levels:
+        for i in range(d):
+            for j in range(d):
+                if x[i] < level < x[j]:
+                    lam = (level - x[i]) / (x[j] - x[i])
+                    rows.append((family, (i, j), (1 - lam, lam), t_coeff, logn_coeff, 0))
+    return rows
+
+
+def _all_fractions(rows):
+    return all(
+        type(v) is F for row in rows for v in (*row[2], *row[3:])
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(threshold_specs())
+def test_spec_invariants_match_plain_fraction_formulas(spec):
+    d, r, p, q = spec.d, spec.r, spec.p, spec.q
+    assert spec.x == tuple(F(1) / pj for pj in p)
+    assert spec.inv_r == tuple(F(1) / rj for rj in r)
+    assert spec.x_q == F(1) / q
+    assert spec.reg_sums == tuple(
+        sum((F(1) / r[i]) * (F(1) / p[i] - F(1) / p[j]) for i in range(d)) for j in range(d)
+    )
+    r_mean = d / sum(F(1) / rj for rj in r)
+    pr_mean = d / sum(F(1) / (pj * rj) for pj, rj in zip(p, r))
+    assert spec.r_mean() == r_mean and spec.pr_mean() == pr_mean
+    assert spec.compact_margin() == r_mean / d + F(1) / q - r_mean / pr_mean
+    derived = (*spec.x, *spec.inv_r, spec.x_q, *spec.reg_sums)
+    assert all(type(v) is F for v in derived)
+    for high in _shapes(spec):
+        rows = spec.rows(high)
+        assert list(rows) == _plain_rows([F(1) / pj for pj in p], F(1) / q, high)
+        assert _all_fractions(rows)
+
+
+@st.composite
+def threshold_points(draw):
+    """(x̄, x_q) at d = 2..16 with x_j on x_q, on 1/2 or at 0 (p = ∞)."""
+    d = draw(st.integers(2, MAX_DIMENSION))
+    x_q = draw(st.fractions(min_value=0, max_value=1, max_denominator=12).filter(bool))
+    coord = st.one_of(
+        st.fractions(min_value=0, max_value=1, max_denominator=12),
+        st.sampled_from([x_q, F(1, 2), F(0)]),
+    )
+    return draw(st.lists(coord, min_size=d, max_size=d)), x_q
+
+
+@settings(max_examples=100, deadline=None)
+@given(threshold_points())
+def test_piece_rows_match_plain_fraction_formulas(point):
+    x, x_q = point
+    for high in (False, True) if x_q < F(1, 2) else (False,):
+        rows = piece_rows(x, x_q, high)
+        assert rows == _plain_rows(x, x_q, high)
+        assert _all_fractions(rows)

@@ -47,6 +47,38 @@ EPIGRAPH_D4 = exponent._epigraph_lp(
 )[:5]
 
 
+def _standard_form(c, A_eq, b_eq, A_ub, b_ub):
+    """The rows [A | artificials | b] the solver starts from, and the artificial count.
+
+    Rows are the equalities, then one per A_ub row with its slack; a row
+    that starts on an artificial (every equality, and each A_ub row with
+    b < 0) is negated when b < 0 and gets a unit artificial column.
+    """
+    n_slack = len(A_ub or ())
+    rows = [list(row) + [F(0)] * n_slack + [b] for row, b in zip(A_eq or (), b_eq or ())]
+    starts = [None] * len(rows)
+    for k, (row, b) in enumerate(zip(A_ub or (), b_ub or ())):
+        rows.append(list(row) + [F(int(i == k)) for i in range(n_slack)] + [b])
+        starts.append(None if b < 0 else len(c) + k)
+    art_rows = [i for i, s in enumerate(starts) if s is None]
+    for i in art_rows:
+        if rows[i][-1] < 0:
+            rows[i] = [-v for v in rows[i]]
+    for i, row in enumerate(rows):
+        row[-1:-1] = [F(int(i == k)) for k in art_rows]
+    return rows, len(art_rows)
+
+
+def _expanded(ints, den, basis, cols, row, width):
+    """One stored row as a full tableau row over labels 0..width−1 and b."""
+    full = [F(0)] * width + [F(ints[-1], den)]
+    for label, v in zip(cols, ints):
+        full[label] = F(v, den)
+    if row is not None:
+        full[basis[row]] = F(1)
+    return full
+
+
 @pytest.mark.parametrize(
     "c,A_eq,b_eq,A_ub,b_ub,value,x,kinds,arts",
     [
@@ -66,23 +98,49 @@ def test_carried_reduced_costs_match_recomputation_after_every_pivot(
     n_slack = len(A_ub or ())
     n_std = len(c) + n_slack  # variables, then one slack per A_ub row
     c_std = c + [F(0)] * n_slack
+    original, n_orig_art = _standard_form(c, A_eq, b_eq, A_ub, b_ub)
+    assert n_orig_art == arts  # artificials only on rows without a feasible slack
     real = simplex._pivot
     pivots = []
 
-    def checked(A, D, basis, row, col):
+    def checked(A, D, basis, cols, row, col):
         if len(A) - len(basis) == 2:
             kind = "phase 1"
         else:
             kind = "drive-out" if basis[row] >= n_std else "phase 2"
         degenerate = A[row][-1] == 0
-        real(A, D, basis, row, col)
-        # Every row is integers over a positive, gcd-reduced denominator.
+        # Bland's rule on labels, wherever the pivot permuted the columns:
+        # the lowest label enters, and the least ratio b_i/a_i leaves, ties
+        # to the lowest basic label.  An artificial is driven out on the
+        # lowest standard-form label with a nonzero entry in its row.
+        if kind == "drive-out":
+            assert cols[col] == min(lb for lb, v in zip(cols, A[row]) if lb < n_std and v)
+        else:
+            assert cols[col] == min(lb for lb, v in zip(cols, A[len(basis)]) if v < 0)
+            ratios = [
+                (F(a[-1], a[col]), basis[i]) for i, a in enumerate(A[: len(basis)]) if a[col] > 0
+            ]
+            assert (F(A[row][-1], A[row][col]), basis[row]) == min(ratios)
+        real(A, D, basis, cols, row, col)
+        # Every row is integers over a positive, gcd-reduced denominator, one
+        # per nonbasic label and then b; basic and nonbasic labels split the
+        # columns, so the basic ones form the identity of the full tableau.
         assert all(den > 0 and gcd(den, *ints) == 1 for ints, den in zip(A, D))
+        assert all(len(ints) == len(cols) + 1 for ints in A)
+        n_art = sum(label >= n_std for label in [*basis, *cols])
+        assert n_art in (0, arts)
+        width = n_std + n_art
+        assert sorted([*basis, *cols]) == list(range(width))
         m = len(basis)  # constraint rows, then the carried reduced-cost rows
-        rows = [[F(v, den) for v in ints] for ints, den in zip(A[:m], D[:m])]
-        assert all(rows[i][basis[k]] == (i == k) for i in range(m) for k in range(m))
-        n_art = len(A[0]) - 1 - n_std  # the last column is the right-hand side
-        assert n_art in (0, arts)  # artificials only on rows without a feasible slack
+        rows = [_expanded(A[i], D[i], basis, cols, i, width) for i in range(m)]
+        # The full tableau is B⁻¹[A | b]: every original row is the
+        # combination of the tableau rows weighted by its basic entries
+        # (this also covers a dropped redundant row).  Once phase 1 is over
+        # the artificial columns are gone.
+        for orig in original:
+            orig = orig[:n_std] + orig[n_std + n_orig_art:] if not n_art else orig
+            combo = [sum(orig[basis[i]] * rows[i][j] for i in range(m)) for j in range(width + 1)]
+            assert combo == orig
         # The last carried row is always phase 2 (artificials cost 0); in
         # phase 1 the phase-1 row (artificials cost 1) precedes it.  Each
         # carries the negated objective value in its right-hand side.
@@ -91,7 +149,8 @@ def test_carried_reduced_costs_match_recomputation_after_every_pivot(
             expected.insert(0, [F(0)] * n_std + [F(1)] * n_art + [F(0)])
         assert len(A) - m == len(expected)
         for ints, den, cost in zip(A[m:], D[m:], expected):
-            assert [F(v, den) for v in ints] == _recomputed(rows, basis, cost)
+            carried = _expanded(ints, den, basis, cols, None, width)
+            assert carried == _recomputed(rows, basis, cost)
         pivots.append((kind, degenerate))
 
     monkeypatch.setattr(simplex, "_pivot", checked)
