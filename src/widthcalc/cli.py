@@ -261,7 +261,7 @@ def _cmd_regime(args: argparse.Namespace) -> int:
             "exponent": _json_rational(report.exponent) if report.exponent is not None else None,
             "thetas": {k: _json_rational(v) for k, v in sorted(report.thetas.items())},
             "margin": _json_rational(spec.compact_margin()),
-            "regularity_sums": [str(m) for m in closedform.regularity_sums(spec)],
+            "regularity_sums": [str(m) for m in spec.reg_sums],
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:

@@ -54,10 +54,8 @@ from .params import ProblemSpec
 __all__ = [
     "RegimeReport",
     "CASE_LABELS",
-    "check_bounded",
     "check_compact",
     "check_regularity",
-    "regularity_sums",
     "noncompact_screen",
     "regular_exponent",
     "small_smoothness_exponent",
@@ -91,15 +89,6 @@ class RegimeReport:
     thetas: dict[str, Fraction] = field(default_factory=dict)
     exponent: Fraction | None = None
     tie: bool = False
-
-
-def regularity_sums(spec: ProblemSpec) -> tuple[Fraction, ...]:
-    """M_j = Σ_i (1/r_i)(1/p_i − 1/p_j) for each j."""
-    return spec.reg_sums
-
-
-def check_bounded(spec: ProblemSpec) -> bool:
-    return spec.compact_margin() >= 0
 
 
 def check_regularity(spec: ProblemSpec) -> bool:

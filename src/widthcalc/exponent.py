@@ -123,10 +123,10 @@ def _epigraph_lp(obj: PiecewiseMax):
     t = t⁺ − t⁻ (θ may be negative for non-compact classes).  The rows are
     (Σ α − σ = 1 or Σ α = 1), then σ ≤ q/2 − 1 when there is an s, then one
     row per piece.  Each ≤ row is its rational row times the lcm of its
-    denominators, so every row is a list of `int`s; those factors come back
-    last.  The piece rows have b = −const − s_coeff ≥ 0, so each starts on
-    its slack, and scaling a row that starts on its slack changes neither
-    the pivots nor which slacks are zero.
+    denominators, so every row is a list of `int`s.  The piece rows have
+    b = −const − s_coeff ≥ 0, so each starts on its slack, and scaling a row
+    that starts on its slack changes neither the pivots nor which slacks
+    are zero.  Returns (cost, A_eq, b_eq, A_ub, b_ub) for `solve_lp`.
     """
     d = obj.dim
     n = d + (1 if obj.has_s else 0) + 2
@@ -136,14 +136,13 @@ def _epigraph_lp(obj: PiecewiseMax):
     if obj.has_s:
         row[d] = -1
     A_eq, b_eq = [row], [1]
-    A_ub, b_ub, scale = [], [], []
+    A_ub, b_ub = [], []
     if obj.has_s:
         bound = obj.s_max - _ONE
         up = [0] * n
         up[d] = bound.denominator
         A_ub.append(up)
         b_ub.append(bound.numerator)
-        scale.append(bound.denominator)
     for piece in obj.pieces:
         const = piece.const
         terms = [(i, c) for i, c in enumerate(piece.coeffs) if c]
@@ -157,113 +156,81 @@ def _epigraph_lp(obj: PiecewiseMax):
         A_ub.append(row)
         # piece ≤ t with s = 1 + σ folds s_coeff into the constant.
         b_ub.append(-const.numerator * (den // const.denominator) - (row[d] if obj.has_s else 0))
-        scale.append(den)
-    return cost, A_eq, b_eq, A_ub, b_ub, scale
+    return cost, A_eq, b_eq, A_ub, b_ub
 
 
-def _face_is_a_point(obj: PiecewiseMax, theta: Fraction) -> bool:
-    """Probe each coordinate's minimum and maximum over the optimal face.
-
-    The face is the epigraph LP's feasible set with t⁺ − t⁻ = θ added:
-    every point of the domain has objective ≥ θ, so pieces ≤ θ pins it
-    exactly.  The t⁺/t⁻ columns are not probed; only their difference is
-    fixed.
-    """
-    _, A_eq, b_eq, A_ub, b_ub, _ = _epigraph_lp(obj)
-    n = len(A_eq[0])
-    pin = [0] * n
-    pin[n - 2], pin[n - 1] = 1, -1
-    A_eq, b_eq = A_eq + [pin], b_eq + [theta]
-    for var in range(n - 2):
-        c = [0] * n
-        c[var] = 1
-        lo = solve_lp(c, A_eq, b_eq, A_ub, b_ub)
-        c[var] = -1
-        hi = solve_lp(c, A_eq, b_eq, A_ub, b_ub)
-        if lo.status != "optimal" or hi.status != "optimal":
-            raise ParameterError("optimal face probe failed")
-        if lo.value != -hi.value:
-            return False
-    return True
-
-
-def _tableau_certifies_unique(res, split: tuple[int, int]) -> bool:
-    """Whether the optimal tableau alone proves the argmin unique.
+def _argmin_is_unique(res, cost, A_eq, b_eq, A_ub, b_ub) -> bool:
+    """Whether the optimal vertex `res` of the epigraph LP is its only argmin.
 
     At an optimum every feasible point costs θ plus Σ rc_j x_j over the
-    nonbasic columns, so a column with a strictly positive reduced cost is
-    zero on the whole optimal face.  If that holds for every nonbasic
-    column, the optimal basic solution is the only optimum (Mangasarian,
-    "Uniqueness of solution in linear programming", LAA 25, 1979).  The
-    split t = t⁺ − t⁻ is exempt: its columns are negatives of each other,
-    one of them is basic, and the other has reduced cost 0 and moves only
-    the split, never (ᾱ, s) or t.  A zero reduced cost elsewhere (a
-    dual-degenerate optimum) leaves the question open.
+    standard-form columns (the variables, then one slack per ≤ row), so the
+    optimal face is the feasible set with every column of positive reduced
+    cost held at 0.  The free columns are the nonbasic ones with reduced
+    cost 0, except the split t = t⁺ − t⁻: its columns are negatives of each
+    other, one of them is basic, and the other moves only the split, never
+    (ᾱ, s) or t.  The vertex is the only optimum iff every free column is 0
+    on the whole face (Mangasarian, "Uniqueness of solution in linear
+    programming", LAA 25, 1979).  With no free column that is read off the
+    tableau.  Otherwise one LP over the face maximises the sum of the free
+    columns: a structural column of positive reduced cost is dropped, a ≤
+    row whose slack has positive reduced cost becomes an equality, the other
+    ≤ rows stay ≤ rows, and a free slack k enters the sum as b_k − A_k·x.
+    The argmin is unique iff that maximum is 0.
     """
+    n = len(cost)
+    rc = res.reduced_costs
     basic = set(res.basis)
-    return all(
-        rc > 0
-        for j, rc in enumerate(res.reduced_costs)
-        if j not in basic and j not in split
+    free = {j for j, v in enumerate(rc) if not v and j not in basic and j not in (n - 2, n - 1)}
+    if not free:
+        return True
+    # Σ free = Σ_k b_k − c·x over the free slacks k, so its maximum is 0 iff
+    # the least c·x over the face is Σ_k b_k.
+    slacks = [j - n for j in free if j >= n]
+    c = [sum(A_ub[k][j] for k in slacks) - (j in free) for j in range(n)]
+    keep = [j for j in range(n) if not rc[j]]
+    # A ≤ row whose slack has positive reduced cost is an equality on the face.
+    tight = [k for k in range(len(A_ub)) if rc[n + k]]
+    loose = [k for k in range(len(A_ub)) if not rc[n + k]]
+    face = solve_lp(
+        [c[j] for j in keep],
+        [[row[j] for j in keep] for row in A_eq + [A_ub[k] for k in tight]],
+        b_eq + [b_ub[k] for k in tight],
+        [[A_ub[k][j] for j in keep] for k in loose],
+        [b_ub[k] for k in loose],
     )
-
-
-def _vertex_from_artificials(cost, A_eq, b_eq, A_ub, b_ub, scale):
-    """(x, slacks) of the epigraph LP solved with every row on an artificial.
-
-    Each ≤ row goes in as an equality row over its own explicit slack
-    column, at its rational scale (row / scale), so phase 1 starts with an
-    artificial on every row and minimises their plain sum.
-    """
-    n, k = len(cost), len(A_ub)
-    rows = [row + [0] * k for row in A_eq]
-    for j, (row, f) in enumerate(zip(A_ub, scale)):
-        unit = [0] * k
-        unit[j] = 1
-        rows.append([Fraction(v, f) for v in row] + unit)
-    b = b_eq + [Fraction(v, f) for v, f in zip(b_ub, scale)]
-    res = solve_lp(cost + [0] * k, rows, b)
-    return res.x[:n], res.x[n:]
+    if face.status != "optimal":  # the face is bounded in (ᾱ, s, t) and holds the vertex
+        raise ParameterError(f"optimal face LP status {face.status}")
+    return face.value == sum(b_ub[k] for k in slacks)
 
 
 def minimize(obj: PiecewiseMax) -> ExponentResult:
     """Exact minimum of the objective over its domain, with uniqueness.
 
-    The epigraph LP gives θ, read off its final reduced-cost row, and an
-    optimal vertex.  Uniqueness is read off its optimal tableau when every
-    nonbasic reduced cost (the t⁺/t⁻ split aside) is strictly positive.
-    Otherwise it is decided by probing the optimal face: the face is a
-    polytope, and it is a single point iff every coordinate has equal
-    minimum and maximum over it (face dimension zero).
-
-    The active pieces are those whose epigraph row has a zero slack at the
-    vertex: there t = θ, the maximum of the pieces.  θ and uniqueness do
-    not depend on the vertex.  A unique argmin is the vertex every start
-    reaches; when the argmin is not unique, the LP is solved once more from
-    an artificial on every row, and the argmin and active pieces are read
-    from that vertex, so the reported point of a flat objective stays fixed.
+    One epigraph LP gives θ, read off its final reduced-cost row, and an
+    optimal vertex, which is the reported argmin.  The active pieces are
+    those whose epigraph row has a zero slack at that vertex: there t = θ,
+    the maximum of the pieces.  Whether the argmin is the only minimiser is
+    decided from the same optimal tableau by `_argmin_is_unique`, which
+    solves one more LP, over the optimal face, only when a nonbasic column
+    other than the t⁺/t⁻ split has reduced cost 0.  θ and uniqueness do not depend on the
+    vertex; a unique argmin is the vertex every start reaches, and a
+    non-unique one is the vertex this solve stops at.
     """
     if not obj.pieces:
         raise ParameterError("objective has no pieces")
-    cost, A_eq, b_eq, A_ub, b_ub, scale = _epigraph_lp(obj)
-    res = solve_lp(cost, A_eq, b_eq, A_ub, b_ub)
+    lp = _epigraph_lp(obj)
+    res = solve_lp(*lp)
     if res.status != "optimal":  # the domain is compact and nonempty
         raise ParameterError(f"degenerate objective: LP status {res.status}")
-    theta = res.value
-    split = (len(cost) - 2, len(cost) - 1)
-    unique = _tableau_certifies_unique(res, split) or _face_is_a_point(obj, theta)
-    x, slack = res.x, res.slack
-    if not unique:
-        x, slack = _vertex_from_artificials(cost, A_eq, b_eq, A_ub, b_ub, scale)
     d = obj.dim
-    first = len(A_ub) - len(obj.pieces)  # the σ bound row comes first
+    first = len(res.slack) - len(obj.pieces)  # the σ bound row comes first
     return ExponentResult(
-        theta=theta,
-        argmin_alpha=x[:d],
-        argmin_s=_ONE + x[d] if obj.has_s else None,
-        unique=unique,
+        theta=res.value,
+        argmin_alpha=res.x[:d],
+        argmin_s=_ONE + res.x[d] if obj.has_s else None,
+        unique=_argmin_is_unique(res, *lp),
         active_pieces=tuple(
-            piece.provenance for piece, gap in zip(obj.pieces, slack[first:]) if not gap
+            piece.provenance for piece, gap in zip(obj.pieces, res.slack[first:]) if not gap
         ),
     )
 

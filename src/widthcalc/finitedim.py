@@ -86,7 +86,11 @@ class BallSpec:
 
 @dataclass(frozen=True)
 class IntersectionSpec:
-    """M0 = ∩ ν_α B_{p_α}^N viewed in ℓ_q^N with an approximation budget n."""
+    """M0 = ∩ ν_α B_{p_α}^N viewed in ℓ_q^N with an approximation budget n.
+
+    Construction also keeps, once, the tuples `x` (1/p_α, with 1/∞ = 0) and
+    `nu` (ν_α) of the balls.  They take no part in ==, hash or repr.
+    """
 
     N: int
     n: int
@@ -110,6 +114,10 @@ class IntersectionSpec:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "balls", balls)
+        # Frozen: the derived values go straight into the instance dict.
+        self.__dict__.update(
+            x=tuple(inv_exponent(b.p) for b in balls), nu=tuple(b.nu for b in balls)
+        )
 
 
 @dataclass(frozen=True)
@@ -265,13 +273,11 @@ def _gaussian_factor(spec: IntersectionSpec) -> PowerProduct:
 
 def _terms(spec: IntersectionSpec) -> list[tuple[str, tuple[int, ...], PowerProduct]]:
     """The display terms in deterministic order: (family, indices, value)."""
-    nu = [b.nu for b in spec.balls]
+    nu = spec.nu
     high = spec.q > 2
     g = _gaussian_factor(spec) if high else None
     out = []
-    for family, idx, weights, _, logn_coeff, n_power in piece_rows(
-        [inv_exponent(b.p) for b in spec.balls], _ONE / spec.q, high
-    ):
+    for family, idx, weights, _, logn_coeff, n_power in piece_rows(spec.x, _ONE / spec.q, high):
         factors = [nu[i] ** w for i, w in zip(idx, weights)]
         if n_power:
             factors.append(PowerProduct.from_pow(spec.N, n_power))
@@ -365,8 +371,7 @@ def _vk_certificate(
     The scale is chosen so the certified value equals the branch term
     exactly: scale · (V_k width bound) = branch.
     """
-    x = [inv_exponent(b.p) for b in spec.balls]
-    nu = [b.nu for b in spec.balls]
+    x, nu = spec.x, spec.nu
     bound = (
         PowerProduct.from_pow(k, _HALF) * _gaussian_factor(spec)
         if high_side
@@ -405,7 +410,7 @@ def _vk_certificate(
 
 
 def _b1_certificate(spec: IntersectionSpec, alpha: int) -> LowerBoundCertificate:
-    nu = [b.nu for b in spec.balls]
+    nu = spec.nu
     value = nu[alpha] if spec.q <= 2 else nu[alpha] * _gaussian_factor(spec)
     checks = [
         CheckedInequality(f"nu-min[gamma={g}]", nu[alpha], nu[g])
@@ -423,8 +428,7 @@ def _b1_certificate(spec: IntersectionSpec, alpha: int) -> LowerBoundCertificate
 
 
 def _binf_certificate(spec: IntersectionSpec, alpha: int) -> LowerBoundCertificate:
-    x = [inv_exponent(b.p) for b in spec.balls]
-    nu = [b.nu for b in spec.balls]
+    x, nu = spec.x, spec.nu
     N = spec.N
     scale = nu[alpha] * PowerProduct.from_pow(N, -x[alpha])
     value = nu[alpha] * PowerProduct.from_pow(N, _ONE / spec.q - x[alpha])
@@ -498,10 +502,10 @@ def classify_branch(spec: IntersectionSpec):
     _check_display_range(spec)
     high = spec.q > 2
     x_q = _ONE / spec.q
-    x = [inv_exponent(b.p) for b in spec.balls]
+    x = spec.x
     if x_q in x or (high and _HALF in x):
         return "unclassified", None
-    nu = [b.nu for b in spec.balls]
+    nu = spec.nu
     idx = range(len(spec.balls))
     large = [a for a in idx if x[a] < x_q]
     mid = [a for a in idx if x_q < x[a] < _HALF]

@@ -11,7 +11,6 @@ from widthcalc.closedform import (
     check_regularity,
     classify_regime,
     noncompact_screen,
-    regularity_sums,
 )
 from widthcalc.exponent import build_objective, minimize
 from widthcalc.params import ProblemSpec
@@ -104,7 +103,7 @@ def test_all_large_row_never_needs_regularity():
 
 def test_regularity_sums_sum_signs():
     spec = _spec((1, "1/4"), (8, "8/5"), 2)
-    assert regularity_sums(spec) == (F(2), F(-1, 2))
+    assert spec.reg_sums == (F(2), F(-1, 2))
     assert not check_regularity(spec)
 
 

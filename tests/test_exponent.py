@@ -1,5 +1,6 @@
 """The piecewise objective and its exact LP minimisation."""
 
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
@@ -53,43 +54,87 @@ def test_small_smoothness_minimum_sits_on_a_vertex():
     assert any(t[0] == "cross-lambda" for t in res.active_pieces)
 
 
-def _tableau_verdict(obj):
-    """(θ, whether the optimal epigraph tableau alone certifies uniqueness)."""
-    cost, A_eq, b_eq, A_ub, b_ub, _ = exponent._epigraph_lp(obj)
-    res = solve_lp(cost, A_eq, b_eq, A_ub, b_ub)
-    split = (len(cost) - 2, len(cost) - 1)
-    return res.value, exponent._tableau_certifies_unique(res, split)
-
-
-def _spy_on_probes(monkeypatch):
+@contextmanager
+def _lp_counter():
+    """A list that gains one entry per LP `minimize` solves inside the block."""
     calls = []
-    real = exponent._face_is_a_point
+    real = exponent.solve_lp
 
-    def spy(obj, theta):
-        calls.append(theta)
-        return real(obj, theta)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(exponent, "_face_is_a_point", spy)
-    return calls
+    exponent.solve_lp = counted
+    try:
+        yield calls
+    finally:
+        exponent.solve_lp = real
 
 
-def test_flat_objective_reports_non_unique_argmin(monkeypatch):
+def _epigraph_rows(obj):
+    """The epigraph LP, built here from the pieces in `Fraction`s.
+
+    (cost, A_eq, b_eq, A_ub, b_ub) over α [, σ], t⁺, t⁻ with s = 1 + σ and
+    t = t⁺ − t⁻: Σα − σ = 1, then σ ≤ q/2 − 1, then piece ≤ t per piece.
+    """
+    d = obj.dim
+    eq = [F(1)] * d + [F(-1)] * obj.has_s + [F(0), F(0)]
+    A_ub, b_ub = [], []
+    if obj.has_s:
+        A_ub.append([F(0)] * d + [F(1), F(0), F(0)])
+        b_ub.append(obj.s_max - 1)
+    for pc in obj.pieces:
+        s_part = [pc.s_coeff] if obj.has_s else []
+        A_ub.append(list(pc.coeffs) + s_part + [F(-1), F(1)])
+        b_ub.append(-pc.const - sum(s_part, F(0)))
+    cost = [F(0)] * (len(eq) - 2) + [F(1), F(-1)]
+    return cost, [eq], [F(1)], A_ub, b_ub
+
+
+def _face_is_a_point(obj, theta):
+    """Reference verdict: probe each coordinate over the optimal face.
+
+    The face is the epigraph LP's feasible set with t⁺ − t⁻ = θ added:
+    every point of the domain has objective ≥ θ, so pieces ≤ θ pins it
+    exactly.  It is a point iff every coordinate of (ᾱ, σ) has equal
+    minimum and maximum over it, up to 2(d + 1) LPs.  The t⁺/t⁻ columns are
+    not probed; only their difference is fixed.
+    """
+    cost, A_eq, b_eq, A_ub, b_ub = _epigraph_rows(obj)
+    n = len(cost)
+    A_eq, b_eq = A_eq + [[F(0)] * (n - 2) + [F(1), F(-1)]], b_eq + [theta]
+    for var in range(n - 2):
+        c = [F(0)] * n
+        c[var] = F(1)
+        lo = solve_lp(c, A_eq, b_eq, A_ub, b_ub)
+        c[var] = F(-1)
+        hi = solve_lp(c, A_eq, b_eq, A_ub, b_ub)
+        assert lo.status == hi.status == "optimal"
+        if lo.value != -hi.value:
+            return False
+    return True
+
+
+def test_flat_objective_reports_non_unique_argmin():
     # r = (2, 2), p = (3, 3/2), q = 2 ties theta1 with the margin: the
-    # optimal face is a segment, not a point.  The tableau cannot certify
-    # that, so the face probes decide.
+    # optimal face is a segment, not a point.  The tableau leaves a free
+    # column, so one LP over the optimal face decides.
     obj = build_objective(_spec((2, 2), (3, "3/2"), 2))
-    assert not _tableau_verdict(obj)[1]
-    probes = _spy_on_probes(monkeypatch)
-    res = minimize(obj)
+    with _lp_counter() as lps:
+        res = minimize(obj)
     assert res.theta == F(1)
-    assert probes == [F(1)]
+    assert len(lps) == 2
     assert not res.unique
+    assert not _face_is_a_point(obj, res.theta)
+    # The reported argmin is the vertex the epigraph solve stops at.
+    assert res.argmin_alpha == (F(1, 2), F(1, 2))
+    assert res.active_pieces == (("large-p", (0,)), ("cross-lambda", (0, 1)))
 
 
-def test_generic_objective_is_certified_without_probes(monkeypatch):
-    probes = _spy_on_probes(monkeypatch)
-    res = minimize(build_objective(_spec((1, 1), (3, 3), 2)))
-    assert res.unique and probes == []
+def test_generic_objective_is_certified_without_probes():
+    with _lp_counter() as lps:
+        res = minimize(build_objective(_spec((1, 1), (3, 3), 2)))
+    assert res.unique and len(lps) == 1
 
 
 def _seeded_specs(rng, per_side):
@@ -106,27 +151,33 @@ def _seeded_specs(rng, per_side):
 
 
 def test_tableau_certificate_agrees_with_face_probes_at_higher_d():
-    certified = 0
+    certified = faced_unique = 0
     specs = list(_seeded_specs(Lcg(2024), per_side=2))
     for spec in specs:
         obj = build_objective(spec)
-        theta, cert = _tableau_verdict(obj)
-        probed = exponent._face_is_a_point(obj, theta)
-        if cert:
+        with _lp_counter() as lps:
+            res = minimize(obj)
+        assert res.theta == solve_lp(*_epigraph_rows(obj)).value
+        probed = _face_is_a_point(obj, res.theta)
+        assert res.unique == probed, spec
+        assert len(lps) <= 2
+        if len(lps) == 1:
             certified += 1
             assert probed, spec
-        res = minimize(obj)
-        assert res.theta == theta
-        assert res.unique == probed, spec
+        elif probed:
+            faced_unique += 1
     assert certified >= len(specs) // 2
-    print(f"PASS: {certified} of {len(specs)} specs certified by the tableau")
+    print(f"PASS: {certified} of {len(specs)} specs certified by the tableau, "
+          f"{faced_unique} unique by the face LP")
 
 
-# Two specs at d = 16, the largest d the package accepts.  Their θ and
-# uniqueness verdicts were computed once with the earlier simplex, which
-# pivoted on a `Fraction` tableau (about 15 s for the q = 5 spec), and are
-# frozen here.  The last field is the exact compactness verdict: the q = 5
-# spec has θ > 0 but margin −3862663/41018435, so it is not compact.
+# Specs at d = 16, the largest d the package accepts.  The θ and
+# uniqueness verdicts of the first two were computed once with the earlier
+# simplex, which pivoted on a `Fraction` tableau (about 15 s for the q = 5
+# spec), and are frozen here; the third, a flat optimum, was computed with
+# the per-coordinate face probes.  The last field is the exact compactness
+# verdict: the q = 5 spec has θ > 0 but margin −3862663/41018435, so it is
+# not compact.
 D16_ANCHORS = [
     (  # q > 2, not compact; p̄ has coordinates below 2, between 2 and q, above q
         "5/4,5/4,7/4,2,3/2,11/4,13/4,13/4,3/2,5/4,7/2,3/2,9/4,7/4,3/4,2",
@@ -144,11 +195,21 @@ D16_ANCHORS = [
         True,
         True,
     ),
+    (  # q = 2, flat: θ1 = margin = 1/8, so the optimal face is not a point
+        ",".join(["2"] * 16),
+        ",".join(["3", "3/2"] * 8),
+        "2",
+        F(1, 8),
+        False,
+        True,
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "r,p,q,theta,unique,compact", D16_ANCHORS, ids=["q5-noncompact", "q7_4-straddle"]
+    "r,p,q,theta,unique,compact",
+    D16_ANCHORS,
+    ids=["q5-noncompact", "q7_4-straddle", "q2-flat"],
 )
 def test_d16_exponents_match_frozen_anchors(r, p, q, theta, unique, compact):
     spec = _spec(r.split(","), p.split(","), q)
@@ -156,9 +217,11 @@ def test_d16_exponents_match_frozen_anchors(r, p, q, theta, unique, compact):
     assert min(spec.p) < spec.q < max(spec.p)
     if spec.q > 2:
         assert min(spec.p) < 2 < max(spec.p)
-    res = minimize(build_objective(spec))
+    with _lp_counter() as lps:
+        res = minimize(build_objective(spec))
     assert res.theta == theta
     assert res.unique is unique
+    assert len(lps) <= 2
     assert check_compact(spec) is compact
 
 
@@ -260,7 +323,7 @@ def regular_specs(draw):
 @given(regular_specs())
 def test_lp_sign_matches_the_margin_when_every_regularity_sum_is_below_one(spec):
     assert max(spec.reg_sums) < 1
-    theta, _ = _tableau_verdict(build_objective(spec))  # θ alone: no uniqueness probes
+    theta = solve_lp(*exponent._epigraph_lp(build_objective(spec))).value  # θ alone
     margin = spec.compact_margin()
     assert (theta > 0) == (margin > 0) and (theta < 0) == (margin < 0), (spec, theta, margin)
 
@@ -309,39 +372,32 @@ def threshold_specs(draw):
 def _solve_from_artificials(obj):
     """The epigraph LP with every row an equality over an explicit slack.
 
-    Built here from the pieces in `Fraction`s, so every row starts phase 1
-    on an artificial.
+    Every row then starts phase 1 on an artificial.
     """
-    d, k = obj.dim, len(obj.pieces) + obj.has_s
-    n = d + obj.has_s + 2
-    eq = [F(1)] * d + [F(-1)] * obj.has_s + [F(0), F(0)]
-    ub = [([F(0)] * d + [F(1), F(0), F(0)], obj.s_max - 1)] if obj.has_s else []
-    for pc in obj.pieces:
-        s_part = [pc.s_coeff] if obj.has_s else []
-        ub.append((list(pc.coeffs) + s_part + [F(-1), F(1)], -pc.const - sum(s_part, F(0))))
-    rows = [eq + [F(0)] * k]
-    rows += [row + [F(int(i == j)) for i in range(k)] for j, (row, _) in enumerate(ub)]
-    cost = [F(0)] * (n - 2) + [F(1), F(-1)] + [F(0)] * k
-    return solve_lp(cost, rows, [F(1)] + [b for _, b in ub]), n
+    cost, A_eq, b_eq, A_ub, b_ub = _epigraph_rows(obj)
+    k = len(A_ub)
+    rows = [row + [F(0)] * k for row in A_eq]
+    rows += [row + [F(int(i == j)) for i in range(k)] for j, row in enumerate(A_ub)]
+    return solve_lp(cost + [F(0)] * k, rows, b_eq + b_ub)
 
 
 @settings(max_examples=40, deadline=None)
 @given(threshold_specs())
 @example(_spec((2, 2), (3, "3/2"), 2))  # flat: the optimal face is a segment
 @example(_spec((3, "1/3", "11/3"), ("19/3", "3/2", "29/6"), "19/3"))  # θ = 0 on a face
+@example(_spec((1, 2), (6, "3/2"), 3))  # a zero reduced cost, yet the face is a point
 def test_active_pieces_and_verdict_agree_with_an_all_artificial_solve(spec):
     obj = build_objective(spec)
-    res = minimize(obj)
+    with _lp_counter() as lps:
+        res = minimize(obj)
+    assert len(lps) <= 2
     point = (res.argmin_alpha, res.argmin_s)
     assert res.active_pieces == tuple(
         pc.provenance for pc in obj.pieces if pc.value(*point) == res.theta
     )
-    ref, n = _solve_from_artificials(obj)
+    ref = _solve_from_artificials(obj)
     assert ref.value == res.theta
-    split = (n - 2, n - 1)
-    unique = exponent._tableau_certifies_unique(ref, split) or exponent._face_is_a_point(
-        obj, ref.value
-    )
+    unique = _face_is_a_point(obj, ref.value)
     assert unique is res.unique
     if unique:
         assert ref.x[: spec.d] == res.argmin_alpha

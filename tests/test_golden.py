@@ -84,7 +84,7 @@ ARGV = [
 
 GOLDEN = {
     "exp-d2-low": (0, "dba2ecb68c3b94afc35cd6b59dd9d5441b95ce4673c8706cbf2c4d9794389521"),
-    "exp-d2-flat": (3, "c1cce71daba14d60df123b06f75e0e3e5c056c7d2f4f44d2e7c1ac10eabab4c6"),
+    "exp-d2-flat": (3, "24de9300ec993ff9c6ac2b187031b9bc63435d792fa468b23bf98a9409542ddd"),
     "exp-d2-noncompact": (2, "f1cd53d1546735d9318a4cfa568f0430fc9032639d7514b0063b2c1e95a6035c"),
     "exp-d2-high": (0, "25fa4a4708ac3cb99221ade34119f8b724782a3f171126f3e6aca833fe616f87"),
     "exp-d4-high": (0, "cbdc7e350e206d577e0417e86d8202b4dff6ece9eca33482037d69909b0ec30a"),

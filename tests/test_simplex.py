@@ -44,7 +44,7 @@ ZERO_ONLY = ([F(1), F(-1), F(-1)], [[F(1), F(1), F(2)], [F(-2), F(1), F(0)]], [F
 # every ≤ row starts on its slack, so only Σ α − σ = 1 has an artificial.
 EPIGRAPH_D4 = exponent._epigraph_lp(
     build_objective(ProblemSpec(r=(1, 1, 1, 1), p=(3, F(3, 2), 5, F(9, 4)), q=F(7, 2)))
-)[:5]
+)
 
 
 def _standard_form(c, A_eq, b_eq, A_ub, b_ub):
