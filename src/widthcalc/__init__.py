@@ -19,8 +19,6 @@ from .exponent import (
     ExponentResult,
     PiecewiseMax,
     build_objective,
-    candidate_vertices,
-    classify_region,
     minimize,
     render_provenance,
 )
@@ -72,8 +70,6 @@ __all__ = [
     "ExponentResult",
     "PiecewiseMax",
     "build_objective",
-    "candidate_vertices",
-    "classify_region",
     "minimize",
     "render_provenance",
     "BallSpec",

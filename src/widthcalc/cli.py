@@ -42,7 +42,7 @@ from .finitedim import (
     intersection_order,
     single_ball_order,
 )
-from .params import MAX_DIMENSION, ParameterError, ProblemSpec, RangeError
+from .params import MAX_DIMENSION, ParameterError, ProblemSpec
 from .values import INF, PowerProduct, decimal_str, is_inf
 
 __all__ = ["main"]
@@ -403,7 +403,7 @@ def _sweep_row_n(spec: ProblemSpec | None, m_vec: tuple[int, ...], value: Fracti
         return ["n", str(value), "", "", "", "", "", "", "invalid"]
     try:
         order = dyadic_block_order(spec, m_vec, int(value))
-    except (ParameterError, RangeError):
+    except ParameterError:
         return ["n", str(value), "", "", "", "", "", "", "invalid"]
     if order.value.is_zero:
         num, den, dec = "0", "1", "0.0"
@@ -463,7 +463,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if points < 0:
             raise ParameterError(f"--identity-points must be ≥ 0, got {points}")
     report = oracle.cross_validate(samples, seed, grid=grid, identity_points=points)
-    sys.stdout.write(report.to_json() if args.json else report.to_text())
+    sys.stdout.write(report.to_json() if (args.format or "text") == "json" else report.to_text())
     return 0 if report.ok else 1
 
 
@@ -524,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", default=None)
     sub.add_argument("--grid", default=None, help="lattice denominator for brackets")
     sub.add_argument("--identity-points", dest="identity_points", default=None)
-    sub.add_argument("--json", action="store_const", const=True, default=None)
+    sub.add_argument("--format", choices=["text", "json"], default=None)
     sub.set_defaults(func=_cmd_verify)
     return parser
 
@@ -540,16 +540,14 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 4
+    # The config keys, each marked True when it is a boolean flag.
     flag_keys = {
-        dest: isinstance(getattr(args, dest), (bool, type(None)))
-        and dest in ("grid_check", "json")
-        for dest in vars(args)
-        if dest not in ("command", "func")
+        dest: dest == "grid_check" for dest in vars(args) if dest not in ("command", "func")
     }
     try:
         _merge_config(args, flag_keys)
         return args.func(args)
-    except (ParameterError, RangeError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

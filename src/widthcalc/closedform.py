@@ -119,12 +119,18 @@ def _theta1(spec: ProblemSpec) -> Fraction:
     return spec.r_mean() / spec.d
 
 
-def _strict_min(values: dict[str, Fraction]) -> tuple[Fraction | None, bool]:
-    """(strict minimum, tie flag): None exponent when the min is shared."""
-    items = sorted(values.items(), key=lambda kv: kv[1])
-    if len(items) > 1 and items[0][1] == items[1][1]:
-        return None, True
-    return items[0][1], False
+# Each case's exponent is the strict minimum of its rival thetas: these
+# rows name them, and every other case takes all of its thetas.
+_RIVALS = {"T1.2a": ("theta2",), "T1.3a": ("theta2", "theta3"), "T1.3b": ("theta1", "theta3")}
+
+
+def _strict_min(regular: bool, case: str, thetas: dict[str, Fraction]) -> RegimeReport:
+    """The compact report for `case`; ``uncovered`` with `tie` set when the
+    least of its rival thetas is shared."""
+    values = sorted(thetas[k] for k in _RIVALS.get(case, thetas))
+    if len(values) > 1 and values[0] == values[1]:
+        return RegimeReport(True, True, regular, "uncovered", thetas, None, tie=True)
+    return RegimeReport(True, True, regular, case, thetas, values[0])
 
 
 def regular_exponent(spec: ProblemSpec) -> RegimeReport | None:
@@ -134,46 +140,23 @@ def regular_exponent(spec: ProblemSpec) -> RegimeReport | None:
     regularity sums; the other rows do.
     """
     margin = spec.compact_margin()
-    bounded = margin >= 0
     regular = check_regularity(spec)
     q = spec.q
     t1 = _theta1(spec)
     if all(pj >= q for pj in spec.p):
         # margin >= theta1 > 0 automatically in this row.
-        return RegimeReport(
-            bounded=True,
-            compact=True,
-            regularity=regular,
-            case="T1.1",
-            thetas={"theta1": t1},
-            exponent=t1,
-        )
-    if margin <= 0 or not regular:
+        case, thetas = "T1.1", {"theta1": t1}
+    elif margin <= 0 or not regular:
         return None
-    if q <= 2:
+    elif q <= 2:
+        case = "T1.2a" if all(pj <= q for pj in spec.p) else "T1.2b"  # T1.2b: p̄ straddles q
         thetas = {"theta1": t1, "theta2": margin}
-        if all(pj <= q for pj in spec.p):
-            return RegimeReport(bounded, True, regular, "T1.2a", thetas, margin)
-        # p̄ straddles q
-        if t1 == margin:
-            return RegimeReport(bounded, True, regular, "uncovered", thetas, None, tie=True)
-        return RegimeReport(bounded, True, regular, "T1.2b", thetas, min(t1, margin))
-    # q > 2 with some p_j < q
-    t2 = t1 + _HALF - spec.r_mean() / spec.pr_mean()
-    t3 = (q / 2) * margin
-    thetas = {"theta1": t1, "theta2": t2, "theta3": t3}
-    if all(pj <= 2 for pj in spec.p):
-        if t2 == t3:
-            return RegimeReport(bounded, True, regular, "uncovered", thetas, None, tie=True)
-        return RegimeReport(bounded, True, regular, "T1.3a", thetas, min(t2, t3))
-    if all(pj >= 2 for pj in spec.p):
-        if t1 == t3:
-            return RegimeReport(bounded, True, regular, "uncovered", thetas, None, tie=True)
-        return RegimeReport(bounded, True, regular, "T1.3b", thetas, min(t1, t3))
-    exponent, tie = _strict_min(thetas)
-    if tie:
-        return RegimeReport(bounded, True, regular, "uncovered", thetas, None, tie=True)
-    return RegimeReport(bounded, True, regular, "T1.3c", thetas, exponent)
+    else:  # q > 2 with some p_j < q
+        low, high = all(pj <= 2 for pj in spec.p), all(pj >= 2 for pj in spec.p)
+        case = "T1.3a" if low else "T1.3b" if high else "T1.3c"
+        t2 = t1 + _HALF - spec.r_mean() / spec.pr_mean()
+        thetas = {"theta1": t1, "theta2": t2, "theta3": (q / 2) * margin}
+    return _strict_min(regular, case, thetas)
 
 
 def small_smoothness_exponent(spec: ProblemSpec) -> RegimeReport | None:
@@ -202,21 +185,14 @@ def small_smoothness_exponent(spec: ProblemSpec) -> RegimeReport | None:
     t1 = _theta1(spec)
     lam = (spec.x_q - x_hi) / (x_lo - x_hi)
     if q <= 2:
-        thetas = {"theta1": t1, "theta2": lam * r_lo}
-        exponent, tie = _strict_min(thetas)
-        case = "uncovered" if tie else "T4.1"
-        return RegimeReport(True, True, regular, case, thetas, exponent, tie)
-    s_hat = _ONE / (_ONE - r_lo * (_ONE - 2 / q) / (x_lo - x_hi))
-    if spec.p[lo] >= 2:
-        thetas = {"theta1": t1, "theta2": s_hat * lam * r_lo}
-        exponent, tie = _strict_min(thetas)
-        case = "uncovered" if tie else "T4.2a"
-        return RegimeReport(True, True, regular, case, thetas, exponent, tie)
-    mu = (_HALF - x_hi) / (x_lo - x_hi)
-    thetas = {"theta1": t1, "theta2": s_hat * lam * r_lo, "theta3": mu * r_lo}
-    exponent, tie = _strict_min(thetas)
-    case = "uncovered" if tie else "T4.2b"
-    return RegimeReport(True, True, regular, case, thetas, exponent, tie)
+        case, thetas = "T4.1", {"theta1": t1, "theta2": lam * r_lo}
+    else:
+        s_hat = _ONE / (_ONE - r_lo * (_ONE - 2 / q) / (x_lo - x_hi))
+        case, thetas = "T4.2a", {"theta1": t1, "theta2": s_hat * lam * r_lo}
+        if spec.p[lo] < 2:
+            mu = (_HALF - x_hi) / (x_lo - x_hi)
+            case, thetas["theta3"] = "T4.2b", mu * r_lo
+    return _strict_min(regular, case, thetas)
 
 
 def classify_regime(spec: ProblemSpec) -> RegimeReport:

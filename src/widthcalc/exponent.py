@@ -11,8 +11,10 @@ and x_q = 1/q (the large-p, mid-p, small-p, cross-lambda and cross-mu
 families, in that order); a family with no switched-on index contributes
 no pieces.
 
-The minimum, its argmin, whether the argmin is the unique minimiser, and
-the active pieces there are all computed exactly with a rational simplex.
+The minimum, its argmin, whether the argmin is the unique minimiser, the
+active pieces there and the dual weights of the pieces are all computed
+exactly with a rational simplex; `oracle.check_certificate` checks the
+minimum from the weights and the argmin without it.
 Whether the class is compactly embedded is not read off the sign of θ: the
 LP objective encodes the width estimate only under the paper's hypotheses,
 so compactness is decided by `closedform.check_compact`.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from ._simplex import solve_lp
@@ -33,12 +36,9 @@ __all__ = [
     "ExponentResult",
     "build_objective",
     "minimize",
-    "candidate_vertices",
-    "classify_region",
     "render_provenance",
 ]
 
-_HALF = Fraction(1, 2)
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
 
@@ -96,6 +96,22 @@ class ExponentResult:
     argmin_s: Fraction | None
     unique: bool
     active_pieces: tuple[Provenance, ...]
+
+    @cached_property
+    def weights(self) -> tuple[tuple[Provenance, Fraction], ...]:
+        """The LP dual weights λ_k > 0 of the pieces, by tag, in piece order.
+
+        λ_k is the reduced cost of piece k's slack in the optimal tableau
+        times that row's scale, its t⁻ coefficient, so Σ λ_k = 1.  Built on
+        first read from the tableau `minimize` keeps; no LP runs.
+        """
+        reduced_costs, A_ub, pieces = self._tableau
+        k = len(pieces)  # the piece rows, and their slacks, come last
+        return tuple(
+            (piece.provenance, rc * row[-1])
+            for piece, rc, row in zip(pieces, reduced_costs[-k:], A_ub[-k:])
+            if rc
+        )
 
 
 def build_objective(spec: ProblemSpec) -> PiecewiseMax:
@@ -214,7 +230,8 @@ def minimize(obj: PiecewiseMax) -> ExponentResult:
     solves one more LP, over the optimal face, only when a nonbasic column
     other than the t⁺/t⁻ split has reduced cost 0.  θ and uniqueness do not depend on the
     vertex; a unique argmin is the vertex every start reaches, and a
-    non-unique one is the vertex this solve stops at.
+    non-unique one is the vertex this solve stops at.  The dual weights
+    (`ExponentResult.weights`) come off the same tableau when first read.
     """
     if not obj.pieces:
         raise ParameterError("objective has no pieces")
@@ -224,7 +241,7 @@ def minimize(obj: PiecewiseMax) -> ExponentResult:
         raise ParameterError(f"degenerate objective: LP status {res.status}")
     d = obj.dim
     first = len(res.slack) - len(obj.pieces)  # the σ bound row comes first
-    return ExponentResult(
+    result = ExponentResult(
         theta=res.value,
         argmin_alpha=res.x[:d],
         argmin_s=_ONE + res.x[d] if obj.has_s else None,
@@ -233,101 +250,7 @@ def minimize(obj: PiecewiseMax) -> ExponentResult:
             piece.provenance for piece, gap in zip(obj.pieces, res.slack[first:]) if not gap
         ),
     )
+    # Frozen: the tableau goes straight into the instance dict, for `weights`.
+    result.__dict__["_tableau"] = (res.reduced_costs, lp[3], obj.pieces)
+    return result
 
-
-def candidate_vertices(
-    spec: ProblemSpec,
-) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
-    """The four candidate minimisers ξ_1..ξ_4 for q > 2 (exact).
-
-    ξ_1 = (ᾱ¹, 1), ξ_2 = (ᾱ², 1), ξ_3 = ((q/2)ᾱ², q/2), ξ_4 = ((q/2)ᾱ¹, q/2)
-
-    where ᾱ¹ equalises r_j α_j and ᾱ² equalises the small-p pieces:
-
-        α¹_j = (1/r_j) / Σ_i (1/r_i)
-        α²_j = (1 − Σ_i (1/r_i)(1/p_i − 1/p_j)) / (r_j Σ_i (1/r_i)).
-
-    Requires q > 2 and all regularity sums < 1 (so every ᾱ² coordinate is
-    positive and the points are genuinely inside the domain).
-    """
-    if spec.q <= 2:
-        raise ParameterError("candidate vertices are defined for q > 2")
-    margins = spec.reg_sums
-    if any(m >= 1 for m in margins):
-        raise ParameterError("regularity sums must all be < 1 for candidate vertices")
-    inv_r_sum = sum(spec.inv_r)
-    a1 = tuple(ir / inv_r_sum for ir in spec.inv_r)
-    a2 = tuple((_ONE - margins[j]) / (spec.r[j] * inv_r_sum) for j in range(spec.d))
-    half_q = spec.q / 2
-    a3 = tuple(half_q * v for v in a2)
-    a4 = tuple(half_q * v for v in a1)
-    return ((a1, _ONE), (a2, _ONE), (a3, half_q), (a4, half_q))
-
-
-def classify_region(
-    spec: ProblemSpec, alpha: tuple[Fraction, ...], s: Fraction
-) -> Provenance:
-    """Which piece is active at (ᾱ, s), decided by inequality systems only.
-
-    This is the deliberately LP-free route: each piece family owns a region
-    of the domain cut out by exact linear inequalities in (ᾱ, s), and the
-    active piece at a point can be read off from which system the point
-    satisfies.  Requires q > 2 and every p_i off the thresholds 2 and q
-    (on thresholds the regions are glued and the answer is ambiguous);
-    the point must be feasible.  Boundaries between regions are resolved
-    by scanning families in a fixed order, so the returned piece is always
-    one of the active ones.
-    """
-    q = spec.q
-    if q <= 2:
-        raise ParameterError("region classification is defined for q > 2")
-    for j, pj in enumerate(spec.p):
-        if pj == 2 or pj == q:
-            raise ParameterError(f"p{j + 1} on a threshold (2 or q): regions are glued")
-    d = spec.d
-    if len(alpha) != d:
-        raise ParameterError("point dimension mismatch")
-    if any(a < 0 for a in alpha) or sum(alpha) != s or not (_ONE <= s <= q / 2):
-        raise ParameterError("point is not in the feasible domain")
-    x = spec.x
-    g = [alpha[j] * spec.r[j] for j in range(d)]
-    theta_q = _HALF - spec.x_q
-    s1 = s - _ONE
-
-    I = [j for j, pj in enumerate(spec.p) if pj >= q]
-    J = [j for j, pj in enumerate(spec.p) if 2 <= pj <= q]
-    K = [j for j, pj in enumerate(spec.p) if pj <= 2]
-
-    def ratio(i: int, j: int) -> Fraction:
-        return (g[i] - g[j]) / (x[i] - x[j])
-
-    for j in I:
-        if all(g[j] - g[i] >= 0 for i in range(d)):
-            return ("large-p", (j,))
-    for j in J:
-        if all(g[j] - g[i] >= _HALF * ((x[j] - x[i]) / theta_q) * s1 for i in range(d)):
-            return ("mid-p", (j,))
-    for j in K:
-        if all(g[j] - g[i] >= s * x[j] - s * x[i] for i in range(d)):
-            return ("small-p", (j,))
-    for i in I:
-        for j in sorted(J + K):
-            if g[i] - g[j] > 0:
-                continue
-            if g[i] - g[j] < _HALF * ((x[i] - x[j]) / theta_q) * s1:
-                continue
-            rij = ratio(i, j)
-            if all(rij >= ratio(i, k) for k in J + K if k != j):
-                if all(rij <= ratio(k, j) for k in I if k != i):
-                    return ("cross-lambda", (i, j))
-    for i in sorted(I + J):
-        for j in K:
-            if g[i] - g[j] > _HALF * ((x[i] - x[j]) / theta_q) * s1:
-                continue
-            if g[i] - g[j] < s * x[i] - s * x[j]:
-                continue
-            rij = ratio(i, j)
-            if all(rij >= ratio(i, k) for k in K if k != j):
-                if all(rij <= ratio(k, j) for k in I + J if k != i):
-                    return ("cross-mu", (i, j))
-    raise ParameterError("no region system matched (should be impossible on the domain)")

@@ -150,7 +150,6 @@ class LowerBoundCertificate:
 class WidthOrder:
     value: PowerProduct
     branch: str
-    certificate: LowerBoundCertificate | None = None
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,7 @@ __all__ = [
     "sample_intersection",
     "h_low_style_value",
     "h_high_value",
+    "check_certificate",
     "GridBracket",
     "default_grid",
     "grid_minimize",
@@ -250,56 +251,58 @@ def sample_intersection(rng: Lcg, max_balls: int = 3) -> IntersectionSpec:
 
 
 def _low_style_pieces(spec: ProblemSpec):
-    """The low-q shape of the objective, regardless of the actual q."""
+    """The low-q shape of the objective, regardless of the actual q.
+
+    Each piece is (tag, coefficient map, s slope, constant), the tag being
+    (family, 0-based indices) as in `exponent.Provenance`.
+    """
     x_q = _ONE / spec.q
     x = [_ONE / pj for pj in spec.p]
     pieces = []
     for j in range(spec.d):
         if x[j] <= x_q:
-            pieces.append(({j: spec.r[j]}, Fraction(0), Fraction(0)))
+            pieces.append((("large-p", (j,)), {j: spec.r[j]}, Fraction(0), Fraction(0)))
         if x[j] >= x_q:
-            pieces.append(({j: spec.r[j]}, Fraction(0), x_q - x[j]))
-    for i in range(spec.d):
-        for j in range(spec.d):
-            if x[i] < x_q < x[j]:
-                lam = (x_q - x[i]) / (x[j] - x[i])
-                pieces.append(
-                    ({i: (1 - lam) * spec.r[i], j: lam * spec.r[j]}, Fraction(0), Fraction(0))
-                )
-    return pieces
+            pieces.append((("small-p", (j,)), {j: spec.r[j]}, Fraction(0), x_q - x[j]))
+    return pieces + _cross_pieces(spec, x, "cross-lambda", x_q, Fraction(0), Fraction(0))
 
 
 def _high_pieces(spec: ProblemSpec):
-    """The q > 2 objective in (ᾱ, s): coefficient maps, s slope, constant."""
+    """The q > 2 objective in (ᾱ, s): tag, coefficient map, s slope, constant."""
     x_q = _ONE / spec.q
     theta_q = _HALF - x_q
     x = [_ONE / pj for pj in spec.p]
     pieces = []
     for j in range(spec.d):
         if x[j] <= x_q:
-            pieces.append(({j: spec.r[j]}, Fraction(0), Fraction(0)))
+            pieces.append((("large-p", (j,)), {j: spec.r[j]}, Fraction(0), Fraction(0)))
         if x_q <= x[j] <= _HALF:
             cj = (x[j] - x_q) / theta_q
-            pieces.append(({j: spec.r[j]}, -cj / 2, cj / 2))
+            pieces.append((("mid-p", (j,)), {j: spec.r[j]}, -cj / 2, cj / 2))
         if x[j] >= _HALF:
-            pieces.append(({j: spec.r[j]}, -x[j], _HALF))
+            pieces.append((("small-p", (j,)), {j: spec.r[j]}, -x[j], _HALF))
+    return (
+        pieces
+        + _cross_pieces(spec, x, "cross-lambda", x_q, Fraction(0), Fraction(0))
+        + _cross_pieces(spec, x, "cross-mu", _HALF, -_HALF, _HALF)
+    )
+
+
+def _cross_pieces(spec: ProblemSpec, x, family, level, s_coeff, const):
+    """One piece per pair x_i < level < x_j, weighted (1 − w, w) so that
+    (1 − w)·x_i + w·x_j = level."""
+    pieces = []
     for i in range(spec.d):
         for j in range(spec.d):
-            if x[i] < x_q < x[j]:
-                lam = (x_q - x[i]) / (x[j] - x[i])
-                pieces.append(
-                    ({i: (1 - lam) * spec.r[i], j: lam * spec.r[j]}, Fraction(0), Fraction(0))
-                )
-            if x[i] < _HALF < x[j]:
-                mu = (_HALF - x[i]) / (x[j] - x[i])
-                pieces.append(
-                    ({i: (1 - mu) * spec.r[i], j: mu * spec.r[j]}, -_HALF, _HALF)
-                )
+            if x[i] < level < x[j]:
+                w = (level - x[i]) / (x[j] - x[i])
+                coeffs = {i: (1 - w) * spec.r[i], j: w * spec.r[j]}
+                pieces.append(((family, (i, j)), coeffs, s_coeff, const))
     return pieces
 
 
 def _piece_value(piece, alpha, s) -> Fraction:
-    coeffs, s_coeff, const = piece
+    _, coeffs, s_coeff, const = piece
     v = const + (s_coeff * s if s is not None else 0)
     for j, c in coeffs.items():
         v += c * alpha[j]
@@ -319,6 +322,56 @@ def h_high_value(spec: ProblemSpec, alpha, s) -> Fraction:
     alpha = tuple(as_fraction(a) for a in alpha)
     s = as_fraction(s)
     return max(_piece_value(pc, alpha, s) for pc in _high_pieces(spec))
+
+
+# ---------------------------------------------------------------------------
+# LP-duality certificate
+
+
+def check_certificate(spec: ProblemSpec, result) -> list[str]:
+    """The failed checks of a `minimize` result for `spec`; [] when all hold.
+
+    An LP-duality certificate (McConnell, Mehlhorn, Näher & Schweitzer,
+    "Certifying algorithms", Computer Science Review 5, 2011), checked on
+    this module's own pieces: the weights λ (`result.weights`) are positive
+    with sum 1 and name pieces of the objective; Σ λ_k·piece_k, affine and
+    below the objective, has least value θ over the domain's vertices; the
+    argmin is in the domain and the objective there is θ; and the active
+    pieces are the pieces worth θ there.  `unique` is not checked.
+    """
+    high = spec.q > 2
+    pieces = {pc[0]: pc for pc in (_high_pieces(spec) if high else _low_style_pieces(spec))}
+    theta, weights, alpha, s = result.theta, result.weights, result.argmin_alpha, result.argmin_s
+    failures = []
+    if any(w <= 0 for _, w in weights) or sum(w for _, w in weights) != 1:
+        failures.append(f"weights are not positive with sum 1: {weights}")
+    if any(tag not in pieces for tag, _ in weights):
+        failures.append(f"a weighted piece is not a piece of the objective: {weights}")
+    else:
+        # The low-shape pieces have no s term, so s = 1 evaluates them too.
+        vertices = [
+            ([c if i == j else 0 for i in range(spec.d)], c)
+            for c in ((_ONE, spec.q / 2) if high else (_ONE,))
+            for j in range(spec.d)
+        ]
+        bound = min(sum(w * _piece_value(pieces[tag], *v) for tag, w in weights) for v in vertices)
+        if bound != theta:
+            failures.append(f"dual bound {bound} != theta {theta}")
+    if (
+        len(alpha) != spec.d
+        or (s is None) == high
+        or min(alpha) < 0
+        or sum(alpha) != (s if high else 1)
+        or high and not _ONE <= s <= spec.q / 2
+    ):
+        return failures + [f"argmin {alpha}, s={s} is outside the domain"]
+    values = {tag: _piece_value(pc, alpha, s) for tag, pc in pieces.items()}
+    if max(values.values()) != theta:
+        failures.append(f"objective {max(values.values())} at the argmin != theta {theta}")
+    active = {tag for tag, v in values.items() if v == theta}
+    if len(result.active_pieces) != len(active) or set(result.active_pieces) != active:
+        failures.append(f"active pieces {result.active_pieces} != {sorted(active)}")
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +464,12 @@ def grid_minimize(spec: ProblemSpec, grid: int | None = None) -> GridBracket:
     # With s = Σā/G each piece is affine in ā: G·value = G·const +
     # Σ_j (coeff_j + s coeff)·ā_j.  One common denominator L makes every
     # row integer, so G·L·value is compared exactly as an int.
-    weights = [[cmap.get(j, 0) + sc for j in range(d)] for cmap, sc, _ in pieces]
+    weights = [[cmap.get(j, 0) + sc for j in range(d)] for _, cmap, sc, _ in pieces]
     L = math.lcm(
         *(v.denominator for w in weights for v in w), *(c0.denominator for *_, c0 in pieces)
     )
     rows = []
-    for w, (_, _, c0) in zip(weights, pieces):
+    for w, (*_, c0) in zip(weights, pieces):
         w = [int(v * L) for v in w]
         rows.append((int(c0 * L) * G, w, sorted(range(d), key=w.__getitem__)))
     heap: list = []
@@ -452,10 +505,10 @@ def grid_minimize(spec: ProblemSpec, grid: int | None = None) -> GridBracket:
         visit(lo[:j] + (mid + 1,) + lo[j + 1 :], hi)
     value, point = best
     lip = sum(
-        max(abs(cmap.get(j, Fraction(0))) for cmap, _, _ in pieces) for j in range(d)
+        max(abs(cmap.get(j, Fraction(0))) for _, cmap, _, _ in pieces) for j in range(d)
     )
     if has_s:
-        lip += max(abs(sc) for _, sc, _ in pieces)
+        lip += max(abs(sc) for _, _, sc, _ in pieces)
     return GridBracket(
         grid=G,
         best_value=Fraction(value, G * L),

@@ -275,13 +275,20 @@ def test_verify_runs_are_byte_identical(capsys):
     assert "seed=42 samples=18 grid=32" in out_a
 
 
-def test_verify_json_report(capsys):
-    code, out, _ = run(capsys, "verify", "--samples", "9", "--seed", "1", "--json")
+def test_verify_json_report(capsys, tmp_path):
+    code, out, _ = run(capsys, "verify", "--samples", "9", "--seed", "1", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["kind"] == "verification-report"
     assert payload["ok"] is True
     assert len(payload["records"]) == 9
+    # `--format` replaced `--json`, on the command line and in config files.
+    code, out, _ = run(capsys, "verify", "--samples", "0", "--json")
+    assert code == 4 and out == ""
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("json=yes\n")
+    code, out, err = run(capsys, "verify", "--samples", "0", "--config", str(cfg))
+    assert code == 4 and out == "" and "unknown config key" in err
 
 
 def test_verify_fails_loudly_on_an_injected_bug(capsys, monkeypatch):
@@ -418,7 +425,7 @@ def argvs(draw):
         opt("--r", st.lists(rational_text, min_size=d, max_size=d).map(",".join))
         opt("--p", st.lists(exponent_text, min_size=d, max_size=d).map(",".join))
         opt("--q", exponent_text)
-    if command in ("exponent", "regime", "finite"):
+    if command != "sweep":
         opt("--format", st.sampled_from(["text", "json"]), tenths_present=5)
     if command == "exponent" and draw(st.booleans()):
         argv.append("--grid-check")
@@ -440,8 +447,6 @@ def argvs(draw):
         opt("--seed", st.integers(-5, 2**40).map(str))
         opt("--grid", st.sampled_from(["0", "1", "4", "16", "-3", "10**9", "4000"]), tenths_present=5)
         opt("--identity-points", st.sampled_from(["0", "1", "2", "-1"]), tenths_present=5)
-        if draw(st.booleans()):
-            argv.append("--json")
     return argv
 
 

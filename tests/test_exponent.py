@@ -8,16 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import widthcalc.exponent as exponent
+import widthcalc.oracle as oracle
 from widthcalc._simplex import solve_lp
 from widthcalc.closedform import check_compact
-from widthcalc.exponent import (
-    build_objective,
-    candidate_vertices,
-    classify_region,
-    minimize,
-)
-from widthcalc.oracle import Lcg, h_high_value, h_low_style_value
-from widthcalc.params import MAX_DIMENSION, ParameterError, ProblemSpec
+from widthcalc.exponent import build_objective, minimize
+from widthcalc.oracle import Lcg, check_certificate, h_high_value, h_low_style_value
+from widthcalc.params import MAX_DIMENSION, ProblemSpec
 
 rationals = st.fractions(min_value=F(1, 6), max_value=F(6), max_denominator=10)
 
@@ -222,42 +218,8 @@ def test_d16_exponents_match_frozen_anchors(r, p, q, theta, unique, compact):
     assert res.theta == theta
     assert res.unique is unique
     assert len(lps) <= 2
+    assert check_certificate(spec, res) == []
     assert check_compact(spec) is compact
-
-
-def _tset(spec):
-    if all(pj >= spec.q for pj in spec.p):
-        return (0,)
-    if all(pj <= 2 for pj in spec.p):
-        return (1, 2)
-    if all(pj >= 2 for pj in spec.p):
-        return (0, 2)
-    return (0, 1, 2)
-
-
-@pytest.mark.parametrize(
-    "r,p,q",
-    [
-        ((1, 1), (3, 3), 4),  # all mid: vertex 2 must be skipped
-        ((1, 2), ("3/2", "5/4"), 3),  # all small
-        ((1, 1), (5, "7/2"), 3),  # all large/mid mix
-        ((2, 1), (8, "3/2"), 4),  # straddles both thresholds
-        ((1, 3), (6, "4/3"), "7/2"),
-    ],
-)
-def test_candidate_vertices_cover_the_lp_minimum(r, p, q):
-    spec = _spec(r, p, q)
-    vertices = candidate_vertices(spec)
-    theta = minimize(build_objective(spec)).theta
-    values = [h_high_value(spec, alpha, s) for alpha, s in vertices]
-    assert min(values[t] for t in _tset(spec)) == theta
-
-
-def test_candidate_vertices_reject_low_q_and_irregular_specs():
-    with pytest.raises(ParameterError):
-        candidate_vertices(_spec((1, 1), (3, 3), 2))
-    with pytest.raises(ParameterError):
-        candidate_vertices(_spec((1, "1/4"), (8, "8/5"), 4))  # a margin reaches 1
 
 
 def _feasible_point(rng, spec):
@@ -266,31 +228,6 @@ def _feasible_point(rng, spec):
     weights = [rng.fraction_between(0, 4) for _ in range(spec.d)]
     total = sum(weights)
     return tuple(w * s / total for w in weights), s
-
-
-def test_region_systems_agree_with_direct_maximisation():
-    rng = Lcg(5)
-    specs = [
-        _spec((2, 1), (8, "3/2"), 4),
-        _spec((1, 1), (3, 5), 4),
-        _spec((1, 2), ("7/4", "5/4"), 3),
-        _spec(("1/2", 3), (9, "4/3"), "5/2"),
-    ]
-    for spec in specs:
-        obj = build_objective(spec)
-        for _ in range(100):
-            alpha, s = _feasible_point(rng, spec)
-            tag = classify_region(spec, alpha, s)
-            top = max(piece.value(alpha, s) for piece in obj.pieces)
-            active = {pc.provenance for pc in obj.pieces if pc.value(alpha, s) == top}
-            assert tag in active
-
-
-def test_region_classification_rejects_threshold_exponents():
-    with pytest.raises(ParameterError):
-        classify_region(_spec((1, 1), (2, 5), 4), (F(1, 2), F(1, 2)), F(1))
-    with pytest.raises(ParameterError):
-        classify_region(_spec((1, 1), (3, 5), 4), (F(1), F(1)), F(1))  # sum != s
 
 
 units = st.fractions(min_value=F(1, 10), max_value=1, max_denominator=10)
@@ -323,7 +260,9 @@ def regular_specs(draw):
 @given(regular_specs())
 def test_lp_sign_matches_the_margin_when_every_regularity_sum_is_below_one(spec):
     assert max(spec.reg_sums) < 1
-    theta = solve_lp(*exponent._epigraph_lp(build_objective(spec))).value  # θ alone
+    res = minimize(build_objective(spec))
+    assert check_certificate(spec, res) == []
+    theta = res.theta
     margin = spec.compact_margin()
     assert (theta > 0) == (margin > 0) and (theta < 0) == (margin < 0), (spec, theta, margin)
 
@@ -344,17 +283,28 @@ def test_minimum_is_invariant_under_coordinate_swap(r, p, q):
 
 
 def test_low_and_high_objectives_agree_with_oracle_tables():
-    spec = _spec((2, 1), (3, "3/2"), 2)
-    obj = build_objective(spec)
-    point = (F(1, 3), F(2, 3))
-    direct = max(piece.value(point, None) for piece in obj.pieces)
-    assert direct == h_low_style_value(spec, point)
-
-    spec = _spec((2, 1), (8, "3/2"), 4)
-    obj = build_objective(spec)
-    alpha, s = (F(1, 2), F(3, 2)), F(2)
-    direct = max(piece.value(alpha, s) for piece in obj.pieces)
-    assert direct == h_high_value(spec, alpha, s)
+    rng = Lcg(5)
+    specs = [
+        _spec((2, 1), (8, "3/2"), 4),
+        _spec((1, 1), (3, 5), 4),
+        _spec((1, 2), ("7/4", "5/4"), 3),
+        _spec(("1/2", 3), (9, "4/3"), "5/2"),
+        _spec((2, 1), (3, "3/2"), 2),
+    ]
+    for spec in specs:
+        obj = build_objective(spec)
+        tagged = oracle._high_pieces(spec) if obj.has_s else oracle._low_style_pieces(spec)
+        for _ in range(100):
+            alpha, s = _feasible_point(rng, spec)
+            s = s if obj.has_s else None
+            top = obj.value(alpha, s)
+            if obj.has_s:
+                assert top == h_high_value(spec, alpha, s)
+            else:
+                assert top == h_low_style_value(spec, alpha)
+            assert {pc.provenance for pc in obj.pieces if pc.value(alpha, s) == top} == {
+                pc[0] for pc in tagged if oracle._piece_value(pc, alpha, s) == top
+            }
 
 
 @st.composite
@@ -386,11 +336,17 @@ def _solve_from_artificials(obj):
 @example(_spec((2, 2), (3, "3/2"), 2))  # flat: the optimal face is a segment
 @example(_spec((3, "1/3", "11/3"), ("19/3", "3/2", "29/6"), "19/3"))  # θ = 0 on a face
 @example(_spec((1, 2), (6, "3/2"), 3))  # a zero reduced cost, yet the face is a point
+@example(_spec((1, 1), (3, 3), 4))  # q > 2, every p_j between 2 and q
+@example(_spec((1, 2), ("3/2", "5/4"), 3))  # every p_j below 2
+@example(_spec((1, 1), (5, "7/2"), 3))  # p_j above q and between 2 and q
+@example(_spec((2, 1), (8, "3/2"), 4))  # p̄ straddles both 2 and q
+@example(_spec((1, 3), (6, "4/3"), "7/2"))
 def test_active_pieces_and_verdict_agree_with_an_all_artificial_solve(spec):
     obj = build_objective(spec)
     with _lp_counter() as lps:
         res = minimize(obj)
     assert len(lps) <= 2
+    assert check_certificate(spec, res) == []
     point = (res.argmin_alpha, res.argmin_s)
     assert res.active_pieces == tuple(
         pc.provenance for pc in obj.pieces if pc.value(*point) == res.theta

@@ -172,9 +172,9 @@ def _enumerated_bracket(spec, G):
             if best is None or (v, alpha) < best:
                 best = (v, alpha)
     pieces = oracle._high_pieces(spec) if q > 2 else oracle._low_style_pieces(spec)
-    lip = sum(max(abs(cmap.get(j, 0)) for cmap, _, _ in pieces) for j in range(d))
+    lip = sum(max(abs(cmap.get(j, 0)) for _, cmap, _, _ in pieces) for j in range(d))
     if q > 2:
-        lip += max(abs(sc) for _, sc, _ in pieces)
+        lip += max(abs(sc) for _, _, sc, _ in pieces)
     value, alpha = best
     return oracle.GridBracket(
         grid=G,
