@@ -123,6 +123,8 @@ def _write_lines(lines: list[str]) -> None:
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
+# The options that take one of a fixed list of values, by dest.
+_CHOICES = {"format": ("text", "json")}
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -160,6 +162,12 @@ def _merge_config(args: argparse.Namespace, flag_keys: dict[str, bool]) -> None:
                 setattr(args, dest, False)
             else:
                 raise ParameterError(f"config key {key!r} expects a boolean, got {value!r}")
+        elif value not in _CHOICES.get(dest, (value,)):
+            # The line argparse gives for the same value as a flag.
+            choices = ", ".join(map(repr, _CHOICES[dest]))
+            raise ParameterError(
+                f"argument --{dest}: invalid choice: {value!r} (choose from {choices})"
+            )
         else:
             setattr(args, dest, value)
 
@@ -490,12 +498,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub, spec_opts=True)
     sub.add_argument("--grid-check", dest="grid_check", action="store_const", const=True,
                      default=None, help="also bracket the minimum on a lattice")
-    sub.add_argument("--format", choices=["text", "json"], default=None)
+    sub.add_argument("--format", choices=_CHOICES["format"], default=None)
     sub.set_defaults(func=_cmd_exponent)
 
     sub = subs.add_parser("regime", help="regime classification report")
     _add_common(sub, spec_opts=True)
-    sub.add_argument("--format", choices=["text", "json"], default=None)
+    sub.add_argument("--format", choices=_CHOICES["format"], default=None)
     sub.set_defaults(func=_cmd_regime)
 
     sub = subs.add_parser("finite", help="finite-dimensional width order")
@@ -504,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", default=None, help="approximation rank")
     sub.add_argument("--q", default=None, help="target norm exponent (inf allowed for one inf ball)")
     sub.add_argument("--balls", default=None, help="comma list of p:nu, e.g. inf:1/4,1:1")
-    sub.add_argument("--format", choices=["text", "json"], default=None)
+    sub.add_argument("--format", choices=_CHOICES["format"], default=None)
     sub.set_defaults(func=_cmd_finite)
 
     sub = subs.add_parser("sweep", help="CSV sweep over one parameter")
@@ -524,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", default=None)
     sub.add_argument("--grid", default=None, help="lattice denominator for brackets")
     sub.add_argument("--identity-points", dest="identity_points", default=None)
-    sub.add_argument("--format", choices=["text", "json"], default=None)
+    sub.add_argument("--format", choices=_CHOICES["format"], default=None)
     sub.set_defaults(func=_cmd_verify)
     return parser
 

@@ -30,6 +30,7 @@ integer k is folded into the recorded right-hand sides.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,7 +58,6 @@ __all__ = [
     "cross_term_dominated",
 ]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 _TWO = Fraction(2)
@@ -582,18 +582,17 @@ def dyadic_block_order(spec: ProblemSpec, m_vec: tuple[int, ...], n: int) -> Wid
     return intersection_order(IntersectionSpec(N=2**m, n=n, q=spec.q, balls=tuple(balls)))
 
 
-def _block_rate(spec, t_vec, t, log_n, high) -> Fraction:
-    """max over the rows of Σ w_i r_i t_i + t_coeff·t + logn_coeff·log n."""
-    rt = [ri * ti for ri, ti in zip(spec.r, t_vec)]  # r_i t_i, shared by every row
-    rates = []
-    for _, idx, weights, t_coeff, logn_coeff, _ in spec.rows(high):
-        rate = sum(rt[i] if w == 1 else w * rt[i] for i, w in zip(idx, weights))
-        if t_coeff:
-            rate += t_coeff * t
-        if logn_coeff:
-            rate += logn_coeff * log_n
-        rates.append(rate)
-    return max(rates)
+def _block_rate(spec, high, E, point) -> Fraction:
+    """max over the rows of Σ w_i r_i t_i + t_coeff·t + logn_coeff·log n at
+    (t_1, …, t_d, t, log n) = point/E, for integers `point`."""
+    L, rows = spec.rate_rows(high)
+    return Fraction(max(sum(map(operator.mul, row, point)) for row in rows), L * E)
+
+
+def _over_one_denominator(values) -> tuple[int, list[int]]:
+    """(E, [a_k]) with a_k/E = values[k] and E the lcm of their denominators."""
+    E = math.lcm(*(v.denominator for v in values))
+    return E, [v.numerator * (E // v.denominator) for v in values]
 
 
 def phi_value(spec: ProblemSpec, t_vec: tuple[Fraction, ...]) -> Fraction:
@@ -606,9 +605,10 @@ def phi_value(spec: ProblemSpec, t_vec: tuple[Fraction, ...]) -> Fraction:
     t_vec = tuple(as_fraction(v) for v in t_vec)
     if len(t_vec) != spec.d:
         raise ParameterError("t̄ length mismatch")
-    if any(v < 0 for v in t_vec):
+    E, a = _over_one_denominator(t_vec)
+    if min(a) < 0:
         raise ParameterError("t̄ entries must be ≥ 0")
-    return _block_rate(spec, t_vec, sum(t_vec), _ZERO, high=False)
+    return _block_rate(spec, False, E, a + [sum(a), 0])
 
 
 def psi_value(
@@ -627,11 +627,10 @@ def psi_value(
     if spec.q <= 2:
         raise ParameterError("ψ is defined for q > 2")
     t_vec = tuple(as_fraction(v) for v in t_vec)
-    t = as_fraction(t)
-    log_n = as_fraction(log_n)
     if len(t_vec) != spec.d:
         raise ParameterError("t̄ length mismatch")
-    return _block_rate(spec, t_vec, t, log_n, high=True)
+    E, point = _over_one_denominator((*t_vec, as_fraction(t), as_fraction(log_n)))
+    return _block_rate(spec, True, E, point)
 
 
 def cross_term_dominated(

@@ -26,15 +26,23 @@ as a disagreement:
     checks.  Reports are deterministic functions of (seed, samples): the
     generator is a fixed 64-bit linear congruential recurrence and the
     output contains no timestamps or environment details.
+
+The pieces are integer rows over one common denominator (`_table`), built
+once per spec by `cross_validate` and shared by the lattice bracket, the
+identity checks and `check_certificate`; a point is scaled to integers once,
+and one `Fraction` is built only for a value that is returned or compared.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import json
 import math
 import operator
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -84,7 +92,6 @@ BRANCH_LABELS = (
 SCREEN_LABEL = "T3-noncompact"
 
 _ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 
 
 class Lcg:
@@ -121,23 +128,27 @@ class Lcg:
 
     def fraction_between(self, lo, hi, max_den: int = 12) -> Fraction:
         """A rational strictly inside (lo, hi) with denominator ≤ max_den."""
-        lo, hi = as_fraction(lo), as_fraction(hi)
-        if not lo < hi:
-            raise ParameterError(f"empty interval ({lo}, {hi})")
-        # Integer floor and ceiling of lo·den and hi·den (denominators > 0).
-        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        feasible = []
-        for den in range(1, max_den + 1):
-            nmin = ln * den // ld + 1
-            nmax = -(-hn * den // hd) - 1
-            if nmin <= nmax:
-                feasible.append((den, nmin, nmax))
-        if not feasible:
-            raise ParameterError(
-                f"no rational with denominator ≤ {max_den} in ({lo}, {hi})"
-            )
+        feasible = _feasible(as_fraction(lo), as_fraction(hi), max_den)
         den, nmin, nmax = feasible[self.rand_below(len(feasible))]
         return Fraction(nmin + self.rand_below(nmax - nmin + 1), den)
+
+
+@functools.lru_cache(maxsize=64)
+def _feasible(lo: Fraction, hi: Fraction, max_den: int) -> tuple[tuple[int, int, int], ...]:
+    """Each den ≤ max_den with a numerator range [nmin, nmax] in (lo·den, hi·den)."""
+    if not lo < hi:
+        raise ParameterError(f"empty interval ({lo}, {hi})")
+    # Integer floor and ceiling of lo·den and hi·den (denominators > 0).
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    feasible = []
+    for den in range(1, max_den + 1):
+        nmin = ln * den // ld + 1
+        nmax = -(-hn * den // hd) - 1
+        if nmin <= nmax:
+            feasible.append((den, nmin, nmax))
+    if not feasible:
+        raise ParameterError(f"no rational with denominator ≤ {max_den} in ({lo}, {hi})")
+    return tuple(feasible)
 
 
 # ---------------------------------------------------------------------------
@@ -250,85 +261,103 @@ def sample_intersection(rng: Lcg, max_balls: int = 3) -> IntersectionSpec:
 # independent objective evaluation
 
 
-def _low_style_pieces(spec: ProblemSpec):
-    """The low-q shape of the objective, regardless of the actual q.
+def _table(spec: ProblemSpec, high: bool):
+    """The objective's pieces as integer rows over one denominator L: (L, rows).
 
-    Each piece is (tag, coefficient map, s slope, constant), the tag being
+    `high` False gives the low-q shape in ᾱ at any q, True the q > 2
+    objective in (ᾱ, s).  With x_j = 1/p_j, x_q = 1/q, c_j = (x_j − x_q)/(1/2 − x_q):
+
+      large-p          x_j ≤ x_q          r_j α_j
+      small-p (low)    x_j ≥ x_q          r_j α_j + x_q − x_j
+      mid-p (high)     x_q ≤ x_j ≤ 1/2    r_j α_j − (c_j/2)·s + c_j/2
+      small-p (high)   x_j ≥ 1/2          r_j α_j − x_j·s + 1/2
+      cross-lambda     x_i < x_q < x_j    (1 − λ) r_i α_i + λ r_j α_j
+      cross-mu (high)  x_i < 1/2 < x_j    (1 − μ) r_i α_i + μ r_j α_j − s/2 + 1/2
+
+    with (1 − λ)x_i + λx_j = x_q and (1 − μ)x_i + μx_j = 1/2.  A row is
+    (tag, L × the coefficients of (α_1, …, α_d, s, 1)), the tag being
     (family, 0-based indices) as in `exponent.Provenance`.
     """
-    x_q = _ONE / spec.q
-    x = [_ONE / pj for pj in spec.p]
-    pieces = []
-    for j in range(spec.d):
-        if x[j] <= x_q:
-            pieces.append((("large-p", (j,)), {j: spec.r[j]}, Fraction(0), Fraction(0)))
-        if x[j] >= x_q:
-            pieces.append((("small-p", (j,)), {j: spec.r[j]}, Fraction(0), x_q - x[j]))
-    return pieces + _cross_pieces(spec, x, "cross-lambda", x_q, Fraction(0), Fraction(0))
+    d = spec.d
+    # x_j, x_q and 1/2 as integers X_j, Q and H over one denominator D.
+    D = math.lcm(2, spec.q.numerator, *(p.numerator for p in spec.p))
+    X = [p.denominator * (D // p.numerator) for p in spec.p]
+    Q = spec.q.denominator * (D // spec.q.numerator)
+    H = D // 2
+    rn, rd = [r.numerator for r in spec.r], [r.denominator for r in spec.r]
+    pieces = []  # (tag, [(column, numerator, denominator), ...])
+    for j in range(d):
+        own = (j, rn[j], rd[j])
+        if X[j] <= Q:
+            pieces.append((("large-p", (j,)), [own]))
+        if not high and X[j] >= Q:
+            pieces.append((("small-p", (j,)), [own, (d + 1, Q - X[j], D)]))
+        if high and Q <= X[j] <= H:
+            half_c = [(d, Q - X[j], D - 2 * Q), (d + 1, X[j] - Q, D - 2 * Q)]
+            pieces.append((("mid-p", (j,)), [own, *half_c]))
+        if high and X[j] >= H:
+            pieces.append((("small-p", (j,)), [own, (d, -X[j], D), (d + 1, H, D)]))
+    crossings = [("cross-lambda", Q, [])]
+    if high:
+        crossings.append(("cross-mu", H, [(d, -H, D), (d + 1, H, D)]))
+    for family, level, tail in crossings:
+        for i, j in itertools.product(range(d), repeat=2):
+            if X[i] < level < X[j]:
+                span = X[j] - X[i]
+                pair = [(i, rn[i] * (X[j] - level), rd[i] * span)]
+                pair.append((j, rn[j] * (level - X[i]), rd[j] * span))
+                pieces.append(((family, (i, j)), pair + tail))
+    L = math.lcm(*(den // math.gcd(num, den) for _, terms in pieces for _, num, den in terms))
+    rows = []
+    for tag, terms in pieces:
+        row = [0] * (d + 2)
+        for column, num, den in terms:
+            row[column] = num * L // den
+        rows.append((tag, tuple(row)))
+    return L, tuple(rows)
 
 
-def _high_pieces(spec: ProblemSpec):
-    """The q > 2 objective in (ᾱ, s): tag, coefficient map, s slope, constant."""
-    x_q = _ONE / spec.q
-    theta_q = _HALF - x_q
-    x = [_ONE / pj for pj in spec.p]
-    pieces = []
-    for j in range(spec.d):
-        if x[j] <= x_q:
-            pieces.append((("large-p", (j,)), {j: spec.r[j]}, Fraction(0), Fraction(0)))
-        if x_q <= x[j] <= _HALF:
-            cj = (x[j] - x_q) / theta_q
-            pieces.append((("mid-p", (j,)), {j: spec.r[j]}, -cj / 2, cj / 2))
-        if x[j] >= _HALF:
-            pieces.append((("small-p", (j,)), {j: spec.r[j]}, -x[j], _HALF))
-    return (
-        pieces
-        + _cross_pieces(spec, x, "cross-lambda", x_q, Fraction(0), Fraction(0))
-        + _cross_pieces(spec, x, "cross-mu", _HALF, -_HALF, _HALF)
-    )
+def _tables(spec: ProblemSpec):
+    """The low-shape table, and the q > 2 table (None for q ≤ 2), of `spec`."""
+    return _table(spec, False), (_table(spec, True) if spec.q > 2 else None)
 
 
-def _cross_pieces(spec: ProblemSpec, x, family, level, s_coeff, const):
-    """One piece per pair x_i < level < x_j, weighted (1 − w, w) so that
-    (1 − w)·x_i + w·x_j = level."""
-    pieces = []
-    for i in range(spec.d):
-        for j in range(spec.d):
-            if x[i] < level < x[j]:
-                w = (level - x[i]) / (x[j] - x[i])
-                coeffs = {i: (1 - w) * spec.r[i], j: w * spec.r[j]}
-                pieces.append(((family, (i, j)), coeffs, s_coeff, const))
-    return pieces
+def _scaled(values) -> tuple[int, list[int]]:
+    """(E, [a_k]) with a_k/E = values[k] and E the lcm of their denominators."""
+    E = math.lcm(*(v.denominator for v in values))
+    return E, [v.numerator * (E // v.denominator) for v in values]
 
 
-def _piece_value(piece, alpha, s) -> Fraction:
-    _, coeffs, s_coeff, const = piece
-    v = const + (s_coeff * s if s is not None else 0)
-    for j, c in coeffs.items():
-        v += c * alpha[j]
-    return v
+def _top(rows, point) -> int:
+    """The largest row value at integers `point` = E·(α_1, …, α_d, s, 1):
+    the objective times L·E."""
+    return max(sum(map(operator.mul, coeffs, point)) for _, coeffs in rows)
+
+
+def _value(table, coords) -> Fraction:
+    """The largest row value at `coords` = (α_1, …, α_d, s, 1), rationals."""
+    L, rows = table
+    E, point = _scaled(coords)
+    return Fraction(_top(rows, point), L * E)
 
 
 def h_low_style_value(spec: ProblemSpec, alpha) -> Fraction:
     """Low-q-shaped objective at ᾱ (exact; no simplex constraint checked)."""
-    alpha = tuple(as_fraction(a) for a in alpha)
-    return max(_piece_value(pc, alpha, None) for pc in _low_style_pieces(spec))
+    return _value(_table(spec, False), [*map(as_fraction, alpha), 0, 1])
 
 
 def h_high_value(spec: ProblemSpec, alpha, s) -> Fraction:
     """q > 2 objective at (ᾱ, s) (exact; algebraic, domain not enforced)."""
     if spec.q <= 2:
         raise ParameterError("the (ᾱ, s) objective is defined for q > 2")
-    alpha = tuple(as_fraction(a) for a in alpha)
-    s = as_fraction(s)
-    return max(_piece_value(pc, alpha, s) for pc in _high_pieces(spec))
+    return _value(_table(spec, True), [*map(as_fraction, (*alpha, s)), 1])
 
 
 # ---------------------------------------------------------------------------
 # LP-duality certificate
 
 
-def check_certificate(spec: ProblemSpec, result) -> list[str]:
+def check_certificate(spec: ProblemSpec, result, tables=None) -> list[str]:
     """The failed checks of a `minimize` result for `spec`; [] when all hold.
 
     An LP-duality certificate (McConnell, Mehlhorn, Näher & Schweitzer,
@@ -338,23 +367,27 @@ def check_certificate(spec: ProblemSpec, result) -> list[str]:
     below the objective, has least value θ over the domain's vertices; the
     argmin is in the domain and the objective there is θ; and the active
     pieces are the pieces worth θ there.  `unique` is not checked.
+    `tables` defaults to `_tables(spec)`.
     """
     high = spec.q > 2
-    pieces = {pc[0]: pc for pc in (_high_pieces(spec) if high else _low_style_pieces(spec))}
+    L, rows = (tables or _tables(spec))[high]
+    by_tag = dict(rows)
     theta, weights, alpha, s = result.theta, result.weights, result.argmin_alpha, result.argmin_s
     failures = []
     if any(w <= 0 for _, w in weights) or sum(w for _, w in weights) != 1:
         failures.append(f"weights are not positive with sum 1: {weights}")
-    if any(tag not in pieces for tag, _ in weights):
+    if any(tag not in by_tag for tag, _ in weights):
         failures.append(f"a weighted piece is not a piece of the objective: {weights}")
     else:
-        # The low-shape pieces have no s term, so s = 1 evaluates them too.
-        vertices = [
-            ([c if i == j else 0 for i in range(spec.d)], c)
-            for c in ((_ONE, spec.q / 2) if high else (_ONE,))
-            for j in range(spec.d)
-        ]
-        bound = min(sum(w * _piece_value(pieces[tag], *v) for tag, w in weights) for v in vertices)
+        # Σ λ_k·piece_k as one row over M·L, at the vertices c·e_j, s = c for
+        # c = 1 and, when q > 2, c = q/2 (the low shape has no s slope); c = C/E.
+        M, lam = _scaled([w for _, w in weights])
+        *w, slope, const = (
+            sum(m * by_tag[tag][k] for m, (tag, _) in zip(lam, weights)) for k in range(spec.d + 2)
+        )
+        E = 2 * spec.q.denominator
+        least = min(C * (v + slope) for C in ((E, spec.q.numerator) if high else (E,)) for v in w)
+        bound = Fraction(least + E * const, M * L * E)
         if bound != theta:
             failures.append(f"dual bound {bound} != theta {theta}")
     if (
@@ -365,10 +398,14 @@ def check_certificate(spec: ProblemSpec, result) -> list[str]:
         or high and not _ONE <= s <= spec.q / 2
     ):
         return failures + [f"argmin {alpha}, s={s} is outside the domain"]
-    values = {tag: _piece_value(pc, alpha, s) for tag, pc in pieces.items()}
-    if max(values.values()) != theta:
-        failures.append(f"objective {max(values.values())} at the argmin != theta {theta}")
-    active = {tag for tag, v in values.items() if v == theta}
+    E, point = _scaled((*alpha, s if high else _ONE))
+    values = {tag: sum(map(operator.mul, c, point + [E])) for tag, c in rows}
+    # A value v over L·E equals θ when v·θ_den = θ_num·L·E.
+    target = theta.numerator * L * E
+    if max(values.values()) * theta.denominator != target:
+        top = Fraction(max(values.values()), L * E)
+        failures.append(f"objective {top} at the argmin != theta {theta}")
+    active = {tag for tag, v in values.items() if v * theta.denominator == target}
     if len(result.active_pieces) != len(active) or set(result.active_pieces) != active:
         failures.append(f"active pieces {result.active_pieces} != {sorted(active)}")
     return failures
@@ -434,7 +471,7 @@ def _fill(row, lo, hi, need, room):
     return value, tuple(point)
 
 
-def grid_minimize(spec: ProblemSpec, grid: int | None = None) -> GridBracket:
+def grid_minimize(spec: ProblemSpec, grid: int | None = None, tables=None) -> GridBracket:
     """Exact bracket of the objective minimum from a denominator-G lattice.
 
     q ≤ 2: points ᾱ = ā/G with ā ∈ Z≥0^d, Σā = G.  q > 2: additionally
@@ -445,15 +482,15 @@ def grid_minimize(spec: ProblemSpec, grid: int | None = None) -> GridBracket:
     coordinate is split, and a cell is dropped once its (bound, lo corner)
     is not below the incumbent (value, argmin).  `points` is the lattice
     size; the work is budgeted in cells × pieces, and a lattice that needs
-    more raises `RangeError`.
+    more raises `RangeError`.  `tables` defaults to `_tables(spec)`.
     """
     d = spec.d
     G = default_grid(d) if grid is None else int(grid)
     if G < 1:
         raise ParameterError(f"grid must be ≥ 1, got {G}")
     q = spec.q
-    pieces = _low_style_pieces(spec) if q <= 2 else _high_pieces(spec)
     has_s = q > 2
+    L, pieces = (tables or _tables(spec))[has_s]
     if has_s:
         K = (G * q.numerator) // (2 * q.denominator)
         # Σ_{G ≤ k ≤ K} C(k+d−1, d−1), by the hockey-stick identity.
@@ -461,17 +498,12 @@ def grid_minimize(spec: ProblemSpec, grid: int | None = None) -> GridBracket:
     else:
         K = G
         points = math.comb(G + d - 1, d - 1)
-    # With s = Σā/G each piece is affine in ā: G·value = G·const +
-    # Σ_j (coeff_j + s coeff)·ā_j.  One common denominator L makes every
-    # row integer, so G·L·value is compared exactly as an int.
-    weights = [[cmap.get(j, 0) + sc for j in range(d)] for _, cmap, sc, _ in pieces]
-    L = math.lcm(
-        *(v.denominator for w in weights for v in w), *(c0.denominator for *_, c0 in pieces)
-    )
+    # With s = Σā/G each piece is affine in ā: G·L·value = G·constant +
+    # Σ_j (weight_j + s slope)·ā_j, compared exactly as an int.
     rows = []
-    for w, (*_, c0) in zip(weights, pieces):
-        w = [int(v * L) for v in w]
-        rows.append((int(c0 * L) * G, w, sorted(range(d), key=w.__getitem__)))
+    for _, c in pieces:
+        w = [v + c[d] for v in c[:d]]
+        rows.append((c[d + 1] * G, w, sorted(range(d), key=w.__getitem__)))
     heap: list = []
     best = None
     cells = 0
@@ -504,15 +536,12 @@ def grid_minimize(spec: ProblemSpec, grid: int | None = None) -> GridBracket:
         visit(lo, hi[:j] + (mid,) + hi[j + 1 :])
         visit(lo[:j] + (mid + 1,) + lo[j + 1 :], hi)
     value, point = best
-    lip = sum(
-        max(abs(cmap.get(j, Fraction(0))) for _, cmap, _, _ in pieces) for j in range(d)
-    )
-    if has_s:
-        lip += max(abs(sc) for _, _, sc, _ in pieces)
+    # Over the columns of α_1, …, α_d and, when q > 2, s.
+    lip = sum(max(abs(c[j]) for _, c in pieces) for j in range(d + has_s))
     return GridBracket(
         grid=G,
         best_value=Fraction(value, G * L),
-        gap=Fraction(lip, G),
+        gap=Fraction(lip, G * L),
         argmin=tuple(Fraction(a, G) for a in point),
         argmin_s=Fraction(sum(point), G) if has_s else None,
         points=points,
@@ -533,7 +562,9 @@ class IdentityReport:
         return not self.failures
 
 
-def check_scaling_identities(spec: ProblemSpec, points: int = 100, seed: int = 0) -> IdentityReport:
+def check_scaling_identities(
+    spec: ProblemSpec, points: int = 100, seed: int = 0, tables=None
+) -> IdentityReport:
     """Exact spot checks of the identities linking block rates to exponents.
 
     Per sampled point, for q > 2:
@@ -542,43 +573,44 @@ def check_scaling_identities(spec: ProblemSpec, points: int = 100, seed: int = 0
       homogeneity:   φ(c t̄) = c · φ(t̄).
     For q ≤ 2 only the homogeneity and the normalisation φ(t̄) = t·h(t̄/t)
     apply.  All comparisons are exact; any nonzero residual is a failure.
+    Both sides run in integers: φ and ψ in `finitedim` on `params.piece_rows`,
+    h and h̃ on this module's own `tables` (`_tables(spec)` when not given).
     """
     rng = Lcg(seed)
     failures: list[str] = []
     checked = 0
     d = spec.d
-    low = _low_style_pieces(spec)
-    high = _high_pieces(spec) if spec.q > 2 else None
-    half_q = spec.q / 2
+    low, high = tables or _tables(spec)
+    qn, qd = spec.q.numerator, spec.q.denominator
     for _ in range(points):
         t_vec = tuple(rng.fraction_between(0, 4) for _ in range(d))
-        t = sum(t_vec)
         c = rng.fraction_between(0, 8)
         phi = phi_value(spec, t_vec)
         checked += 1
         if phi_value(spec, tuple(c * v for v in t_vec)) != c * phi:
             failures.append(f"homogeneity at t={t_vec} c={c}")
         checked += 1
-        unit = tuple(v / t for v in t_vec)
-        if phi != t * max(_piece_value(pc, unit, None) for pc in low):
+        # t·h(t̄/t) is the low table's max at (t̄, 0, t).
+        if phi != _value(low, (*t_vec, 0, sum(t_vec))):
             failures.append(f"phi normalisation at t={t_vec}")
         if high is not None:
             u = tuple(rng.fraction_between(0, 4) for _ in range(d))
-            scale = half_q / sum(u)
-            alpha = tuple(scale * v for v in u)  # Σ = q/2 exactly
-            lhs = max(_piece_value(pc, alpha, half_q) for pc in high)
-            shrunk = tuple(a / half_q for a in alpha)
-            rhs = half_q * max(_piece_value(pc, shrunk, None) for pc in low)
+            # ᾱ = (q/2)·ū/Σū, so Σᾱ = q/2 exactly.  With ū = b̄/U and B = Σb̄,
+            # ᾱ = q_n·b̄/(2q_d·B): both sides are integers over 2q_d·B·L.
+            _, b = _scaled(u)
+            B = sum(b)
+            lhs = _top(high[1], [qn * v for v in b] + [qn * B, 2 * qd * B])
+            rhs = qn * _top(low[1], b + [0, B])
             checked += 1
-            if lhs != rhs:
-                failures.append(f"s-face at alpha={alpha}")
+            if lhs * low[0] != rhs * high[0]:
+                scale = spec.q / 2 / sum(u)
+                failures.append(f"s-face at alpha={tuple(scale * v for v in u)}")
             s_var = rng.fraction_between(0, 6)
             log_n = rng.fraction_between(0, 10)
             lhs = psi_value(spec, t_vec, s_var, log_n)
-            rescaled = tuple(v / log_n for v in t_vec)
-            rhs = log_n * max(_piece_value(pc, rescaled, s_var / log_n) for pc in high)
             checked += 1
-            if lhs != rhs:
+            # L·h̃(t̄/L, s/L) is the high table's max at (t̄, s, L).
+            if lhs != _value(high, (*t_vec, s_var, log_n)):
                 failures.append(f"log-rescaling at t={t_vec} s={s_var} L={log_n}")
     return IdentityReport(checked=checked, failures=tuple(failures))
 
@@ -623,10 +655,7 @@ class ValidationReport:
         return all(rec.ok for rec in self.records)
 
     def branch_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for rec in self.records:
-            counts[rec.branch] = counts.get(rec.branch, 0) + 1
-        return counts
+        return dict(Counter(rec.branch for rec in self.records))
 
     def to_text(self) -> str:
         lines = [
@@ -708,6 +737,7 @@ def cross_validate(
     for i in range(samples):
         label = BRANCH_LABELS[i % len(BRANCH_LABELS)]
         spec = sample_branch(rng, label)
+        tables = _tables(spec)
         report = closedform.classify_regime(spec)
         result = minimize(build_objective(spec))
         problems: list[str] = []
@@ -719,14 +749,14 @@ def cross_validate(
             problems.append(f"closed={report.exponent}!=lp={result.theta}")
         g_lower = g_best = None
         if grid is not None:
-            bracket = grid_minimize(spec, grid)
+            bracket = grid_minimize(spec, grid, tables)
             g_lower, g_best = bracket.lower, bracket.best_value
             if not bracket.contains(result.theta):
                 problems.append(f"lp={result.theta} outside [{g_lower},{g_best}]")
         id_count = 0
         if identity_points:
             id_report = check_scaling_identities(
-                spec, points=identity_points, seed=rng.rand_below(1 << 32)
+                spec, points=identity_points, seed=rng.rand_below(1 << 32), tables=tables
             )
             id_count = id_report.checked
             if not id_report.ok:

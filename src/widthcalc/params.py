@@ -104,7 +104,8 @@ class ProblemSpec:
     the products p_j r_j, and each value is built as one `Fraction` at the
     end rather than one per arithmetic step.  `rows(high)` is the
     `piece_rows` table at (x̄, 1/q) in the low or the high shape, built as
-    a tuple on first use.  None of this takes part in ==, hash, repr or
+    a tuple on first use, and `rate_rows(high)` the same rows as integers
+    over one denominator.  None of this takes part in ==, hash, repr or
     str: two specs with the same (r̄, p̄, q) are equal whatever they hold.
     """
 
@@ -191,6 +192,22 @@ class ProblemSpec:
         if rows is None:
             rows = self._rows[high] = tuple(piece_rows(self.x, self.x_q, high))
         return rows
+
+    def rate_rows(self, high: bool) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """`rows(high)` as (L, rows), built on first use per shape: each row
+        is L times the coefficients of (t_1, …, t_d, t, log n) in the block
+        rate Σ w_i r_i t_i + t_coeff·t + logn_coeff·log n, all integers."""
+        table = self._rows.get(("rate", high))
+        if table is None:
+            rows = []
+            for _, idx, weights, t_coeff, logn_coeff, _ in self.rows(high):
+                rows.append([_ZERO] * self.d + [t_coeff, logn_coeff])
+                for i, w in zip(idx, weights):
+                    rows[-1][i] = w * self.r[i]
+            L = lcm(*(v.denominator for row in rows for v in row))
+            ints = tuple(tuple(v.numerator * (L // v.denominator) for v in row) for row in rows)
+            table = self._rows["rate", high] = (L, ints)
+        return table
 
     def permuted(self, order: tuple[int, ...]) -> "ProblemSpec":
         """The same spec with coordinates reordered by `order`."""

@@ -4,7 +4,11 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -327,6 +331,41 @@ def test_config_boolean_and_unknown_keys(capsys, tmp_path):
     code, _, err = run(capsys, "exponent", "--r", "1,1", "--p", "3,3", "--q", "2",
                        "--config", str(cfg))
     assert code == 4 and "unknown config key" in err
+
+
+@pytest.mark.parametrize(
+    "argv,config",
+    [(["exponent"], "r=1,1\np=3,3\nq=2\n"), (["verify", "--samples", "1"], "")],
+    ids=["exponent", "verify"],
+)
+def test_config_choices_are_checked_like_the_flag(capsys, tmp_path, argv, config):
+    cfg = tmp_path / "widths.cfg"
+    cfg.write_text(config + "format=xml\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 4 and out == ""
+    assert err == "error: argument --format: invalid choice: 'xml' (choose from 'text', 'json')\n"
+    # The flag gives the same line after argparse's usage and prog prefix.
+    cfg.write_text(config)
+    code, out, flag_err = run(capsys, *argv, "--config", str(cfg), "--format", "xml")
+    assert code == 4 and out == ""
+    assert flag_err.splitlines()[-1].endswith(err.removeprefix("error: ").rstrip("\n"))
+    # A valid choice from the file still applies.
+    cfg.write_text(config + "format=json\n")
+    code, out, _ = run(capsys, *argv, "--config", str(cfg))
+    assert code == 0 and json.loads(out)
+
+
+def test_python_dash_m_matches_cli_main(capsys):
+    argv = ["regime", "--r", "1,2", "--p", "3,3/2", "--q", "4"]
+    code, out, err = run(capsys, *argv)
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "widthcalc", *argv], capture_output=True, env=env, timeout=60
+    )
+    assert proc.returncode == code
+    assert proc.stdout == out.encode() and proc.stderr == err.encode()
 
 
 def test_missing_options_and_unknown_commands_exit_4(capsys):

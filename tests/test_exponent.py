@@ -1,5 +1,6 @@
 """The piecewise objective and its exact LP minimisation."""
 
+import operator
 from contextlib import contextmanager
 from fractions import Fraction as F
 
@@ -293,7 +294,7 @@ def test_low_and_high_objectives_agree_with_oracle_tables():
     ]
     for spec in specs:
         obj = build_objective(spec)
-        tagged = oracle._high_pieces(spec) if obj.has_s else oracle._low_style_pieces(spec)
+        L, rows = oracle._tables(spec)[obj.has_s]
         for _ in range(100):
             alpha, s = _feasible_point(rng, spec)
             s = s if obj.has_s else None
@@ -302,8 +303,11 @@ def test_low_and_high_objectives_agree_with_oracle_tables():
                 assert top == h_high_value(spec, alpha, s)
             else:
                 assert top == h_low_style_value(spec, alpha)
+            # Each oracle row's value at (ᾱ, s) is an integer over L·E.
+            E, point = oracle._scaled((*alpha, s if obj.has_s else F(1)))
+            values = {tag: F(sum(map(operator.mul, c, point + [E])), L * E) for tag, c in rows}
             assert {pc.provenance for pc in obj.pieces if pc.value(alpha, s) == top} == {
-                pc[0] for pc in tagged if oracle._piece_value(pc, alpha, s) == top
+                tag for tag, v in values.items() if v == top
             }
 
 

@@ -308,6 +308,38 @@ def test_block_rate_is_positively_homogeneous(t_vec, c):
     assert phi_value(spec, scaled) == c * phi_value(spec, t_vec)
 
 
+def _reference_block_rate(spec, t_vec, t, log_n, high):
+    """max over `spec.rows(high)` of Σ w_i r_i t_i + t_coeff·t + logn_coeff·log n,
+    one `Fraction` operation at a time."""
+    return max(
+        sum(w * spec.r[i] * t_vec[i] for i, w in zip(idx, weights))
+        + t_coeff * t
+        + logn_coeff * log_n
+        for _, idx, weights, t_coeff, logn_coeff, _ in spec.rows(high)
+    )
+
+
+def test_block_rates_equal_the_fraction_reference():
+    # d = 2..16 on both sides of q = 2 and at q = 2, with p_j on q and on 2.
+    rng = Lcg(33)
+    checked = Counter()
+    for d in range(2, 17):
+        for k in range(3):
+            q = (F(2), rng.fraction_between(1, 2), rng.fraction_between(2, 6))[k]
+            p = [(q, F(2), rng.fraction_between(1, q + 4))[rng.rand_below(3)] for _ in range(d)]
+            spec = ProblemSpec(r=[rng.fraction_between(F(1, 4), 4) for _ in range(d)], p=p, q=q)
+            for _ in range(4):
+                t_vec = tuple(rng.fraction_between(0, 4) for _ in range(d))
+                t, log_n = rng.fraction_between(0, 6), rng.fraction_between(0, 10)
+                ref = _reference_block_rate(spec, t_vec, sum(t_vec), 0, False)
+                assert phi_value(spec, t_vec) == ref
+                if q > 2:
+                    ref = _reference_block_rate(spec, t_vec, t, log_n, True)
+                    assert psi_value(spec, t_vec, t, log_n) == ref
+                checked[d, q > 2] += 1
+    assert all(checked[d, high] for d in range(2, 17) for high in (False, True))
+
+
 @given(
     st.tuples(st.fractions(min_value=0, max_value=8, max_denominator=12),
               st.fractions(min_value=0, max_value=8, max_denominator=12)),

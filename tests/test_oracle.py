@@ -9,22 +9,27 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import widthcalc.oracle as oracle
+import widthcalc.params as params
 from widthcalc.cli import main
 from widthcalc.closedform import classify_regime
+from widthcalc.exponent import build_objective, minimize
 from widthcalc.finitedim import intersection_order
 from widthcalc.oracle import (
     BRANCH_LABELS,
     GRID_ENV,
     SCREEN_LABEL,
     Lcg,
+    check_certificate,
     check_scaling_identities,
     cross_validate,
     default_grid,
@@ -102,6 +107,137 @@ def test_fraction_between_rejects_empty_intervals():
 
 
 # ---------------------------------------------------------------------------
+# the integer piece tables against a plain-Fraction reference
+
+
+def _reference_pieces(spec, high):
+    """The oracle's pieces from their defining formulas, one `Fraction` per
+    coefficient: (tag, coefficient map, s slope, constant), in table order.
+    `high` False gives the low-q shape at any q, True the q > 2 objective."""
+    x_q = 1 / spec.q
+    x = [1 / pj for pj in spec.p]
+    half, zero = F(1, 2), F(0)
+    pieces = []
+    for j in range(spec.d):
+        if x[j] <= x_q:
+            pieces.append((("large-p", (j,)), {j: spec.r[j]}, zero, zero))
+        if not high and x[j] >= x_q:
+            pieces.append((("small-p", (j,)), {j: spec.r[j]}, zero, x_q - x[j]))
+        if high and x_q <= x[j] <= half:
+            cj = (x[j] - x_q) / (half - x_q)
+            pieces.append((("mid-p", (j,)), {j: spec.r[j]}, -cj / 2, cj / 2))
+        if high and x[j] >= half:
+            pieces.append((("small-p", (j,)), {j: spec.r[j]}, -x[j], half))
+    crossings = [("cross-lambda", x_q, zero, zero)]
+    if high:
+        crossings.append(("cross-mu", half, -half, half))
+    for family, level, s_coeff, const in crossings:
+        for i in range(spec.d):
+            for j in range(spec.d):
+                if x[i] < level < x[j]:
+                    w = (level - x[i]) / (x[j] - x[i])
+                    coeffs = {i: (1 - w) * spec.r[i], j: w * spec.r[j]}
+                    pieces.append(((family, (i, j)), coeffs, s_coeff, const))
+    return pieces
+
+
+def _reference_value(piece, alpha, s):
+    _, coeffs, s_coeff, const = piece
+    return const + s_coeff * s + sum(c * alpha[j] for j, c in coeffs.items())
+
+
+def _threshold_specs(rng, per_d=3):
+    """Specs at d = 2..16 on both sides of q = 2, q = 2 itself, and p_j on
+    the thresholds q and 2."""
+    for d in range(2, 17):
+        for k in range(per_d):
+            q = (F(2), rng.fraction_between(1, 2), rng.fraction_between(2, 6))[k % 3]
+            p = [
+                (q, F(2), rng.fraction_between(1, q + 4))[rng.rand_below(3)]
+                for _ in range(d)
+            ]
+            r = [rng.fraction_between(F(1, 4), 4) for _ in range(d)]
+            yield ProblemSpec(r=r, p=p, q=q)
+
+
+def test_integer_tables_equal_the_fraction_reference():
+    rng = Lcg(31)
+    shapes = Counter()
+    for spec in _threshold_specs(rng):
+        assert F(2) in spec.p or spec.q in spec.p or spec.q == 2
+        for high in (False, True) if spec.q > 2 else (False,):
+            L, rows = oracle._table(spec, high)
+            ref = _reference_pieces(spec, high)
+            assert [tag for tag, _ in rows] == [pc[0] for pc in ref]
+            for (_, coeffs), (_, cmap, s_coeff, const) in zip(rows, ref):
+                dense = [cmap.get(j, 0) for j in range(spec.d)] + [s_coeff, const]
+                assert [F(c, L) for c in coeffs] == dense
+            for _ in range(4):
+                alpha = tuple(rng.fraction_between(0, 3) for _ in range(spec.d))
+                s = rng.fraction_between(1, 5)
+                expected = max(_reference_value(pc, alpha, s) for pc in ref)
+                if high:
+                    assert h_high_value(spec, alpha, s) == expected
+                else:
+                    assert h_low_style_value(spec, alpha) == expected
+            shapes[spec.d, high] += 1
+        assert check_scaling_identities(spec, points=2, seed=spec.d).ok, spec
+    assert len({d for d, _ in shapes}) == 15 and shapes[16, True] >= 1
+
+
+def test_certificate_mutants_are_caught():
+    rng = Lcg(32)
+    for spec in _threshold_specs(rng, per_d=1):
+        res = minimize(build_objective(spec))
+        tables = oracle._tables(spec)
+        assert check_certificate(spec, res, tables) == [], spec
+        fields = dict(
+            theta=res.theta, weights=res.weights, argmin_alpha=res.argmin_alpha,
+            argmin_s=res.argmin_s, active_pieces=res.active_pieces,
+        )
+        (tag, w), *rest = res.weights
+        flipped = SimpleNamespace(**{**fields, "weights": ((tag, -w), *rest)})
+        assert check_certificate(spec, flipped, tables), spec
+        off = SimpleNamespace(**{**fields, "theta": res.theta + 1})
+        assert check_certificate(spec, off, tables), spec
+        # The LP without its top-weighted piece has its own certificate,
+        # which the full objective refutes.
+        top = max(res.weights, key=lambda tw: tw[1])[0]
+        obj = build_objective(spec)
+        dropped = dataclasses.replace(
+            obj, pieces=tuple(pc for pc in obj.pieces if pc.provenance != top)
+        )
+        assert check_certificate(spec, minimize(dropped), tables), spec
+
+
+def test_a_wrong_piece_rows_weight_fails_the_identities(monkeypatch):
+    real = params.piece_rows
+
+    def wrong(x, x_q, high):
+        (family, idx, weights, *rest), *others = real(x, x_q, high)
+        return [(family, idx, (2 * weights[0], *weights[1:]), *rest), *others]
+
+    monkeypatch.setattr(params, "piece_rows", wrong)
+    report = check_scaling_identities(_spec((2, 1), (8, "3/2"), 4), points=40, seed=3)
+    assert not report.ok and report.checked == 160
+
+
+@pytest.mark.parametrize("shape", [False, True], ids=["low-row", "high-row"])
+def test_a_wrong_oracle_row_weight_fails_the_identities(monkeypatch, shape):
+    real = oracle._table
+
+    def wrong(spec, high):
+        L, ((tag, coeffs), *rows) = real(spec, high)
+        if high is shape:
+            coeffs = (*(2 * c for c in coeffs[: spec.d]), *coeffs[spec.d :])
+        return L, ((tag, coeffs), *rows)
+
+    monkeypatch.setattr(oracle, "_table", wrong)
+    report = check_scaling_identities(_spec((2, 1), (8, "3/2"), 4), points=40, seed=3)
+    assert not report.ok and report.checked == 160
+
+
+# ---------------------------------------------------------------------------
 # grid brackets
 
 
@@ -154,24 +290,22 @@ def _enumerated_bracket(spec, G):
     ā runs over the compositions of each k in [G, K] (stars and bars),
     with K = ⌊qG/2⌋ for q > 2 and K = G otherwise; the minimum and its
     lexicographically least argmin come from exact evaluation of every
-    point, and the gap from the Lipschitz formula over the pieces.
+    point on the plain-`Fraction` reference pieces, and the gap from the
+    Lipschitz formula over them.
     """
     d, q = spec.d, spec.q
     K = math.floor(q * G / 2) if q > 2 else G
+    pieces = _reference_pieces(spec, q > 2)
     best, points = None, 0
     for k in range(G, K + 1):
         for bars in itertools.combinations(range(k + d - 1), d - 1):
             cuts = (-1,) + bars + (k + d - 1,)
             a = tuple(cuts[i + 1] - cuts[i] - 1 for i in range(d))
             alpha = tuple(F(x, G) for x in a)
-            if q > 2:
-                v = h_high_value(spec, alpha, F(k, G))
-            else:
-                v = h_low_style_value(spec, alpha)
+            v = max(_reference_value(pc, alpha, F(k, G)) for pc in pieces)
             points += 1
             if best is None or (v, alpha) < best:
                 best = (v, alpha)
-    pieces = oracle._high_pieces(spec) if q > 2 else oracle._low_style_pieces(spec)
     lip = sum(max(abs(cmap.get(j, 0)) for _, cmap, _, _ in pieces) for j in range(d))
     if q > 2:
         lip += max(abs(sc) for _, _, sc, _ in pieces)
