@@ -15,7 +15,6 @@ arithmetic:
 
 from .closedform import CASE_LABELS, RegimeReport, classify_regime
 from .exponent import (
-    AffinePiece,
     ExponentResult,
     PiecewiseMax,
     build_objective,
@@ -66,7 +65,6 @@ __all__ = [
     "CASE_LABELS",
     "RegimeReport",
     "classify_regime",
-    "AffinePiece",
     "ExponentResult",
     "PiecewiseMax",
     "build_objective",

@@ -81,10 +81,10 @@ class LpResult:
 def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> LpResult:
     """Minimize c·x over {x ≥ 0 : A_eq x = b_eq, A_ub x ≤ b_ub}, exactly.
 
-    Entries may be `int`s, `Fraction`s or anything `Fraction()` reads.  An
-    A_ub row with b ≥ 0 starts phase 1 on its slack; equality rows and A_ub
-    rows with b < 0 start on an artificial.  The optimal value is minus the
-    right-hand side of the final reduced-cost row.
+    Entries are `int`s or `Fraction`s.  An A_ub row with b ≥ 0 starts
+    phase 1 on its slack; equality rows and A_ub rows with b < 0 start on an
+    artificial.  The optimal value is minus the right-hand side of the final
+    reduced-cost row.
     """
     n = len(c)
     n_ub = 0 if A_ub is None else len(A_ub)
@@ -145,15 +145,12 @@ def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> LpResult:
 
 
 def _lift(values: list) -> tuple[list[int], int]:
-    """`values` as integers over one positive denominator, gcd-reduced.
-
-    A list of `int`s is taken as it stands, over denominator 1.  `int`s and
-    `Fraction`s are read as they are; any other entry (a string such as
-    "3/2", say) goes through `Fraction(v)`.
+    """`values`, each an `int` or a `Fraction`, as integers over one
+    positive denominator, gcd-reduced.  A list of `int`s is taken as it
+    stands, over denominator 1.
     """
     if set(map(type, values)) == {int}:
         return values, 1
-    values = [v if type(v) is Fraction or type(v) is int else Fraction(v) for v in values]
     den = lcm(*(v.denominator for v in values))
     return _reduced([v.numerator * (den // v.denominator) for v in values], den)
 

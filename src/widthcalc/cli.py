@@ -28,6 +28,7 @@ import csv
 import functools
 import io
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -544,6 +545,21 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # so a reader that has gone shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at the null device so that the flush at interpreter
+        # exit cannot raise again.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        print("error: standard output was closed before the output was written", file=sys.stderr)
+        return 4
+
+
+def _main(argv) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

@@ -9,7 +9,10 @@ minimum of a finite max of affine functions over a simplex-like domain:
 where the affine pieces are the rows of `params.piece_rows` for x_j = 1/p_j
 and x_q = 1/q (the large-p, mid-p, small-p, cross-lambda and cross-mu
 families, in that order); a family with no switched-on index contributes
-no pieces.
+no pieces.  `build_objective` takes them as `ProblemSpec.rate_rows`,
+integers over one denominator, and reads a row at (α_1, …, α_d, s, 1) with
+s = Σ α_j: h̃ is the max of Σ w_i r_i α_i + t_coeff·s + logn_coeff over the
+q > 2 rows, and h the same over the low-shape rows at s = 1.
 
 The minimum, its argmin, whether the argmin is the unique minimiser, the
 active pieces there and the dual weights of the pieces are all computed
@@ -25,13 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd
 
 from ._simplex import solve_lp
 from .params import ParameterError, ProblemSpec
 
 __all__ = [
-    "AffinePiece",
     "PiecewiseMax",
     "ExponentResult",
     "build_objective",
@@ -40,7 +42,6 @@ __all__ = [
 ]
 
 _ONE = Fraction(1)
-_ZERO = Fraction(0)
 
 #: Provenance tag: (family, indices), 0-based indices.
 Provenance = tuple[str, tuple[int, ...]]
@@ -55,38 +56,18 @@ def render_provenance(tag: Provenance) -> str:
 
 
 @dataclass(frozen=True)
-class AffinePiece:
-    """One affine piece  Σ coeffs_j α_j + s_coeff·s + const."""
-
-    coeffs: tuple[Fraction, ...]
-    s_coeff: Fraction
-    const: Fraction
-    provenance: Provenance
-
-    def value(self, alpha: tuple[Fraction, ...], s: Fraction | None = None) -> Fraction:
-        acc = sum((c * a for c, a in zip(self.coeffs, alpha)), start=self.const)
-        if self.s_coeff:
-            if s is None:
-                raise ParameterError("piece has an s term but no s was given")
-            acc += self.s_coeff * s
-        return acc
-
-
-@dataclass(frozen=True)
 class PiecewiseMax:
-    """max over pieces, together with its domain description."""
+    """max over pieces, together with its domain description.
+
+    Each piece is (tag, row): the row is L times the coefficients of
+    (α_1, …, α_d, s, 1), all integers, from `ProblemSpec.rate_rows`.
+    """
 
     dim: int
     has_s: bool
     s_max: Fraction | None  # q/2 when has_s, else None
-    pieces: tuple[AffinePiece, ...]
-
-    def value(self, alpha: tuple[Fraction, ...], s: Fraction | None = None) -> Fraction:
-        if len(alpha) != self.dim:
-            raise ParameterError(f"point has {len(alpha)} coordinates, objective wants {self.dim}")
-        if self.has_s and s is None:
-            raise ParameterError("objective needs an s coordinate")
-        return max(p.value(alpha, s) for p in self.pieces)
+    L: int
+    pieces: tuple[tuple[Provenance, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -108,28 +89,19 @@ class ExponentResult:
         reduced_costs, A_ub, pieces = self._tableau
         k = len(pieces)  # the piece rows, and their slacks, come last
         return tuple(
-            (piece.provenance, rc * row[-1])
-            for piece, rc, row in zip(pieces, reduced_costs[-k:], A_ub[-k:])
+            (tag, rc * row[-1])
+            for (tag, _), rc, row in zip(pieces, reduced_costs[-k:], A_ub[-k:])
             if rc
         )
 
 
 def build_objective(spec: ProblemSpec) -> PiecewiseMax:
     """Assemble the exact piecewise objective for `spec` (regime-dependent)."""
-    d, r = spec.d, spec.r
     high = spec.q > 2
-    pieces = []
-    for family, idx, weights, t_coeff, logn_coeff, _ in spec.rows(high):
-        coeffs = [_ZERO] * d
-        for i, w in zip(idx, weights):
-            coeffs[i] = w * r[i]
-        if high:
-            s_coeff, const = t_coeff, logn_coeff
-        else:
-            s_coeff, const = _ZERO, t_coeff
-        pieces.append(AffinePiece(tuple(coeffs), s_coeff, const, (family, idx)))
+    L, rows = spec.rate_rows(high)
+    pieces = tuple(((family, idx), row) for (family, idx, *_), row in zip(spec.rows(high), rows))
     s_max = spec.q / 2 if high else None
-    return PiecewiseMax(dim=d, has_s=high, s_max=s_max, pieces=tuple(pieces))
+    return PiecewiseMax(dim=spec.d, has_s=high, s_max=s_max, L=L, pieces=pieces)
 
 
 def _epigraph_lp(obj: PiecewiseMax):
@@ -138,11 +110,14 @@ def _epigraph_lp(obj: PiecewiseMax):
     Variables (all ≥ 0):  α_0..α_{d−1} [, σ] , t⁺, t⁻   with s = 1 + σ and
     t = t⁺ − t⁻ (θ may be negative for non-compact classes).  The rows are
     (Σ α − σ = 1 or Σ α = 1), then σ ≤ q/2 − 1 when there is an s, then one
-    row per piece.  Each ≤ row is its rational row times the lcm of its
-    denominators, so every row is a list of `int`s.  The piece rows have
-    b = −const − s_coeff ≥ 0, so each starts on its slack, and scaling a row
-    that starts on its slack changes neither the pivots nor which slacks
-    are zero.  Returns (cost, A_eq, b_eq, A_ub, b_ub) for `solve_lp`.
+    row per piece.  A piece row (a_1, …, a_d, c_s, c_1) over L reads
+    Σ a_j α_j + c_s·s + c_1 ≤ L·t; with s = 1 + σ, and s = 1 when q ≤ 2,
+    that is  Σ a_j α_j [+ c_s·σ] − L·t ≤ −(c_s + c_1),  divided by
+    g = gcd(L, a_1, …, a_d, c_s, c_1), so every row is a list of `int`s.
+    Each has b ≥ 0, so it starts on its slack, and scaling a row that starts
+    on its slack by a positive factor changes neither Bland's pivots nor
+    which slacks are zero.  Returns (cost, A_eq, b_eq, A_ub, b_ub) for
+    `solve_lp`.
     """
     d = obj.dim
     n = d + (1 if obj.has_s else 0) + 2
@@ -159,19 +134,15 @@ def _epigraph_lp(obj: PiecewiseMax):
         up[d] = bound.denominator
         A_ub.append(up)
         b_ub.append(bound.numerator)
-    for piece in obj.pieces:
-        const = piece.const
-        terms = [(i, c) for i, c in enumerate(piece.coeffs) if c]
+    for _, coeffs in obj.pieces:
+        g = gcd(obj.L, *coeffs)
+        c_s, c_1 = coeffs[d] // g, coeffs[d + 1] // g
+        row = [c // g for c in coeffs[:d]]
         if obj.has_s:
-            terms.append((d, piece.s_coeff))
-        den = lcm(const.denominator, *(c.denominator for _, c in terms))
-        row = [0] * n
-        for i, c in terms:
-            row[i] = c.numerator * (den // c.denominator)
-        row[-2], row[-1] = -den, den
+            row.append(c_s)
+        row += [-obj.L // g, obj.L // g]
         A_ub.append(row)
-        # piece ≤ t with s = 1 + σ folds s_coeff into the constant.
-        b_ub.append(-const.numerator * (den // const.denominator) - (row[d] if obj.has_s else 0))
+        b_ub.append(-c_s - c_1)
     return cost, A_eq, b_eq, A_ub, b_ub
 
 
@@ -246,9 +217,7 @@ def minimize(obj: PiecewiseMax) -> ExponentResult:
         argmin_alpha=res.x[:d],
         argmin_s=_ONE + res.x[d] if obj.has_s else None,
         unique=_argmin_is_unique(res, *lp),
-        active_pieces=tuple(
-            piece.provenance for piece, gap in zip(obj.pieces, res.slack[first:]) if not gap
-        ),
+        active_pieces=tuple(tag for (tag, _), gap in zip(obj.pieces, res.slack[first:]) if not gap),
     )
     # Frozen: the tableau goes straight into the instance dict, for `weights`.
     result.__dict__["_tableau"] = (res.reduced_costs, lp[3], obj.pieces)

@@ -622,7 +622,8 @@ def psi_value(
     The maximum over the high-shape rows of `params.piece_rows` of
     Σ w_i r_i t_i + t_coeff·t + logn_coeff·log n.  Scaling identity:
     ψ(t̄, t; L) = L · h̃(t̄/L, t/L) piece by piece, where h̃ is the q > 2
-    objective of `exponent.build_objective`.
+    objective of `exponent.build_objective`, the same `rate_rows` read at
+    (ᾱ, s, 1).
     """
     if spec.q <= 2:
         raise ParameterError("ψ is defined for q > 2")

@@ -28,8 +28,8 @@ as a disagreement:
     output contains no timestamps or environment details.
 
 The pieces are integer rows over one common denominator (`_table`), built
-once per spec by `cross_validate` and shared by the lattice bracket, the
-identity checks and `check_certificate`; a point is scaled to integers once,
+once per spec by `cross_validate` when it runs the lattice bracket or the
+identity checks, and shared by both; a point is scaled to integers once,
 and one `Fraction` is built only for a value that is returned or compared.
 """
 
@@ -737,7 +737,8 @@ def cross_validate(
     for i in range(samples):
         label = BRANCH_LABELS[i % len(BRANCH_LABELS)]
         spec = sample_branch(rng, label)
-        tables = _tables(spec)
+        # Only the lattice and the identity checks read the oracle's tables.
+        tables = _tables(spec) if grid is not None or identity_points else None
         report = closedform.classify_regime(spec)
         result = minimize(build_objective(spec))
         problems: list[str] = []

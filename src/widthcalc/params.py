@@ -105,8 +105,9 @@ class ProblemSpec:
     end rather than one per arithmetic step.  `rows(high)` is the
     `piece_rows` table at (x̄, 1/q) in the low or the high shape, built as
     a tuple on first use, and `rate_rows(high)` the same rows as integers
-    over one denominator.  None of this takes part in ==, hash, repr or
-    str: two specs with the same (r̄, p̄, q) are equal whatever they hold.
+    over one denominator, which φ/ψ and the epigraph LP read.  None of this
+    takes part in ==, hash, repr or str: two specs with the same (r̄, p̄, q)
+    are equal whatever they hold.
     """
 
     r: tuple[Fraction, ...]
@@ -195,18 +196,30 @@ class ProblemSpec:
 
     def rate_rows(self, high: bool) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """`rows(high)` as (L, rows), built on first use per shape: each row
-        is L times the coefficients of (t_1, …, t_d, t, log n) in the block
-        rate Σ w_i r_i t_i + t_coeff·t + logn_coeff·log n, all integers."""
+        is L times the coefficients (w_1 r_1, …, w_d r_d, t_coeff,
+        logn_coeff) of a row, all integers, in the order of `rows(high)`.
+
+        φ and ψ read a row at (t_1, …, t_d, t, log n), as the block rate
+        Σ w_i r_i t_i + t_coeff·t + logn_coeff·log n.  The epigraph LP of
+        `exponent.build_objective` reads it at (α_1, …, α_d, s, 1) with
+        s = Σ α_j, so s = 1 when q ≤ 2.
+        """
         table = self._rows.get(("rate", high))
         if table is None:
-            rows = []
+            d = self.d
+            rows = []  # the nonzero (column, coefficient) pairs of each row
             for _, idx, weights, t_coeff, logn_coeff, _ in self.rows(high):
-                rows.append([_ZERO] * self.d + [t_coeff, logn_coeff])
-                for i, w in zip(idx, weights):
-                    rows[-1][i] = w * self.r[i]
-            L = lcm(*(v.denominator for row in rows for v in row))
-            ints = tuple(tuple(v.numerator * (L // v.denominator) for v in row) for row in rows)
-            table = self._rows["rate", high] = (L, ints)
+                terms = [(i, w * self.r[i]) for i, w in zip(idx, weights)]
+                terms += [(j, v) for j, v in ((d, t_coeff), (d + 1, logn_coeff)) if v]
+                rows.append(terms)
+            L = lcm(*(v.denominator for terms in rows for _, v in terms))
+            ints = []
+            for terms in rows:
+                row = [0] * (d + 2)
+                for j, v in terms:
+                    row[j] = v.numerator * (L // v.denominator)
+                ints.append(tuple(row))
+            table = self._rows["rate", high] = (L, tuple(ints))
         return table
 
     def permuted(self, order: tuple[int, ...]) -> "ProblemSpec":
@@ -256,11 +269,12 @@ def piece_rows(x: Sequence[Fraction], x_q: Fraction, high: bool) -> list[PieceRo
     tests and the weights run on x̄, x_q and 1/2 as integers over their
     common denominator, and each coefficient is built as one `Fraction`.
 
-    The consumers read the rows as they stand:
+    The consumers read the rows as they stand, the first three through
+    `ProblemSpec.rate_rows` (as integers over one denominator):
 
-      exponent.build_objective  coefficients w_i r_i on α_i; q > 2: s slope
-                                t_coeff and constant logn_coeff; q ≤ 2:
-                                constant t_coeff (there s = 1);
+      exponent.build_objective  Σ w_i r_i α_i + t_coeff·s + logn_coeff with
+                                s = Σ α_j, in the shape of q (s = 1 when
+                                q ≤ 2);
       finitedim.phi_value       Σ w_i r_i t_i + t_coeff·t, low shape at any q;
       finitedim.psi_value       the same plus logn_coeff·log n, high shape;
       finitedim._terms          Π ν_i^(w_i) · N^(n_power) · g^(2·logn_coeff),

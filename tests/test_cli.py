@@ -355,17 +355,51 @@ def test_config_choices_are_checked_like_the_flag(capsys, tmp_path, argv, config
     assert code == 0 and json.loads(out)
 
 
-def test_python_dash_m_matches_cli_main(capsys):
-    argv = ["regime", "--r", "1,2", "--p", "3,3/2", "--q", "4"]
-    code, out, err = run(capsys, *argv)
+def _module_env():
+    """The environment with this checkout's `src` first on PYTHONPATH."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_dash_m_matches_cli_main(capsys):
+    argv = ["regime", "--r", "1,2", "--p", "3,3/2", "--q", "4"]
+    code, out, err = run(capsys, *argv)
     proc = subprocess.run(
-        [sys.executable, "-m", "widthcalc", *argv], capture_output=True, env=env, timeout=60
+        [sys.executable, "-m", "widthcalc", *argv], capture_output=True, env=_module_env(),
+        timeout=60,
     )
     assert proc.returncode == code
     assert proc.stdout == out.encode() and proc.stderr == err.encode()
+
+
+CLOSED_STDOUT_ARGV = {
+    "exponent-text": ["exponent", "--r", "1,1", "--p", "3,3", "--q", "2"],
+    "exponent-json": ["exponent", "--r", "1,1", "--p", "3,3", "--q", "2", "--format", "json"],
+    "regime": ["regime", "--r", "1,2", "--p", "3,3/2", "--q", "4"],
+    "finite": ["finite", "--N", "4096", "--n", "512", "--q", "4", "--balls", "inf:1/64,3:1/4"],
+    "sweep": ["sweep", "--r", "1,1,2", "--p", "3,3/2,5", "--q", "4", "--vary", "n",
+              "--m-vec", "3,2,1", "--from", "8", "--to", "32", "--steps", "7"],
+    "verify": ["verify", "--samples", "9", "--seed", "42"],
+}
+
+
+@pytest.mark.parametrize("argv", CLOSED_STDOUT_ARGV.values(), ids=CLOSED_STDOUT_ARGV)
+def test_a_closed_stdout_is_refused_without_a_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "widthcalc", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=_module_env(), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    lines = proc.stderr.decode().splitlines()
+    assert proc.returncode == 4
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert b"Traceback" not in proc.stderr
 
 
 def test_missing_options_and_unknown_commands_exit_4(capsys):

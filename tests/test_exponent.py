@@ -13,7 +13,7 @@ import widthcalc.oracle as oracle
 from widthcalc._simplex import solve_lp
 from widthcalc.closedform import check_compact
 from widthcalc.exponent import build_objective, minimize
-from widthcalc.oracle import Lcg, check_certificate, h_high_value, h_low_style_value
+from widthcalc.oracle import Lcg, check_certificate
 from widthcalc.params import MAX_DIMENSION, ProblemSpec
 
 rationals = st.fractions(min_value=F(1, 6), max_value=F(6), max_denominator=10)
@@ -68,27 +68,30 @@ def _lp_counter():
         exponent.solve_lp = real
 
 
-def _epigraph_rows(obj):
-    """The epigraph LP, built here from the pieces in `Fraction`s.
+def _epigraph_rows(spec):
+    """The epigraph LP, built here from `spec.rows` in `Fraction`s.
 
     (cost, A_eq, b_eq, A_ub, b_ub) over α [, σ], t⁺, t⁻ with s = 1 + σ and
-    t = t⁺ − t⁻: Σα − σ = 1, then σ ≤ q/2 − 1, then piece ≤ t per piece.
+    t = t⁺ − t⁻: Σα − σ = 1, then σ ≤ q/2 − 1, then piece ≤ t per row, the
+    piece being Σ w_i r_i α_i + t_coeff·s + logn_coeff, with s = 1 when q ≤ 2.
     """
-    d = obj.dim
-    eq = [F(1)] * d + [F(-1)] * obj.has_s + [F(0), F(0)]
+    d, high = spec.d, spec.q > 2
+    eq = [F(1)] * d + [F(-1)] * high + [F(0), F(0)]
     A_ub, b_ub = [], []
-    if obj.has_s:
+    if high:
         A_ub.append([F(0)] * d + [F(1), F(0), F(0)])
-        b_ub.append(obj.s_max - 1)
-    for pc in obj.pieces:
-        s_part = [pc.s_coeff] if obj.has_s else []
-        A_ub.append(list(pc.coeffs) + s_part + [F(-1), F(1)])
-        b_ub.append(-pc.const - sum(s_part, F(0)))
+        b_ub.append(spec.q / 2 - 1)
+    for _, idx, weights, t_coeff, logn_coeff, _ in spec.rows(high):
+        coeffs = [F(0)] * d
+        for i, w in zip(idx, weights):
+            coeffs[i] = w * spec.r[i]
+        A_ub.append(coeffs + [t_coeff] * high + [F(-1), F(1)])
+        b_ub.append(-t_coeff - logn_coeff)
     cost = [F(0)] * (len(eq) - 2) + [F(1), F(-1)]
     return cost, [eq], [F(1)], A_ub, b_ub
 
 
-def _face_is_a_point(obj, theta):
+def _face_is_a_point(spec, theta):
     """Reference verdict: probe each coordinate over the optimal face.
 
     The face is the epigraph LP's feasible set with t⁺ − t⁻ = θ added:
@@ -97,7 +100,7 @@ def _face_is_a_point(obj, theta):
     minimum and maximum over it, up to 2(d + 1) LPs.  The t⁺/t⁻ columns are
     not probed; only their difference is fixed.
     """
-    cost, A_eq, b_eq, A_ub, b_ub = _epigraph_rows(obj)
+    cost, A_eq, b_eq, A_ub, b_ub = _epigraph_rows(spec)
     n = len(cost)
     A_eq, b_eq = A_eq + [[F(0)] * (n - 2) + [F(1), F(-1)]], b_eq + [theta]
     for var in range(n - 2):
@@ -116,13 +119,14 @@ def test_flat_objective_reports_non_unique_argmin():
     # r = (2, 2), p = (3, 3/2), q = 2 ties theta1 with the margin: the
     # optimal face is a segment, not a point.  The tableau leaves a free
     # column, so one LP over the optimal face decides.
-    obj = build_objective(_spec((2, 2), (3, "3/2"), 2))
+    spec = _spec((2, 2), (3, "3/2"), 2)
+    obj = build_objective(spec)
     with _lp_counter() as lps:
         res = minimize(obj)
     assert res.theta == F(1)
     assert len(lps) == 2
     assert not res.unique
-    assert not _face_is_a_point(obj, res.theta)
+    assert not _face_is_a_point(spec, res.theta)
     # The reported argmin is the vertex the epigraph solve stops at.
     assert res.argmin_alpha == (F(1, 2), F(1, 2))
     assert res.active_pieces == (("large-p", (0,)), ("cross-lambda", (0, 1)))
@@ -154,8 +158,8 @@ def test_tableau_certificate_agrees_with_face_probes_at_higher_d():
         obj = build_objective(spec)
         with _lp_counter() as lps:
             res = minimize(obj)
-        assert res.theta == solve_lp(*_epigraph_rows(obj)).value
-        probed = _face_is_a_point(obj, res.theta)
+        assert res.theta == solve_lp(*_epigraph_rows(spec)).value
+        probed = _face_is_a_point(spec, res.theta)
         assert res.unique == probed, spec
         assert len(lps) <= 2
         if len(lps) == 1:
@@ -223,14 +227,6 @@ def test_d16_exponents_match_frozen_anchors(r, p, q, theta, unique, compact):
     assert check_compact(spec) is compact
 
 
-def _feasible_point(rng, spec):
-    q = spec.q
-    s = rng.fraction_between(1, q / 2) if q > 2 else F(1)
-    weights = [rng.fraction_between(0, 4) for _ in range(spec.d)]
-    total = sum(weights)
-    return tuple(w * s / total for w in weights), s
-
-
 units = st.fractions(min_value=F(1, 10), max_value=1, max_denominator=10)
 
 
@@ -283,34 +279,6 @@ def test_minimum_is_invariant_under_coordinate_swap(r, p, q):
     )
 
 
-def test_low_and_high_objectives_agree_with_oracle_tables():
-    rng = Lcg(5)
-    specs = [
-        _spec((2, 1), (8, "3/2"), 4),
-        _spec((1, 1), (3, 5), 4),
-        _spec((1, 2), ("7/4", "5/4"), 3),
-        _spec(("1/2", 3), (9, "4/3"), "5/2"),
-        _spec((2, 1), (3, "3/2"), 2),
-    ]
-    for spec in specs:
-        obj = build_objective(spec)
-        L, rows = oracle._tables(spec)[obj.has_s]
-        for _ in range(100):
-            alpha, s = _feasible_point(rng, spec)
-            s = s if obj.has_s else None
-            top = obj.value(alpha, s)
-            if obj.has_s:
-                assert top == h_high_value(spec, alpha, s)
-            else:
-                assert top == h_low_style_value(spec, alpha)
-            # Each oracle row's value at (ᾱ, s) is an integer over L·E.
-            E, point = oracle._scaled((*alpha, s if obj.has_s else F(1)))
-            values = {tag: F(sum(map(operator.mul, c, point + [E])), L * E) for tag, c in rows}
-            assert {pc.provenance for pc in obj.pieces if pc.value(alpha, s) == top} == {
-                tag for tag, v in values.items() if v == top
-            }
-
-
 @st.composite
 def threshold_specs(draw):
     """Specs at d = 2..16 on both sides of q = 2, some p_j on 2 or on q."""
@@ -323,12 +291,12 @@ def threshold_specs(draw):
     return ProblemSpec(r=r, p=p, q=q)
 
 
-def _solve_from_artificials(obj):
+def _solve_from_artificials(spec):
     """The epigraph LP with every row an equality over an explicit slack.
 
     Every row then starts phase 1 on an artificial.
     """
-    cost, A_eq, b_eq, A_ub, b_ub = _epigraph_rows(obj)
+    cost, A_eq, b_eq, A_ub, b_ub = _epigraph_rows(spec)
     k = len(A_ub)
     rows = [row + [F(0)] * k for row in A_eq]
     rows += [row + [F(int(i == j)) for i in range(k)] for j, row in enumerate(A_ub)]
@@ -346,19 +314,21 @@ def _solve_from_artificials(obj):
 @example(_spec((2, 1), (8, "3/2"), 4))  # p̄ straddles both 2 and q
 @example(_spec((1, 3), (6, "4/3"), "7/2"))
 def test_active_pieces_and_verdict_agree_with_an_all_artificial_solve(spec):
-    obj = build_objective(spec)
     with _lp_counter() as lps:
-        res = minimize(obj)
+        res = minimize(build_objective(spec))
     assert len(lps) <= 2
     assert check_certificate(spec, res) == []
-    point = (res.argmin_alpha, res.argmin_s)
-    assert res.active_pieces == tuple(
-        pc.provenance for pc in obj.pieces if pc.value(*point) == res.theta
-    )
-    ref = _solve_from_artificials(obj)
+    # Each oracle row's value at (ᾱ, s) is an integer over L·E, s = 1 when q ≤ 2.
+    high = spec.q > 2
+    L, rows = oracle._table(spec, high)
+    E, point = oracle._scaled((*res.argmin_alpha, res.argmin_s if high else F(1), F(1)))
+    values = {tag: F(sum(map(operator.mul, c, point)), L * E) for tag, c in rows}
+    assert len(set(res.active_pieces)) == len(res.active_pieces)
+    assert set(res.active_pieces) == {tag for tag, v in values.items() if v == res.theta}
+    ref = _solve_from_artificials(spec)
     assert ref.value == res.theta
-    unique = _face_is_a_point(obj, ref.value)
+    unique = _face_is_a_point(spec, ref.value)
     assert unique is res.unique
     if unique:
         assert ref.x[: spec.d] == res.argmin_alpha
-        assert (1 + ref.x[spec.d] if obj.has_s else None) == res.argmin_s
+        assert (1 + ref.x[spec.d] if high else None) == res.argmin_s

@@ -185,6 +185,37 @@ def test_integer_tables_equal_the_fraction_reference():
     assert len({d for d, _ in shapes}) == 15 and shapes[16, True] >= 1
 
 
+def test_objective_rows_equal_the_oracle_tables():
+    """`build_objective`'s rows, read at (α_1, …, α_d, s, 1), against the
+    oracle's own table of the shape of q, exactly and tag by tag; the low
+    table puts a constant in the 1 column where `rate_rows` has it on s,
+    and s = 1 when q ≤ 2, so there the two columns are compared summed."""
+    specs = [
+        _spec((2, 1), (8, "3/2"), 4),
+        _spec((1, 1), (3, 5), 4),
+        _spec((1, 2), ("7/4", "5/4"), 3),
+        _spec(("1/2", 3), (9, "4/3"), "5/2"),
+        _spec((2, 1), (3, "3/2"), 2),
+        *_threshold_specs(Lcg(33)),
+    ]
+    shapes = Counter()
+    for spec in specs:
+        obj = build_objective(spec)
+        high, d = spec.q > 2, spec.d
+        L, rows = oracle._table(spec, high)
+        ours = dict(obj.pieces)
+        assert len(ours) == len(obj.pieces) == len(rows), spec
+        for tag, coeffs in rows:
+            mine = [F(c, obj.L) for c in ours[tag]]
+            theirs = [F(c, L) for c in coeffs]
+            if not high:
+                mine[d:] = [mine[d] + mine[d + 1]]
+                theirs[d:] = [theirs[d] + theirs[d + 1]]
+            assert mine == theirs, (spec, tag)
+        shapes[d, spec.q < 2, spec.q == 2] += 1
+    assert len(shapes) == 45
+
+
 def test_certificate_mutants_are_caught():
     rng = Lcg(32)
     for spec in _threshold_specs(rng, per_d=1):
@@ -205,9 +236,25 @@ def test_certificate_mutants_are_caught():
         top = max(res.weights, key=lambda tw: tw[1])[0]
         obj = build_objective(spec)
         dropped = dataclasses.replace(
-            obj, pieces=tuple(pc for pc in obj.pieces if pc.provenance != top)
+            obj, pieces=tuple((tag, row) for tag, row in obj.pieces if tag != top)
         )
         assert check_certificate(spec, minimize(dropped), tables), spec
+
+
+def test_a_wrong_rate_rows_weight_fails_the_certificate(monkeypatch):
+    real = params.ProblemSpec.rate_rows
+
+    def wrong(spec, high):
+        L, (first, *rows) = real(spec, high)
+        j = next(j for j, c in enumerate(first) if c)  # the row's first α column
+        return L, ((*first[:j], 2 * first[j], *first[j + 1 :]), *rows)
+
+    specs = [*_threshold_specs(Lcg(32), per_d=1), _spec((2, 1), (8, "3/2"), 4)]
+    specs.append(_spec((1, 2), ("7/4", "5/4"), "3/2"))
+    assert {spec.q > 2 for spec in specs} == {False, True} and min(s.q for s in specs) < 2
+    monkeypatch.setattr(params.ProblemSpec, "rate_rows", wrong)
+    for spec in specs:
+        assert check_certificate(spec, minimize(build_objective(spec))), spec
 
 
 def test_a_wrong_piece_rows_weight_fails_the_identities(monkeypatch):
