@@ -13,7 +13,7 @@ arithmetic:
     cross-check every route against the others.
 """
 
-from .closedform import CASE_LABELS, RegimeReport, classify_regime
+from .closedform import RegimeReport, classify_regime
 from .exponent import (
     ExponentResult,
     PiecewiseMax,
@@ -24,18 +24,15 @@ from .exponent import (
 from .finitedim import (
     BallSpec,
     CheckedInequality,
-    DominationCheck,
     IntersectionSpec,
     LowerBoundCertificate,
     WidthOrder,
     classify_branch,
-    cross_term_dominated,
     dyadic_block_order,
     intersection_order,
     phi_value,
     psi_value,
     single_ball_order,
-    vk_lower_bound,
     vk_vertex_norm,
 )
 from .oracle import (
@@ -55,14 +52,12 @@ from .params import (
     ProblemSpec,
     RangeError,
     as_fraction,
-    harmonic_mean,
 )
 from .values import INF, PowerProduct, decimal_str, inv_exponent, is_inf
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CASE_LABELS",
     "RegimeReport",
     "classify_regime",
     "ExponentResult",
@@ -72,18 +67,15 @@ __all__ = [
     "render_provenance",
     "BallSpec",
     "CheckedInequality",
-    "DominationCheck",
     "IntersectionSpec",
     "LowerBoundCertificate",
     "WidthOrder",
     "classify_branch",
-    "cross_term_dominated",
     "dyadic_block_order",
     "intersection_order",
     "phi_value",
     "psi_value",
     "single_ball_order",
-    "vk_lower_bound",
     "vk_vertex_norm",
     "BRANCH_LABELS",
     "GridBracket",
@@ -99,7 +91,6 @@ __all__ = [
     "ProblemSpec",
     "RangeError",
     "as_fraction",
-    "harmonic_mean",
     "INF",
     "PowerProduct",
     "decimal_str",

@@ -44,7 +44,7 @@ from .finitedim import (
     single_ball_order,
 )
 from .params import MAX_DIMENSION, ParameterError, ProblemSpec
-from .values import INF, PowerProduct, decimal_str, is_inf
+from .values import INF, PowerProduct, decimal_str, is_inf, json_rational
 
 __all__ = ["main"]
 
@@ -97,15 +97,9 @@ def parse_rational_tuple(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(part) for part in text.split(","))
 
 
-def _json_rational(x: Fraction) -> dict:
-    return {"ratio": f"{x.numerator}/{x.denominator}", "decimal": decimal_str(x)}
-
-
 def _json_value(v: PowerProduct) -> dict:
-    out: dict = {"decimal": v.decimal(12) if not v.is_zero else "0.0"}
-    if v.is_zero:
-        out["ratio"] = "0/1"
-    elif v.is_rational:
+    out: dict = {"decimal": v.decimal(12)}
+    if v.is_rational:
         f = v.as_fraction()
         out["ratio"] = f"{f.numerator}/{f.denominator}"
     else:
@@ -213,22 +207,22 @@ def _cmd_exponent(args: argparse.Namespace) -> int:
     if (args.format or "text") == "json":
         payload = {
             "case": report.case,
-            "theta": _json_rational(result.theta),
-            "closed_form": _json_rational(report.exponent) if report.exponent is not None else None,
+            "theta": json_rational(result.theta),
+            "closed_form": json_rational(report.exponent),
             "argmin_alpha": [str(a) for a in result.argmin_alpha],
             "argmin_s": str(result.argmin_s) if result.argmin_s is not None else None,
             "unique": result.unique,
             "active": [render_provenance(t) for t in result.active_pieces],
             "compact": report.compact,
             "tie": report.tie,
-            "thetas": {k: _json_rational(v) for k, v in sorted(report.thetas.items())},
-            "margin": _json_rational(spec.compact_margin()),
+            "thetas": {k: json_rational(v) for k, v in sorted(report.thetas.items())},
+            "margin": json_rational(spec.compact_margin()),
             "grid": None
             if bracket is None
             else {
                 "grid": bracket.grid,
-                "lower": _json_rational(bracket.lower),
-                "best": _json_rational(bracket.best_value),
+                "lower": json_rational(bracket.lower),
+                "best": json_rational(bracket.best_value),
                 "contains": grid_ok,
             },
             "agreement": closed_ok,
@@ -267,9 +261,9 @@ def _cmd_regime(args: argparse.Namespace) -> int:
             "compact": report.compact,
             "regularity": report.regularity,
             "tie": report.tie,
-            "exponent": _json_rational(report.exponent) if report.exponent is not None else None,
-            "thetas": {k: _json_rational(v) for k, v in sorted(report.thetas.items())},
-            "margin": _json_rational(spec.compact_margin()),
+            "exponent": json_rational(report.exponent),
+            "thetas": {k: json_rational(v) for k, v in sorted(report.thetas.items())},
+            "margin": json_rational(spec.compact_margin()),
             "regularity_sums": [str(m) for m in spec.reg_sums],
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -343,7 +337,7 @@ def _cmd_finite(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        dec = order.value.decimal(12) if not order.value.is_zero else "0.0"
+        dec = order.value.decimal(12)
         lines = [f"value     {order.value} ({dec})", f"branch    {order.branch}"]
         if case is not None:
             lines.append(f"case      {case}")
@@ -414,9 +408,7 @@ def _sweep_row_n(spec: ProblemSpec | None, m_vec: tuple[int, ...], value: Fracti
         order = dyadic_block_order(spec, m_vec, int(value))
     except ParameterError:
         return ["n", str(value), "", "", "", "", "", "", "invalid"]
-    if order.value.is_zero:
-        num, den, dec = "0", "1", "0.0"
-    elif order.value.is_rational:
+    if order.value.is_rational:
         f = order.value.as_fraction()
         num, den, dec = str(f.numerator), str(f.denominator), decimal_str(f)
     else:
@@ -488,8 +480,20 @@ def _add_common(sub: argparse.ArgumentParser, *, spec_opts: bool) -> None:
         sub.add_argument("--q", default=None, help="target exponent, e.g. 2 or 7/3")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that help is written as any other output is.
+
+    argparse drops an `OSError` from writing help, so on a closed stdout
+    `--help` would exit 0 in silence; here it reaches `main`, which refuses
+    it.  The subparsers are built from this class too.
+    """
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="widthcalc",
         description="decay exponents and finite-dimensional width orders",
     )

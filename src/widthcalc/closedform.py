@@ -53,8 +53,6 @@ from .params import ProblemSpec
 
 __all__ = [
     "RegimeReport",
-    "CASE_LABELS",
-    "check_compact",
     "check_regularity",
     "noncompact_screen",
     "regular_exponent",
@@ -64,20 +62,6 @@ __all__ = [
 
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
-
-CASE_LABELS = (
-    "T1.1",
-    "T1.2a",
-    "T1.2b",
-    "T1.3a",
-    "T1.3b",
-    "T1.3c",
-    "T4.1",
-    "T4.2a",
-    "T4.2b",
-    "T3-noncompact",
-    "uncovered",
-)
 
 
 @dataclass(frozen=True)
@@ -106,13 +90,6 @@ def noncompact_screen(spec: ProblemSpec) -> bool | None:
     if any(pj > spec.q for pj in spec.p):
         return None
     return any(m >= 1 for m in spec.reg_sums)
-
-
-def check_compact(spec: ProblemSpec) -> bool:
-    """Compact embedding: positive margin and the screen does not fire."""
-    if noncompact_screen(spec):
-        return False
-    return spec.compact_margin() > 0
 
 
 def _theta1(spec: ProblemSpec) -> Fraction:

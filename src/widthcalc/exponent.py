@@ -20,7 +20,7 @@ exactly with a rational simplex; `oracle.check_certificate` checks the
 minimum from the weights and the argmin without it.
 Whether the class is compactly embedded is not read off the sign of θ: the
 LP objective encodes the width estimate only under the paper's hypotheses,
-so compactness is decided by `closedform.check_compact`.
+so compactness is decided by `classify_regime(spec).compact` in `closedform`.
 """
 
 from __future__ import annotations

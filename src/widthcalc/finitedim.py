@@ -46,16 +46,13 @@ __all__ = [
     "CheckedInequality",
     "LowerBoundCertificate",
     "WidthOrder",
-    "DominationCheck",
     "single_ball_order",
     "intersection_order",
     "classify_branch",
-    "vk_lower_bound",
     "vk_vertex_norm",
     "dyadic_block_order",
     "phi_value",
     "psi_value",
-    "cross_term_dominated",
 ]
 
 _ONE = Fraction(1)
@@ -152,18 +149,6 @@ class WidthOrder:
     branch: str
 
 
-@dataclass(frozen=True)
-class DominationCheck:
-    i: int
-    j: int
-    lhs: Fraction
-    rhs: Fraction
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs <= self.rhs
-
-
 # ---------------------------------------------------------------------------
 # single balls
 
@@ -217,33 +202,6 @@ def single_ball_order(N: int, n: int, p, q) -> WidthOrder:
     if g >= PowerProduct.one():
         return WidthOrder(PowerProduct.one(), "unit")
     return WidthOrder(g ** omega, "gaussian")
-
-
-def vk_lower_bound(N: int, n: int, q, k: int) -> PowerProduct:
-    """Certified lower bound for d_n(V_k, ℓ_q^N) (up to a q-only constant).
-
-    q ≤ 2, n ≤ N/2:                          k^(1/q)
-    q > 2, n ≤ min{N^(2/q) k^(1−2/q), N/2}:  k^(1/q)
-    q > 2, N^(2/q) k^(1−2/q) ≤ n ≤ N/2:      k^(1/2) n^(−1/2) N^(1/q)
-    """
-    if not isinstance(k, int) or not 1 <= k <= N:
-        raise ParameterError(f"need 1 ≤ k ≤ N, got k = {k!r}")
-    if not isinstance(n, int) or n < 0:
-        raise ParameterError(f"n must be a nonnegative integer, got {n!r}")
-    q = as_fraction(q)
-    if 2 * n > N:
-        raise RangeError(f"the V_k bounds need n ≤ N/2, got n = {n}, N = {N}")
-    if q <= 2:
-        return PowerProduct.from_pow(k, _ONE / q)
-    pivot = PowerProduct.from_pow(N, _TWO / q) * PowerProduct.from_pow(k, 1 - _TWO / q)
-    n_val = PowerProduct.from_fraction(n) if n else PowerProduct.zero()
-    if n_val <= pivot:
-        return PowerProduct.from_pow(k, _ONE / q)
-    return (
-        PowerProduct.from_pow(k, _HALF)
-        * PowerProduct.from_pow(n, Fraction(-1, 2))
-        * PowerProduct.from_pow(N, _ONE / q)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -632,46 +590,3 @@ def psi_value(
         raise ParameterError("t̄ length mismatch")
     E, point = _over_one_denominator((*t_vec, as_fraction(t), as_fraction(log_n)))
     return _block_rate(spec, True, E, point)
-
-
-def cross_term_dominated(
-    spec: ProblemSpec, m_vec: tuple[Fraction, ...]
-) -> tuple[DominationCheck, ...]:
-    """The cross-mu pieces never matter for block rates: exact inequalities.
-
-    For q > 2 and every pair p_i > 2 > p_j, the cross-mu piece shifted to
-    the block normalisation is dominated by pieces already present:
-
-      p_i > q:     (1−μ)r_i m_i + μ r_j m_j + m/q − m/2
-                       ≤ max{(1−λ)r_i m_i + λ r_j m_j,  r_j m_j + m/q − m x_j}
-      2 < p_i ≤ q: same left side
-                       ≤ max{r_i m_i + m/q − m x_i,  r_j m_j + m/q − m x_j}
-
-    with m = Σ m_j.  Returns one check per applicable (i, j) pair.
-    """
-    if spec.q <= 2:
-        raise ParameterError("the domination inequalities concern q > 2")
-    m_vec = tuple(as_fraction(v) for v in m_vec)
-    if len(m_vec) != spec.d:
-        raise ParameterError("m̄ length mismatch")
-    if any(v < 0 for v in m_vec):
-        raise ParameterError("m̄ entries must be ≥ 0")
-    m = sum(m_vec)
-    x_q, x, r = spec.x_q, spec.x, spec.r
-    checks = []
-    for i in range(spec.d):
-        if x[i] >= _HALF:
-            continue  # needs p_i > 2
-        for j in range(spec.d):
-            if x[j] <= _HALF:
-                continue  # needs p_j < 2
-            mu = (_HALF - x[i]) / (x[j] - x[i])
-            lhs = (1 - mu) * r[i] * m_vec[i] + mu * r[j] * m_vec[j] + m * x_q - m * _HALF
-            small_piece = r[j] * m_vec[j] + m * x_q - m * x[j]
-            if x[i] < x_q:  # p_i > q
-                lam = (x_q - x[i]) / (x[j] - x[i])
-                rhs = max((1 - lam) * r[i] * m_vec[i] + lam * r[j] * m_vec[j], small_piece)
-            else:  # 2 < p_i ≤ q
-                rhs = max(r[i] * m_vec[i] + m * x_q - m * x[i], small_piece)
-            checks.append(DominationCheck(i, j, lhs, rhs))
-    return tuple(checks)

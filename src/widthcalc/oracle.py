@@ -48,9 +48,9 @@ from fractions import Fraction
 
 from . import closedform
 from .exponent import build_objective, minimize
-from .finitedim import BallSpec, IntersectionSpec, phi_value, psi_value
+from .finitedim import phi_value, psi_value
 from .params import ParameterError, ProblemSpec, RangeError, as_fraction
-from .values import INF, decimal_str
+from .values import json_rational
 
 __all__ = [
     "Lcg",
@@ -58,9 +58,6 @@ __all__ = [
     "SCREEN_LABEL",
     "GRID_ENV",
     "sample_branch",
-    "sample_intersection",
-    "h_low_style_value",
-    "h_high_value",
     "check_certificate",
     "GridBracket",
     "default_grid",
@@ -225,38 +222,6 @@ def sample_branch(rng: Lcg, label: str, max_tries: int = 50_000) -> ProblemSpec:
     raise RuntimeError(f"failed to sample a {label} instance in {max_tries} tries")
 
 
-def sample_intersection(rng: Lcg, max_balls: int = 3) -> IntersectionSpec:
-    """A random valid ball intersection with an admissible budget n.
-
-    N is a power of two in [8, 1024], q ∈ (1, 8], radii in [1/64, 64], ball
-    exponents rational in (1, 10) or inf.  The budget is drawn uniformly
-    from the admissible window, resampling q when the q > 2 window
-    N^(2/q) ≤ n ≤ N/2 is empty.
-    """
-    for _ in range(10_000):
-        q = rng.fraction_between(1, 8, max_den=8)
-        N = 2 ** (3 + rng.rand_below(8))
-        if q <= 2:
-            n_lo = 0
-        else:
-            a, b = q.numerator, q.denominator
-            n_lo = max(1, int(N ** (2 * b / a)) - 2)
-            while n_lo**a < N ** (2 * b):
-                n_lo += 1
-        n_hi = N // 2
-        if n_lo > n_hi:
-            continue
-        n = n_lo + rng.rand_below(n_hi - n_lo + 1)
-        count = 2 + rng.rand_below(max_balls - 1)
-        balls = []
-        for _ in range(count):
-            p = INF if rng.rand_below(6) == 0 else rng.fraction_between(1, 10, max_den=8)
-            nu = rng.fraction_between(Fraction(1, 64), 64, max_den=16)
-            balls.append(BallSpec(p, nu))
-        return IntersectionSpec(N=N, n=n, q=q, balls=tuple(balls))
-    raise RuntimeError("could not sample an admissible intersection")
-
-
 # ---------------------------------------------------------------------------
 # independent objective evaluation
 
@@ -339,18 +304,6 @@ def _value(table, coords) -> Fraction:
     L, rows = table
     E, point = _scaled(coords)
     return Fraction(_top(rows, point), L * E)
-
-
-def h_low_style_value(spec: ProblemSpec, alpha) -> Fraction:
-    """Low-q-shaped objective at ᾱ (exact; no simplex constraint checked)."""
-    return _value(_table(spec, False), [*map(as_fraction, alpha), 0, 1])
-
-
-def h_high_value(spec: ProblemSpec, alpha, s) -> Fraction:
-    """q > 2 objective at (ᾱ, s) (exact; algebraic, domain not enforced)."""
-    if spec.q <= 2:
-        raise ParameterError("the (ᾱ, s) objective is defined for q > 2")
-    return _value(_table(spec, True), [*map(as_fraction, (*alpha, s)), 1])
 
 
 # ---------------------------------------------------------------------------
@@ -637,12 +590,6 @@ def _fmt_tuple(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _json_number(x: Fraction | None):
-    if x is None:
-        return None
-    return {"ratio": f"{x.numerator}/{x.denominator}", "decimal": decimal_str(x)}
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     seed: int
@@ -703,10 +650,10 @@ class ValidationReport:
                     "p": [str(v) for v in rec.spec.p],
                     "q": str(rec.spec.q),
                     "case": rec.case,
-                    "theta": _json_number(rec.theta),
-                    "theta_lp": _json_number(rec.theta_lp),
-                    "grid_lower": _json_number(rec.grid_lower),
-                    "grid_best": _json_number(rec.grid_best),
+                    "theta": json_rational(rec.theta),
+                    "theta_lp": json_rational(rec.theta_lp),
+                    "grid_lower": json_rational(rec.grid_lower),
+                    "grid_best": json_rational(rec.grid_best),
                     "identity_points": rec.identity_points,
                     "ok": rec.ok,
                     "detail": rec.detail,

@@ -26,14 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "ParameterError",
     "RangeError",
     "ProblemSpec",
     "PieceRow",
-    "harmonic_mean",
     "piece_rows",
     "as_fraction",
 ]
@@ -73,17 +72,6 @@ def as_fraction(x) -> Fraction:
     raise ParameterError(
         f"expected an exact rational (Fraction, int, or 'a/b' string), got {type(x).__name__}"
     )
-
-
-def harmonic_mean(values: Iterable[Fraction]) -> Fraction:
-    """Harmonic mean <ā> = d / Σ 1/a_j of positive rationals."""
-    vals = [as_fraction(v) for v in values]
-    if not vals:
-        raise ParameterError("harmonic mean of an empty tuple")
-    for v in vals:
-        if v <= 0:
-            raise ParameterError(f"harmonic mean needs positive entries, got {v}")
-    return Fraction(len(vals)) / sum(Fraction(1) / v for v in vals)
 
 
 @dataclass(frozen=True)
@@ -221,16 +209,6 @@ class ProblemSpec:
                 ints.append(tuple(row))
             table = self._rows["rate", high] = (L, tuple(ints))
         return table
-
-    def permuted(self, order: tuple[int, ...]) -> "ProblemSpec":
-        """The same spec with coordinates reordered by `order`."""
-        if sorted(order) != list(range(self.d)):
-            raise ParameterError(f"not a permutation of 0..{self.d - 1}: {order}")
-        return ProblemSpec(
-            r=tuple(self.r[i] for i in order),
-            p=tuple(self.p[i] for i in order),
-            q=self.q,
-        )
 
     def __str__(self) -> str:
         rs = ",".join(str(x) for x in self.r)

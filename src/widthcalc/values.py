@@ -43,7 +43,6 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import gcd, isqrt, lcm
 
-import mpmath
 from mpmath.libmp import (
     dps_to_prec,
     fone,
@@ -419,9 +418,6 @@ class PowerProduct:
                 den *= p**-n
         return Fraction(num, den)
 
-    def __float__(self) -> float:
-        return float(self.to_mpf(64))
-
     def to_libmp(self, prec: int) -> tuple:
         """The raw libmp value at binary precision `prec`, rounded to nearest.
 
@@ -438,14 +434,8 @@ class PowerProduct:
             acc = mpf_mul(acc, mpf_pow(from_int(p), e, prec, round_nearest), prec, round_nearest)
         return acc
 
-    def to_mpf(self, prec: int = 128):
-        """mpmath approximation at binary precision `prec` (display only)."""
-        return mpmath.mp.make_mpf(self.to_libmp(prec))
-
     def decimal(self, sig: int = 12) -> str:
-        """Decimal rendering to `sig` significant digits."""
-        if self._zero:
-            return "0"
+        """Decimal rendering to `sig` significant digits; zero is "0.0"."""
         return to_str(self.to_libmp(dps_to_prec(sig + 15)), sig, strip_zeros=False)
 
     # ------------------------------------------------------------------
@@ -575,6 +565,13 @@ def decimal_str(x, sig: int = 12) -> str:
     v = mpf_div(from_int(x.numerator, prec, round_nearest),
                 from_int(x.denominator, prec, round_nearest), prec, round_nearest)
     return to_str(v, sig, strip_zeros=False)
+
+
+def json_rational(x: Fraction | None) -> dict | None:
+    """A rational as the JSON {"ratio": "a/b", "decimal": ...}; None stays None."""
+    if x is None:
+        return None
+    return {"ratio": f"{x.numerator}/{x.denominator}", "decimal": decimal_str(x)}
 
 
 @lru_cache(maxsize=1 << 14)

@@ -13,6 +13,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from _reference import cross_term_dominated, sample_intersection
 
 import widthcalc.cli as cli
 from widthcalc.closedform import classify_regime
@@ -20,7 +21,6 @@ from widthcalc.exponent import build_objective, minimize
 from widthcalc.finitedim import (
     IntersectionSpec,
     classify_branch,
-    cross_term_dominated,
     intersection_order,
     single_ball_order,
 )
@@ -32,7 +32,6 @@ from widthcalc.oracle import (
     cross_validate,
     grid_minimize,
     sample_branch,
-    sample_intersection,
 )
 from widthcalc.params import ProblemSpec
 from widthcalc.values import INF, PowerProduct, inv_exponent, is_inf

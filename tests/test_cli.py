@@ -382,6 +382,8 @@ CLOSED_STDOUT_ARGV = {
     "sweep": ["sweep", "--r", "1,1,2", "--p", "3,3/2,5", "--q", "4", "--vary", "n",
               "--m-vec", "3,2,1", "--from", "8", "--to", "32", "--steps", "7"],
     "verify": ["verify", "--samples", "9", "--seed", "42"],
+    "help": ["--help"],
+    "exponent-help": ["exponent", "--help"],
 }
 
 

@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from _reference import cross_term_dominated, sample_intersection
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,17 +14,15 @@ from widthcalc.finitedim import (
     CheckedInequality,
     IntersectionSpec,
     classify_branch,
-    cross_term_dominated,
     dyadic_block_order,
     intersection_order,
     phi_value,
     psi_value,
     single_ball_order,
-    vk_lower_bound,
     vk_vertex_norm,
 )
-from widthcalc.oracle import Lcg, sample_intersection
-from widthcalc.params import ParameterError, ProblemSpec, RangeError
+from widthcalc.oracle import Lcg
+from widthcalc.params import ParameterError, ProblemSpec, RangeError, as_fraction
 from widthcalc.values import INF, PowerProduct
 
 
@@ -96,6 +95,33 @@ def test_vertex_norms():
     assert vk_vertex_norm(INF, 5) == PowerProduct.one()
     with pytest.raises(ParameterError):
         vk_vertex_norm(3, 0)
+
+
+def vk_lower_bound(N: int, n: int, q, k: int) -> PowerProduct:
+    """Certified lower bound for d_n(V_k, ℓ_q^N) (up to a q-only constant).
+
+    q ≤ 2, n ≤ N/2:                          k^(1/q)
+    q > 2, n ≤ min{N^(2/q) k^(1−2/q), N/2}:  k^(1/q)
+    q > 2, N^(2/q) k^(1−2/q) ≤ n ≤ N/2:      k^(1/2) n^(−1/2) N^(1/q)
+    """
+    if not isinstance(k, int) or not 1 <= k <= N:
+        raise ParameterError(f"need 1 ≤ k ≤ N, got k = {k!r}")
+    if not isinstance(n, int) or n < 0:
+        raise ParameterError(f"n must be a nonnegative integer, got {n!r}")
+    q = as_fraction(q)
+    if 2 * n > N:
+        raise RangeError(f"the V_k bounds need n ≤ N/2, got n = {n}, N = {N}")
+    if q <= 2:
+        return PowerProduct.from_pow(k, 1 / q)
+    pivot = PowerProduct.from_pow(N, 2 / q) * PowerProduct.from_pow(k, 1 - 2 / q)
+    n_val = PowerProduct.from_fraction(n) if n else PowerProduct.zero()
+    if n_val <= pivot:
+        return PowerProduct.from_pow(k, 1 / q)
+    return (
+        PowerProduct.from_pow(k, F(1, 2))
+        * PowerProduct.from_pow(n, F(-1, 2))
+        * PowerProduct.from_pow(N, 1 / q)
+    )
 
 
 def test_sparse_set_lower_bounds():
@@ -203,9 +229,8 @@ CASE_LABELS = {
 }
 
 
-def _record(spec):
+def _record(case, cert):
     """Case, certificate fields and every check, as exact reprs."""
-    case, cert = classify_branch(spec)
     if cert is None:
         return repr((case, None))
     checks = [(c.label, repr(c.lhs), repr(c.rhs)) for c in cert.checked]
@@ -216,13 +241,23 @@ def _record(spec):
 
 def test_certificates_match_pinned_records():
     records = []
+    vk_certificates = 0
     for seed in (7, 99):
         rng = Lcg(seed)
-        records += [_record(sample_intersection(rng, max_balls=4)) for _ in range(1000)]
+        for _ in range(1000):
+            spec = sample_intersection(rng, max_balls=4)
+            case, cert = classify_branch(spec)
+            records.append(_record(case, cert))
+            if cert is not None and cert.kind == "Vk-inclusion":
+                # The bound `_vk_certificate` inlines, against the reference.
+                bound = vk_lower_bound(spec.N, spec.n, spec.q, cert.k)
+                assert cert.scale * bound == cert.certified_value, (spec, case)
+                vk_certificates += 1
     cases = Counter(record.split("'")[1] for record in records)
     assert set(cases) == CASE_LABELS, cases
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest == PINNED_RECORDS
+    assert vk_certificates > 0
 
 
 def test_display_range_is_enforced():

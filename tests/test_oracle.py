@@ -15,6 +15,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from _reference import sample_intersection
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,10 +35,7 @@ from widthcalc.oracle import (
     cross_validate,
     default_grid,
     grid_minimize,
-    h_high_value,
-    h_low_style_value,
     sample_branch,
-    sample_intersection,
 )
 from widthcalc.params import ParameterError, ProblemSpec
 
@@ -166,7 +164,8 @@ def test_integer_tables_equal_the_fraction_reference():
     for spec in _threshold_specs(rng):
         assert F(2) in spec.p or spec.q in spec.p or spec.q == 2
         for high in (False, True) if spec.q > 2 else (False,):
-            L, rows = oracle._table(spec, high)
+            table = oracle._table(spec, high)
+            L, rows = table
             ref = _reference_pieces(spec, high)
             assert [tag for tag, _ in rows] == [pc[0] for pc in ref]
             for (_, coeffs), (_, cmap, s_coeff, const) in zip(rows, ref):
@@ -176,10 +175,8 @@ def test_integer_tables_equal_the_fraction_reference():
                 alpha = tuple(rng.fraction_between(0, 3) for _ in range(spec.d))
                 s = rng.fraction_between(1, 5)
                 expected = max(_reference_value(pc, alpha, s) for pc in ref)
-                if high:
-                    assert h_high_value(spec, alpha, s) == expected
-                else:
-                    assert h_low_style_value(spec, alpha) == expected
+                coords = (*alpha, s, 1) if high else (*alpha, 0, 1)
+                assert oracle._value(table, coords) == expected
             shapes[spec.d, high] += 1
         assert check_scaling_identities(spec, points=2, seed=spec.d).ok, spec
     assert len({d for d, _ in shapes}) == 15 and shapes[16, True] >= 1

@@ -454,8 +454,6 @@ def _reference_to_mpf(v: PP, prec: int):
 
 
 def _reference_decimal(v: PP, sig: int) -> str:
-    if v.is_zero:
-        return "0"
     return mpmath.nstr(
         _reference_to_mpf(v, mpmath.libmp.dps_to_prec(sig + 15)), sig, strip_zeros=False
     )
@@ -500,7 +498,7 @@ def test_rendering_matches_mpmath_reference(sig):
         for v in PINNED_VALUES:
             assert v.decimal(sig) == _reference_decimal(v, sig), v
             for prec in (32, 64, 160):
-                assert v.to_mpf(prec)._mpf_ == _reference_to_mpf(v, prec)._mpf_, (v, prec)
+                assert v.to_libmp(prec) == _reference_to_mpf(v, prec)._mpf_, (v, prec)
         assert mpmath.mp.prec == 11
     finally:
         mpmath.mp.prec = saved
