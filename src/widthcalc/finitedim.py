@@ -35,8 +35,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath.libmp import round_ceiling, round_floor, to_int
-
 from .params import ParameterError, ProblemSpec, RangeError, as_fraction, piece_rows
 from .values import INF, PowerProduct, inv_exponent, is_inf
 
@@ -259,16 +257,8 @@ def intersection_order(spec: IntersectionSpec) -> WidthOrder:
 # branch classification with certificates
 
 
-def _floor_ceil(x: PowerProduct) -> tuple[int, int]:
-    """⌊·⌋ and ⌈·⌉ of x to about 96 bits past the binary point, however
-    large x is, so the exact correction steps below take one or two turns."""
-    _, _, exp, bc = x.to_libmp(32)  # exp + bc is about log2 x
-    approx = x.to_libmp(96 + max(0, exp + bc))
-    return to_int(approx, round_floor), to_int(approx, round_ceiling)
-
-
 def _int_ceil(x: PowerProduct) -> int:
-    k = _floor_ceil(x)[1]
+    k = x.approx_floor_ceil()[1]
     while PowerProduct.from_fraction(max(k, 1)) < x:
         k += 1
     while k >= 1 and x <= PowerProduct.from_fraction(k - 1):
@@ -277,7 +267,7 @@ def _int_ceil(x: PowerProduct) -> int:
 
 
 def _int_floor(x: PowerProduct) -> int:
-    k = _floor_ceil(x)[0]
+    k = x.approx_floor_ceil()[0]
     while k >= 1 and PowerProduct.from_fraction(k) > x:
         k -= 1
     while x >= PowerProduct.from_fraction(k + 1):

@@ -30,10 +30,15 @@ numerators over one positive denominator per value:
     exponent vector never sums to zero,
   * a special zero element covers boundary cases like (N−n)^c at n = N.
 
-Nothing here ever rounds into the stored representation.  Decimal output
-calls mpmath's `libmp` functions on raw values at sig + 15 digits, rounding
-to nearest, and enters no mpmath context, so neither comparing nor
-rendering writes mpmath precision.
+Nothing here ever rounds into the stored representation.  A rational is
+rendered in integers (`decimal_str`), by the steps of mpmath's `to_str` at
+sig + 15 digits, so its text is mpmath's to the byte.  Power products and
+the log brackets call mpmath's `libmp` functions on raw values,
+rounding to nearest, and enter no mpmath context, so neither comparing nor
+rendering writes mpmath precision.  This is the one module that names
+mpmath, and it imports it inside the functions that call it, so a process
+that renders only rationals between 2^−3500 and 2^3500 in size and
+compares no irrational values never loads it.
 """
 
 from __future__ import annotations
@@ -41,24 +46,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from math import gcd, isqrt, lcm
-
-from mpmath.libmp import (
-    dps_to_prec,
-    fone,
-    from_int,
-    fzero,
-    mpf_div,
-    mpf_mul,
-    mpf_pow,
-    mpf_shift,
-    mpi_log,
-    round_ceiling,
-    round_floor,
-    round_nearest,
-    to_int,
-    to_str,
-)
+from math import gcd, isqrt, lcm, log
 
 from .params import ParameterError
 
@@ -72,6 +60,12 @@ __all__ = [
 
 _MAX_LOG_BITS = 1 << 14
 _HASH_PRIME = sys.hash_info.modulus
+# mpmath's bits per decimal digit in `dps_to_prec` and log2(10) in `to_str`,
+# the floats those functions use, and the |log2 x| above which `to_str`
+# finds the decimal exponent with mpmath logarithms.
+_BITS_PER_DIGIT = 3.3219280948873626
+_LOG2_10 = log(10, 2)
+_TO_STR_LOG2_LIMIT = 3500
 
 
 class _Infinity:
@@ -396,10 +390,6 @@ class PowerProduct:
     # predicates and conversions
 
     @property
-    def is_zero(self) -> bool:
-        return self._zero
-
-    @property
     def is_rational(self) -> bool:
         # Bases are coprime and no perfect powers, so a fractional exponent
         # always leaves some prime with a fractional exponent.
@@ -424,19 +414,35 @@ class PowerProduct:
         Each base in ascending order contributes b^(n_b/D), its exponent
         rounded first; the products are rounded in the same order.
         """
+        from mpmath import libmp
+
         if self._zero:
-            return fzero
-        acc = fone
+            return libmp.fzero
+        nearest = libmp.round_nearest
+        acc = libmp.fone
         for p, n in sorted(self._factors.items()):
             g = gcd(n, self._den)
-            e = mpf_div(from_int(n // g, prec, round_nearest), from_int(self._den // g),
-                        prec, round_nearest)
-            acc = mpf_mul(acc, mpf_pow(from_int(p), e, prec, round_nearest), prec, round_nearest)
+            e = libmp.mpf_div(libmp.from_int(n // g, prec, nearest),
+                              libmp.from_int(self._den // g), prec, nearest)
+            power = libmp.mpf_pow(libmp.from_int(p), e, prec, nearest)
+            acc = libmp.mpf_mul(acc, power, prec, nearest)
         return acc
 
     def decimal(self, sig: int = 12) -> str:
         """Decimal rendering to `sig` significant digits; zero is "0.0"."""
-        return to_str(self.to_libmp(dps_to_prec(sig + 15)), sig, strip_zeros=False)
+        from mpmath import libmp
+
+        return libmp.to_str(self.to_libmp(libmp.dps_to_prec(sig + 15)), sig, strip_zeros=False)
+
+    def approx_floor_ceil(self) -> tuple[int, int]:
+        """⌊·⌋ and ⌈·⌉ of the value rounded to about 96 bits past the binary
+        point, however large it is, so that exact correction steps after
+        it take one or two turns."""
+        from mpmath import libmp
+
+        _, _, exp, bc = self.to_libmp(32)  # exp + bc is about log2 of the value
+        approx = self.to_libmp(96 + max(0, exp + bc))
+        return libmp.to_int(approx, libmp.round_floor), libmp.to_int(approx, libmp.round_ceiling)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -558,13 +564,71 @@ class PowerProduct:
     __str__ = __repr__
 
 
+def _round_even(man: int, sticky: bool, prec: int) -> tuple[int, int]:
+    """(m, k) with m · 2^k the integer `man` rounded to `prec` bits, half to
+    even; `sticky` marks a nonzero remainder below man's last bit."""
+    k = man.bit_length() - prec
+    if k <= 0:
+        return man, 0
+    t = man >> (k - 1)
+    if t & 1 and (t & 2 or sticky or man & ((1 << (k - 1)) - 1)):
+        return (t >> 1) + 1, k
+    return t >> 1, k
+
+
 def decimal_str(x, sig: int = 12) -> str:
-    """Signed decimal rendering of a rational, `sig` significant digits."""
+    """Signed decimal rendering of a rational, `sig` ≥ 1 significant digits.
+
+    The text is that of mpmath's `to_str` on num/den at
+    dps_to_prec(sig + 15) bits, made by the same steps on integers: the
+    numerator and the denominator are each rounded to that many bits and
+    their quotient is rounded again, half to even each time; the quotient's
+    digits are truncated to about sig + 3 places, that digit string is
+    rounded half up at `sig`, and the result is laid out in fixed point for
+    decimal exponents in (min(−⌊sig/3⌋, −5), sig), else with an exponent.
+    Only a value whose binary exponent lies beyond ±3500 goes to `to_str`
+    itself, which there finds the decimal exponent with mpmath logarithms.
+    """
+    if sig < 1:
+        raise ValueError(f"sig must be at least 1, got {sig}")
     x = Fraction(x)
-    prec = dps_to_prec(sig + 15)
-    v = mpf_div(from_int(x.numerator, prec, round_nearest),
-                from_int(x.denominator, prec, round_nearest), prec, round_nearest)
-    return to_str(v, sig, strip_zeros=False)
+    negative = x.numerator < 0
+    if not x.numerator:
+        return "0.0"
+    prec = round((sig + 16) * _BITS_PER_DIGIT)
+    num, num_shift = _round_even(abs(x.numerator), False, prec)
+    den, den_shift = _round_even(x.denominator, False, prec)
+    # At least prec + 2 quotient bits, so the remainder only breaks ties.
+    extra = prec + 2 - num.bit_length() + den.bit_length()
+    q, r = divmod(num << extra, den)
+    man, man_shift = _round_even(q, r != 0, prec)
+    exp = num_shift - den_shift - extra + man_shift  # |x| rounds to man · 2^exp
+    top = exp + man.bit_length()  # 2^(top − 1) ≤ man · 2^exp < 2^top
+    if abs(top) > _TO_STR_LOG2_LIMIT:
+        from mpmath import libmp
+
+        zeros = (man & -man).bit_length() - 1
+        raw = (int(negative), man >> zeros, exp + zeros, man.bit_length() - zeros)
+        return libmp.to_str(raw, sig, strip_zeros=False)
+    sign = "-" if negative else ""
+    # Fixed-point digits of man · 2^exp, each step truncating, as in to_str.
+    fix_bits = max(int((sig + 3) * _LOG2_10) + 10 - top, 0)
+    fix_digits = int(fix_bits / _LOG2_10 + 0.5)
+    shift = exp + fix_bits
+    fixed = man << shift if shift >= 0 else man >> -shift
+    digits = str(fixed * 10**fix_digits >> fix_bits)
+    point = len(digits) - fix_digits - 1  # decimal exponent of the leading digit
+    if len(digits) > sig and digits[sig] >= "5":
+        digits = str(int(digits[:sig]) + 1)
+        if len(digits) > sig:  # 99…9 carried into a new leading digit
+            digits, point = digits[:sig], point + 1
+    else:
+        digits = digits[:sig]
+    if min(-(sig // 3), -5) < point < sig:
+        if point < 0:
+            return f"{sign}0.{'0' * (-point - 1)}{digits}"
+        return f"{sign}{digits[:point + 1]}.{digits[point + 1:]}"
+    return f"{sign}{digits[0]}.{digits[1:]}e{point:+d}"
 
 
 def json_rational(x: Fraction | None) -> dict | None:
@@ -577,11 +641,14 @@ def json_rational(x: Fraction | None) -> dict | None:
 @lru_cache(maxsize=1 << 14)
 def _log_bracket(b: int, k: int) -> tuple[int, int]:
     """Integers lo ≤ 2^k · ln b ≤ hi, from ln b rounded outward."""
-    x = from_int(b)
+    from mpmath import libmp
+
+    x = libmp.from_int(b)
     # ln b < 2^bits, so this precision leaves the bracket a few units wide.
     bits = b.bit_length().bit_length()
-    lo, hi = mpi_log((x, x), k + bits + 4)
-    return to_int(mpf_shift(lo, k), round_floor), to_int(mpf_shift(hi, k), round_ceiling)
+    lo, hi = libmp.mpi_log((x, x), k + bits + 4)
+    return (libmp.to_int(libmp.mpf_shift(lo, k), libmp.round_floor),
+            libmp.to_int(libmp.mpf_shift(hi, k), libmp.round_ceiling))
 
 
 def _log_sign(weights: dict[int, int]) -> int:

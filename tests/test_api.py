@@ -1,11 +1,14 @@
 """Every public name of the package has a caller outside the tests.
 
-Each name in `widthcalc.__all__` and in a module's `__all__` must be used by
-the package itself, by `demos/` or by `perfbench/`.  Inside the package a
-use is a reference in code: the name's own definition, the `__all__` lists,
-import lines and docstrings do not count, and neither does a reference from
-inside another public definition that has no such use itself.  In `demos/`
-and `perfbench/` any mention counts, imports and strings included, since
+Each name in `widthcalc.__all__` and in a module's `__all__`, and each public
+method and property of a class the package defines, must be used by the
+package itself, by `demos/` or by `perfbench/`.  Inside the package a use is
+a reference in code: the name's own definition, the `__all__` lists, import
+lines and docstrings do not count, and neither does a reference from inside
+another public definition that has no such use itself.  A method counts as
+used by a reference to its name anywhere else, since the check does not
+know the types of the objects whose attributes are read.  In `demos/` and
+`perfbench/` any mention counts, imports and strings included, since
 `perfbench/spans.py` looks its targets up by name.  Dunder names such as
 `__version__` are read by tools rather than called, and are not checked.
 """
@@ -21,6 +24,7 @@ SRC = ROOT / "src" / "widthcalc"
 KEPT = {
     "check_certificate": "the LP-duality checker of `minimize` results, which "
     "`exponent` output and `verify` records are to call",
+    "_Parser.print_help": "argparse calls it for --help",
 }
 
 
@@ -69,7 +73,11 @@ def _mentions(node: ast.AST) -> set[str]:
 
 
 def _package():
-    """(public names, {defined name: references inside it}, module-level references)."""
+    """(public names, {definition: references inside it}, module-level references).
+
+    A public method is named `Class.method`; the references inside a class
+    other than those inside its public methods belong to the class.
+    """
     public, inside, loose = set(), {}, set()
     for path in sorted(SRC.glob("*.py")):
         for node in _parse(path).body:
@@ -77,6 +85,17 @@ def _package():
                 public.update(elt.value for elt in node.value.elts)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
+            elif isinstance(node, ast.ClassDef):
+                inside.setdefault(node.name, set())
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        key = f"{node.name}.{sub.name}"
+                        public.add(key)
+                        inside[key] = _references(sub)
+                    else:
+                        inside[node.name] |= _references(sub)
+                for sub in (*node.bases, *node.keywords, *node.decorator_list):
+                    inside[node.name] |= _references(sub)
             elif (name := _defined_name(node)) is not None:
                 inside.setdefault(name, set()).update(_references(node))
             else:
@@ -98,16 +117,15 @@ def _unused() -> set[str]:
     used_outside = _outside_mentions() | loose
     unused: set[str] = set()
     while True:
-        grown = {
-            name
-            for name in public - unused
-            if name not in used_outside
-            and not any(
-                name in refs
+        grown = set()
+        for name in public - unused:
+            bare = name.rpartition(".")[2]
+            if bare not in used_outside and not any(
+                bare in refs
                 for other, refs in inside.items()
                 if other != name and other not in unused
-            )
-        }
+            ):
+                grown.add(name)
         if not grown:
             return unused
         unused |= grown

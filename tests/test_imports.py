@@ -1,0 +1,71 @@
+"""mpmath is imported only where an irrational value needs it.
+
+Rationals are rendered in integers, so the commands whose output is all
+rational (`regime`, `exponent`, `sweep` over q, `verify`) finish without
+importing mpmath; `finite` and `sweep --vary n` print width values, which
+are rendered through mpmath.  Each command runs in a fresh interpreter.
+`values` is the one module that names mpmath, so this boundary is kept in
+one place.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SPEC = ["--r", "1,1", "--p", "3,3", "--q", "2"]
+
+# argv, and whether the command loads mpmath
+COMMANDS = {
+    "regime": (["regime", "--r", "1,2", "--p", "3,3/2", "--q", "4"], False),
+    "exponent-text": (["exponent", *SPEC], False),
+    "exponent-json": (["exponent", *SPEC, "--format", "json"], False),
+    "exponent-grid-check": (["exponent", *SPEC, "--grid-check"], False),
+    "sweep-q": (["sweep", *SPEC, "--vary", "q", "--from", "3/2", "--to", "5/2", "--steps", "24"],
+                False),
+    "verify": (["verify", "--samples", "9", "--seed", "42"], False),
+    "finite": (["finite", "--N", "4096", "--n", "512", "--q", "4", "--balls", "inf:1/64,3:1/4"],
+               True),
+    "sweep-n": (["sweep", "--r", "1,1,2", "--p", "3,3/2,5", "--q", "4", "--vary", "n",
+                 "--m-vec", "3,2,1", "--from", "8", "--to", "32", "--steps", "7"], True),
+}
+
+_RUN = """\
+import contextlib, io, sys
+from widthcalc.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "mpmath" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loads", COMMANDS.values(), ids=COMMANDS)
+def test_mpmath_is_imported_only_for_irrational_values(argv, loads):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN, *argv], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", str(loads)]
+
+
+def test_only_values_names_mpmath():
+    naming = set()
+    for path in sorted((ROOT / "src" / "widthcalc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            if any(name.split(".")[0] == "mpmath" for name in names):
+                naming.add(path.name)
+    assert naming == {"values.py"}

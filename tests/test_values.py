@@ -4,7 +4,9 @@ The factoring and ordering checks use oracles independent of the code under
 test: a numpy sieve for primality by trial division, and exact integer
 comparison of both sides raised to their common exponent denominator.
 Arithmetic is checked against a model with `Fraction` exponents over true
-primes, and rendering against mpmath's high-level `power`/`nstr` route.
+primes, the rendering of power products against mpmath's high-level
+`power`/`nstr` route, and the integer rendering of rationals against the
+mpmath `libmp` route it reproduces.
 """
 
 import functools
@@ -17,8 +19,9 @@ from math import gcd, isqrt, lcm, prod
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
 
 from widthcalc.cli import main
 from widthcalc.params import ParameterError
@@ -51,7 +54,7 @@ def test_powers_collapse_to_rationals_when_exponents_clear():
 
 def test_zero_element_behaviour():
     z = PP.zero()
-    assert z.is_zero and z.as_fraction() == 0
+    assert z == 0 and z.as_fraction() == 0
     assert z * PP.from_fraction(F(7)) == z
     assert z < PP.from_fraction(F(1, 1000))
     with pytest.raises(ParameterError):
@@ -443,7 +446,7 @@ def test_proven_prime_forms_print_fraction_exponents():
 def _reference_to_mpf(v: PP, prec: int):
     """Each base's power and the running product through mpmath.power and
     mpf arithmetic at binary precision `prec`, bases ascending."""
-    if v.is_zero:
+    if v == 0:
         return mpmath.mpf(0)
     with mpmath.workprec(prec):
         acc = mpmath.mpf(1)
@@ -455,15 +458,23 @@ def _reference_to_mpf(v: PP, prec: int):
 
 def _reference_decimal(v: PP, sig: int) -> str:
     return mpmath.nstr(
-        _reference_to_mpf(v, mpmath.libmp.dps_to_prec(sig + 15)), sig, strip_zeros=False
+        _reference_to_mpf(v, libmp.dps_to_prec(sig + 15)), sig, strip_zeros=False
     )
 
 
 def _reference_decimal_str(x, sig: int) -> str:
+    """The mpmath route `decimal_str` reproduces on integers: numerator and
+    denominator rounded to nearest at dps_to_prec(sig + 15) bits, divided
+    at that precision, and printed by `to_str`."""
     x = F(x)
-    with mpmath.workdps(sig + 15):
-        v = mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-        return mpmath.nstr(v, sig, strip_zeros=False)
+    prec = libmp.dps_to_prec(sig + 15)
+    v = libmp.mpf_div(
+        libmp.from_int(x.numerator, prec, libmp.round_nearest),
+        libmp.from_int(x.denominator, prec, libmp.round_nearest),
+        prec,
+        libmp.round_nearest,
+    )
+    return libmp.to_str(v, sig, strip_zeros=False)
 
 
 PINNED_RATIONALS = [
@@ -512,3 +523,52 @@ def test_rendering_matches_mpmath_reference_on_random_values(la, pa, x):
     v, _ = _build(la, pa)
     assert v.decimal(12) == _reference_decimal(v, 12)
     assert decimal_str(x) == _reference_decimal_str(x, 12)
+
+
+# A tie at 12 digits, 1234567890125 · 10^16, less one: 94 bits, so rounding
+# the numerator to 93 bits half to even lands on the tie and the text rounds
+# up, where truncating it or rounding the rational exactly rounds down.
+_TIE_LESS_ONE = 12345678901250000000000000000 - 1
+
+# Ties at the last digit over 2^a · 5^b, numerators over 93 bits, and
+# magnitudes on both sides of 2^±3500, where `to_str` changes method.
+_ties = st.builds(
+    lambda m, a, b: F(10 * m + 5, 2**a * 5**b),
+    st.integers(0, 10**30),
+    st.integers(0, 90),
+    st.integers(0, 90),
+)
+_wide = st.builds(F, st.integers(1, 2**400), st.integers(1, 2**400))
+_scaled = st.builds(
+    lambda m, e: m * F(2) ** e, st.integers(1, 2**120), st.integers(-3600, 3600)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_ties, _wide, _scaled), st.integers(1, 30), st.booleans())
+@example(F(0), 12, False)
+@example(F(9876543121, 80000000000), 12, False)
+@example(F(9876543121, 80000000000), 12, True)
+@example(F(5, 2**40), 12, False)
+@example(F(123456789012345, 5**30), 30, True)
+@example(F(_TIE_LESS_ONE), 12, False)
+@example(F(_TIE_LESS_ONE), 12, True)
+@example(F(_TIE_LESS_ONE, 10**20), 12, False)
+@example(F(2**93 + 1, 3), 12, False)
+@example(F(2**400 - 1, 2**399 + 1), 20, False)
+@example(F(3, 2**3498), 12, False)
+@example(F(1, 2**3500), 12, True)
+@example(F(1, 2**3502), 12, False)
+@example(F(1, 3**2210), 12, False)
+@example(F(2**3499 + 1), 12, False)
+@example(F(2**3500), 1, True)
+@example(F(7**1250, 3), 30, False)
+def test_decimal_str_matches_the_mpmath_route(x, sig, negative):
+    if negative:
+        x = -x
+    assert decimal_str(x, sig) == _reference_decimal_str(x, sig)
+
+
+def test_decimal_str_refuses_fewer_than_one_digit():
+    with pytest.raises(ValueError, match="sig must be at least 1"):
+        decimal_str(F(1, 3), 0)
