@@ -13,7 +13,13 @@ as a disagreement:
         best − gap ≤ min ≤ best,   gap = (Σ_j max|coeff_j| + max|s coeff|)/G.
 
     The lattice minimum comes from a branch and bound in integer
-    arithmetic, with no floats and no list of lattice points.
+    arithmetic, with no floats and no list of lattice points.  A cell's
+    pieces are bounded in one pass that ends at the first piece whose
+    minimum over the cell is strictly above the incumbent; only a cell
+    that can tie or beat the incumbent has the objective evaluated at its
+    bound's minimiser.  The work budget (`_BUDGET`, cells × pieces) counts
+    each cell as it is entered, so cutting a cell short saves time without
+    moving a refusal.
   * `check_scaling_identities` verifies, with zero tolerance, the two
     structural identities that tie the asymptotic objective to the
     finite-block rates: the s-face identity (the q > 2 objective on the
@@ -124,19 +130,38 @@ class Lcg:
         return bool(self._step() >> 63)
 
     def fraction_between(self, lo, hi, max_den: int = 12) -> Fraction:
-        """A rational strictly inside (lo, hi) with denominator ≤ max_den."""
-        feasible = _feasible(as_fraction(lo), as_fraction(hi), max_den)
+        """A rational strictly inside (lo, hi) with denominator ≤ max_den.
+
+        `lo` and `hi` are exact rationals (`as_fraction`); an int or a
+        `Fraction` is read as its integer (numerator, denominator) pair
+        without building a `Fraction`.  One draw picks the denominator and
+        one the numerator, whatever the bounds' types.
+        """
+        feasible = _feasible(*_ratio(lo), *_ratio(hi), max_den)
         den, nmin, nmax = feasible[self.rand_below(len(feasible))]
         return Fraction(nmin + self.rand_below(nmax - nmin + 1), den)
 
 
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of the exact rational `x`, denominator > 0."""
+    if not isinstance(x, (int, Fraction)):
+        x = as_fraction(x)
+    return x.numerator, x.denominator
+
+
 @functools.lru_cache(maxsize=64)
-def _feasible(lo: Fraction, hi: Fraction, max_den: int) -> tuple[tuple[int, int, int], ...]:
-    """Each den ≤ max_den with a numerator range [nmin, nmax] in (lo·den, hi·den)."""
-    if not lo < hi:
-        raise ParameterError(f"empty interval ({lo}, {hi})")
-    # Integer floor and ceiling of lo·den and hi·den (denominators > 0).
-    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+def _feasible(
+    ln: int, ld: int, hn: int, hd: int, max_den: int
+) -> tuple[tuple[int, int, int], ...]:
+    """Each den ≤ max_den with a numerator range [nmin, nmax] in (lo·den, hi·den),
+    for lo = ln/ld and hi = hn/hd in lowest terms with ld, hd > 0.
+
+    The cache is keyed on those integers, so a draw hashes five ints and
+    never a `Fraction`.
+    """
+    if not ln * hd < hn * ld:
+        raise ParameterError(f"empty interval ({Fraction(ln, ld)}, {Fraction(hn, hd)})")
+    # Integer floor and ceiling of lo·den and hi·den.
     feasible = []
     for den in range(1, max_den + 1):
         nmin = ln * den // ld + 1
@@ -144,6 +169,7 @@ def _feasible(lo: Fraction, hi: Fraction, max_den: int) -> tuple[tuple[int, int,
         if nmin <= nmax:
             feasible.append((den, nmin, nmax))
     if not feasible:
+        lo, hi = Fraction(ln, ld), Fraction(hn, hd)
         raise ParameterError(f"no rational with denominator ≤ {max_den} in ({lo}, {hi})")
     return tuple(feasible)
 
@@ -401,29 +427,6 @@ def default_grid(d: int) -> int:
     return 64 * d
 
 
-def _fill(row, lo, hi, need, room):
-    """Least value of one integer row over a box cell and its minimiser.
-
-    The row's minimum over lo ≤ ā ≤ hi with `need` ≤ Σ(ā − lo) ≤ `room`
-    is a continuous knapsack with unit weights, so filling the cheapest
-    coordinates first is exact in integers: negative weights as far as
-    `room` allows, the rest only as far as `need` forces.
-    """
-    c, w, order = row
-    value = c + sum(map(operator.mul, w, lo))
-    point = list(lo)
-    for j in order:
-        wj = w[j]
-        if room <= 0 or (wj >= 0 and need <= 0):
-            break
-        take = min(hi[j] - lo[j], room if wj < 0 else need)
-        value += wj * take
-        point[j] += take
-        need -= take
-        room -= take
-    return value, tuple(point)
-
-
 def grid_minimize(spec: ProblemSpec, grid: int | None = None, tables=None) -> GridBracket:
     """Exact bracket of the objective minimum from a denominator-G lattice.
 
@@ -433,9 +436,14 @@ def grid_minimize(spec: ProblemSpec, grid: int | None = None, tables=None) -> Gr
     box branch and bound over ā in integers (Land & Doig 1960): a cell's
     lower bound is the largest piece minimum over the cell, the widest
     coordinate is split, and a cell is dropped once its (bound, lo corner)
-    is not below the incumbent (value, argmin).  `points` is the lattice
-    size; the work is budgeted in cells × pieces, and a lattice that needs
-    more raises `RangeError`.  `tables` defaults to `_tables(spec)`.
+    is not below the incumbent (value, argmin).  The pieces are bounded in
+    one pass that stops at the first whose minimum is strictly above the
+    incumbent's value, so such a cell is neither evaluated nor kept; the
+    objective is evaluated at the bound's minimiser only where it can tie
+    or beat the incumbent.  `points` is the lattice size; the work is
+    budgeted in cells × pieces, counted as each cell is entered whether or
+    not it is cut short, and a lattice that needs more raises `RangeError`.
+    `tables` defaults to `_tables(spec)`.
     """
     d = spec.d
     G = default_grid(d) if grid is None else int(grid)
@@ -472,7 +480,37 @@ def grid_minimize(spec: ProblemSpec, grid: int | None = None, tables=None) -> Gr
                 f"lattice bracket needs more than {_BUDGET} piece bounds (cells × pieces); "
                 f"lower the grid (argument or {GRID_ENV})"
             )
-        bound, point = max(_fill(row, lo, hi, G - s_lo, K - s_lo) for row in rows)
+        # Each row's least value over the cell, lo ≤ ā ≤ hi with G ≤ Σā ≤ K,
+        # is a continuous knapsack with unit weights, so filling the cheapest
+        # coordinates first is exact in integers: negative weights as far as
+        # Σā ≤ K allows, the rest only as far as G ≤ Σā forces.  The cell's
+        # bound is the largest of these; between rows of equal value the
+        # greatest minimiser wins, which fixes where the incumbent is tried.
+        need0, room0 = G - s_lo, K - s_lo
+        incumbent = None if best is None else best[0]
+        bound = arg = None
+        for c, w, order in rows:
+            value = c + sum(map(operator.mul, w, lo))
+            point = list(lo)
+            need, room = need0, room0
+            for j in order:
+                wj = w[j]
+                if room <= 0 or (wj >= 0 and need <= 0):
+                    break
+                take = min(hi[j] - lo[j], room if wj < 0 else need)
+                value += wj * take
+                point[j] += take
+                need -= take
+                room -= take
+            if bound is None or value > bound:
+                # No point of the cell is worth less than `value`: above the
+                # incumbent's value, none can tie or beat it.
+                if incumbent is not None and value > incumbent:
+                    return
+                bound, arg = value, point
+            elif value == bound and point > arg:
+                arg = point
+        point = tuple(arg)
         value = max(c + sum(map(operator.mul, w, point)) for c, w, _ in rows)
         if best is None or (value, point) < best:
             best = (value, point)

@@ -90,6 +90,8 @@ def test_fraction_between_stream_matches_the_fraction_reference():
     intervals = [
         (0, 4, 12), (F(1, 4), 4, 12), (1, 2, 12), (2, 8, 12), (1, 8, 8),
         (F(1, 64), 64, 16), (F(-7, 3), F(5, 2), 12), (F(1, 3), F(1, 2), 5),
+        ("1/4", "9/2", 12), ("-3", F(5, 7), 9), (2, "13/3", 7),
+        (0, 4, 1), (F(-5, 2), "3/2", 1), ("1/2", 3, 1),
     ]
     fast, slow = Lcg(77), Lcg(77)
     for k in range(10_000):
@@ -97,11 +99,18 @@ def test_fraction_between_stream_matches_the_fraction_reference():
         assert fast.fraction_between(lo, hi, max_den) == _fraction_between_reference(
             slow, lo, hi, max_den
         ), k
+    for lo, hi in ((0.5, 2), (0, 2.0)):
+        with pytest.raises(ParameterError, match="got float"):
+            fast.fraction_between(lo, hi)
 
 
 def test_fraction_between_rejects_empty_intervals():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^empty interval \(1/2, 1/2\)$"):
         Lcg(0).fraction_between(F(1, 2), F(1, 2))
+    with pytest.raises(ParameterError, match=r"^empty interval \(3, 5/2\)$"):
+        Lcg(0).fraction_between(3, "5/2")
+    with pytest.raises(ParameterError, match=r"^no rational with denominator ≤ 1 in \(1/3, 1/2\)$"):
+        Lcg(0).fraction_between(F(1, 3), F(1, 2), max_den=1)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +376,13 @@ def _enumerated_bracket(spec, G):
 def _small_specs():
     yield _spec((1, 1), (3, 3), 2), 7  # (3,4)/7 and (4,3)/7 tie
     yield _spec((1, 1), (3, 3), 2), 12
-    yield _spec((1, 1), (3, 3), 4), 7
+    for G in (7, 12, 16):
+        yield _spec((1, 1), (3, 3), 4), G
+    # Thresholds: p_1 = q, p_2 = 2, and q = 2 itself.
+    for d, G in ((2, 12), (3, 9), (4, 5)):
+        r = tuple(F(k + 2, 2) for k in range(d))
+        for q in (F(7, 4), F(2), F(3)):
+            yield ProblemSpec(r=r, p=(q, F(2), F(5), F(5, 4))[:d], q=q), G
     rng = Lcg(4242)
     for d, G in ((2, 12), (3, 9), (4, 5)):
         for high in (False, True):
@@ -390,7 +405,35 @@ def test_branch_and_bound_matches_full_enumeration():
     for spec, G in _small_specs():
         assert grid_minimize(spec, G) == _enumerated_bracket(spec, G), (spec, G)
         checked += 1
-    assert checked == 27
+    assert checked == 38
+
+
+# (spec, G, least budget answered): each budget was found by bisection on
+# the plain bound-every-row branch and bound, so it is cells entered × pieces.
+_BUDGET_CASES = [
+    (_spec((1, 2), ("7/4", "5/4"), "3/2"), 128, 63),
+    (_spec(("2391/16445", "5/2"), ("39/11", "115/12"), "11/2"), 256, 1026),  # 342 cells
+    (_spec((1, 2, "3/2"), (3, "5/4", 6), "7/4"), 48, 200),
+    (_spec((1, 2, "3/2"), (3, "5/4", 6), 3), 48, 371),
+    (_spec((1, "1/2", 2, "5/4"), ("3/2", 5, 2, 7), 4), 24, 2464),
+    (_spec((1, "1/2", 2, "5/4"), ("3/2", 5, "9/4", 7), "5/3"), 32, 420),
+    (_spec((2, "1/2", 1, "3/2", "5/4"), (4, "6/5", "5/2", 8, 3), "9/4"), 16, 2106),
+    (_spec((1, 2, "3/2", "3/4", 1, "5/2"), (3, "5/4", 6, "3/2", 4, 9), "7/4"), 12, 1274),
+    (_spec((1, 2, "3/2", "3/4", 1, "5/2"), (3, "5/4", 6, "3/2", 4, 9), 3), 12, 4347),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,G,budget", _BUDGET_CASES, ids=[f"d{s.d}-q{s.q}-G{G}" for s, G, _ in _BUDGET_CASES]
+)
+def test_budget_counts_every_cell_entered(monkeypatch, spec, G, budget):
+    """A cell dropped early still counts: each spec is answered at exactly its
+    recorded budget and refused one piece bound below it."""
+    monkeypatch.setattr(oracle, "_BUDGET", budget)
+    assert grid_minimize(spec, G).grid == G
+    monkeypatch.setattr(oracle, "_BUDGET", budget - 1)
+    with pytest.raises(params.RangeError, match=f"more than {budget - 1} piece bounds"):
+        grid_minimize(spec, G)
 
 
 def test_float_inseparable_lattice_keeps_its_bracket():
