@@ -311,7 +311,8 @@ def _cmd_finite(args: argparse.Namespace) -> int:
         spec = IntersectionSpec(N=N, n=n, q=q, balls=tuple(balls))
         order = intersection_order(spec)
         case, cert = classify_branch(spec)
-    cert_ok = cert is None or cert.verify()
+    # A certificate counts only if its checks hold and it proves the printed value.
+    cert_ok = cert is None or (cert.verify() and cert.certified_value == order.value)
     if (args.format or "text") == "json":
         value = _json_value(order.value)
         payload = {

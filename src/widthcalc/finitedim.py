@@ -12,19 +12,23 @@ ball pair: the rows of `params.piece_rows` at x_α = 1/p_α and x_q = 1/q,
 read as ν-products times powers of N and of g = n^(−1/2) N^(1/q).  The
 terms hold on 0 ≤ n ≤ N/2 for q ≤ 2 and on N^(2/q) ≤ n ≤ N/2 for q > 2.
 
-The branch of the minimum admits a matching lower bound built from one of
-three convex bodies placed inside M0 (up to a factor 2):
+The least term names one ball or one pair, and `classify_branch` proves
+that term a lower bound as well, from one of three convex bodies placed
+inside M0 (up to a factor 2):
 
     B1-inclusion    scaled ℓ_1 ball (1-sparse vertices),
     Binf-inclusion  scaled ℓ_∞ ball (full cube),
     Vk-inclusion    scaled V_k, the convex hull of all ±1 vectors with
                     exactly k nonzero entries (max ℓ_p vertex norm k^(1/p)).
 
-The certificate records the sparsity k, the scaling, every inequality the
-inclusion and the V_k width bound need, and the certified value, which
-equals the branch term exactly.  Values are `PowerProduct`s, so all checks
-are exact; the factor 2 lost by rounding the ideal sparsity l to an
-integer k is folded into the recorded right-hand sides.
+Equal terms go to the first family in the case order small → large → mid
+→ cross-lambda → cross-mu.  The certificate records the sparsity k, the
+scaling, every inequality the inclusion and the V_k width bound need, and
+the certified value, which equals the least term exactly.  Values are
+`PowerProduct`s, so all checks are exact; the factor 2 lost by rounding
+the ideal sparsity l to an integer k is folded into the recorded
+right-hand sides.  A ball on a threshold (p = q, or p = 2 for q > 2) is
+left `unclassified`, without a certificate.
 """
 
 from __future__ import annotations
@@ -84,7 +88,8 @@ class IntersectionSpec:
     """M0 = ∩ ν_α B_{p_α}^N viewed in ℓ_q^N with an approximation budget n.
 
     Construction also keeps, once, the tuples `x` (1/p_α, with 1/∞ = 0) and
-    `nu` (ν_α) of the balls.  They take no part in ==, hash or repr.
+    `nu` (ν_α) of the balls, and the display terms are kept in `_terms` on
+    first use.  None of these takes part in ==, hash or repr.
     """
 
     N: int
@@ -111,7 +116,7 @@ class IntersectionSpec:
         object.__setattr__(self, "balls", balls)
         # Frozen: the derived values go straight into the instance dict.
         self.__dict__.update(
-            x=tuple(inv_exponent(b.p) for b in balls), nu=tuple(b.nu for b in balls)
+            x=tuple(inv_exponent(b.p) for b in balls), nu=tuple(b.nu for b in balls), _terms=None
         )
 
 
@@ -226,31 +231,42 @@ def _gaussian_factor(spec: IntersectionSpec) -> PowerProduct:
     )
 
 
-def _terms(spec: IntersectionSpec) -> list[tuple[str, tuple[int, ...], PowerProduct]]:
-    """The display terms in deterministic order: (family, indices, value)."""
-    nu = spec.nu
-    high = spec.q > 2
-    g = _gaussian_factor(spec) if high else None
-    out = []
-    for family, idx, weights, _, logn_coeff, n_power in piece_rows(spec.x, _ONE / spec.q, high):
-        factors = [nu[i] ** w for i, w in zip(idx, weights)]
-        if n_power:
-            factors.append(PowerProduct.from_pow(spec.N, n_power))
-        if logn_coeff:
-            factors.append(g ** (2 * logn_coeff))
-        out.append((family, idx, functools.reduce(operator.mul, factors)))
-    return out
+def _terms(spec: IntersectionSpec) -> tuple[tuple[str, tuple[int, ...], PowerProduct], ...]:
+    """The display terms in deterministic order: (family, indices, value).
+
+    Built once per spec, after the display range is checked, and kept on it.
+    """
+    terms = spec._terms
+    if terms is None:
+        _check_display_range(spec)
+        nu = spec.nu
+        high = spec.q > 2
+        g = _gaussian_factor(spec) if high else None
+        out = []
+        for family, idx, weights, _, logn_coeff, n_power in piece_rows(spec.x, _ONE / spec.q, high):
+            factors = [nu[i] ** w for i, w in zip(idx, weights)]
+            if n_power:
+                factors.append(PowerProduct.from_pow(spec.N, n_power))
+            if logn_coeff:
+                factors.append(g ** (2 * logn_coeff))
+            out.append((family, idx, functools.reduce(operator.mul, factors)))
+        terms = spec.__dict__["_terms"] = tuple(out)
+    return terms
+
+
+def _least(terms):
+    """The first term of least value."""
+    best = terms[0]
+    for term in terms[1:]:
+        if term[2] < best[2]:
+            best = term
+    return best
 
 
 def intersection_order(spec: IntersectionSpec) -> WidthOrder:
     """min over the display terms; branch = family of the first minimum."""
-    _check_display_range(spec)
-    terms = _terms(spec)
-    best_family, _, best_value = terms[0]
-    for family, _, value in terms[1:]:
-        if value < best_value:
-            best_family, best_value = family, value
-    return WidthOrder(best_value, best_family)
+    family, _, value = _least(_terms(spec))
+    return WidthOrder(value, family)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +301,7 @@ def _budget_checks(spec: IntersectionSpec, k: int, high_side: bool) -> list[Chec
     checks = [
         CheckedInequality(
             "range[2n <= N]",
-            PowerProduct.from_fraction(2 * spec.n) if spec.n else PowerProduct.zero(),
+            PowerProduct.from_fraction(2 * spec.n),
             PowerProduct.from_fraction(spec.N),
         )
     ]
@@ -293,7 +309,7 @@ def _budget_checks(spec: IntersectionSpec, k: int, high_side: bool) -> list[Chec
         pivot = PowerProduct.from_pow(spec.N, _TWO / spec.q) * PowerProduct.from_pow(
             k, 1 - _TWO / spec.q
         )
-        n_val = PowerProduct.from_fraction(spec.n) if spec.n else PowerProduct.zero()
+        n_val = PowerProduct.from_fraction(spec.n)
         if high_side:
             checks.append(CheckedInequality("range[n >= N^(2/q) k^(1-2/q)]", pivot, n_val))
         else:
@@ -408,101 +424,76 @@ def _ideal_sparsity(nu_a, nu_b, x_a, x_b) -> PowerProduct:
     return (nu_a / nu_b) ** (_ONE / (x_a - x_b))
 
 
-def _dominant_pair(nu, x, rows, cols, level, l_min, l_max):
-    """(a, l, c_ab) for the first pair (a, b) over `rows` × `cols` whose
-    interpolated radius c_ab at `level` is least along its row and its
-    column, and whose ideal sparsity l lies in [l_min, l_max], that is
-    ν_b l_max^(x_a−x_b) ≤ ν_a ≤ ν_b l_min^(x_a−x_b); None if there is none.
-    """
-    for a in rows:
-        for b in cols:
-            cab = _cross_value(nu[a], nu[b], x[a], x[b], level)
-            if (
-                all(cab <= _cross_value(nu[a], nu[g], x[a], x[g], level) for g in cols)
-                and all(cab <= _cross_value(nu[g], nu[b], x[g], x[b], level) for g in rows)
-                and nu[b] * l_max ** (x[a] - x[b]) <= nu[a] <= nu[b] * l_min ** (x[a] - x[b])
-            ):
-                return a, _ideal_sparsity(nu[a], nu[b], x[a], x[b]), cab
-    return None
+# The term families in the order that breaks ties; family "small-p"
+# certifies case "small-dominant", and so on.
+_CASE_ORDER = ("small-p", "large-p", "mid-p", "cross-lambda", "cross-mu")
 
 
 def classify_branch(spec: IntersectionSpec):
-    """Which dominance pattern the radii form, plus its certificate.
+    """The case of the least display term, plus its certificate.
 
-    With large = {x_α < x_q}, mid = {x_q < x_α < 1/2} (empty for q ≤ 2) and
-    small = {x_α > max(x_q, 1/2)}, the cases are tested in this fixed order
-    and the first match wins:
+    The least term names a ball α or a pair (α, β) of `params.piece_rows`;
+    among equal terms the first in the order small → large → mid →
+    cross-lambda → cross-mu wins, then the first in row order:
 
-        small-dominant         a small ν_α is the least radius,
-        large-dominant         a large ν_α N^(x_γ−x_α) is below every ν_γ,
-        mid-dominant           a mid ν_α at the budget sparsity,
-        cross-lambda-dominant  a (large, mid + small) pair at level 1/q,
-        cross-mu-dominant      a (large + mid, small) pair at level 1/2 (q > 2).
+        small-dominant         ν_α (· g for q > 2): B1-inclusion,
+        large-dominant         ν_α N^(1/q−x_α): Binf-inclusion,
+        mid-dominant           ν_α g^((x_α−x_q)/θ_q): V_k at the budget sparsity,
+        cross-lambda-dominant  ν_α^(1−λ) ν_β^λ: V_k at the pair's ideal sparsity,
+        cross-mu-dominant      ν_α^(1−μ) ν_β^μ g: the same, on the high side.
 
     The budget sparsity is (n^(1/2) N^(−1/q))^(1/θ_q), θ_q = 1/2 − 1/q: the
-    l with n = N^(2/q) l^(1−2/q).  A cross-lambda pair needs its ideal
-    sparsity in [budget, N] for q > 2 and in [1, N] for q ≤ 2; a cross-mu
-    pair needs it in [1, budget].  Returns (case, certificate), or
-    ("unclassified", None) when a ball exponent sits on a threshold (p = q,
-    or p = 2 for q > 2) or no pattern holds.
+    l with n = N^(2/q) l^(1−2/q).  The ideal sparsity of a pair is the l with
+    ν_α / ν_β = l^(x_α − x_β).  The certified value and every inequality are
+    derived from the radii again, not copied from the term, so `verify` and
+    a comparison with `intersection_order` re-check the choice.
+    Returns (case, certificate), or ("unclassified", None) when a ball
+    exponent sits on a threshold (p = q, or p = 2 for q > 2).
     """
-    _check_display_range(spec)
-    high = spec.q > 2
+    terms = _terms(spec)
     x_q = _ONE / spec.q
-    x = spec.x
-    if x_q in x or (high and _HALF in x):
+    x, nu = spec.x, spec.nu
+    if x_q in x or (spec.q > 2 and _HALF in x):
         return "unclassified", None
-    nu = spec.nu
-    idx = range(len(spec.balls))
-    large = [a for a in idx if x[a] < x_q]
-    mid = [a for a in idx if x_q < x[a] < _HALF]
-    small = [a for a in idx if x[a] > max(x_q, _HALF)]
-    for a in small:
-        if all(nu[a] <= nu[g] for g in idx):
-            return "small-dominant", _b1_certificate(spec, a)
-    for a in large:
-        if all(nu[a] * PowerProduct.from_pow(spec.N, x[g] - x[a]) <= nu[g] for g in idx):
-            return "large-dominant", _binf_certificate(spec, a)
-    one = PowerProduct.one()
-    # g^(−1/θ_q); for q ≤ 2 no budget bounds the sparsity from below.
-    budget = _gaussian_factor(spec) ** (_ONE / (x_q - _HALF)) if high else one
-    for a in mid:
-        if all(nu[a] * budget ** (x[g] - x[a]) <= nu[g] for g in idx):
-            return "mid-dominant", _vk_certificate(
-                spec,
-                a,
-                budget,
-                _int_ceil(budget),
-                nu[a] * budget ** (x_q - x[a]),
-                high_side=False,
-                note="sparsity matches the budget: n = N^(2/q) l^(1-2/q)",
-            )
-    full = PowerProduct.from_fraction(spec.N)  # l = N: the whole cube
-    pair = _dominant_pair(nu, x, large, mid + small, x_q, budget, full)
-    if pair:
-        a, l_value, cab = pair
-        return "cross-lambda-dominant", _vk_certificate(
+    family, idx, _ = _least(sorted(terms, key=lambda term: _CASE_ORDER.index(term[0])))
+    case, a = family.removesuffix("-p") + "-dominant", idx[0]
+    if family == "small-p":
+        return case, _b1_certificate(spec, a)
+    if family == "large-p":
+        return case, _binf_certificate(spec, a)
+    if family == "mid-p":
+        # the budget sparsity, g^(−1/θ_q)
+        budget = _gaussian_factor(spec) ** (_ONE / (x_q - _HALF))
+        return case, _vk_certificate(
+            spec,
+            a,
+            budget,
+            _int_ceil(budget),
+            nu[a] * budget ** (x_q - x[a]),
+            high_side=False,
+            note="sparsity matches the budget: n = N^(2/q) l^(1-2/q)",
+        )
+    b = idx[1]
+    l_value = _ideal_sparsity(nu[a], nu[b], x[a], x[b])
+    if family == "cross-lambda":
+        return case, _vk_certificate(
             spec,
             a,
             l_value,
             _int_ceil(l_value),
-            cab,
+            _cross_value(nu[a], nu[b], x[a], x[b], x_q),
             high_side=False,
             note="sparsity interpolates the two dominant balls at level 1/q",
         )
-    pair = _dominant_pair(nu, x, large + mid, small, _HALF, one, budget) if high else None
-    if pair:
-        a, l_value, cab = pair
-        return "cross-mu-dominant", _vk_certificate(
-            spec,
-            a,
-            l_value,
-            _int_floor(l_value),
-            cab * _gaussian_factor(spec),
-            high_side=True,
-            note="sparsity interpolates the two dominant balls at level 1/2",
-        )
-    return "unclassified", None
+    return case, _vk_certificate(
+        spec,
+        a,
+        l_value,
+        _int_floor(l_value),
+        _cross_value(nu[a], nu[b], x[a], x[b], _HALF) * _gaussian_factor(spec),
+        high_side=True,
+        note="sparsity interpolates the two dominant balls at level 1/2",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,6 @@ class ProblemSpec:
     estimate is keyed by, and keeps them on the instance:
 
         x         (1/p_1, ..., 1/p_d)
-        inv_r     (1/r_1, ..., 1/r_d)
         x_q       1/q
         reg_sums  (M_1, ..., M_d),  M_j = Σ_i (1/r_i)(1/p_i − 1/p_j)
 
@@ -125,7 +124,6 @@ class ProblemSpec:
         # Frozen: the derived values go straight into the instance dict.
         self.__dict__.update(
             x=tuple(Fraction(b, a) for a, b in zip(pn, pd)),
-            inv_r=tuple(Fraction(b, a) for a, b in zip(rn, rd)),
             x_q=Fraction(qd, qn),
             # M_j = mixed − x_j·total, over D².
             reg_sums=tuple(Fraction(mixed * D - xj * total, D * D) for xj in X),

@@ -8,11 +8,12 @@ match `test_*.py`, so pytest imports it only through the tests.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from widthcalc import finitedim as fd
 from widthcalc.closedform import noncompact_screen
 from widthcalc.finitedim import BallSpec, IntersectionSpec
 from widthcalc.oracle import Lcg
 from widthcalc.params import ParameterError, ProblemSpec, as_fraction
-from widthcalc.values import INF
+from widthcalc.values import INF, PowerProduct
 
 _HALF = Fraction(1, 2)
 
@@ -65,6 +66,127 @@ def sample_intersection(rng: Lcg, max_balls: int = 3) -> IntersectionSpec:
             balls.append(BallSpec(p, nu))
         return IntersectionSpec(N=N, n=n, q=q, balls=tuple(balls))
     raise RuntimeError("could not sample an admissible intersection")
+
+
+# (N, q) with N^(2/q) an integer n ≤ N/2: at n = N^(2/q) the factor
+# g = n^(−1/2) N^(1/q) is 1, so the terms of different families tie often.
+_TIE_WINDOWS = ((4, 4), (16, 4), (8, 6), (16, 8))
+_TIE_EXPONENTS = tuple(
+    Fraction(v) for v in ("1", "5/4", "4/3", "3/2", "5/3", "7/4", "5/2", "3", "4", "5", "6", "8")
+)
+
+
+def sample_tie_intersection(rng: Lcg, max_balls: int = 4) -> IntersectionSpec:
+    """A ball intersection at the lower end n = N^(2/q) of the q > 2 window.
+
+    q ∈ {4, 6, 8}, N ∈ {4, 8, 16}, radii 2^k with −4 ≤ k ≤ 4, and ball
+    exponents from small-denominator values or inf (p = 2 is left out: at
+    q > 2 it is a threshold, where no term is certified).  Equal radii and
+    g = 1 make many terms equal, so the order of a tie-break shows.
+    """
+    N, q = _TIE_WINDOWS[rng.rand_below(len(_TIE_WINDOWS))]
+    n = round(N ** (2 / q))
+    balls = []
+    for _ in range(2 + rng.rand_below(max_balls - 1)):
+        k = rng.rand_below(len(_TIE_EXPONENTS) + 1)
+        p = INF if k == len(_TIE_EXPONENTS) else _TIE_EXPONENTS[k]
+        balls.append(BallSpec(p, Fraction(2) ** (rng.rand_below(9) - 4)))
+    return IntersectionSpec(N=N, n=n, q=q, balls=tuple(balls))
+
+
+def _dominant_pair(nu, x, rows, cols, level, l_min, l_max):
+    """(a, l, c_ab) for the first pair (a, b) over `rows` × `cols` whose
+    interpolated radius c_ab at `level` is least along its row and its
+    column, and whose ideal sparsity l lies in [l_min, l_max], that is
+    ν_b l_max^(x_a−x_b) ≤ ν_a ≤ ν_b l_min^(x_a−x_b); None if there is none.
+    """
+    for a in rows:
+        for b in cols:
+            cab = fd._cross_value(nu[a], nu[b], x[a], x[b], level)
+            if (
+                all(cab <= fd._cross_value(nu[a], nu[g], x[a], x[g], level) for g in cols)
+                and all(cab <= fd._cross_value(nu[g], nu[b], x[g], x[b], level) for g in rows)
+                and nu[b] * l_max ** (x[a] - x[b]) <= nu[a] <= nu[b] * l_min ** (x[a] - x[b])
+            ):
+                return a, fd._ideal_sparsity(nu[a], nu[b], x[a], x[b]), cab
+    return None
+
+
+def reference_classify_branch(spec: IntersectionSpec):
+    """`finitedim.classify_branch` as a search for dominance patterns.
+
+    With large = {x_α < x_q}, mid = {x_q < x_α < 1/2} (empty for q ≤ 2) and
+    small = {x_α > max(x_q, 1/2)}, the cases are tested in this fixed order
+    and the first match wins:
+
+        small-dominant         a small ν_α is the least radius,
+        large-dominant         a large ν_α N^(x_γ−x_α) is below every ν_γ,
+        mid-dominant           a mid ν_α at the budget sparsity,
+        cross-lambda-dominant  a (large, mid + small) pair at level 1/q,
+        cross-mu-dominant      a (large + mid, small) pair at level 1/2 (q > 2).
+
+    A cross-lambda pair needs its ideal sparsity in [budget, N] for q > 2
+    and in [1, N] for q ≤ 2; a cross-mu pair needs it in [1, budget].  The
+    chosen ball or pair goes to the package's certificate builders.
+    Returns ("unclassified", None) on a threshold exponent or when no
+    pattern holds.
+    """
+    fd._check_display_range(spec)
+    high = spec.q > 2
+    x_q = 1 / spec.q
+    x = spec.x
+    if x_q in x or (high and _HALF in x):
+        return "unclassified", None
+    nu = spec.nu
+    idx = range(len(spec.balls))
+    large = [a for a in idx if x[a] < x_q]
+    mid = [a for a in idx if x_q < x[a] < _HALF]
+    small = [a for a in idx if x[a] > max(x_q, _HALF)]
+    for a in small:
+        if all(nu[a] <= nu[g] for g in idx):
+            return "small-dominant", fd._b1_certificate(spec, a)
+    for a in large:
+        if all(nu[a] * PowerProduct.from_pow(spec.N, x[g] - x[a]) <= nu[g] for g in idx):
+            return "large-dominant", fd._binf_certificate(spec, a)
+    one = PowerProduct.one()
+    budget = fd._gaussian_factor(spec) ** (1 / (x_q - _HALF)) if high else one
+    for a in mid:
+        if all(nu[a] * budget ** (x[g] - x[a]) <= nu[g] for g in idx):
+            return "mid-dominant", fd._vk_certificate(
+                spec,
+                a,
+                budget,
+                fd._int_ceil(budget),
+                nu[a] * budget ** (x_q - x[a]),
+                high_side=False,
+                note="sparsity matches the budget: n = N^(2/q) l^(1-2/q)",
+            )
+    full = PowerProduct.from_fraction(spec.N)
+    pair = _dominant_pair(nu, x, large, mid + small, x_q, budget, full)
+    if pair:
+        a, l_value, cab = pair
+        return "cross-lambda-dominant", fd._vk_certificate(
+            spec,
+            a,
+            l_value,
+            fd._int_ceil(l_value),
+            cab,
+            high_side=False,
+            note="sparsity interpolates the two dominant balls at level 1/q",
+        )
+    pair = _dominant_pair(nu, x, large + mid, small, _HALF, one, budget) if high else None
+    if pair:
+        a, l_value, cab = pair
+        return "cross-mu-dominant", fd._vk_certificate(
+            spec,
+            a,
+            l_value,
+            fd._int_floor(l_value),
+            cab * fd._gaussian_factor(spec),
+            high_side=True,
+            note="sparsity interpolates the two dominant balls at level 1/2",
+        )
+    return "unclassified", None
 
 
 @dataclass(frozen=True)

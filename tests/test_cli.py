@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import widthcalc.cli as cli
+from widthcalc import finitedim
 from widthcalc.cli import CSV_HEADER, main, parse_extended, parse_rational
 from widthcalc.params import ParameterError
 from widthcalc.values import INF
@@ -131,6 +132,26 @@ def test_finite_intersection_with_certificate(capsys):
     cert = payload["certificate"]
     assert cert["kind"] == "Vk-inclusion" and cert["k"] == 4 and cert["ok"] is True
     assert cert["scale"]["ratio"] == "1/4"
+
+
+def test_finite_fails_a_certificate_of_another_value(capsys, monkeypatch):
+    """Checks that hold are not enough: the certificate must prove the printed value."""
+    builder = finitedim._vk_certificate
+
+    def doubled(*args, **kwargs):
+        cert = builder(*args, **kwargs)
+        return dataclasses.replace(cert, certified_value=cert.certified_value * 2)
+
+    monkeypatch.setattr(finitedim, "_vk_certificate", doubled)
+    argv = ("finite", "--N", "16", "--n", "4", "--q", "2", "--balls", "inf:1/4,1:1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out.splitlines()[-1].startswith("cert      Vk-inclusion k=4 ")
+    assert out.splitlines()[-1].endswith(" FAILED")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    cert = json.loads(out)["certificate"]
+    assert cert["ok"] is False and cert["certified_value"]["ratio"] == "1/1"
 
 
 def test_finite_input_validation(capsys):

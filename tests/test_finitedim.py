@@ -5,7 +5,12 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from _reference import cross_term_dominated, sample_intersection
+from _reference import (
+    cross_term_dominated,
+    reference_classify_branch,
+    sample_intersection,
+    sample_tie_intersection,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -258,6 +263,31 @@ def test_certificates_match_pinned_records():
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest == PINNED_RECORDS
     assert vk_certificates > 0
+
+
+# sha256 of the records on 2000 `sample_tie_intersection` specs of seed 19,
+# recorded while `classify_branch` still searched for dominance patterns.
+PINNED_TIE_RECORDS = "612c3627e98f570ba5bb01977ed86c8af43044f8cb881fcbe882ad346f4119ed"
+
+
+def test_least_term_matches_the_pattern_search_on_ties():
+    """At n = N^(2/q) terms of different families tie; case order breaks them."""
+    records = []
+    rng = Lcg(19)
+    for _ in range(2000):
+        spec = sample_tie_intersection(rng)
+        record = _record(*classify_branch(spec))
+        assert record == _record(*reference_classify_branch(spec)), spec
+        records.append(record)
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == PINNED_TIE_RECORDS
+
+
+def test_least_term_matches_the_pattern_search():
+    rng = Lcg(3)
+    for _ in range(1000):
+        spec = sample_intersection(rng, max_balls=4)
+        assert _record(*classify_branch(spec)) == _record(*reference_classify_branch(spec)), spec
 
 
 def test_display_range_is_enforced():

@@ -113,7 +113,6 @@ def test_cached_invariants_equal_their_definitions(case):
     spec, _ = case
     d = spec.d
     assert spec.x == tuple(1 / p for p in spec.p)
-    assert spec.inv_r == tuple(1 / r for r in spec.r)
     assert spec.x_q == 1 / spec.q
     assert spec.r_mean() == harmonic_mean(spec.r)
     assert spec.pr_mean() == harmonic_mean([p * r for p, r in zip(spec.p, spec.r)])
@@ -151,7 +150,6 @@ def test_permuted_spec_derives_its_own_invariants(case):
     spec.rows(False)  # a filled cache on the original must not leak
     moved = permuted(spec, order)
     assert moved.x == tuple(spec.x[i] for i in order)
-    assert moved.inv_r == tuple(spec.inv_r[i] for i in order)
     assert moved.reg_sums == tuple(spec.reg_sums[i] for i in order)
     assert moved.compact_margin() == spec.compact_margin()
     for high in _shapes(moved):
@@ -267,7 +265,6 @@ def _all_fractions(rows):
 def test_spec_invariants_match_plain_fraction_formulas(spec):
     d, r, p, q = spec.d, spec.r, spec.p, spec.q
     assert spec.x == tuple(F(1) / pj for pj in p)
-    assert spec.inv_r == tuple(F(1) / rj for rj in r)
     assert spec.x_q == F(1) / q
     assert spec.reg_sums == tuple(
         sum((F(1) / r[i]) * (F(1) / p[i] - F(1) / p[j]) for i in range(d)) for j in range(d)
@@ -276,7 +273,7 @@ def test_spec_invariants_match_plain_fraction_formulas(spec):
     pr_mean = d / sum(F(1) / (pj * rj) for pj, rj in zip(p, r))
     assert spec.r_mean() == r_mean and spec.pr_mean() == pr_mean
     assert spec.compact_margin() == r_mean / d + F(1) / q - r_mean / pr_mean
-    derived = (*spec.x, *spec.inv_r, spec.x_q, *spec.reg_sums)
+    derived = (*spec.x, spec.x_q, *spec.reg_sums)
     assert all(type(v) is F for v in derived)
     for high in _shapes(spec):
         rows = spec.rows(high)
