@@ -27,6 +27,7 @@ from .finitedim import (
     IntersectionSpec,
     LowerBoundCertificate,
     WidthOrder,
+    block_profile,
     classify_branch,
     dyadic_block_order,
     intersection_order,
@@ -70,6 +71,7 @@ __all__ = [
     "IntersectionSpec",
     "LowerBoundCertificate",
     "WidthOrder",
+    "block_profile",
     "classify_branch",
     "dyadic_block_order",
     "intersection_order",

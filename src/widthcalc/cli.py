@@ -38,6 +38,7 @@ from .exponent import build_objective, minimize, render_provenance
 from .finitedim import (
     BallSpec,
     IntersectionSpec,
+    block_profile,
     classify_branch,
     dyadic_block_order,
     intersection_order,
@@ -118,8 +119,7 @@ def _write_lines(lines: list[str]) -> None:
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
-# The options that take one of a fixed list of values, by dest.
-_CHOICES = {"format": ("text", "json")}
+_FORMATS = ("text", "json")
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -139,17 +139,29 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _merge_config(args: argparse.Namespace, flag_keys: dict[str, bool]) -> None:
+def _config_keys(sub: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """The options a config file may set, by key: each option's dest and its
+    long name without the dashes (`range_from` and `from`), '-' read as '_'."""
+    return {
+        name.lstrip("-").replace("-", "_"): action
+        for action in sub._actions
+        if action.dest not in ("help", "config")
+        for name in (action.dest, *action.option_strings)
+    }
+
+
+def _merge_config(args: argparse.Namespace) -> None:
     """Fill unset options from the config file; explicit flags keep priority."""
     if not getattr(args, "config", None):
         return
     for key, value in _load_config(args.config).items():
-        dest = key.replace("-", "_")
-        if dest == "config" or dest not in flag_keys:
+        action = args.config_keys.get(key.replace("-", "_"))
+        if action is None:
             raise ParameterError(f"unknown config key {key!r}")
+        dest = action.dest
         if getattr(args, dest) is not None:
             continue
-        if flag_keys[dest]:  # boolean flag
+        if action.nargs == 0:  # boolean flag
             low = value.lower()
             if low in _TRUE:
                 setattr(args, dest, True)
@@ -157,11 +169,12 @@ def _merge_config(args: argparse.Namespace, flag_keys: dict[str, bool]) -> None:
                 setattr(args, dest, False)
             else:
                 raise ParameterError(f"config key {key!r} expects a boolean, got {value!r}")
-        elif value not in _CHOICES.get(dest, (value,)):
+        elif action.choices and value not in action.choices:
             # The line argparse gives for the same value as a flag.
-            choices = ", ".join(map(repr, _CHOICES[dest]))
+            choices = ", ".join(map(repr, action.choices))
             raise ParameterError(
-                f"argument --{dest}: invalid choice: {value!r} (choose from {choices})"
+                f"argument {'/'.join(action.option_strings)}: invalid choice: {value!r} "
+                f"(choose from {choices})"
             )
         else:
             setattr(args, dest, value)
@@ -429,9 +442,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _require(args, "m_vec")
         m_vec = tuple(parse_integer(v, "--m-vec") for v in args.m_vec.split(","))
         # A range holding no valid rank gives only `invalid` rows; it needs no
-        # spec, unless |p| ≠ |r|, which no rank can mend.
+        # spec, unless |p| ≠ |r|, which no rank can mend.  Nor can a rank mend
+        # a profile that the spec cannot use, so that is refused too.
         needs_spec = len(args.p.split(",")) != d or any(_is_block_rank(v) for v in values)
         spec = _build_spec(args) if needs_spec else None
+        if spec is not None:
+            block_profile(spec, m_vec)
         rows = [_sweep_row_n(spec, m_vec, v) for v in values]
     else:
         r, p, q = parse_rational_tuple(args.r), parse_rational_tuple(args.p), parse_rational(args.q)
@@ -504,12 +520,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub, spec_opts=True)
     sub.add_argument("--grid-check", dest="grid_check", action="store_const", const=True,
                      default=None, help="also bracket the minimum on a lattice")
-    sub.add_argument("--format", choices=_CHOICES["format"], default=None)
+    sub.add_argument("--format", choices=_FORMATS, default=None)
     sub.set_defaults(func=_cmd_exponent)
 
     sub = subs.add_parser("regime", help="regime classification report")
     _add_common(sub, spec_opts=True)
-    sub.add_argument("--format", choices=_CHOICES["format"], default=None)
+    sub.add_argument("--format", choices=_FORMATS, default=None)
     sub.set_defaults(func=_cmd_regime)
 
     sub = subs.add_parser("finite", help="finite-dimensional width order")
@@ -518,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", default=None, help="approximation rank")
     sub.add_argument("--q", default=None, help="target norm exponent (inf allowed for one inf ball)")
     sub.add_argument("--balls", default=None, help="comma list of p:nu, e.g. inf:1/4,1:1")
-    sub.add_argument("--format", choices=_CHOICES["format"], default=None)
+    sub.add_argument("--format", choices=_FORMATS, default=None)
     sub.set_defaults(func=_cmd_finite)
 
     sub = subs.add_parser("sweep", help="CSV sweep over one parameter")
@@ -538,8 +554,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", default=None)
     sub.add_argument("--grid", default=None, help="lattice denominator for brackets")
     sub.add_argument("--identity-points", dest="identity_points", default=None)
-    sub.add_argument("--format", choices=_CHOICES["format"], default=None)
+    sub.add_argument("--format", choices=_FORMATS, default=None)
     sub.set_defaults(func=_cmd_verify)
+    for sub in subs.choices.values():
+        sub.set_defaults(config_keys=_config_keys(sub))
     return parser
 
 
@@ -569,12 +587,8 @@ def _main(argv) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 4
-    # The config keys, each marked True when it is a boolean flag.
-    flag_keys = {
-        dest: dest == "grid_check" for dest in vars(args) if dest not in ("command", "func")
-    }
     try:
-        _merge_config(args, flag_keys)
+        _merge_config(args)
         return args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

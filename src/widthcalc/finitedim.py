@@ -11,6 +11,8 @@ order is the minimum of closed-form terms, one per ball or interacting
 ball pair: the rows of `params.piece_rows` at x_α = 1/p_α and x_q = 1/q,
 read as ν-products times powers of N and of g = n^(−1/2) N^(1/q).  The
 terms hold on 0 ≤ n ≤ N/2 for q ≤ 2 and on N^(2/q) ≤ n ≤ N/2 for q > 2.
+`IntersectionSpec` refuses an n outside that window when it is built, and
+it carries x_q = 1/q, g and the terms from then on.
 
 The least term names one ball or one pair, and `classify_branch` proves
 that term a lower bound as well, from one of three convex bodies placed
@@ -52,6 +54,7 @@ __all__ = [
     "intersection_order",
     "classify_branch",
     "vk_vertex_norm",
+    "block_profile",
     "dyadic_block_order",
     "phi_value",
     "psi_value",
@@ -87,9 +90,12 @@ class BallSpec:
 class IntersectionSpec:
     """M0 = ∩ ν_α B_{p_α}^N viewed in ℓ_q^N with an approximation budget n.
 
-    Construction also keeps, once, the tuples `x` (1/p_α, with 1/∞ = 0) and
-    `nu` (ν_α) of the balls, and the display terms are kept in `_terms` on
-    first use.  None of these takes part in ==, hash or repr.
+    Construction refuses an n outside the display window (n ≤ N/2, and
+    n ≥ N^(2/q) for q > 2) with a `RangeError`, and keeps, once: the tuples
+    `x` (1/p_α, with 1/∞ = 0) and `nu` (ν_α) of the balls, `x_q` = 1/q,
+    `g` = n^(−1/2) N^(1/q) (None for q ≤ 2), and `terms`, the display
+    terms (family, indices, value) in `piece_rows` order.  None of these
+    takes part in ==, hash or repr.
     """
 
     N: int
@@ -114,10 +120,25 @@ class IntersectionSpec:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "balls", balls)
+        if 2 * n > N:
+            raise RangeError(f"need n ≤ N/2, got n = {n}, N = {N}")
+        x_q, g = _ONE / q, None
+        if q > 2:
+            # n ≥ N^(2/q)  ⟺  n^q ≥ N², checked exactly without raising n to q's numerator.
+            if n == 0 or PowerProduct.from_pow(n, q) < PowerProduct.from_pow(N, _TWO):
+                raise RangeError(f"q > 2 needs n ≥ N^(2/q), got n = {n}, N = {N}, q = {q}")
+            g = PowerProduct.from_pow(n, Fraction(-1, 2)) * PowerProduct.from_pow(N, x_q)
+        x, nu = tuple(inv_exponent(b.p) for b in balls), tuple(b.nu for b in balls)
+        terms = []
+        for family, idx, weights, _, logn_coeff, n_power in piece_rows(x, x_q, g is not None):
+            factors = [nu[i] ** w for i, w in zip(idx, weights)]
+            if n_power:
+                factors.append(PowerProduct.from_pow(N, n_power))
+            if logn_coeff:
+                factors.append(g ** (2 * logn_coeff))
+            terms.append((family, idx, functools.reduce(operator.mul, factors)))
         # Frozen: the derived values go straight into the instance dict.
-        self.__dict__.update(
-            x=tuple(inv_exponent(b.p) for b in balls), nu=tuple(b.nu for b in balls), _terms=None
-        )
+        self.__dict__.update(x=x, nu=nu, x_q=x_q, g=g, terms=tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -211,49 +232,6 @@ def single_ball_order(N: int, n: int, p, q) -> WidthOrder:
 # intersections
 
 
-def _check_display_range(spec: IntersectionSpec) -> None:
-    if 2 * spec.n > spec.N:
-        raise RangeError(f"need n ≤ N/2, got n = {spec.n}, N = {spec.N}")
-    if spec.q > 2:
-        # n ≥ N^(2/q)  ⟺  n^q ≥ N², checked exactly without raising n to q's numerator.
-        if spec.n <= 0 or PowerProduct.from_pow(spec.n, spec.q) < PowerProduct.from_pow(
-            spec.N, _TWO
-        ):
-            raise RangeError(
-                f"q > 2 needs n ≥ N^(2/q), got n = {spec.n}, N = {spec.N}, q = {spec.q}"
-            )
-
-
-def _gaussian_factor(spec: IntersectionSpec) -> PowerProduct:
-    """g = n^(−1/2) N^(1/q)."""
-    return PowerProduct.from_pow(spec.n, Fraction(-1, 2)) * PowerProduct.from_pow(
-        spec.N, _ONE / spec.q
-    )
-
-
-def _terms(spec: IntersectionSpec) -> tuple[tuple[str, tuple[int, ...], PowerProduct], ...]:
-    """The display terms in deterministic order: (family, indices, value).
-
-    Built once per spec, after the display range is checked, and kept on it.
-    """
-    terms = spec._terms
-    if terms is None:
-        _check_display_range(spec)
-        nu = spec.nu
-        high = spec.q > 2
-        g = _gaussian_factor(spec) if high else None
-        out = []
-        for family, idx, weights, _, logn_coeff, n_power in piece_rows(spec.x, _ONE / spec.q, high):
-            factors = [nu[i] ** w for i, w in zip(idx, weights)]
-            if n_power:
-                factors.append(PowerProduct.from_pow(spec.N, n_power))
-            if logn_coeff:
-                factors.append(g ** (2 * logn_coeff))
-            out.append((family, idx, functools.reduce(operator.mul, factors)))
-        terms = spec.__dict__["_terms"] = tuple(out)
-    return terms
-
-
 def _least(terms):
     """The first term of least value."""
     best = terms[0]
@@ -265,7 +243,7 @@ def _least(terms):
 
 def intersection_order(spec: IntersectionSpec) -> WidthOrder:
     """min over the display terms; branch = family of the first minimum."""
-    family, _, value = _least(_terms(spec))
+    family, _, value = _least(spec.terms)
     return WidthOrder(value, family)
 
 
@@ -306,15 +284,29 @@ def _budget_checks(spec: IntersectionSpec, k: int, high_side: bool) -> list[Chec
         )
     ]
     if spec.q > 2:
-        pivot = PowerProduct.from_pow(spec.N, _TWO / spec.q) * PowerProduct.from_pow(
-            k, 1 - _TWO / spec.q
-        )
+        two_x_q = 2 * spec.x_q
+        pivot = PowerProduct.from_pow(spec.N, two_x_q) * PowerProduct.from_pow(k, 1 - two_x_q)
         n_val = PowerProduct.from_fraction(spec.n)
         if high_side:
             checks.append(CheckedInequality("range[n >= N^(2/q) k^(1-2/q)]", pivot, n_val))
         else:
             checks.append(CheckedInequality("range[n <= N^(2/q) k^(1-2/q)]", n_val, pivot))
     return checks
+
+
+def _dominance(
+    spec: IntersectionSpec, alpha: int, l: PowerProduct, label: str
+) -> list[CheckedInequality]:
+    """The rows `label[gamma=γ]`: ν_α l^(x_γ − x_α) ≤ ν_γ for every ball γ.
+
+    They say that the test body scaled to ball α at sparsity l lies in
+    every ball: l = 1 for B1, l = N for B∞, the V_k sparsity otherwise.
+    """
+    x, nu = spec.x, spec.nu
+    return [
+        CheckedInequality(f"{label}[gamma={g}]", nu[alpha] * l ** (x[g] - x[alpha]), nu[g])
+        for g in range(len(nu))
+    ]
 
 
 def _vk_certificate(
@@ -334,25 +326,18 @@ def _vk_certificate(
     The scale is chosen so the certified value equals the branch term
     exactly: scale · (V_k width bound) = branch.
     """
-    x, nu = spec.x, spec.nu
+    nu = spec.nu
     bound = (
-        PowerProduct.from_pow(k, _HALF) * _gaussian_factor(spec)
+        PowerProduct.from_pow(k, _HALF) * spec.g
         if high_side
-        else PowerProduct.from_pow(k, _ONE / spec.q)
+        else PowerProduct.from_pow(k, spec.x_q)
     )
     scale = branch_value / bound
     checks = [
         CheckedInequality("l-range[1 <= l]", PowerProduct.one(), l_value),
         CheckedInequality("l-range[l <= N]", l_value, PowerProduct.from_fraction(spec.N)),
+        *_dominance(spec, alpha, l_value, "l-dominance"),
     ]
-    for gamma in range(len(spec.balls)):
-        checks.append(
-            CheckedInequality(
-                f"l-dominance[gamma={gamma}]",
-                nu[alpha] * l_value ** (x[gamma] - x[alpha]),
-                nu[gamma],
-            )
-        )
     for gamma in range(len(spec.balls)):
         checks.append(
             CheckedInequality(
@@ -373,36 +358,25 @@ def _vk_certificate(
 
 
 def _b1_certificate(spec: IntersectionSpec, alpha: int) -> LowerBoundCertificate:
-    nu = spec.nu
-    value = nu[alpha] if spec.q <= 2 else nu[alpha] * _gaussian_factor(spec)
-    checks = [
-        CheckedInequality(f"nu-min[gamma={g}]", nu[alpha], nu[g])
-        for g in range(len(spec.balls))
-    ]
+    nu_a = spec.nu[alpha]
+    checks = _dominance(spec, alpha, PowerProduct.one(), "nu-min")
     checks.extend(_budget_checks(spec, 1, high_side=spec.q > 2))
     return LowerBoundCertificate(
         kind="B1-inclusion",
         k=1,
-        scale=nu[alpha],
-        certified_value=value,
+        scale=nu_a,
+        certified_value=nu_a if spec.g is None else nu_a * spec.g,
         checked=tuple(checks),
         note="1-sparse vertices of the scaled cross-polytope lie in every ball",
     )
 
 
 def _binf_certificate(spec: IntersectionSpec, alpha: int) -> LowerBoundCertificate:
-    x, nu = spec.x, spec.nu
+    nu_a, x_a = spec.nu[alpha], spec.x[alpha]
     N = spec.N
-    scale = nu[alpha] * PowerProduct.from_pow(N, -x[alpha])
-    value = nu[alpha] * PowerProduct.from_pow(N, _ONE / spec.q - x[alpha])
-    checks = [
-        CheckedInequality(
-            f"inclusion[gamma={g}]",
-            nu[alpha] * PowerProduct.from_pow(N, x[g] - x[alpha]),
-            nu[g],
-        )
-        for g in range(len(spec.balls))
-    ]
+    scale = nu_a * PowerProduct.from_pow(N, -x_a)
+    value = nu_a * PowerProduct.from_pow(N, spec.x_q - x_a)
+    checks = _dominance(spec, alpha, PowerProduct.from_fraction(N), "inclusion")
     checks.extend(_budget_checks(spec, N, high_side=False))
     return LowerBoundCertificate(
         kind="Binf-inclusion",
@@ -450,12 +424,10 @@ def classify_branch(spec: IntersectionSpec):
     Returns (case, certificate), or ("unclassified", None) when a ball
     exponent sits on a threshold (p = q, or p = 2 for q > 2).
     """
-    terms = _terms(spec)
-    x_q = _ONE / spec.q
-    x, nu = spec.x, spec.nu
+    x_q, x, nu = spec.x_q, spec.x, spec.nu
     if x_q in x or (spec.q > 2 and _HALF in x):
         return "unclassified", None
-    family, idx, _ = _least(sorted(terms, key=lambda term: _CASE_ORDER.index(term[0])))
+    family, idx, _ = _least(sorted(spec.terms, key=lambda term: _CASE_ORDER.index(term[0])))
     case, a = family.removesuffix("-p") + "-dominant", idx[0]
     if family == "small-p":
         return case, _b1_certificate(spec, a)
@@ -463,7 +435,7 @@ def classify_branch(spec: IntersectionSpec):
         return case, _binf_certificate(spec, a)
     if family == "mid-p":
         # the budget sparsity, g^(−1/θ_q)
-        budget = _gaussian_factor(spec) ** (_ONE / (x_q - _HALF))
+        budget = spec.g ** (_ONE / (x_q - _HALF))
         return case, _vk_certificate(
             spec,
             a,
@@ -490,7 +462,7 @@ def classify_branch(spec: IntersectionSpec):
         a,
         l_value,
         _int_floor(l_value),
-        _cross_value(nu[a], nu[b], x[a], x[b], _HALF) * _gaussian_factor(spec),
+        _cross_value(nu[a], nu[b], x[a], x[b], _HALF) * spec.g,
         high_side=True,
         note="sparsity interpolates the two dominant balls at level 1/2",
     )
@@ -498,6 +470,16 @@ def classify_branch(spec: IntersectionSpec):
 
 # ---------------------------------------------------------------------------
 # dyadic blocks of a smoothness class
+
+
+def block_profile(spec: ProblemSpec, m_vec: tuple[int, ...]) -> tuple[int, ...]:
+    """m̄ as integers, refused unless it has one entry ≥ 0 per coordinate."""
+    if len(m_vec) != spec.d:
+        raise ParameterError(f"block profile has {len(m_vec)} entries, spec has {spec.d}")
+    m_vec = tuple(int(v) for v in m_vec)
+    if any(v < 0 for v in m_vec):
+        raise ParameterError("block profile entries must be ≥ 0")
+    return m_vec
 
 
 def dyadic_block_order(spec: ProblemSpec, m_vec: tuple[int, ...], n: int) -> WidthOrder:
@@ -508,11 +490,7 @@ def dyadic_block_order(spec: ProblemSpec, m_vec: tuple[int, ...], n: int) -> Wid
 
         ν_j = 2^(−m_j r_j + m/p_j − m/q).
     """
-    if len(m_vec) != spec.d:
-        raise ParameterError(f"block profile has {len(m_vec)} entries, spec has {spec.d}")
-    m_vec = tuple(int(v) for v in m_vec)
-    if any(v < 0 for v in m_vec):
-        raise ParameterError("block profile entries must be ≥ 0")
+    m_vec = block_profile(spec, m_vec)
     m = sum(m_vec)
     balls = []
     for j in range(spec.d):

@@ -253,7 +253,7 @@ def piece_rows(x: Sequence[Fraction], x_q: Fraction, high: bool) -> list[PieceRo
                                 q ≤ 2);
       finitedim.phi_value       Σ w_i r_i t_i + t_coeff·t, low shape at any q;
       finitedim.psi_value       the same plus logn_coeff·log n, high shape;
-      finitedim._terms          Π ν_i^(w_i) · N^(n_power) · g^(2·logn_coeff),
+      IntersectionSpec.terms    Π ν_i^(w_i) · N^(n_power) · g^(2·logn_coeff),
                                 g = n^(−1/2) N^(1/q), in the shape of q.
     """
     if high and x_q >= _HALF:

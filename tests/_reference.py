@@ -131,7 +131,6 @@ def reference_classify_branch(spec: IntersectionSpec):
     Returns ("unclassified", None) on a threshold exponent or when no
     pattern holds.
     """
-    fd._check_display_range(spec)
     high = spec.q > 2
     x_q = 1 / spec.q
     x = spec.x
@@ -149,7 +148,7 @@ def reference_classify_branch(spec: IntersectionSpec):
         if all(nu[a] * PowerProduct.from_pow(spec.N, x[g] - x[a]) <= nu[g] for g in idx):
             return "large-dominant", fd._binf_certificate(spec, a)
     one = PowerProduct.one()
-    budget = fd._gaussian_factor(spec) ** (1 / (x_q - _HALF)) if high else one
+    budget = spec.g ** (1 / (x_q - _HALF)) if high else one
     for a in mid:
         if all(nu[a] * budget ** (x[g] - x[a]) <= nu[g] for g in idx):
             return "mid-dominant", fd._vk_certificate(
@@ -182,7 +181,7 @@ def reference_classify_branch(spec: IntersectionSpec):
             a,
             l_value,
             fd._int_floor(l_value),
-            cab * fd._gaussian_factor(spec),
+            cab * spec.g,
             high_side=True,
             note="sparsity interpolates the two dominant balls at level 1/2",
         )

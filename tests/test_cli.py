@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import widthcalc.cli as cli
 from widthcalc import finitedim
 from widthcalc.cli import CSV_HEADER, main, parse_extended, parse_rational
-from widthcalc.params import ParameterError
+from widthcalc.params import ParameterError, ProblemSpec
 from widthcalc.values import INF
 
 
@@ -266,6 +266,18 @@ def test_sweep_over_only_invalid_ranks_needs_no_valid_spec(capsys):
     assert out.splitlines()[1:] == ["n,-2,,,,,,,invalid", "n,-1,,,,,,,invalid"]
 
 
+@pytest.mark.parametrize("m_vec", ["1,1,1", "1", "1,-1"])
+def test_sweep_refuses_a_block_profile_that_no_rank_can_use(capsys, m_vec):
+    spec = ProblemSpec(r=(F(1), F(2)), p=(F(3), F(3, 2)), q=F(2))
+    with pytest.raises(ParameterError) as refusal:
+        finitedim.dyadic_block_order(spec, tuple(int(v) for v in m_vec.split(",")), 4)
+    got = run(
+        capsys, "sweep", "--r", "1,2", "--p", "3,3/2", "--q", "2",
+        "--vary", "n", "--m-vec", m_vec, "--from", "0", "--to", "8", "--steps", "3",
+    )
+    assert got == (4, "", f"error: {refusal.value}\n")
+
+
 def test_sweep_rejects_unknown_axis(capsys):
     code, _, err = run(
         capsys, "sweep", "--r", "1,1", "--p", "3,3", "--q", "2",
@@ -352,6 +364,17 @@ def test_config_boolean_and_unknown_keys(capsys, tmp_path):
     code, _, err = run(capsys, "exponent", "--r", "1,1", "--p", "3,3", "--q", "2",
                        "--config", str(cfg))
     assert code == 4 and "unknown config key" in err
+
+
+def test_config_keys_are_the_option_names(capsys, tmp_path):
+    spec = ("--r", "1,1", "--p", "3,3", "--q", "2", "--vary", "n", "--m-vec", "3,2")
+    code, want, _ = run(capsys, "sweep", *spec, "--from", "0", "--to", "16", "--steps", "4")
+    assert code == 0 and want.count(",ok\n") == 2
+    cfg = tmp_path / "sweep.cfg"
+    # `--from` and `--to` store under other names; both spellings are keys.
+    for text in ("from=0\nto=16\nsteps=4\n", "range_from=0\nrange-to=16\nsteps=4\n"):
+        cfg.write_text(text)
+        assert run(capsys, "sweep", *spec, "--config", str(cfg)) == (0, want, "")
 
 
 @pytest.mark.parametrize(

@@ -291,11 +291,10 @@ def test_least_term_matches_the_pattern_search():
 
 
 def test_display_range_is_enforced():
-    spec = IntersectionSpec(4096, 8, 4, ((8, 1),))
     with pytest.raises(RangeError):
-        intersection_order(spec)  # n < N^(2/q)
+        IntersectionSpec(4096, 8, 4, ((8, 1),))  # n < N^(2/q)
     with pytest.raises(RangeError):
-        intersection_order(IntersectionSpec(16, 9, 2, ((3, 1),)))
+        IntersectionSpec(16, 9, 2, ((3, 1),))
 
 
 def test_one_ball_intersection_matches_single_ball():
