@@ -17,6 +17,7 @@ from widthcalc import (
     dyadic_block_order,
     intersection_order,
     phi_value,
+    psi_value,
     single_ball_order,
 )
 
@@ -52,3 +53,13 @@ for m_vec in ((4, 0), (3, 2), (2, 4), (0, 6)):
     order = dyadic_block_order(spec, m_vec, n=4)
     rate = phi_value(spec, tuple(F(v) for v in m_vec))
     print(f"m = {m_vec}  width order {str(order.value):12s} = 2^(-{rate})  ({order.branch})")
+
+# Above q = 2 the rate also depends on the budget n = 2^L: it is psi, read at
+# t = m_1 + ... + m_d and log n = L.
+print()
+spec = ProblemSpec(r=(F(2), F(1)), p=(F(8), F(3, 2)), q=F(4))
+for m_vec, log_n in (((2, 0), 1), ((1, 3), 2), ((1, 4), 4), ((0, 4), 3)):
+    order = dyadic_block_order(spec, m_vec, n=2**log_n)
+    rate = psi_value(spec, tuple(F(v) for v in m_vec), F(sum(m_vec)), F(log_n))
+    print(f"m = {m_vec}, n = 2^{log_n}  width order {str(order.value):12s} = 2^(-{rate})"
+          f"  ({order.branch})")

@@ -61,6 +61,13 @@ CSV_HEADER = [
     "status",
 ]
 
+#: The most exact checks one command may ask for: the rows of a sweep, or
+#: the records of a verify run plus their identity points.  It is refused
+#: above this before any exact work starts.  The largest request in the
+#: goldens, tests, demos and benchmark catalogs is `verify --samples 500`
+#: with its 2 default identity points, 1500 checks.
+WORK_BUDGET = 10_000
+
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
@@ -370,6 +377,8 @@ def _sweep_values(args: argparse.Namespace) -> list[Fraction]:
     steps = parse_integer(args.steps, "--steps")
     if steps < 1:
         raise ParameterError(f"--steps must be ≥ 1, got {steps}")
+    if steps > WORK_BUDGET:
+        raise ParameterError(f"--steps {steps} asks for more than {WORK_BUDGET} rows")
     if steps == 1:
         return [lo]
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
@@ -480,6 +489,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         points = parse_integer(args.identity_points, "--identity-points")
         if points < 0:
             raise ParameterError(f"--identity-points must be ≥ 0, got {points}")
+    if samples * (1 + points) > WORK_BUDGET:
+        raise ParameterError(
+            f"--samples {samples} with {points} identity points each asks for"
+            f" {samples * (1 + points)} checks, more than {WORK_BUDGET}"
+        )
     report = oracle.cross_validate(samples, seed, grid=grid, identity_points=points)
     sys.stdout.write(report.to_json() if (args.format or "text") == "json" else report.to_text())
     return 0 if report.ok else 1

@@ -77,7 +77,13 @@ class RegimeReport:
 
 def check_regularity(spec: ProblemSpec) -> bool:
     """All regularity sums strictly below 1."""
-    return all(m < 1 for m in spec.reg_sums)
+    # M_j = (mixed·D − X_j·total)/D² is largest at the least X_j.
+    return (spec.mixed - spec.D) * spec.D < min(spec.X) * spec.total
+
+
+def _beyond_q(spec: ProblemSpec, X_j: int) -> int:
+    """(x_j − x_q)·D·a for q = a/b, an integer whose sign is that of q − p_j."""
+    return X_j * spec.q.numerator - spec.D * spec.q.denominator
 
 
 def noncompact_screen(spec: ProblemSpec) -> bool | None:
@@ -87,9 +93,9 @@ def noncompact_screen(spec: ProblemSpec) -> bool | None:
     whether some regularity sum reaches 1, which forces a non-compact
     embedding regardless of the compactness margin.
     """
-    if any(pj > spec.q for pj in spec.p):
+    if _beyond_q(spec, min(spec.X)) < 0:  # some p_j > q
         return None
-    return any(m >= 1 for m in spec.reg_sums)
+    return not check_regularity(spec)
 
 
 def _theta1(spec: ProblemSpec) -> Fraction:
@@ -118,21 +124,22 @@ def regular_exponent(spec: ProblemSpec) -> RegimeReport | None:
     """
     margin = spec.compact_margin()
     regular = check_regularity(spec)
-    q = spec.q
+    D, X_min, X_max = spec.D, min(spec.X), max(spec.X)
     t1 = _theta1(spec)
-    if all(pj >= q for pj in spec.p):
+    if _beyond_q(spec, X_max) <= 0:  # all p_j ≥ q
         # margin >= theta1 > 0 automatically in this row.
         case, thetas = "T1.1", {"theta1": t1}
-    elif margin <= 0 or not regular:
+    elif margin.numerator <= 0 or not regular:
         return None
-    elif q <= 2:
-        case = "T1.2a" if all(pj <= q for pj in spec.p) else "T1.2b"  # T1.2b: p̄ straddles q
+    elif spec.q.numerator <= 2 * spec.q.denominator:  # q ≤ 2
+        # T1.2a: all p_j ≤ q; T1.2b: p̄ straddles q.
+        case = "T1.2a" if _beyond_q(spec, X_min) >= 0 else "T1.2b"
         thetas = {"theta1": t1, "theta2": margin}
     else:  # q > 2 with some p_j < q
-        low, high = all(pj <= 2 for pj in spec.p), all(pj >= 2 for pj in spec.p)
+        low, high = 2 * X_min >= D, 2 * X_max <= D  # all p_j ≤ 2, all p_j ≥ 2
         case = "T1.3a" if low else "T1.3b" if high else "T1.3c"
         t2 = t1 + _HALF - spec.r_mean() / spec.pr_mean()
-        thetas = {"theta1": t1, "theta2": t2, "theta3": (q / 2) * margin}
+        thetas = {"theta1": t1, "theta2": t2, "theta3": (spec.q / 2) * margin}
     return _strict_min(regular, case, thetas)
 
 
@@ -145,28 +152,30 @@ def small_smoothness_exponent(spec: ProblemSpec) -> RegimeReport | None:
     if spec.d != 2:
         return None
     margin = spec.compact_margin()
-    if margin <= 0:
+    if margin.numerator <= 0:
         return None
-    if spec.p[0] > spec.q > spec.p[1]:
+    side = [_beyond_q(spec, X_j) for X_j in spec.X]
+    if side[0] < 0 < side[1]:
         hi, lo = 0, 1
-    elif spec.p[1] > spec.q > spec.p[0]:
+    elif side[1] < 0 < side[0]:
         hi, lo = 1, 0
     else:
         return None
-    x_hi, x_lo = spec.x[hi], spec.x[lo]
     r_lo = spec.r[lo]
-    if r_lo > x_lo - x_hi:
+    # r_lo > x_lo − x_hi, over D.
+    if r_lo.numerator * spec.D > r_lo.denominator * (spec.X[lo] - spec.X[hi]):
         return None
+    x_hi, x_lo = spec.x[hi], spec.x[lo]
     regular = check_regularity(spec)  # always False here; reported for context
     q = spec.q
     t1 = _theta1(spec)
     lam = (spec.x_q - x_hi) / (x_lo - x_hi)
-    if q <= 2:
+    if q.numerator <= 2 * q.denominator:  # q ≤ 2
         case, thetas = "T4.1", {"theta1": t1, "theta2": lam * r_lo}
     else:
         s_hat = _ONE / (_ONE - r_lo * (_ONE - 2 / q) / (x_lo - x_hi))
         case, thetas = "T4.2a", {"theta1": t1, "theta2": s_hat * lam * r_lo}
-        if spec.p[lo] < 2:
+        if 2 * spec.X[lo] > spec.D:  # p_lo < 2
             mu = (_HALF - x_hi) / (x_lo - x_hi)
             case, thetas["theta3"] = "T4.2b", mu * r_lo
     return _strict_min(regular, case, thetas)
@@ -178,17 +187,19 @@ def classify_regime(spec: ProblemSpec) -> RegimeReport:
     Order of screens: the non-compact screen (all p ≤ q, a regularity sum
     reaching 1) wins; then all-p≥q (always compact); then a non-positive
     margin (non-compact, no estimate); then the regular T1 rows; then the
-    planar small-smoothness rows; everything else is ``uncovered``.
+    planar small-smoothness rows; everything else is ``uncovered``.  The
+    screens compare the integers `ProblemSpec` keeps over D and the sign
+    of the margin's numerator; only the reported θ values are `Fraction`s.
     """
     margin = spec.compact_margin()
-    bounded = margin >= 0
+    bounded = margin.numerator >= 0
     regular = check_regularity(spec)
     if noncompact_screen(spec):
         return RegimeReport(bounded, False, regular, "T3-noncompact")
     report = regular_exponent(spec)
     if report is not None:
         return report
-    if margin <= 0:
+    if margin.numerator <= 0:
         return RegimeReport(bounded, False, regular, "uncovered")
     report = small_smoothness_exponent(spec)
     if report is not None:

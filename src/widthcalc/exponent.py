@@ -96,10 +96,14 @@ class ExponentResult:
 
 
 def build_objective(spec: ProblemSpec) -> PiecewiseMax:
-    """Assemble the exact piecewise objective for `spec` (regime-dependent)."""
+    """Assemble the exact piecewise objective for `spec` (regime-dependent).
+
+    Its pieces are `spec.rate_rows` in the shape of q as they stand: each
+    row's (family, indices) tag and integer coefficients come from the one
+    table, so no row is rebuilt here.
+    """
     high = spec.q > 2
-    L, rows = spec.rate_rows(high)
-    pieces = tuple(((family, idx), row) for (family, idx, *_), row in zip(spec.rows(high), rows))
+    L, pieces = spec.rate_rows(high)
     s_max = spec.q / 2 if high else None
     return PiecewiseMax(dim=spec.d, has_s=high, s_max=s_max, L=L, pieces=pieces)
 

@@ -94,8 +94,9 @@ class IntersectionSpec:
     n ≥ N^(2/q) for q > 2) with a `RangeError`, and keeps, once: the tuples
     `x` (1/p_α, with 1/∞ = 0) and `nu` (ν_α) of the balls, `x_q` = 1/q,
     `g` = n^(−1/2) N^(1/q) (None for q ≤ 2), and `terms`, the display
-    terms (family, indices, value) in `piece_rows` order.  None of these
-    takes part in ==, hash or repr.
+    terms (family, indices, value) in `piece_rows` order, whose exponents
+    are built as `Fraction`s from each row's integers over its den.  None
+    of these takes part in ==, hash or repr.
     """
 
     N: int
@@ -130,12 +131,13 @@ class IntersectionSpec:
             g = PowerProduct.from_pow(n, Fraction(-1, 2)) * PowerProduct.from_pow(N, x_q)
         x, nu = tuple(inv_exponent(b.p) for b in balls), tuple(b.nu for b in balls)
         terms = []
-        for family, idx, weights, _, logn_coeff, n_power in piece_rows(x, x_q, g is not None):
-            factors = [nu[i] ** w for i, w in zip(idx, weights)]
+        rows = piece_rows(x, x_q, g is not None)
+        for family, idx, den, weights, _, logn_coeff, n_power in rows:
+            factors = [nu[i] ** Fraction(w, den) for i, w in zip(idx, weights)]
             if n_power:
-                factors.append(PowerProduct.from_pow(N, n_power))
+                factors.append(PowerProduct.from_pow(N, Fraction(n_power, den)))
             if logn_coeff:
-                factors.append(g ** (2 * logn_coeff))
+                factors.append(g ** Fraction(2 * logn_coeff, den))
             terms.append((family, idx, functools.reduce(operator.mul, factors)))
         # Frozen: the derived values go straight into the instance dict.
         self.__dict__.update(x=x, nu=nu, x_q=x_q, g=g, terms=tuple(terms))
@@ -503,7 +505,7 @@ def _block_rate(spec, high, E, point) -> Fraction:
     """max over the rows of Σ w_i r_i t_i + t_coeff·t + logn_coeff·log n at
     (t_1, …, t_d, t, log n) = point/E, for integers `point`."""
     L, rows = spec.rate_rows(high)
-    return Fraction(max(sum(map(operator.mul, row, point)) for row in rows), L * E)
+    return Fraction(max(sum(map(operator.mul, row, point)) for _, row in rows), L * E)
 
 
 def _over_one_denominator(values) -> tuple[int, list[int]]:

@@ -54,7 +54,6 @@ from fractions import Fraction
 
 from . import closedform
 from .exponent import build_objective, minimize
-from .finitedim import phi_value, psi_value
 from .params import ParameterError, ProblemSpec, RangeError, as_fraction
 from .values import json_rational
 
@@ -137,9 +136,14 @@ class Lcg:
         without building a `Fraction`.  One draw picks the denominator and
         one the numerator, whatever the bounds' types.
         """
+        return Fraction(*self._between(lo, hi, max_den))
+
+    def _between(self, lo, hi, max_den: int = 12) -> tuple[int, int]:
+        """The draw of `fraction_between` as (numerator, denominator), not
+        reduced, with no `Fraction` built."""
         feasible = _feasible(*_ratio(lo), *_ratio(hi), max_den)
         den, nmin, nmax = feasible[self.rand_below(len(feasible))]
-        return Fraction(nmin + self.rand_below(nmax - nmin + 1), den)
+        return nmin + self.rand_below(nmax - nmin + 1), den
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -319,17 +323,17 @@ def _scaled(values) -> tuple[int, list[int]]:
     return E, [v.numerator * (E // v.denominator) for v in values]
 
 
+def _over_lcm(pairs) -> list[int]:
+    """The rationals (numerator, denominator) `pairs` as integers over the
+    lcm of their denominators; where that lcm cancels, it is not kept."""
+    E = math.lcm(*(den for _, den in pairs))
+    return [num * (E // den) for num, den in pairs]
+
+
 def _top(rows, point) -> int:
     """The largest row value at integers `point` = E·(α_1, …, α_d, s, 1):
     the objective times L·E."""
     return max(sum(map(operator.mul, coeffs, point)) for _, coeffs in rows)
-
-
-def _value(table, coords) -> Fraction:
-    """The largest row value at `coords` = (α_1, …, α_d, s, 1), rationals."""
-    L, rows = table
-    E, point = _scaled(coords)
-    return Fraction(_top(rows, point), L * E)
 
 
 # ---------------------------------------------------------------------------
@@ -564,46 +568,63 @@ def check_scaling_identities(
       homogeneity:   φ(c t̄) = c · φ(t̄).
     For q ≤ 2 only the homogeneity and the normalisation φ(t̄) = t·h(t̄/t)
     apply.  All comparisons are exact; any nonzero residual is a failure.
-    Both sides run in integers: φ and ψ in `finitedim` on `params.piece_rows`,
-    h and h̃ on this module's own `tables` (`_tables(spec)` when not given).
+    Both sides run in integers over one denominator per point: φ and ψ on
+    `spec.rate_rows`, the table `finitedim.phi_value` and `psi_value` read
+    (built from `params.piece_rows`), h and h̃ on this module's own `tables`
+    (`_tables(spec)` when not given).  A `Fraction` is built only for the
+    text of a failure.
     """
     rng = Lcg(seed)
     failures: list[str] = []
     checked = 0
     d = spec.d
     low, high = tables or _tables(spec)
+    phi_L, phi_rows = spec.rate_rows(False)
+    if high is not None:
+        psi_L, psi_rows = spec.rate_rows(True)
     qn, qd = spec.q.numerator, spec.q.denominator
     for _ in range(points):
-        t_vec = tuple(rng.fraction_between(0, 4) for _ in range(d))
-        c = rng.fraction_between(0, 8)
-        phi = phi_value(spec, t_vec)
+        t_vec = [rng._between(0, 4) for _ in range(d)]
+        cn, cd = rng._between(0, 8)
+        a = _over_lcm(t_vec)
+        t = sum(a)
+        # With t̄ = ā/E, φ(t̄)·L·E is the rows' max at (ā, t, 0), and
+        # φ(c t̄)·L·E·c_d their max at c_n·(ā, t, 0).
+        phi = _top(phi_rows, a + [t, 0])
         checked += 1
-        if phi_value(spec, tuple(c * v for v in t_vec)) != c * phi:
-            failures.append(f"homogeneity at t={t_vec} c={c}")
+        if _top(phi_rows, [cn * v for v in a] + [cn * t, 0]) != cn * phi:
+            failures.append(f"homogeneity at t={_rationals(t_vec)} c={Fraction(cn, cd)}")
         checked += 1
         # t·h(t̄/t) is the low table's max at (t̄, 0, t).
-        if phi != _value(low, (*t_vec, 0, sum(t_vec))):
-            failures.append(f"phi normalisation at t={t_vec}")
+        if phi * low[0] != _top(low[1], a + [0, t]) * phi_L:
+            failures.append(f"phi normalisation at t={_rationals(t_vec)}")
         if high is not None:
-            u = tuple(rng.fraction_between(0, 4) for _ in range(d))
+            u = [rng._between(0, 4) for _ in range(d)]
             # ᾱ = (q/2)·ū/Σū, so Σᾱ = q/2 exactly.  With ū = b̄/U and B = Σb̄,
             # ᾱ = q_n·b̄/(2q_d·B): both sides are integers over 2q_d·B·L.
-            _, b = _scaled(u)
+            b = _over_lcm(u)
             B = sum(b)
             lhs = _top(high[1], [qn * v for v in b] + [qn * B, 2 * qd * B])
             rhs = qn * _top(low[1], b + [0, B])
             checked += 1
             if lhs * low[0] != rhs * high[0]:
-                scale = spec.q / 2 / sum(u)
-                failures.append(f"s-face at alpha={tuple(scale * v for v in u)}")
-            s_var = rng.fraction_between(0, 6)
-            log_n = rng.fraction_between(0, 10)
-            lhs = psi_value(spec, t_vec, s_var, log_n)
+                scale = spec.q / 2 / sum(_rationals(u))
+                failures.append(f"s-face at alpha={tuple(scale * v for v in _rationals(u))}")
+            s_var = rng._between(0, 6)
+            log_n = rng._between(0, 10)
+            # ψ(t̄, t; L) and L·h̃(t̄/L, s/L): both tables' max at (t̄, s, L).
+            point = _over_lcm(t_vec + [s_var, log_n])
             checked += 1
-            # L·h̃(t̄/L, s/L) is the high table's max at (t̄, s, L).
-            if lhs != _value(high, (*t_vec, s_var, log_n)):
-                failures.append(f"log-rescaling at t={t_vec} s={s_var} L={log_n}")
+            if _top(psi_rows, point) * high[0] != _top(high[1], point) * psi_L:
+                failures.append(
+                    f"log-rescaling at t={_rationals(t_vec)} s={Fraction(*s_var)}"
+                    f" L={Fraction(*log_n)}"
+                )
     return IdentityReport(checked=checked, failures=tuple(failures))
+
+
+def _rationals(pairs) -> tuple[Fraction, ...]:
+    return tuple(Fraction(num, den) for num, den in pairs)
 
 
 # ---------------------------------------------------------------------------

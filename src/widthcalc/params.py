@@ -13,8 +13,9 @@ Everything downstream is driven by a handful of exact quantities:
     <r̄>/d + 1/q − <r̄>/<p̄ ∘ r̄>                        compactness margin.
 
 All arithmetic is exact: sums and comparisons run on integers over one
-common denominator, and each value handed out is a `fractions.Fraction`.
-Nothing in this module rounds.
+common denominator.  A value handed out is a `fractions.Fraction`, or, in
+the piece tables, an integer numerator over a stated denominator.  Nothing
+in this module rounds.
 
 Index conventions: coordinates are 0-based everywhere in code.  Rendered
 output (CLI, reports) prints 1-based names like ``p1`` to match the flag
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from typing import Sequence
 
 __all__ = [
@@ -41,8 +43,6 @@ __all__ = [
 #: d, but the cross-term pieces are quadratic in d and the grid oracle's
 #: branch and bound over a d-simplex lattice grows with d, so keep d honest.
 MAX_DIMENSION = 16
-
-_ZERO = Fraction(0)
 
 
 class ParameterError(ValueError):
@@ -83,16 +83,24 @@ class ProblemSpec:
 
         x         (1/p_1, ..., 1/p_d)
         x_q       1/q
-        reg_sums  (M_1, ..., M_d),  M_j = Σ_i (1/r_i)(1/p_i − 1/p_j)
 
     together with <r̄>, <p̄ ∘ r̄> and the compactness margin, which
     `r_mean`, `pr_mean` and `compact_margin` return.  The sums behind them
     run on integers over one denominator D, the lcm of the numerators of
     the products p_j r_j, and each value is built as one `Fraction` at the
-    end rather than one per arithmetic step.  `rows(high)` is the
-    `piece_rows` table at (x̄, 1/q) in the low or the high shape, built as
-    a tuple on first use, and `rate_rows(high)` the same rows as integers
-    over one denominator, which φ/ψ and the epigraph LP read.  None of this
+    end rather than one per arithmetic step.  Those integers are kept too,
+    for the regime screens to compare:
+
+        D         the common denominator
+        X         (X_1, ..., X_d),  X_j = D/p_j
+        total     D·Σ_j 1/r_j
+        mixed     D·Σ_j 1/(p_j r_j)
+
+    so that the regularity sum M_j = Σ_i (1/r_i)(1/p_i − 1/p_j) is
+    (mixed·D − X_j·total)/D²; `reg_sums` builds them as `Fraction`s on
+    first read.  `rate_rows(high)` is the `piece_rows` table at (x̄, 1/q)
+    in the low or the high shape, scaled to integers over one denominator
+    and built on first use; φ/ψ and the epigraph LP read it.  None of this
     takes part in ==, hash, repr or str: two specs with the same (r̄, p̄, q)
     are equal whatever they hold.
     """
@@ -125,12 +133,14 @@ class ProblemSpec:
         self.__dict__.update(
             x=tuple(Fraction(b, a) for a, b in zip(pn, pd)),
             x_q=Fraction(qd, qn),
-            # M_j = mixed − x_j·total, over D².
-            reg_sums=tuple(Fraction(mixed * D - xj * total, D * D) for xj in X),
             _r_mean=Fraction(d * D, total),
             _pr_mean=Fraction(d * D, mixed),
             # <r̄>/d + 1/q − <r̄>/<p̄ ∘ r̄> = (1 − mixed)/total + 1/q.
             _margin=Fraction((D - mixed) * qn + qd * total, total * qn),
+            D=D,
+            X=tuple(X),
+            total=total,
+            mixed=mixed,
             _rows={},
         )
 
@@ -157,6 +167,13 @@ class ProblemSpec:
     def d(self) -> int:
         return len(self.r)
 
+    @cached_property
+    def reg_sums(self) -> tuple[Fraction, ...]:
+        """(M_1, ..., M_d), M_j = Σ_i (1/r_i)(1/p_i − 1/p_j) = mixed − x_j·total
+        over D²."""
+        D = self.D
+        return tuple(Fraction(self.mixed * D - X_j * self.total, D * D) for X_j in self.X)
+
     def r_mean(self) -> Fraction:
         """Harmonic mean <r̄> of the smoothness orders."""
         return self._r_mean
@@ -173,39 +190,45 @@ class ProblemSpec:
         """
         return self._margin
 
-    def rows(self, high: bool) -> tuple[PieceRow, ...]:
-        """`piece_rows(x̄, 1/q, high)` as a tuple, built on first use per shape."""
-        rows = self._rows.get(high)
-        if rows is None:
-            rows = self._rows[high] = tuple(piece_rows(self.x, self.x_q, high))
-        return rows
-
-    def rate_rows(self, high: bool) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """`rows(high)` as (L, rows), built on first use per shape: each row
-        is L times the coefficients (w_1 r_1, …, w_d r_d, t_coeff,
-        logn_coeff) of a row, all integers, in the order of `rows(high)`.
+    def rate_rows(self, high: bool) -> tuple[int, tuple[RateRow, ...]]:
+        """`piece_rows(x̄, 1/q, high)` as (L, rows), built on first use per
+        shape: each row is ((family, indices), L times the coefficients
+        (w_1 r_1, …, w_d r_d, t_coeff, logn_coeff) of that piece), all
+        integers, in `piece_rows` order, and L is the least denominator
+        that makes every coefficient an integer.
 
         φ and ψ read a row at (t_1, …, t_d, t, log n), as the block rate
         Σ w_i r_i t_i + t_coeff·t + logn_coeff·log n.  The epigraph LP of
         `exponent.build_objective` reads it at (α_1, …, α_d, s, 1) with
         s = Σ α_j, so s = 1 when q ≤ 2.
         """
-        table = self._rows.get(("rate", high))
+        table = self._rows.get(high)
         if table is None:
             d = self.d
-            rows = []  # the nonzero (column, coefficient) pairs of each row
-            for _, idx, weights, t_coeff, logn_coeff, _ in self.rows(high):
-                terms = [(i, w * self.r[i]) for i, w in zip(idx, weights)]
-                terms += [(j, v) for j, v in ((d, t_coeff), (d + 1, logn_coeff)) if v]
-                rows.append(terms)
-            L = lcm(*(v.denominator for terms in rows for _, v in terms))
-            ints = []
-            for terms in rows:
+            rn = [v.numerator for v in self.r]
+            rd = [v.denominator for v in self.r]
+            pieces = []  # (tag, [(column, numerator, denominator)]), in lowest terms
+            for family, idx, den, weights, t_coeff, logn_coeff, _ in piece_rows(
+                self.x, self.x_q, high
+            ):
+                terms = []
+                for i, w in zip(idx, weights):
+                    a, b = w * rn[i], den * rd[i]
+                    g = gcd(a, b)
+                    terms.append((i, a // g, b // g))
+                for j, a in ((d, t_coeff), (d + 1, logn_coeff)):
+                    if a:
+                        g = gcd(a, den)
+                        terms.append((j, a // g, den // g))
+                pieces.append(((family, idx), terms))
+            L = lcm(*(b for _, terms in pieces for _, _, b in terms))
+            rows = []
+            for tag, terms in pieces:
                 row = [0] * (d + 2)
-                for j, v in terms:
-                    row[j] = v.numerator * (L // v.denominator)
-                ints.append(tuple(row))
-            table = self._rows["rate", high] = (L, tuple(ints))
+                for j, a, b in terms:
+                    row[j] = a * (L // b)
+                rows.append((tag, tuple(row)))
+            table = self._rows[high] = (L, tuple(rows))
         return table
 
     def __str__(self) -> str:
@@ -214,11 +237,12 @@ class ProblemSpec:
         return f"ProblemSpec(r=({rs}), p=({ps}), q={self.q})"
 
 
-_HALF = Fraction(1, 2)
-_UNIT = (Fraction(1),)
+#: One affine piece: (family, indices, den, weights, t_coeff, logn_coeff,
+#: n_power), each coefficient an integer numerator over the row's den > 0.
+PieceRow = tuple[str, tuple[int, ...], int, tuple[int, ...], int, int, int]
 
-#: One affine piece: (family, indices, weights, t_coeff, logn_coeff, n_power).
-PieceRow = tuple[str, tuple[int, ...], tuple[Fraction, ...], Fraction, Fraction, Fraction]
+#: A piece of `ProblemSpec.rate_rows`: ((family, indices), coefficients).
+RateRow = tuple[tuple[str, tuple[int, ...]], tuple[int, ...]]
 
 
 def piece_rows(x: Sequence[Fraction], x_q: Fraction, high: bool) -> list[PieceRow]:
@@ -241,9 +265,14 @@ def piece_rows(x: Sequence[Fraction], x_q: Fraction, high: bool) -> list[PieceRo
     and (1−μ)x_i + μx_j = 1/2, so 0 < λ, μ < 1.  Rows come family by family
     in the order above, j ascending, pairs (i, j) lexicographic.  Single
     thresholds are closed, so a coordinate with x_j = x_q (or x_j = 1/2 in
-    the high shape) has a row in both neighbouring families.  The threshold
-    tests and the weights run on x̄, x_q and 1/2 as integers over their
-    common denominator, and each coefficient is built as one `Fraction`.
+    the high shape) has a row in both neighbouring families.
+
+    Everything runs on x̄, x_q and 1/2 as integers X_j, Q and H over their
+    common denominator D, and no `Fraction` is built: a row is (family,
+    indices, den, weights, t_coeff, logn_coeff, n_power), each coefficient
+    an integer numerator over the row's den, which need not be in lowest
+    terms.  den is D for the single-index rows except mid-p, where it is
+    2θ_q·D = D − 2Q, and 2(X_j − X_i) for a pair (i, j).
 
     The consumers read the rows as they stand, the first three through
     `ProblemSpec.rate_rows` (as integers over one denominator):
@@ -256,40 +285,41 @@ def piece_rows(x: Sequence[Fraction], x_q: Fraction, high: bool) -> list[PieceRo
       IntersectionSpec.terms    Π ν_i^(w_i) · N^(n_power) · g^(2·logn_coeff),
                                 g = n^(−1/2) N^(1/q), in the shape of q.
     """
-    if high and x_q >= _HALF:
-        raise ParameterError(f"the high (q > 2) piece rows need 1/q < 1/2, got 1/q = {x_q}")
     # x_j, x_q and 1/2 as integers X_j, Q and H over one denominator D.
     D = lcm(2, x_q.denominator, *(v.denominator for v in x))
     X = [v.numerator * (D // v.denominator) for v in x]
     Q = x_q.numerator * (D // x_q.denominator)
     H = D // 2
+    if high and Q >= H:
+        raise ParameterError(f"the high (q > 2) piece rows need 1/q < 1/2, got 1/q = {x_q}")
     idx = range(len(x))
-    rows = [("large-p", (j,), _UNIT, _ZERO, _ZERO, Fraction(Q - X[j], D)) for j in idx if X[j] <= Q]
+    unit = (D,)
+    rows = [("large-p", (j,), D, unit, 0, 0, Q - X[j]) for j in idx if X[j] <= Q]
     if high:
-        two_theta_q = D - 2 * Q  # (1 − 2x_q)·D
-        for j in idx:
-            if Q <= X[j] <= H:
-                half_c = Fraction(X[j] - Q, two_theta_q)
-                rows.append(("mid-p", (j,), _UNIT, -half_c, half_c, _ZERO))
-        rows += [("small-p", (j,), _UNIT, -x[j], _HALF, _ZERO) for j in idx if X[j] >= H]
-    else:
+        two_theta_q = D - 2 * Q  # c_j/2 = (X_j − Q)/(D − 2Q)
         rows += [
-            ("small-p", (j,), _UNIT, Fraction(Q - X[j], D), _ZERO, _ZERO) for j in idx if X[j] >= Q
+            ("mid-p", (j,), two_theta_q, (two_theta_q,), Q - X[j], X[j] - Q, 0)
+            for j in idx
+            if Q <= X[j] <= H
         ]
-    rows += _cross_rows("cross-lambda", X, Q, _ZERO, _ZERO)
+        rows += [("small-p", (j,), D, unit, -X[j], H, 0) for j in idx if X[j] >= H]
+    else:
+        rows += [("small-p", (j,), D, unit, Q - X[j], 0, 0) for j in idx if X[j] >= Q]
+    rows += _cross_rows("cross-lambda", X, Q, 0)
     if high:
-        rows += _cross_rows("cross-mu", X, H, -_HALF, _HALF)
+        rows += _cross_rows("cross-mu", X, H, 1)
     return rows
 
 
-def _cross_rows(family, X, level, t_coeff, logn_coeff) -> list[PieceRow]:
-    """Pairs X_i < level < X_j, weighted (X_j − level, level − X_i)/(X_j − X_i)."""
+def _cross_rows(family, X, level, half) -> list[PieceRow]:
+    """Pairs X_i < level < X_j, weighted (X_j − level, level − X_i)/(X_j − X_i),
+    with t_coeff = −half/2 and logn_coeff = half/2, all over 2(X_j − X_i)."""
     below = [i for i, v in enumerate(X) if v < level]
     above = [j for j, v in enumerate(X) if v > level]
     rows = []
     for i in below:
         for j in above:
             span = X[j] - X[i]
-            weights = (Fraction(X[j] - level, span), Fraction(level - X[i], span))
-            rows.append((family, (i, j), weights, t_coeff, logn_coeff, _ZERO))
+            weights = (2 * (X[j] - level), 2 * (level - X[i]))
+            rows.append((family, (i, j), 2 * span, weights, -half * span, half * span, 0))
     return rows

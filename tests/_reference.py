@@ -7,6 +7,7 @@ match `test_*.py`, so pytest imports it only through the tests.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from widthcalc import finitedim as fd
 from widthcalc.closedform import noncompact_screen
@@ -186,6 +187,77 @@ def reference_classify_branch(spec: IntersectionSpec):
             note="sparsity interpolates the two dominant balls at level 1/2",
         )
     return "unclassified", None
+
+
+def plain_piece_rows(x, x_q, high):
+    """The piece table of `params.piece_rows`' docstring in `Fraction`s, one
+    step at a time: rows (family, indices, weights, t_coeff, logn_coeff,
+    n_power)."""
+    d = len(x)
+    rows = [("large-p", (j,), (1,), 0, 0, x_q - x[j]) for j in range(d) if x[j] <= x_q]
+    if high:
+        theta_q = _HALF - x_q
+        for j in range(d):
+            if x_q <= x[j] <= _HALF:
+                c = (x[j] - x_q) / theta_q
+                rows.append(("mid-p", (j,), (1,), -c / 2, c / 2, 0))
+        rows += [("small-p", (j,), (1,), -x[j], _HALF, 0) for j in range(d) if x[j] >= _HALF]
+    else:
+        rows += [("small-p", (j,), (1,), x_q - x[j], 0, 0) for j in range(d) if x[j] >= x_q]
+    levels = [("cross-lambda", x_q, 0, 0)] + ([("cross-mu", _HALF, -_HALF, _HALF)] if high else [])
+    for family, level, t_coeff, logn_coeff in levels:
+        for i in range(d):
+            for j in range(d):
+                if x[i] < level < x[j]:
+                    lam = (level - x[i]) / (x[j] - x[i])
+                    rows.append((family, (i, j), (1 - lam, lam), t_coeff, logn_coeff, 0))
+    return rows
+
+
+def fraction_row(row):
+    """A `params.piece_rows` row, integers over its den, in the `Fraction`
+    form of `plain_piece_rows`."""
+    family, idx, den, weights, *coeffs = row
+    return (family, idx, tuple(Fraction(w, den) for w in weights),
+            *(Fraction(v, den) for v in coeffs))
+
+
+def reference_rate_rows(spec: ProblemSpec, high: bool):
+    """`ProblemSpec.rate_rows` built from `plain_piece_rows`, one `Fraction`
+    per coefficient: (L, rows), each row ((family, indices), L times the
+    coefficients of (α_1, …, α_d, s, 1)), L the lcm of their denominators."""
+    d = spec.d
+    pieces = []  # (tag, the nonzero (column, coefficient) pairs of the row)
+    for family, idx, weights, t_coeff, logn_coeff, _ in plain_piece_rows(spec.x, spec.x_q, high):
+        terms = [(i, Fraction(w) * spec.r[i]) for i, w in zip(idx, weights)]
+        terms += [(j, Fraction(v)) for j, v in ((d, t_coeff), (d + 1, logn_coeff)) if v]
+        pieces.append(((family, idx), terms))
+    L = lcm(*(v.denominator for _, terms in pieces for _, v in terms))
+    rows = []
+    for tag, terms in pieces:
+        row = [0] * (d + 2)
+        for j, v in terms:
+            row[j] = v.numerator * (L // v.denominator)
+        rows.append((tag, tuple(row)))
+    return L, tuple(rows)
+
+
+def reference_terms(spec: IntersectionSpec):
+    """`IntersectionSpec.terms` from `plain_piece_rows`, with the `Fraction`
+    exponents taken as they stand."""
+    terms = []
+    for family, idx, weights, _, logn_coeff, n_power in plain_piece_rows(
+        spec.x, spec.x_q, spec.g is not None
+    ):
+        value = PowerProduct.one()
+        for i, w in zip(idx, weights):
+            value = value * spec.nu[i] ** Fraction(w)
+        if n_power:
+            value = value * PowerProduct.from_pow(spec.N, n_power)
+        if logn_coeff:
+            value = value * spec.g ** (2 * logn_coeff)
+        terms.append((family, idx, value))
+    return tuple(terms)
 
 
 @dataclass(frozen=True)

@@ -302,6 +302,42 @@ def test_verify_refuses_a_negative_identity_point_count(capsys):
     assert err == "error: --identity-points must be ≥ 0, got -1\n"
 
 
+def _no_exact_work(*args, **kwargs):
+    raise AssertionError("exact work started before the budget was checked")
+
+
+def test_sweep_steps_are_answered_up_to_the_budget_and_refused_above(capsys, monkeypatch):
+    # Non-integer ranks make `invalid` rows without a spec, so the largest
+    # accepted sweep is cheap.
+    n_sweep = ("sweep", "--r", "1,1", "--p", "3,3", "--q", "2", "--vary", "n",
+               "--m-vec", "1,1", "--from", "1/3", "--to", "2/3")
+    code, out, _ = run(capsys, *n_sweep, "--steps", str(cli.WORK_BUDGET))
+    assert code == 0 and len(out.splitlines()) == 1 + cli.WORK_BUDGET
+    monkeypatch.setattr(cli, "_sweep_row_n", _no_exact_work)
+    monkeypatch.setattr(cli, "_sweep_row_spec", _no_exact_work)
+    for argv in (
+        (*n_sweep, "--steps", str(cli.WORK_BUDGET + 1)),
+        ("sweep", "--r", "1,1", "--p", "3,3", "--q", "2", "--vary", "q",
+         "--from", "3/2", "--to", "3", "--steps", "100000000"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: --steps ") and err.count("\n") == 1
+
+
+def test_verify_checks_are_answered_up_to_the_budget_and_refused_above(capsys, monkeypatch):
+    points = cli.WORK_BUDGET - 1  # one record and its identity points
+    code, out, _ = run(capsys, "verify", "--samples", "1", "--identity-points", str(points))
+    assert code == 0 and f"id={4 * points}" in out  # four checks per point at q > 2
+    monkeypatch.setattr(cli.oracle, "cross_validate", _no_exact_work)
+    for samples, points in ((1, cli.WORK_BUDGET), (cli.WORK_BUDGET + 1, 0), (3, 10**11)):
+        code, out, err = run(
+            capsys, "verify", "--samples", str(samples), "--identity-points", str(points)
+        )
+        assert (code, out) == (4, "")
+        assert err.startswith(f"error: --samples {samples} ") and err.count("\n") == 1
+
+
 def test_verify_runs_are_byte_identical(capsys):
     args = ("verify", "--samples", "18", "--seed", "42", "--grid", "32",
             "--identity-points", "1")

@@ -6,11 +6,12 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
-from _reference import check_compact, permuted
+from _reference import check_compact, permuted, plain_piece_rows
 from hypothesis import strategies as st
 
 import widthcalc.exponent as exponent
 import widthcalc.oracle as oracle
+import widthcalc.params as params
 from widthcalc._simplex import solve_lp
 from widthcalc.exponent import build_objective, minimize
 from widthcalc.oracle import Lcg, check_certificate
@@ -69,7 +70,7 @@ def _lp_counter():
 
 
 def _epigraph_rows(spec):
-    """The epigraph LP, built here from `spec.rows` in `Fraction`s.
+    """The epigraph LP, built here from `plain_piece_rows` in `Fraction`s.
 
     (cost, A_eq, b_eq, A_ub, b_ub) over α [, σ], t⁺, t⁻ with s = 1 + σ and
     t = t⁺ − t⁻: Σα − σ = 1, then σ ≤ q/2 − 1, then piece ≤ t per row, the
@@ -81,7 +82,7 @@ def _epigraph_rows(spec):
     if high:
         A_ub.append([F(0)] * d + [F(1), F(0), F(0)])
         b_ub.append(spec.q / 2 - 1)
-    for _, idx, weights, t_coeff, logn_coeff, _ in spec.rows(high):
+    for _, idx, weights, t_coeff, logn_coeff, _ in plain_piece_rows(spec.x, spec.x_q, high):
         coeffs = [F(0)] * d
         for i, w in zip(idx, weights):
             coeffs[i] = w * spec.r[i]
@@ -225,6 +226,22 @@ def test_d16_exponents_match_frozen_anchors(r, p, q, theta, unique, compact):
     assert len(lps) <= 2
     assert check_certificate(spec, res) == []
     assert check_compact(spec) is compact
+
+
+def test_d16_piece_tables_build_without_a_fraction_in_params(monkeypatch):
+    """`rate_rows` and `build_objective` run on the integers of
+    `params.piece_rows`: at the d = 16 anchors not one `Fraction` is built
+    in `params` once the specs exist."""
+    specs = [_spec(r.split(","), p.split(","), q) for r, p, q, *_ in D16_ANCHORS]
+
+    def refused(*args):
+        raise AssertionError(f"params built a Fraction{args}")
+
+    monkeypatch.setattr(params, "Fraction", refused)
+    for spec in specs:
+        for high in (False, True) if spec.q > 2 else (False,):
+            assert spec.rate_rows(high)[1]
+        assert build_objective(spec).pieces
 
 
 units = st.fractions(min_value=F(1, 10), max_value=1, max_denominator=10)

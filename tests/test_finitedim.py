@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from _reference import (
     cross_term_dominated,
+    plain_piece_rows,
     reference_classify_branch,
     sample_intersection,
     sample_tie_intersection,
@@ -373,13 +374,13 @@ def test_block_rate_is_positively_homogeneous(t_vec, c):
 
 
 def _reference_block_rate(spec, t_vec, t, log_n, high):
-    """max over `spec.rows(high)` of Σ w_i r_i t_i + t_coeff·t + logn_coeff·log n,
-    one `Fraction` operation at a time."""
+    """max over `plain_piece_rows` at (x̄, 1/q) of Σ w_i r_i t_i + t_coeff·t
+    + logn_coeff·log n, one `Fraction` operation at a time."""
     return max(
         sum(w * spec.r[i] * t_vec[i] for i, w in zip(idx, weights))
         + t_coeff * t
         + logn_coeff * log_n
-        for _, idx, weights, t_coeff, logn_coeff, _ in spec.rows(high)
+        for _, idx, weights, t_coeff, logn_coeff, _ in plain_piece_rows(spec.x, spec.x_q, high)
     )
 
 

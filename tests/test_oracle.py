@@ -153,6 +153,13 @@ def _reference_value(piece, alpha, s):
     return const + s_coeff * s + sum(c * alpha[j] for j, c in coeffs.items())
 
 
+def _table_value(table, coords):
+    """The largest row of an oracle table (L, rows) at the rationals
+    `coords` = (α_1, …, α_d, s, 1)."""
+    L, rows = table
+    return max(sum(F(c, L) * v for c, v in zip(coeffs, coords)) for _, coeffs in rows)
+
+
 def _threshold_specs(rng, per_d=3):
     """Specs at d = 2..16 on both sides of q = 2, q = 2 itself, and p_j on
     the thresholds q and 2."""
@@ -185,7 +192,7 @@ def test_integer_tables_equal_the_fraction_reference():
                 s = rng.fraction_between(1, 5)
                 expected = max(_reference_value(pc, alpha, s) for pc in ref)
                 coords = (*alpha, s, 1) if high else (*alpha, 0, 1)
-                assert oracle._value(table, coords) == expected
+                assert _table_value(table, coords) == expected
             shapes[spec.d, high] += 1
         assert check_scaling_identities(spec, points=2, seed=spec.d).ok, spec
     assert len({d for d, _ in shapes}) == 15 and shapes[16, True] >= 1
@@ -251,9 +258,9 @@ def test_a_wrong_rate_rows_weight_fails_the_certificate(monkeypatch):
     real = params.ProblemSpec.rate_rows
 
     def wrong(spec, high):
-        L, (first, *rows) = real(spec, high)
+        L, ((tag, first), *rows) = real(spec, high)
         j = next(j for j, c in enumerate(first) if c)  # the row's first α column
-        return L, ((*first[:j], 2 * first[j], *first[j + 1 :]), *rows)
+        return L, ((tag, (*first[:j], 2 * first[j], *first[j + 1 :])), *rows)
 
     specs = [*_threshold_specs(Lcg(32), per_d=1), _spec((2, 1), (8, "3/2"), 4)]
     specs.append(_spec((1, 2), ("7/4", "5/4"), "3/2"))
@@ -267,8 +274,8 @@ def test_a_wrong_piece_rows_weight_fails_the_identities(monkeypatch):
     real = params.piece_rows
 
     def wrong(x, x_q, high):
-        (family, idx, weights, *rest), *others = real(x, x_q, high)
-        return [(family, idx, (2 * weights[0], *weights[1:]), *rest), *others]
+        (family, idx, den, weights, *rest), *others = real(x, x_q, high)
+        return [(family, idx, den, (2 * weights[0], *weights[1:]), *rest), *others]
 
     monkeypatch.setattr(params, "piece_rows", wrong)
     report = check_scaling_identities(_spec((2, 1), (8, "3/2"), 4), points=40, seed=3)

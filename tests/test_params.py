@@ -3,11 +3,20 @@
 from fractions import Fraction as F
 
 import pytest
-from _reference import permuted
+from _reference import (
+    fraction_row,
+    permuted,
+    plain_piece_rows,
+    reference_rate_rows,
+    reference_terms,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from widthcalc.exponent import build_objective
+from widthcalc.finitedim import BallSpec, IntersectionSpec
 from widthcalc.params import MAX_DIMENSION, ParameterError, ProblemSpec, as_fraction, piece_rows
+from widthcalc.values import INF
 
 rationals = st.fractions(min_value=F(1, 8), max_value=F(8), max_denominator=12)
 
@@ -125,9 +134,12 @@ def test_cached_invariants_equal_their_definitions(case):
         sum((1 / spec.r[i]) * (1 / spec.p[i] - 1 / spec.p[j]) for i in range(d))
         for j in range(d)
     )
+    assert spec.X == tuple(spec.D * v for v in spec.x)
+    assert spec.total == spec.D * inv_r_sum
+    assert spec.mixed == spec.D * mixed
     for high in _shapes(spec):
-        assert spec.rows(high) == tuple(_rows(spec, high))
-        assert spec.rows(high) is spec.rows(high)  # built once
+        assert spec.rate_rows(high) == reference_rate_rows(spec, high)
+        assert spec.rate_rows(high) is spec.rate_rows(high)  # built once
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,7 +148,7 @@ def test_equal_specs_stay_equal_whatever_their_caches_hold(case):
     spec, _ = case
     twin = ProblemSpec(r=spec.r, p=spec.p, q=spec.q)
     for high in _shapes(spec):
-        spec.rows(high)  # only one of the two has its row tables filled
+        spec.rate_rows(high)  # only one of the two has its row tables filled
     assert spec == twin and hash(spec) == hash(twin)
     assert repr(spec) == repr(twin) == f"ProblemSpec(r={spec.r!r}, p={spec.p!r}, q={spec.q!r})"
     assert str(spec) == str(twin)
@@ -147,17 +159,18 @@ def test_equal_specs_stay_equal_whatever_their_caches_hold(case):
 @given(wide_specs())
 def test_permuted_spec_derives_its_own_invariants(case):
     spec, order = case
-    spec.rows(False)  # a filled cache on the original must not leak
+    spec.rate_rows(False)  # a filled cache on the original must not leak
     moved = permuted(spec, order)
     assert moved.x == tuple(spec.x[i] for i in order)
     assert moved.reg_sums == tuple(spec.reg_sums[i] for i in order)
     assert moved.compact_margin() == spec.compact_margin()
     for high in _shapes(moved):
-        assert moved.rows(high) == tuple(_rows(moved, high))
+        assert moved.rate_rows(high) == reference_rate_rows(moved, high)
 
 
 def _rows(spec, high):
-    return piece_rows([1 / p for p in spec.p], 1 / spec.q, high)
+    """`piece_rows` at (x̄, 1/q) in the `Fraction` form of `plain_piece_rows`."""
+    return [fraction_row(row) for row in piece_rows([1 / p for p in spec.p], 1 / spec.q, high)]
 
 
 def _members(rows, family):
@@ -184,10 +197,10 @@ def test_high_shape_is_refused_at_q_up_to_two(q):
     # p1 = 2 at q = 2 would make θ_q = 0 the divisor of the mid-p slope.
     spec = ProblemSpec(r=(F(1), F(1), F(1)), p=(F(2), F(3), F(3, 2)), q=q)
     with pytest.raises(ParameterError):
-        spec.rows(True)
+        spec.rate_rows(True)
     with pytest.raises(ParameterError):
         piece_rows(spec.x, spec.x_q, high=True)
-    assert spec.rows(False)  # the low shape stays defined
+    assert spec.rate_rows(False)[1]  # the low shape stays defined
 
 
 def test_low_q_partition_worked_example():
@@ -197,6 +210,12 @@ def test_low_q_partition_worked_example():
         ("large-p", (0,), one, zero, zero, F(1, 6)),
         ("small-p", (1,), one, F(-1, 6), zero, zero),
         ("cross-lambda", (0, 1), (F(1, 2), F(1, 2)), zero, zero, zero),
+    ]
+    # x̄ = (2, 4)/6 and 1/q = 3/6: each row over its own den.
+    assert piece_rows(spec.x, spec.x_q, high=False) == [
+        ("large-p", (0,), 6, (6,), 0, 0, 1),
+        ("small-p", (1,), 6, (6,), -1, 0, 0),
+        ("cross-lambda", (0, 1), 4, (2, 2), 0, 0, 0),
     ]
 
 
@@ -231,33 +250,8 @@ def threshold_specs(draw):
     )
 
 
-def _plain_rows(x, x_q, high):
-    """The piece table of `piece_rows`' docstring, one Fraction step at a time."""
-    d, half = len(x), F(1, 2)
-    rows = [("large-p", (j,), (1,), 0, 0, x_q - x[j]) for j in range(d) if x[j] <= x_q]
-    if high:
-        theta_q = half - x_q
-        for j in range(d):
-            if x_q <= x[j] <= half:
-                c = (x[j] - x_q) / theta_q
-                rows.append(("mid-p", (j,), (1,), -c / 2, c / 2, 0))
-        rows += [("small-p", (j,), (1,), -x[j], half, 0) for j in range(d) if x[j] >= half]
-    else:
-        rows += [("small-p", (j,), (1,), x_q - x[j], 0, 0) for j in range(d) if x[j] >= x_q]
-    levels = [("cross-lambda", x_q, 0, 0)] + ([("cross-mu", half, -half, half)] if high else [])
-    for family, level, t_coeff, logn_coeff in levels:
-        for i in range(d):
-            for j in range(d):
-                if x[i] < level < x[j]:
-                    lam = (level - x[i]) / (x[j] - x[i])
-                    rows.append((family, (i, j), (1 - lam, lam), t_coeff, logn_coeff, 0))
-    return rows
-
-
-def _all_fractions(rows):
-    return all(
-        type(v) is F for row in rows for v in (*row[2], *row[3:])
-    )
+def _all_integers(rows):
+    return all(type(v) is int for row in rows for v in (row[2], *row[3], *row[4:]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -276,9 +270,8 @@ def test_spec_invariants_match_plain_fraction_formulas(spec):
     derived = (*spec.x, spec.x_q, *spec.reg_sums)
     assert all(type(v) is F for v in derived)
     for high in _shapes(spec):
-        rows = spec.rows(high)
-        assert list(rows) == _plain_rows([F(1) / pj for pj in p], F(1) / q, high)
-        assert _all_fractions(rows)
+        assert _rows(spec, high) == plain_piece_rows([F(1) / pj for pj in p], F(1) / q, high)
+        assert spec.rate_rows(high) == reference_rate_rows(spec, high)
 
 
 @st.composite
@@ -299,5 +292,40 @@ def test_piece_rows_match_plain_fraction_formulas(point):
     x, x_q = point
     for high in (False, True) if x_q < F(1, 2) else (False,):
         rows = piece_rows(x, x_q, high)
-        assert rows == _plain_rows(x, x_q, high)
-        assert _all_fractions(rows)
+        assert [fraction_row(row) for row in rows] == plain_piece_rows(x, x_q, high)
+        assert _all_integers(rows)
+
+
+@st.composite
+def threshold_tables(draw):
+    """A spec at d = 2..16 with p_j on q, on 2 or off both, and ball
+    intersections of the same d in the q ≤ 2 and the q > 2 window, whose
+    exponents may also be ∞."""
+    d = draw(st.integers(2, MAX_DIMENSION))
+    q = draw(st.sampled_from([F(2), 1 + draw(rationals) / 8, F(9, 4) + draw(rationals)]))
+    p = st.one_of(rationals.map(lambda x: 1 + x), st.just(q), st.just(F(2)))
+    spec = ProblemSpec(
+        r=[x + F(1, 8) for x in draw(st.lists(rationals, min_size=d, max_size=d))],
+        p=draw(st.lists(p, min_size=d, max_size=d)),
+        q=q,
+    )
+    ball = st.tuples(st.one_of(p, st.just(INF)), rationals)
+    balls = [BallSpec(*b) for b in draw(st.lists(ball, min_size=d, max_size=d))]
+    # n = N/2 = 2^11 is in the q > 2 window N^(2/q) ≤ n for every q ≥ 9/4.
+    return spec, IntersectionSpec(N=1 << 12, n=1 << 11, q=q, balls=balls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(threshold_tables())
+def test_integer_piece_tables_equal_the_fraction_reference(case):
+    """`rate_rows`, the tags of `build_objective` and the intersection terms,
+    all built from `piece_rows`' integers, against the same tables built
+    from `plain_piece_rows` one `Fraction` at a time."""
+    spec, balls = case
+    for high in _shapes(spec):
+        assert spec.rate_rows(high) == reference_rate_rows(spec, high)
+    L, rows = reference_rate_rows(spec, spec.q > 2)
+    obj = build_objective(spec)
+    assert obj.L == L
+    assert [tag for tag, _ in obj.pieces] == [tag for tag, _ in rows]
+    assert balls.terms == reference_terms(balls)
