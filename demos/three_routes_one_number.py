@@ -13,11 +13,11 @@ from widthcalc import (
     Lcg,
     build_objective,
     classify_regime,
-    cross_validate,
     grid_minimize,
     minimize,
     sample_branch,
 )
+from widthcalc.cli import main
 
 rng = Lcg(1)
 print(f"{'branch':8s} {'theta':>8s} {'lp':>8s} {'bracket':>23s}")
@@ -40,8 +40,6 @@ for _ in range(3):
     print(f"  G = {bracket.grid:4d}  gap = {bracket.gap}")
     bracket = grid_minimize(spec, 4 * bracket.grid)
 
-# cross_validate wires the same comparison into a deterministic report;
-# the CLI `verify` subcommand prints exactly this.
-report = cross_validate(samples=9, seed=3, grid=64, identity_points=1)
+# `verify` wires the same comparison into a deterministic report.
 print()
-print(report.to_text())
+main(["verify", "--samples", "9", "--seed", "3", "--grid", "64", "--identity-points", "1"])

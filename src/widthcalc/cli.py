@@ -45,7 +45,7 @@ from .finitedim import (
     single_ball_order,
 )
 from .params import MAX_DIMENSION, ParameterError, ProblemSpec
-from .values import INF, PowerProduct, decimal_str, is_inf, json_rational
+from .values import INF, PowerProduct, decimal_str, is_inf
 
 __all__ = ["main"]
 
@@ -105,6 +105,13 @@ def parse_rational_tuple(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(part) for part in text.split(","))
 
 
+def json_rational(x: Fraction | None) -> dict | None:
+    """A rational as the JSON {"ratio": "a/b", "decimal": ...}; None stays None."""
+    if x is None:
+        return None
+    return {"ratio": f"{x.numerator}/{x.denominator}", "decimal": decimal_str(x)}
+
+
 def _json_value(v: PowerProduct) -> dict:
     out: dict = {"decimal": v.decimal(12)}
     if v.is_rational:
@@ -116,9 +123,48 @@ def _json_value(v: PowerProduct) -> dict:
     return out
 
 
-def _write_lines(lines: list[str]) -> None:
-    """Write a whole text report at once, so a refusal leaves no partial output."""
-    sys.stdout.write("".join(f"{line}\n" for line in lines))
+def _json_thetas(thetas: dict[str, Fraction]) -> dict:
+    return {name: json_rational(theta) for name, theta in thetas.items()}
+
+
+def _strs(values) -> list[str]:
+    return [str(v) for v in values]
+
+
+def _fmt_tuple(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+def _flag(value: bool) -> str:
+    return str(value).lower()
+
+
+def _exact(x: Fraction) -> str:
+    return f"{x} ({decimal_str(x)})"
+
+
+def _show(args: argparse.Namespace, width: int, fields) -> None:
+    """Print one report, as JSON or as text lines, from its table of fields.
+
+    A field is (JSON key, text label, value, JSON form, text form), each
+    form a function of the value.  A field with no key is text only, one
+    with no label JSON only.  A None value is null in JSON and prints no
+    text line, and so does a text form that returns None.  A text line is
+    the label padded to `width`, a space and the text; an empty label
+    prints the text alone.  Only the chosen format's forms are called, and
+    the whole report is written at once, so a refusal leaves no partial
+    output.
+    """
+    if (args.format or "text") == "json":
+        payload = {key: None if value is None else form(value)
+                   for key, _, value, form, _ in fields if key is not None}
+        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        return
+    lines = []
+    for _, label, value, _, form in fields:
+        if label is not None and value is not None and (text := form(value)) is not None:
+            lines.append(f"{label:{width}} {text}\n" if label else f"{text}\n")
+    sys.stdout.write("".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +187,7 @@ def _load_config(path: str) -> dict[str, str]:
                     raise ParameterError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
                 values[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read config {path}: {exc}") from None
     return values
 
@@ -224,48 +270,29 @@ def _cmd_exponent(args: argparse.Namespace) -> int:
         bracket = oracle.grid_minimize(spec)
         grid_ok = bracket.contains(result.theta)
     closed_ok = report.exponent is None or report.exponent == result.theta
-    if (args.format or "text") == "json":
-        payload = {
-            "case": report.case,
-            "theta": json_rational(result.theta),
-            "closed_form": json_rational(report.exponent),
-            "argmin_alpha": [str(a) for a in result.argmin_alpha],
-            "argmin_s": str(result.argmin_s) if result.argmin_s is not None else None,
-            "unique": result.unique,
-            "active": [render_provenance(t) for t in result.active_pieces],
-            "compact": report.compact,
-            "tie": report.tie,
-            "thetas": {k: json_rational(v) for k, v in sorted(report.thetas.items())},
-            "margin": json_rational(spec.compact_margin()),
-            "grid": None
-            if bracket is None
-            else {
-                "grid": bracket.grid,
-                "lower": json_rational(bracket.lower),
-                "best": json_rational(bracket.best_value),
-                "contains": grid_ok,
-            },
-            "agreement": closed_ok,
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        lines = [
-            f"case      {report.case}",
-            f"theta     {result.theta} ({decimal_str(result.theta)})",
-        ]
-        if report.exponent is not None:
-            lines.append(f"closed    {report.exponent} ({'match' if closed_ok else 'MISMATCH'})")
-        lines.append(f"argmin    alpha={','.join(str(a) for a in result.argmin_alpha)}"
-                     + (f" s={result.argmin_s}" if result.argmin_s is not None else ""))
-        lines.append(f"unique    {str(result.unique).lower()}")
-        lines.append(f"active    {', '.join(render_provenance(t) for t in result.active_pieces)}")
-        lines.append(f"compact   {str(report.compact).lower()} (margin {spec.compact_margin()})")
-        if bracket is not None:
-            lines.append(
-                f"grid      [{bracket.lower}, {bracket.best_value}] at G={bracket.grid} "
-                f"({'contains theta' if grid_ok else 'VIOLATION'})"
-            )
-        _write_lines(lines)
+    margin = spec.compact_margin()
+    _show(args, 9, [
+        ("case", "case", report.case, str, str),
+        ("theta", "theta", result.theta, json_rational, _exact),
+        ("closed_form", "closed", report.exponent, json_rational,
+         lambda e: f"{e} ({'match' if closed_ok else 'MISMATCH'})"),
+        ("argmin_alpha", "argmin", result.argmin_alpha, _strs,
+         lambda alpha: f"alpha={_fmt_tuple(alpha)}"
+         + ("" if result.argmin_s is None else f" s={result.argmin_s}")),
+        ("argmin_s", None, result.argmin_s, str, None),
+        ("unique", "unique", result.unique, bool, _flag),
+        ("active", "active", [render_provenance(t) for t in result.active_pieces], list, ", ".join),
+        ("compact", "compact", report.compact, bool, lambda c: f"{_flag(c)} (margin {margin})"),
+        ("tie", None, report.tie, bool, None),
+        ("thetas", None, report.thetas, _json_thetas, None),
+        ("margin", None, margin, json_rational, None),
+        ("grid", "grid", bracket,
+         lambda b: {"grid": b.grid, "lower": json_rational(b.lower),
+                    "best": json_rational(b.best_value), "contains": grid_ok},
+         lambda b: f"[{b.lower}, {b.best_value}] at G={b.grid} "
+                   f"({'contains theta' if grid_ok else 'VIOLATION'})"),
+        ("agreement", None, closed_ok, bool, None),
+    ])
     if not closed_ok or not grid_ok:
         return 1
     return _regime_exit(report)
@@ -274,33 +301,18 @@ def _cmd_exponent(args: argparse.Namespace) -> int:
 def _cmd_regime(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
     report = closedform.classify_regime(spec)
-    if (args.format or "text") == "json":
-        payload = {
-            "case": report.case,
-            "bounded": report.bounded,
-            "compact": report.compact,
-            "regularity": report.regularity,
-            "tie": report.tie,
-            "exponent": json_rational(report.exponent),
-            "thetas": {k: json_rational(v) for k, v in sorted(report.thetas.items())},
-            "margin": json_rational(spec.compact_margin()),
-            "regularity_sums": [str(m) for m in spec.reg_sums],
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        lines = [
-            f"case        {report.case}",
-            f"bounded     {str(report.bounded).lower()}",
-            f"compact     {str(report.compact).lower()}",
-            f"regularity  {str(report.regularity).lower()}",
-            f"margin      {spec.compact_margin()}",
-        ]
-        if report.exponent is not None:
-            lines.append(f"exponent    {report.exponent} ({decimal_str(report.exponent)})")
-        lines += [f"{name:11s} {report.thetas[name]}" for name in sorted(report.thetas)]
-        if report.tie:
-            lines.append("tie         true")
-        _write_lines(lines)
+    _show(args, 11, [
+        ("case", "case", report.case, str, str),
+        ("bounded", "bounded", report.bounded, bool, _flag),
+        ("compact", "compact", report.compact, bool, _flag),
+        ("regularity", "regularity", report.regularity, bool, _flag),
+        ("margin", "margin", spec.compact_margin(), json_rational, str),
+        ("exponent", "exponent", report.exponent, json_rational, _exact),
+        ("thetas", None, report.thetas, _json_thetas, None),
+        *((None, name, report.thetas[name], None, str) for name in sorted(report.thetas)),
+        ("tie", "tie", report.tie, bool, lambda tie: "true" if tie else None),
+        ("regularity_sums", None, spec.reg_sums, _strs, None),
+    ])
     return _regime_exit(report)
 
 
@@ -333,40 +345,26 @@ def _cmd_finite(args: argparse.Namespace) -> int:
         case, cert = classify_branch(spec)
     # A certificate counts only if its checks hold and it proves the printed value.
     cert_ok = cert is None or (cert.verify() and cert.certified_value == order.value)
-    if (args.format or "text") == "json":
-        value = _json_value(order.value)
-        payload = {
-            "N": N,
-            "n": n,
-            "q": "inf" if is_inf(q) else str(q),
-            "value": value,
-            "branch": order.branch,
-            "case": case,
-            "certificate": None
-            if cert is None
-            else {
-                "kind": cert.kind,
-                "k": cert.k,
-                "scale": _json_value(cert.scale),
-                "certified_value": value
-                if cert.certified_value == order.value
-                else _json_value(cert.certified_value),
-                "checks": len(cert.checked),
-                "ok": cert_ok,
-                "note": cert.note,
-            },
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        dec = order.value.decimal(12)
-        lines = [f"value     {order.value} ({dec})", f"branch    {order.branch}"]
-        if case is not None:
-            lines.append(f"case      {case}")
-        if cert is not None:
-            lines.append(f"cert      {cert.kind} k={cert.k} scale={cert.scale} "
-                         f"value={cert.certified_value} checks={len(cert.checked)} "
-                         f"{'ok' if cert_ok else 'FAILED'}")
-        _write_lines(lines)
+    # Rendering a power product is costly, so the value's JSON is built at most once.
+    value = functools.cache(lambda: _json_value(order.value))
+
+    def cert_json(c) -> dict:
+        certified = value() if c.certified_value == order.value else _json_value(c.certified_value)
+        return {"kind": c.kind, "k": c.k, "scale": _json_value(c.scale),
+                "certified_value": certified, "checks": len(c.checked), "ok": cert_ok,
+                "note": c.note}
+
+    _show(args, 9, [
+        ("N", None, N, int, None),
+        ("n", None, n, int, None),
+        ("q", None, q, str, None),
+        ("value", "value", order.value, lambda _: value(), lambda v: f"{v} ({v.decimal(12)})"),
+        ("branch", "branch", order.branch, str, str),
+        ("case", "case", case, str, str),
+        ("certificate", "cert", cert, cert_json,
+         lambda c: f"{c.kind} k={c.k} scale={c.scale} value={c.certified_value} "
+                   f"checks={len(c.checked)} {'ok' if cert_ok else 'FAILED'}"),
+    ])
     return 0 if cert_ok else 1
 
 
@@ -397,7 +395,7 @@ def _sweep_row_spec(
     try:
         spec = ProblemSpec(r=tuple(r), p=tuple(p), q=q)
     except ParameterError:
-        return [vary, str(value), "", "", "", "", "", "", "invalid"]
+        return _invalid_row(vary, value)
     report = closedform.classify_regime(spec)
     result = minimize(build_objective(spec))
     theta = report.exponent if report.exponent is not None else result.theta
@@ -424,13 +422,17 @@ def _is_block_rank(value: Fraction) -> bool:
     return value.denominator == 1 and value >= 0
 
 
+def _invalid_row(vary: str, value: Fraction) -> list[str]:
+    return [vary, str(value), *[""] * 6, "invalid"]
+
+
 def _sweep_row_n(spec: ProblemSpec | None, m_vec: tuple[int, ...], value: Fraction) -> list[str]:
     if not _is_block_rank(value):
-        return ["n", str(value), "", "", "", "", "", "", "invalid"]
+        return _invalid_row("n", value)
     try:
         order = dyadic_block_order(spec, m_vec, int(value))
     except ParameterError:
-        return ["n", str(value), "", "", "", "", "", "", "invalid"]
+        return _invalid_row("n", value)
     if order.value.is_rational:
         f = order.value.as_fraction()
         num, den, dec = str(f.numerator), str(f.denominator), decimal_str(f)
@@ -471,8 +473,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     writer.writerows(rows)
     text = buffer.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
     return 0
@@ -495,8 +500,51 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f" {samples * (1 + points)} checks, more than {WORK_BUDGET}"
         )
     report = oracle.cross_validate(samples, seed, grid=grid, identity_points=points)
-    sys.stdout.write(report.to_json() if (args.format or "text") == "json" else report.to_text())
+    failed = sum(not rec.ok for rec in report.records)
+    _show(args, 0, [
+        ("kind", None, "verification-report", str, None),
+        (None, "", "widthcalc verification report", None, str),
+        ("seed", "", report.seed, int,
+         lambda seed: f"seed={seed} samples={report.samples} grid={report.grid or '-'}"),
+        ("samples", None, report.samples, int, None),
+        ("grid", None, report.grid, int, None),
+        ("ok", None, report.ok, bool, None),
+        ("branches", "branches:", report.branch_counts(), dict,
+         lambda counts: " ".join(f"{k}={counts[k]}" for k in sorted(counts)) or "none"),
+        ("records", None, report.records, lambda records: [_record_json(r) for r in records], None),
+        *((None, "", rec, None, _record_text) for rec in report.records),
+        (None, "result:", failed, None, lambda n: f"{'FAIL' if n else 'PASS'} ({n} failures)"),
+    ])
     return 0 if report.ok else 1
+
+
+def _record_json(rec: oracle.ValidationRecord) -> dict:
+    return {
+        "branch": rec.branch,
+        "r": _strs(rec.spec.r),
+        "p": _strs(rec.spec.p),
+        "q": str(rec.spec.q),
+        "case": rec.case,
+        "theta": json_rational(rec.theta),
+        "theta_lp": json_rational(rec.theta_lp),
+        "grid_lower": json_rational(rec.grid_lower),
+        "grid_best": json_rational(rec.grid_best),
+        "identity_points": rec.identity_points,
+        "ok": rec.ok,
+        "detail": rec.detail,
+    }
+
+
+def _record_text(rec: oracle.ValidationRecord) -> str:
+    spec = rec.spec
+    parts = [rec.branch, f"r={_fmt_tuple(spec.r)}", f"p={_fmt_tuple(spec.p)}", f"q={spec.q}",
+             f"case={rec.case}", f"theta={rec.theta}", f"lp={rec.theta_lp}"]
+    if rec.grid_lower is not None:
+        parts.append(f"grid=[{rec.grid_lower},{rec.grid_best}]")
+    if rec.identity_points:
+        parts.append(f"id={rec.identity_points}")
+    parts.append("ok" if rec.ok else f"FAIL({rec.detail})")
+    return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,12 @@ as a disagreement:
   * `cross_validate` samples problem specs stratified over all nine
     closed-form branches and compares the closed form against the LP
     minimum, optionally against a grid bracket, and runs identity spot
-    checks.  Reports are deterministic functions of (seed, samples): the
-    generator is a fixed 64-bit linear congruential recurrence and the
-    output contains no timestamps or environment details.
+    checks.  Its report is a deterministic function of (seed, samples):
+    the generator is a fixed 64-bit linear congruential recurrence and the
+    report holds no timestamps or environment details.
+
+Reports are returned as data, never rendered here: `cli` prints them as
+text and as JSON.
 
 The pieces are integer rows over one common denominator (`_table`), built
 once per spec by `cross_validate` when it runs the lattice bracket or the
@@ -44,7 +47,6 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import json
 import math
 import operator
 import os
@@ -55,7 +57,6 @@ from fractions import Fraction
 from . import closedform
 from .exponent import build_objective, minimize
 from .params import ParameterError, ProblemSpec, RangeError, as_fraction
-from .values import json_rational
 
 __all__ = [
     "Lcg",
@@ -645,10 +646,6 @@ class ValidationRecord:
     detail: str
 
 
-def _fmt_tuple(values) -> str:
-    return ",".join(str(v) for v in values)
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     seed: int
@@ -662,67 +659,6 @@ class ValidationReport:
 
     def branch_counts(self) -> dict[str, int]:
         return dict(Counter(rec.branch for rec in self.records))
-
-    def to_text(self) -> str:
-        lines = [
-            "widthcalc verification report",
-            f"seed={self.seed} samples={self.samples} grid={self.grid if self.grid else '-'}",
-        ]
-        counts = self.branch_counts()
-        lines.append(
-            "branches: "
-            + (" ".join(f"{k}={counts[k]}" for k in sorted(counts)) if counts else "none")
-        )
-        for rec in self.records:
-            spec = rec.spec
-            parts = [
-                rec.branch,
-                f"r={_fmt_tuple(spec.r)}",
-                f"p={_fmt_tuple(spec.p)}",
-                f"q={spec.q}",
-                f"case={rec.case}",
-                f"theta={rec.theta}",
-                f"lp={rec.theta_lp}",
-            ]
-            if rec.grid_lower is not None:
-                parts.append(f"grid=[{rec.grid_lower},{rec.grid_best}]")
-            if rec.identity_points:
-                parts.append(f"id={rec.identity_points}")
-            parts.append("ok" if rec.ok else f"FAIL({rec.detail})")
-            lines.append(" ".join(parts))
-        failed = sum(1 for rec in self.records if not rec.ok)
-        lines.append(f"result: {'PASS' if failed == 0 else 'FAIL'} ({failed} failures)")
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "verification-report",
-            "seed": self.seed,
-            "samples": self.samples,
-            "grid": self.grid,
-            "ok": self.ok,
-            "branches": self.branch_counts(),
-            "records": [
-                {
-                    "branch": rec.branch,
-                    "r": [str(v) for v in rec.spec.r],
-                    "p": [str(v) for v in rec.spec.p],
-                    "q": str(rec.spec.q),
-                    "case": rec.case,
-                    "theta": json_rational(rec.theta),
-                    "theta_lp": json_rational(rec.theta_lp),
-                    "grid_lower": json_rational(rec.grid_lower),
-                    "grid_best": json_rational(rec.grid_best),
-                    "identity_points": rec.identity_points,
-                    "ok": rec.ok,
-                    "detail": rec.detail,
-                }
-                for rec in self.records
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def cross_validate(

@@ -631,13 +631,6 @@ def decimal_str(x, sig: int = 12) -> str:
     return f"{sign}{digits[0]}.{digits[1:]}e{point:+d}"
 
 
-def json_rational(x: Fraction | None) -> dict | None:
-    """A rational as the JSON {"ratio": "a/b", "decimal": ...}; None stays None."""
-    if x is None:
-        return None
-    return {"ratio": f"{x.numerator}/{x.denominator}", "decimal": decimal_str(x)}
-
-
 @lru_cache(maxsize=1 << 14)
 def _log_bracket(b: int, k: int) -> tuple[int, int]:
     """Integers lo ≤ 2^k · ln b ≤ hi, from ln b rounded outward."""

@@ -278,6 +278,17 @@ def test_sweep_refuses_a_block_profile_that_no_rank_can_use(capsys, m_vec):
     assert got == (4, "", f"error: {refusal.value}\n")
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_sweep_refuses_an_out_path_it_cannot_write(capsys, tmp_path, where):
+    out_path = tmp_path / "no-such-dir" / "rows.csv" if where == "missing-dir" else tmp_path
+    code, out, err = run(
+        capsys, "sweep", "--r", "1,1", "--p", "3,3", "--q", "2",
+        "--vary", "q", "--from", "2", "--to", "3", "--steps", "2", "--out", str(out_path),
+    )
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: cannot write {out_path}: ") and err.count("\n") == 1
+
+
 def test_sweep_rejects_unknown_axis(capsys):
     code, _, err = run(
         capsys, "sweep", "--r", "1,1", "--p", "3,3", "--q", "2",
@@ -341,11 +352,15 @@ def test_verify_checks_are_answered_up_to_the_budget_and_refused_above(capsys, m
 def test_verify_runs_are_byte_identical(capsys):
     args = ("verify", "--samples", "18", "--seed", "42", "--grid", "32",
             "--identity-points", "1")
-    code_a, out_a, _ = run(capsys, *args)
-    code_b, out_b, _ = run(capsys, *args)
-    assert code_a == code_b == 0
-    assert out_a == out_b
-    assert "seed=42 samples=18 grid=32" in out_a
+    text = [run(capsys, *args) for _ in range(2)]
+    data = [run(capsys, *args, "--format", "json") for _ in range(2)]
+    assert text[0] == text[1] and data[0] == data[1]
+    assert text[0][0] == data[0][0] == 0
+    assert "seed=42 samples=18 grid=32" in text[0][1]
+    assert text[0][1].endswith("result: PASS (0 failures)\n")
+    payload = json.loads(data[0][1])
+    assert payload["ok"] is True
+    assert payload["branches"] == {label: 2 for label in cli.oracle.BRANCH_LABELS}
 
 
 def test_verify_json_report(capsys, tmp_path):
@@ -374,7 +389,7 @@ def test_verify_fails_loudly_on_an_injected_bug(capsys, monkeypatch):
     monkeypatch.setattr(cli.oracle, "minimize", skewed)
     code, out, _ = run(capsys, "verify", "--samples", "9", "--seed", "1")
     assert code == 1
-    assert "FAIL" in out
+    assert out.endswith("result: FAIL (9 failures)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +404,14 @@ def test_config_supplies_defaults_but_flags_win(capsys, tmp_path):
     assert "case      T1.3b" in out  # the explicit --q 4 overrode q=2
     code, out, _ = run(capsys, "exponent", "--config", str(cfg))
     assert code == 0 and "case      T1.1" in out
+
+
+def test_config_that_is_not_utf8_is_refused(capsys, tmp_path):
+    cfg = tmp_path / "widths.cfg"
+    cfg.write_bytes(b"r=1,1\n\xff\xfe=2\n")
+    code, out, err = run(capsys, "exponent", "--p", "3,3", "--q", "2", "--config", str(cfg))
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: cannot read config {cfg}: ") and err.count("\n") == 1
 
 
 def test_config_boolean_and_unknown_keys(capsys, tmp_path):

@@ -8,8 +8,11 @@ on each dominance branch and on threshold exponents (in text too, with a
 value in exponent notation and a radius whose denominator stays one
 unfactored base), `sweep --vary n`
 (dyadic blocks through the intersection terms) and `verify` (the block
-rates φ/ψ against the oracle).  A changed digest is a changed output:
-update one only together with the behaviour change that explains it.
+rates φ/ψ against the oracle).  Each report layout is pinned in text and
+in JSON: `regime` on a covered spec, a tie, a non-compact spec and d = 16;
+`exponent` in text and with `--grid-check`; `finite` on one ball at q = 2
+and q = inf; and `verify`.  A changed digest is a changed output: update
+one only together with the behaviour change that explains it.
 """
 
 import hashlib
@@ -24,6 +27,10 @@ D16_HIGH = (
     "--p", "3/2,4,3/2,39/4,7/4,19/2,3,7/2,15/4,7/4,6,7,5/4,5/4,21/4,5/2",
     "--q", "5",
 )
+D2_LOW = ("--r", "1,1", "--p", "3,3", "--q", "2")
+D2_FLAT = ("--r", "2,2", "--p", "3,3/2", "--q", "2")
+D2_NONCOMPACT = ("--r", "1/4,1", "--p", "9/8,2", "--q", "2")
+D2_HIGH = ("--r", "2,1", "--p", "8,3/2", "--q", "4")
 D16_LOW = (
     "--r", "2,9/4,2,3,13/4,3/2,11/4,5/2,5/2,11/4,7/4,3/4,15/4,11/4,3/4,1",
     "--p", "11/8,3/2,5/4,5/4,13/8,5,3/2,3/2,5/4,9/8,11/8,3/2,13/8,13/8,11/8,11/8",
@@ -33,6 +40,10 @@ D16_LOW = (
 
 def _exponent(*spec):
     return ("exponent", *spec, "--format", "json")
+
+
+def _regime(*spec, fmt="text"):
+    return ("regime", *spec, "--format", fmt)
 
 
 def _finite(N, n, q, balls, fmt="json"):
@@ -45,10 +56,10 @@ BIG_PQ = 4000000000000000000000027 * 900000000000000000000000089
 
 
 ARGV = [
-    ("exp-d2-low", _exponent("--r", "1,1", "--p", "3,3", "--q", "2")),
-    ("exp-d2-flat", _exponent("--r", "2,2", "--p", "3,3/2", "--q", "2")),
-    ("exp-d2-noncompact", _exponent("--r", "1/4,1", "--p", "9/8,2", "--q", "2")),
-    ("exp-d2-high", _exponent("--r", "2,1", "--p", "8,3/2", "--q", "4")),
+    ("exp-d2-low", _exponent(*D2_LOW)),
+    ("exp-d2-flat", _exponent(*D2_FLAT)),
+    ("exp-d2-noncompact", _exponent(*D2_NONCOMPACT)),
+    ("exp-d2-high", _exponent(*D2_HIGH)),
     ("exp-d4-high", _exponent("--r", "1,2,3/2,1", "--p", "3,2,5,3/2", "--q", "3")),
     ("exp-d4-low", _exponent("--r", "2,1,1,3/2", "--p", "3/2,4/3,3,5/4", "--q", "3/2")),
     ("exp-d8-high", _exponent(
@@ -80,6 +91,24 @@ ARGV = [
         "sweep", "--r", "1,2,1", "--p", "3,3/2,4/3", "--q", "2", "--vary", "n",
         "--m-vec", "3,2,1", "--from", "0", "--to", "32", "--steps", "5")),
     ("verify", ("verify", "--samples", "60", "--seed", "42", "--identity-points", "20")),
+    ("verify-json", (
+        "verify", "--samples", "60", "--seed", "42", "--identity-points", "20", "--format", "json")),
+    ("exp-text-d2-high", ("exponent", *D2_HIGH)),
+    ("exp-text-d2-flat", ("exponent", *D2_FLAT)),
+    ("exp-grid-text-d2-low", ("exponent", *D2_LOW, "--grid-check")),
+    ("exp-grid-json-d2-low", ("exponent", *D2_LOW, "--grid-check", "--format", "json")),
+    ("regime-text-d2-low", _regime(*D2_LOW)),
+    ("regime-text-d2-flat", _regime(*D2_FLAT)),
+    ("regime-text-d2-noncompact", _regime(*D2_NONCOMPACT)),
+    ("regime-text-d16-high", _regime(*D16_HIGH)),
+    ("regime-json-d2-low", _regime(*D2_LOW, fmt="json")),
+    ("regime-json-d2-flat", _regime(*D2_FLAT, fmt="json")),
+    ("regime-json-d2-noncompact", _regime(*D2_NONCOMPACT, fmt="json")),
+    ("regime-json-d16-high", _regime(*D16_HIGH, fmt="json")),
+    ("finite-one-ball-q2-text", _finite("64", "8", "2", "inf:1/2", "text")),
+    ("finite-one-ball-q2-json", _finite("64", "8", "2", "inf:1/2")),
+    ("finite-one-ball-qinf-text", _finite("64", "8", "inf", "inf:1/2", "text")),
+    ("finite-one-ball-qinf-json", _finite("64", "8", "inf", "inf:1/2")),
 ]
 
 GOLDEN = {
@@ -110,6 +139,23 @@ GOLDEN = {
     "sweep-n-high": (0, "b06aba07c853fdda9e78712f9f9c2886632f1037ac4d6ee218cba56ce65076fd"),
     "sweep-n-low": (0, "b97c5ba2c325c9ac96bfb5a626865d84e14510ef0e86c86a51d171a89076c9fb"),
     "verify": (0, "2f39bfaf93c00ad8400283ab096e20c35f439adcdd63670b99e0f177b5175c1e"),
+    "verify-json": (0, "cc25362836159c23eac276d53f5e741798602a6f3eb92aa012aea3b539e83358"),
+    "exp-text-d2-high": (0, "3e32d8ea290dbd277f250fb37e951384ce44e6afe45742e031c2c9a96117d8fe"),
+    "exp-text-d2-flat": (3, "53b30ce257d6366dc0239640aaa501482cd6f1b826bfaed0f5110b5bdebc6567"),
+    "exp-grid-text-d2-low": (0, "91ece43c0884b17a9e000992fee81a8e8191290b8254aa5ee3734588db97475f"),
+    "exp-grid-json-d2-low": (0, "2258a08563db44b2d65c159ffd27929a08ff8811cf0fbe1063eba25e958ac8c5"),
+    "regime-text-d2-low": (0, "015d0fc6681b52b87bf3893640a2efc85be1478f31a7e0c0641ba4f51934cbfa"),
+    "regime-text-d2-flat": (3, "109f41209a14af910e8a28240d858f8944a65304c777cf10d8351ae12d17a26d"),
+    "regime-text-d2-noncompact": (2, "a1fdd180f017e27504198b6addd502dcfa975a95a7c62b0edef76c4807328323"),
+    "regime-text-d16-high": (2, "bbe31d05e4da7d2434eef15a78828d9cf9d0757bdf52b704ab7e5889876a5904"),
+    "regime-json-d2-low": (0, "55220ed77fe7e7933c45dc160670b8bd026769dbbdb73f6c3e97d62a6c2814c2"),
+    "regime-json-d2-flat": (3, "a87d92ae216bd8bd0aef34a2822f96e6935878a77b55d0f2c52eb5c9021abfc9"),
+    "regime-json-d2-noncompact": (2, "a963e630a5017c227afb0f0b15f97ee3b397ef06f5b2d744c1f2cbbc0bcd033b"),
+    "regime-json-d16-high": (2, "f3e30d46b7a4bd8aaa7a9225ed7b8821b90f7b28f3b567813b802f8a8df320b6"),
+    "finite-one-ball-q2-text": (0, "fb8222c92db7643a6030d750c631d41dd1f90e4ca73eef9a06650625ca070a11"),
+    "finite-one-ball-q2-json": (0, "02b2ca1acad483f9081a3d4ff0d29d02635f914f82d8b1176c24cb430f7cf1b1"),
+    "finite-one-ball-qinf-text": (0, "00915c06e893dcf29d0a85b165c2fd63addc2543aa7e89305734d9d076976a4b"),
+    "finite-one-ball-qinf-json": (0, "195467ffc36770aee5dde8cb58f6c049e5fcf399799de51e606e933a94d9edc6"),
 }
 
 

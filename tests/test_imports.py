@@ -5,7 +5,9 @@ rational (`regime`, `exponent`, `sweep` over q, `verify`) finish without
 importing mpmath; `finite` and `sweep --vary n` print width values, which
 are rendered through mpmath.  Each command runs in a fresh interpreter.
 `values` is the one module that names mpmath, so this boundary is kept in
-one place.
+one place.  Likewise `cli` is the one module that imports `json` or names
+`json_rational`: the other modules hold reports as data, and `cli` renders
+them.
 """
 
 import ast
@@ -54,18 +56,32 @@ def test_mpmath_is_imported_only_for_irrational_values(argv, loads):
     assert proc.stdout.split() == ["0", str(loads)]
 
 
-def test_only_values_names_mpmath():
+def _modules_naming(*targets: str) -> set[str]:
+    """The package's modules that import, define or name any of `targets`."""
     naming = set()
     for path in sorted((ROOT / "src" / "widthcalc").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+                names = [node.module or "", *(alias.name for alias in node.names)]
             elif isinstance(node, ast.Name):
                 names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
             else:
                 continue
-            if any(name.split(".")[0] == "mpmath" for name in names):
+            if any(name.split(".")[0] in targets for name in names):
                 naming.add(path.name)
-    assert naming == {"values.py"}
+    return naming
+
+
+def test_only_values_names_mpmath():
+    assert _modules_naming("mpmath") == {"values.py"}
+
+
+def test_only_cli_renders_json():
+    # The routes hold reports as data; `cli` is the one module that renders them.
+    assert _modules_naming("json", "json_rational") == {"cli.py"}

@@ -543,10 +543,8 @@ def test_cross_validation_is_deterministic_and_green():
     first = cross_validate(18, seed=7, grid=48, identity_points=2)
     second = cross_validate(18, seed=7, grid=48, identity_points=2)
     assert first.ok
-    assert first.to_text() == second.to_text()
-    assert first.to_json() == second.to_json()
+    assert first == second
     assert first.branch_counts() == {label: 2 for label in BRANCH_LABELS}
-    assert first.to_text().endswith("result: PASS (0 failures)\n")
 
 
 def test_cross_validation_flags_an_injected_lp_bug(monkeypatch):
@@ -560,4 +558,4 @@ def test_cross_validation_flags_an_injected_lp_bug(monkeypatch):
     report = cross_validate(9, seed=7)
     assert not report.ok
     assert all("closed=" in rec.detail for rec in report.records)
-    assert report.to_text().rstrip().endswith("result: FAIL (9 failures)")
+    assert sum(not rec.ok for rec in report.records) == 9
