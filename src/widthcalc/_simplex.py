@@ -3,7 +3,7 @@
 Solves   minimize c·x   subject to   A_eq x = b_eq,  A_ub x ≤ b_ub,  x ≥ 0
 
 exactly.  The input is read as integers and `fractions.Fraction`s and the
-answer comes back as `Fraction`s; no floats anywhere, so optima are exact
+answer is read as `Fraction`s; no floats anywhere, so optima are exact
 and reproducible bit for bit.  Bland's anti-cycling rule (always pick the
 lowest-index eligible entering and leaving variable) guarantees termination
 even on the degenerate polytopes that piecewise-linear epigraph problems
@@ -37,18 +37,24 @@ The problems this package feeds in are tiny (a handful of variables, at
 most a couple of hundred rows), so a dense condensed tableau is the right
 level of machinery.  The reduced costs are a row below the constraint rows,
 updated by every pivot like them; its right-hand side holds the negated
-objective value.  When optimal, a basic variable's value is its row's
-right-hand side and its reduced cost is 0, and a nonbasic variable's value
-is 0 and its reduced cost is its entry in the reduced-cost row; the slacks
-are the values of the slack labels.  The optimal basis, reduced costs and
-slacks come back with the result, so callers can read facts such as
-uniqueness and tight rows off the final tableau.
+objective value.  Phase 1 carries that phase-2 row along, and hands over to
+phase 2 by deleting the artificial columns in place, after driving any
+artificial left in the basis out of it.
+
+When optimal, a basic variable's value is its row's right-hand side and its
+reduced cost is 0, and a nonbasic variable's value is 0 and its reduced
+cost is its entry in the reduced-cost row.  The result is the final
+tableau: its basis, nonbasic labels and integer rows.  The `Fraction`
+values `x`, `value` and `reduced_costs` are built from it on first read,
+and a caller that only needs to know which values are zero (tight rows,
+zero reduced costs) reads the signs of the integers and builds none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 __all__ = ["LpResult", "solve_lp", "LpError"]
@@ -62,20 +68,63 @@ class LpError(RuntimeError):
 
 @dataclass(frozen=True)
 class LpResult:
-    """Outcome of one solve.
+    """Outcome of one solve: its status and, when optimal, the final tableau.
 
-    When optimal, `slack` holds b − A_ub x, one value per A_ub row, and
-    `basis` and `reduced_costs` describe the final tableau over the
-    standard-form columns: the variables of c, then one slack per A_ub row.
-    `basis` lists the basic column of each remaining row.
+    `basis` lists the basic label of each remaining row and `cols` the
+    nonbasic labels: the variables of c, then one slack per A_ub row.
+    `rows` holds one list of integers per row of `basis`, an entry per
+    label of `cols` and then the right-hand side, and below them the
+    reduced-cost row, whose right-hand side is the negated optimal value;
+    row i is over `dens[i]`.  The `Fraction` fields `x`, `value` and
+    `reduced_costs` are built from them on first read; they are None when
+    the status is not "optimal".
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
-    x: tuple[Fraction, ...] | None
-    value: Fraction | None
     basis: tuple[int, ...] | None = None
-    reduced_costs: tuple[Fraction, ...] | None = None
-    slack: tuple[Fraction, ...] | None = None
+    cols: list[int] | None = None
+    rows: list[list[int]] | None = None
+    dens: list[int] | None = None
+    n: int = 0  # the number of variables of c
+
+    @cached_property
+    def x(self) -> tuple[Fraction, ...] | None:
+        """The optimal vertex: a basic variable's right-hand side, else 0."""
+        if self.rows is None:
+            return None
+        x = [_ZERO] * self.n
+        for j, row, den in zip(self.basis, self.rows, self.dens):
+            if j < self.n and row[-1]:
+                x[j] = Fraction(row[-1], den)
+        return tuple(x)
+
+    @cached_property
+    def value(self) -> Fraction | None:
+        """The optimal value c·x."""
+        if self.rows is None:
+            return None
+        return Fraction(-self.rows[-1][-1], self.dens[-1])
+
+    def positive(self) -> set[int]:
+        """The labels with a positive value: basic, in a row whose right-hand
+        side is not 0.  Every other value is 0; no `Fraction` is built."""
+        return {j for j, row in zip(self.basis, self.rows) if row[-1]}
+
+    def zero_cost_nonbasic(self) -> list[int]:
+        """The nonbasic labels whose reduced cost is 0, read off the signs of
+        the reduced-cost row's integers; no `Fraction` is built."""
+        return [j for j, v in zip(self.cols, self.rows[-1]) if not v]
+
+    @cached_property
+    def reduced_costs(self) -> tuple[Fraction, ...] | None:
+        """One per standard-form column: 0 on the basic ones."""
+        if self.rows is None:
+            return None
+        reduced = [_ZERO] * (len(self.basis) + len(self.cols))
+        for j, v in zip(self.cols, self.rows[-1]):
+            if v:
+                reduced[j] = Fraction(v, self.dens[-1])
+        return tuple(reduced)
 
 
 def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> LpResult:
@@ -124,24 +173,8 @@ def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> LpResult:
             rows[i] = row[:n] + [dens[i] if i == k else 0 for k in art_ub] + row[n:]
     status = _two_phase(rows, dens, basis, cols, n_std)
     if status != "optimal":
-        return LpResult(status, None, None)
-    values = [_ZERO] * n_std
-    for i, j in enumerate(basis):
-        if rows[i][-1]:
-            values[j] = Fraction(rows[i][-1], dens[i])
-    z, dz = rows[-1], dens[-1]
-    reduced = [_ZERO] * n_std
-    for j, v in zip(cols, z):
-        if v:
-            reduced[j] = Fraction(v, dz)
-    return LpResult(
-        "optimal",
-        tuple(values[:n]),
-        Fraction(-z[-1], dz),
-        tuple(basis),
-        tuple(reduced),
-        tuple(values[n:]),
-    )
+        return LpResult(status)
+    return LpResult(status, tuple(basis), cols, rows, dens, n)
 
 
 def _lift(values: list) -> tuple[list[int], int]:
@@ -176,7 +209,7 @@ def _two_phase(
     its last row carries the reduced costs and the negated optimal value.
     """
     m = len(basis)
-    art_rows = [i for i in range(m) if basis[i] is None]
+    art_rows = [i for i, label in enumerate(basis) if label is None]
     if art_rows:
         # Normalize b >= 0 so the artificial basis is feasible.
         for i in art_rows:
@@ -186,9 +219,10 @@ def _two_phase(
         # minus the column sums of their rows, over the lcm of those rows'
         # denominators.
         L = lcm(*(D[i] for i in art_rows))
-        scale = [L // D[i] for i in art_rows]
-        columns = zip(*(A[i] for i in art_rows))
-        phase1 = [-sum(v * s for v, s in zip(col, scale)) for col in columns]
+        phase1 = [0] * len(A[m])
+        for i in art_rows:
+            scale = L // D[i]
+            phase1 = [z - scale * v for z, v in zip(phase1, A[i])]
         z, dz = _reduced(phase1, L)
         A.insert(m, z)
         D.insert(m, dz)
@@ -219,12 +253,15 @@ def _two_phase(
                     continue
                 _pivot(A, D, basis, cols, i, col)
             i += 1
-        # Phase 2 on the standard-form labels only.
-        keep = [j for j, label in enumerate(cols) if label < n_std]
-        cols[:] = [cols[j] for j in keep]
-        keep.append(-1)
+        # Phase 2 on the standard-form labels only: the artificial columns
+        # are deleted in place, last first.  A row that loses a nonzero
+        # entry may have a larger gcd, so it is reduced again.
+        art = [j for j, label in enumerate(cols) if label >= n_std][::-1]
+        for j in art:
+            del cols[j]
         for i, row in enumerate(A):
-            A[i], D[i] = _reduced([row[j] for j in keep], D[i])
+            if any([row.pop(j) for j in art]):
+                A[i], D[i] = _reduced(row, D[i])
     return _iterate(A, D, basis, cols)
 
 
@@ -236,12 +273,13 @@ def _iterate(A: list[list[int]], D: list[int], basis: list[int], cols: list[int]
     """
     m = len(basis)
     while True:
-        z = A[m]
         # Bland: the lowest label with a negative reduced cost enters.
-        negative = [j for j, v in enumerate(z[:-1]) if v < 0]
-        if not negative:
+        entering = -1
+        for j, v in enumerate(A[m][:-1]):
+            if v < 0 and (entering < 0 or cols[j] < cols[entering]):
+                entering = j
+        if entering < 0:
             return "optimal"
-        entering = min(negative, key=cols.__getitem__)
         # Ratio b_i / a_i over rows with a_i > 0; the row denominator cancels,
         # and b_i / a_i < b_k / a_k  iff  b_i a_k < b_k a_i.
         leaving = -1
@@ -289,6 +327,12 @@ def _pivot(
             pg, fg = p // g, f // g
             new = [pg * v - fg * w for v, w in zip(a, piv)]
             new[col] = -fg * piv[col]
-            A[i], D[i] = _reduced(new, pg * D[i])
+            # Reduced in line, not through `_reduced`: this is the hot loop.
+            den = pg * D[i]
+            g = gcd(den, *new)
+            if g != 1:
+                new = [v // g for v in new]
+                den //= g
+            A[i], D[i] = new, den
     A[row], D[row] = _reduced(piv, p)
     basis[row], cols[col] = cols[col], basis[row]

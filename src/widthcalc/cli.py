@@ -18,7 +18,8 @@ allows it (ball exponents, and q for a single p = inf ball).  JSON output
 renders every numeric as {"ratio": "a/b", "decimal": <12 significant
 digits>}; irrational width values carry a "form" field instead of a
 ratio.  A config file of key=value lines supplies defaults; explicit
-flags win.
+flags win.  The options after a command name are parsed by that command's
+own parser, in one pass, with the usage lines and errors of argparse.
 """
 
 from __future__ import annotations
@@ -489,6 +490,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if samples < 0:
         raise ParameterError(f"--samples must be ≥ 0, got {samples}")
     grid = oracle.default_grid(2) if args.grid is None else parse_integer(args.grid, "--grid")
+    if grid < 1:
+        raise ParameterError(f"--grid must be ≥ 1, got {grid}")
     points = 2
     if args.identity_points is not None:
         points = parse_integer(args.identity_points, "--identity-points")
@@ -505,7 +508,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ("kind", None, "verification-report", str, None),
         (None, "", "widthcalc verification report", None, str),
         ("seed", "", report.seed, int,
-         lambda seed: f"seed={seed} samples={report.samples} grid={report.grid or '-'}"),
+         lambda seed: f"seed={seed} samples={report.samples} grid={report.grid}"),
         ("samples", None, report.samples, int, None),
         ("grid", None, report.grid, int, None),
         ("ok", None, report.ok, bool, None),
@@ -564,7 +567,8 @@ class _Parser(argparse.ArgumentParser):
 
     argparse drops an `OSError` from writing help, so on a closed stdout
     `--help` would exit 0 in silence; here it reaches `main`, which refuses
-    it.  The subparsers are built from this class too.
+    it.  The subparsers are built from this class too, and the program's
+    parser keeps them by command name in `commands`.
     """
 
     def print_help(self, file=None):
@@ -620,6 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_verify)
     for sub in subs.choices.values():
         sub.set_defaults(config_keys=_config_keys(sub))
+    parser.commands = subs.choices
     return parser
 
 
@@ -644,9 +649,31 @@ def main(argv=None) -> int:
         return 4
 
 
+def _parse(argv) -> argparse.Namespace:
+    """`argv`, or `sys.argv[1:]` when it is None, parsed as
+    `_parser().parse_args` parses it, in one pass.
+
+    argparse hands every token after the command name to that command's
+    parser, so an argv that starts with a command is read by that parser
+    alone.  Tokens it does not know are refused by the program's parser,
+    with the line `parse_args` prints.  Any other argv (empty, help, or an
+    unknown word) goes to the program's parser.
+    """
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def _main(argv) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 4
     try:

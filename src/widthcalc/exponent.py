@@ -86,11 +86,11 @@ class ExponentResult:
         times that row's scale, its t⁻ coefficient, so Σ λ_k = 1.  Built on
         first read from the tableau `minimize` keeps; no LP runs.
         """
-        reduced_costs, A_ub, pieces = self._tableau
+        res, A_ub, pieces = self._tableau
         k = len(pieces)  # the piece rows, and their slacks, come last
         return tuple(
             (tag, rc * row[-1])
-            for (tag, _), rc, row in zip(pieces, reduced_costs[-k:], A_ub[-k:])
+            for (tag, _), rc, row in zip(pieces, res.reduced_costs[-k:], A_ub[-k:])
             if rc
         )
 
@@ -169,11 +169,10 @@ def _argmin_is_unique(res, cost, A_eq, b_eq, A_ub, b_ub) -> bool:
     The argmin is unique iff that maximum is 0.
     """
     n = len(cost)
-    rc = res.reduced_costs
-    basic = set(res.basis)
-    free = {j for j, v in enumerate(rc) if not v and j not in basic and j not in (n - 2, n - 1)}
+    free = {j for j in res.zero_cost_nonbasic() if j not in (n - 2, n - 1)}
     if not free:
         return True
+    rc = res.reduced_costs
     # Σ free = Σ_k b_k − c·x over the free slacks k, so its maximum is 0 iff
     # the least c·x over the face is Σ_k b_k.
     slacks = [j - n for j in free if j >= n]
@@ -215,15 +214,20 @@ def minimize(obj: PiecewiseMax) -> ExponentResult:
     if res.status != "optimal":  # the domain is compact and nonempty
         raise ParameterError(f"degenerate objective: LP status {res.status}")
     d = obj.dim
-    first = len(res.slack) - len(obj.pieces)  # the σ bound row comes first
+    x = res.x
+    positive = res.positive()
+    # The first piece's slack label: the variables, then the σ bound row's slack.
+    first = len(lp[0]) + len(lp[3]) - len(obj.pieces)
     result = ExponentResult(
         theta=res.value,
-        argmin_alpha=res.x[:d],
-        argmin_s=_ONE + res.x[d] if obj.has_s else None,
+        argmin_alpha=x[:d],
+        argmin_s=_ONE + x[d] if obj.has_s else None,
         unique=_argmin_is_unique(res, *lp),
-        active_pieces=tuple(tag for (tag, _), gap in zip(obj.pieces, res.slack[first:]) if not gap),
+        active_pieces=tuple(
+            tag for j, (tag, _) in enumerate(obj.pieces, first) if j not in positive
+        ),
     )
     # Frozen: the tableau goes straight into the instance dict, for `weights`.
-    result.__dict__["_tableau"] = (res.reduced_costs, lp[3], obj.pieces)
+    result.__dict__["_tableau"] = (res, lp[3], obj.pieces)
     return result
 

@@ -7,13 +7,16 @@ match `test_*.py`, so pytest imports it only through the tests.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+
+from hypothesis import strategies as st
 
 from widthcalc import finitedim as fd
+from widthcalc._simplex import LpError
 from widthcalc.closedform import noncompact_screen
 from widthcalc.finitedim import BallSpec, IntersectionSpec
 from widthcalc.oracle import Lcg
-from widthcalc.params import ParameterError, ProblemSpec, as_fraction
+from widthcalc.params import MAX_DIMENSION, ParameterError, ProblemSpec, as_fraction
 from widthcalc.values import INF, PowerProduct
 
 _HALF = Fraction(1, 2)
@@ -313,3 +316,133 @@ def cross_term_dominated(
                 rhs = max(r[i] * m_vec[i] + m * x_q - m * x[i], small_piece)
             checks.append(DominationCheck(i, j, lhs, rhs))
     return tuple(checks)
+
+
+# Specs at d = 16, the largest d the package accepts.  The θ and
+# uniqueness verdicts of the first two were computed once with the earlier
+# simplex, which pivoted on a `Fraction` tableau (about 15 s for the q = 5
+# spec), and are frozen here; the third, a flat optimum, was computed with
+# the per-coordinate face probes.  The last field is the exact compactness
+# verdict: the q = 5 spec has θ > 0 but margin −3862663/41018435, so it is
+# not compact.
+D16_ANCHORS = [
+    (  # q > 2, not compact; p̄ has coordinates below 2, between 2 and q, above q
+        "5/4,5/4,7/4,2,3/2,11/4,13/4,13/4,3/2,5/4,7/2,3/2,9/4,7/4,3/4,2",
+        "3/2,4,3/2,39/4,7/4,19/2,3,7/2,15/4,7/4,6,7,5/4,5/4,21/4,5/2",
+        "5",
+        Fraction(3252249, 74654120),
+        True,
+        False,
+    ),
+    (  # q ≤ 2, straddling: one p_j above q, the rest below it
+        "2,9/4,2,3,13/4,3/2,11/4,5/2,5/2,11/4,7/4,3/4,15/4,11/4,3/4,1",
+        "11/8,3/2,5/4,5/4,13/8,5,3/2,3/2,5/4,9/8,11/8,3/2,13/8,13/8,11/8,11/8",
+        "7/4",
+        Fraction(3262545, 38309251),
+        True,
+        True,
+    ),
+    (  # q = 2, flat: θ1 = margin = 1/8, so the optimal face is not a point
+        ",".join(["2"] * 16),
+        ",".join(["3", "3/2"] * 8),
+        "2",
+        Fraction(1, 8),
+        False,
+        True,
+    ),
+]
+
+
+units = st.fractions(min_value=Fraction(1, 10), max_value=1, max_denominator=10)
+
+
+@st.composite
+def threshold_specs(draw):
+    """Specs at d = 2..16 on both sides of q = 2, some p_j on 2 or on q."""
+    d = draw(st.integers(2, MAX_DIMENSION))
+    q = draw(st.sampled_from([Fraction(2), 1 + draw(units), 2 + 4 * draw(units)]))
+    on = st.sampled_from([Fraction(2), q])
+    off = units.map(lambda u: 1 + (2 * q + 2) * u)
+    p = [draw(st.one_of(on, off)) for _ in range(d)]
+    r = [4 * draw(units) for _ in range(d)]
+    return ProblemSpec(r=r, p=p, q=q)
+
+
+# The reference pivot loop: `_iterate`, `_pivot` and the `_reduced` they
+# call, in the earlier form that reduced every updated row through
+# `_reduced` and chose the entering column in two passes.  Swapped into
+# `widthcalc._simplex` for its own, they must take the same pivots to the
+# same final tableau.
+
+
+def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
+    g = gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [v // g for v in row], den // g
+
+
+def _iterate(A: list[list[int]], D: list[int], basis: list[int], cols: list[int]) -> str:
+    """Run simplex pivots with Bland's rule until optimal or unbounded.
+
+    The row below the constraint rows holds the reduced costs being
+    minimised; its sign pattern is that of the rational row, since D > 0.
+    """
+    m = len(basis)
+    while True:
+        z = A[m]
+        # Bland: the lowest label with a negative reduced cost enters.
+        negative = [j for j, v in enumerate(z[:-1]) if v < 0]
+        if not negative:
+            return "optimal"
+        entering = min(negative, key=cols.__getitem__)
+        # Ratio b_i / a_i over rows with a_i > 0; the row denominator cancels,
+        # and b_i / a_i < b_k / a_k  iff  b_i a_k < b_k a_i.
+        leaving = -1
+        for i in range(m):
+            a = A[i][entering]
+            if a > 0:
+                b = A[i][-1]
+                if leaving < 0:
+                    leaving, best_b, best_a = i, b, a
+                    continue
+                lhs, rhs = b * best_a, best_b * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving, best_b, best_a = i, b, a
+        if leaving < 0:
+            return "unbounded"
+        _pivot(A, D, basis, cols, leaving, entering)
+
+
+def _pivot(
+    A: list[list[int]], D: list[int], basis: list[int], cols: list[int], row: int, col: int
+) -> None:
+    """Pivot on entry (row, col): `cols[col]` enters, `basis[row]` leaves.
+
+    With p the pivot entry of the row a_r over d_r, the pivot row keeps its
+    integers over the new denominator p, except that column col now holds
+    the leaving variable: d_r (its unit entry) where the entering entry
+    was.  A row a over d with entry f in the pivot column becomes
+    (p·a − f·pivot row) over p·d, with its column col starting from the
+    leaving variable's 0.  Rows with f = 0 are left as they are.
+    """
+    piv = A[row][:]
+    p = piv[col]
+    if p == 0:
+        raise LpError("pivot on a zero entry")
+    piv[col] = D[row]
+    if p < 0:  # only when driving an artificial out; keep denominators positive
+        piv = [-v for v in piv]
+        p = -p
+    for i, a in enumerate(A):
+        f = a[col]
+        if f and i != row:
+            # (p·a − f·pivot row) / (p·d) keeps its value when p and f are
+            # divided by their gcd first, which keeps the integers small.
+            g = gcd(p, f)
+            pg, fg = p // g, f // g
+            new = [pg * v - fg * w for v, w in zip(a, piv)]
+            new[col] = -fg * piv[col]
+            A[i], D[i] = _reduced(new, pg * D[i])
+    A[row], D[row] = _reduced(piv, p)
+    basis[row], cols[col] = cols[col], basis[row]

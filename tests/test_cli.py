@@ -317,6 +317,17 @@ def _no_exact_work(*args, **kwargs):
     raise AssertionError("exact work started before the budget was checked")
 
 
+@pytest.mark.parametrize("samples", ["0", "1"])
+@pytest.mark.parametrize("grid", ["-5", "0"])
+def test_verify_refuses_a_grid_below_one_before_sampling(capsys, monkeypatch, samples, grid):
+    monkeypatch.setattr(cli.oracle, "cross_validate", _no_exact_work)
+    for fmt in ("text", "json"):
+        code, out, err = run(
+            capsys, "verify", "--samples", samples, "--grid", grid, "--format", fmt)
+        assert (code, out) == (4, "")
+        assert err == f"error: --grid must be ≥ 1, got {grid}\n"
+
+
 def test_sweep_steps_are_answered_up_to_the_budget_and_refused_above(capsys, monkeypatch):
     # Non-integer ranks make `invalid` rows without a spec, so the largest
     # accepted sweep is cheap.
@@ -466,15 +477,21 @@ def _module_env():
     return env
 
 
-def test_python_dash_m_matches_cli_main(capsys):
-    argv = ["regime", "--r", "1,2", "--p", "3,3/2", "--q", "4"]
-    code, out, err = run(capsys, *argv)
-    proc = subprocess.run(
-        [sys.executable, "-m", "widthcalc", *argv], capture_output=True, env=_module_env(),
-        timeout=60,
-    )
-    assert proc.returncode == code
-    assert proc.stdout == out.encode() and proc.stderr == err.encode()
+def test_python_dash_m_matches_cli_main(capsys, monkeypatch):
+    for argv in (
+        ["regime", "--r", "1,2", "--p", "3,3/2", "--q", "4"],
+        ["exponent", "--r", "1,2", "--p", "3,3/2", "--q", "2", "--bogus", "1"],
+    ):
+        # `python -m widthcalc` calls main(None), which reads sys.argv[1:].
+        monkeypatch.setattr(sys, "argv", ["widthcalc", *argv])
+        code = main(None)
+        out, err = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "widthcalc", *argv], capture_output=True,
+            env=_module_env(), timeout=60,
+        )
+        assert proc.returncode == code
+        assert proc.stdout == out.encode() and proc.stderr == err.encode()
 
 
 CLOSED_STDOUT_ARGV = {

@@ -6,7 +6,14 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
-from _reference import check_compact, permuted, plain_piece_rows
+from _reference import (
+    D16_ANCHORS,
+    check_compact,
+    permuted,
+    plain_piece_rows,
+    threshold_specs,
+    units,
+)
 from hypothesis import strategies as st
 
 import widthcalc.exponent as exponent
@@ -173,41 +180,6 @@ def test_tableau_certificate_agrees_with_face_probes_at_higher_d():
           f"{faced_unique} unique by the face LP")
 
 
-# Specs at d = 16, the largest d the package accepts.  The θ and
-# uniqueness verdicts of the first two were computed once with the earlier
-# simplex, which pivoted on a `Fraction` tableau (about 15 s for the q = 5
-# spec), and are frozen here; the third, a flat optimum, was computed with
-# the per-coordinate face probes.  The last field is the exact compactness
-# verdict: the q = 5 spec has θ > 0 but margin −3862663/41018435, so it is
-# not compact.
-D16_ANCHORS = [
-    (  # q > 2, not compact; p̄ has coordinates below 2, between 2 and q, above q
-        "5/4,5/4,7/4,2,3/2,11/4,13/4,13/4,3/2,5/4,7/2,3/2,9/4,7/4,3/4,2",
-        "3/2,4,3/2,39/4,7/4,19/2,3,7/2,15/4,7/4,6,7,5/4,5/4,21/4,5/2",
-        "5",
-        F(3252249, 74654120),
-        True,
-        False,
-    ),
-    (  # q ≤ 2, straddling: one p_j above q, the rest below it
-        "2,9/4,2,3,13/4,3/2,11/4,5/2,5/2,11/4,7/4,3/4,15/4,11/4,3/4,1",
-        "11/8,3/2,5/4,5/4,13/8,5,3/2,3/2,5/4,9/8,11/8,3/2,13/8,13/8,11/8,11/8",
-        "7/4",
-        F(3262545, 38309251),
-        True,
-        True,
-    ),
-    (  # q = 2, flat: θ1 = margin = 1/8, so the optimal face is not a point
-        ",".join(["2"] * 16),
-        ",".join(["3", "3/2"] * 8),
-        "2",
-        F(1, 8),
-        False,
-        True,
-    ),
-]
-
-
 @pytest.mark.parametrize(
     "r,p,q,theta,unique,compact",
     D16_ANCHORS,
@@ -242,9 +214,6 @@ def test_d16_piece_tables_build_without_a_fraction_in_params(monkeypatch):
         for high in (False, True) if spec.q > 2 else (False,):
             assert spec.rate_rows(high)[1]
         assert build_objective(spec).pieces
-
-
-units = st.fractions(min_value=F(1, 10), max_value=1, max_denominator=10)
 
 
 @st.composite
@@ -294,18 +263,6 @@ def test_minimum_is_invariant_under_coordinate_swap(r, p, q):
         minimize(build_objective(spec)).theta
         == minimize(build_objective(flipped)).theta
     )
-
-
-@st.composite
-def threshold_specs(draw):
-    """Specs at d = 2..16 on both sides of q = 2, some p_j on 2 or on q."""
-    d = draw(st.integers(2, MAX_DIMENSION))
-    q = draw(st.sampled_from([F(2), 1 + draw(units), 2 + 4 * draw(units)]))
-    on = st.sampled_from([F(2), q])
-    off = units.map(lambda u: 1 + (2 * q + 2) * u)
-    p = [draw(st.one_of(on, off)) for _ in range(d)]
-    r = [4 * draw(units) for _ in range(d)]
-    return ProblemSpec(r=r, p=p, q=q)
 
 
 def _solve_from_artificials(spec):

@@ -15,10 +15,16 @@ and q = inf; and `verify`.  A changed digest is a changed output: update
 one only together with the behaviour change that explains it.
 """
 
+import contextlib
 import hashlib
+import importlib.util
+import io
+import json
+from pathlib import Path
 
 import pytest
 
+from widthcalc import cli
 from widthcalc.cli import main
 from widthcalc.oracle import GRID_ENV
 
@@ -166,3 +172,90 @@ def test_cli_stdout_bytes_are_pinned(argv, capsys, monkeypatch, request):
     assert main(list(argv)) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# How the command line is parsed: exit code, and the sha256 of stdout and of
+# stderr, for argv that argparse refuses or answers with help.  Usage lines
+# wrap at the terminal width, so COLUMNS is pinned.
+SPEC = ("--r", "1,2", "--p", "3,3/2", "--q", "2")
+PARSE_ARGV = {
+    "unknown-option": ("exponent", *SPEC, "--bogus", "1"),
+    "missing-value": ("exponent", "--r"),
+    "bad-choice": ("exponent", *SPEC, "--format", "xml"),
+    "verify-unknown-option": ("verify", "--json"),
+    "sweep-extra-word": (
+        "sweep", *SPEC, "--vary", "q", "--from", "3/2", "--to", "3", "--steps", "3", "extra"),
+    "no-argv": (),
+    "unknown-command": ("expo", *SPEC),
+    "help": ("-h",),
+    "exponent-help": ("exponent", "-h"),
+}
+
+# The sha256 of no output at all.
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+PARSE_GOLDEN = {
+    "unknown-option": (4, EMPTY,
+        "b2af495e9843fe40527cff81a0ae0f67b48e512025035dce6bb71b8f95bbf8e6"),
+    "missing-value": (4, EMPTY,
+        "eb349ff355fa99c0be06ee0eb8c3c5d5ee7bfa86d61b513874bfa96f737a2f32"),
+    "bad-choice": (4, EMPTY,
+        "8abd79f6287fe584b3ba94ed708e7741348dd5ca59d3327e62d39a7dd8d9e595"),
+    "verify-unknown-option": (4, EMPTY,
+        "fc403d6c68abe9d89842fec1471f6a30e53cb5e642866f7c0eb7637932088e16"),
+    "sweep-extra-word": (4, EMPTY,
+        "f78609f7fe3539ff106981494470041fd2e00becfc4bba24cf73189d74f791d2"),
+    "no-argv": (4, EMPTY,
+        "c361747438bc711ad26fa9bfc5a982e0b20d253f2bd9353f1da8a5f1fd2dd220"),
+    "unknown-command": (4, EMPTY,
+        "d948427cd63ec338f6d9b969496fc5a0a0591a0743c81ce7f847609ce20453f2"),
+    "help": (0, "51fac9604cf209ad7e5267fbad63ced874052e59dad88872c7b00c7ebf5a843e",
+        EMPTY),
+    "exponent-help": (0, "6623edc9c74f5c5d4d550e4acf3af5d7346a5b98329398f8e7c34a8426568c15",
+        EMPTY),
+}
+
+
+@pytest.mark.parametrize("name", PARSE_ARGV)
+def test_cli_parse_outcomes_are_pinned(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(list(PARSE_ARGV[name]))
+    captured = capsys.readouterr()
+    digests = tuple(hashlib.sha256(s.encode()).hexdigest() for s in (captured.out, captured.err))
+    assert (code, *digests) == PARSE_GOLDEN[name]
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _catalog_argvs():
+    """Every catalog argv of the benchmark's workloads, from its generators."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    for workload in gen.WORKLOADS:
+        with open(PERFBENCH / "reference" / f"{workload}.json", encoding="utf-8") as fh:
+            strata = json.load(fh)["strata"]
+        for stratum, entries in strata.items():
+            for index, _ in entries:
+                yield gen.entry_argv(stratum, index)
+
+
+def _parsed(parse, argv):
+    """The namespace, or the exit code of a refusal or of help, with the output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_one_pass_parse_equals_the_program_parser(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [list(a) for _, a in ARGV] + [list(a) for a in PARSE_ARGV.values()]
+    argvs += _catalog_argvs()
+    assert len(argvs) > 7000
+    for argv in argvs:
+        assert _parsed(cli._parse, argv) == _parsed(cli._parser().parse_args, argv), argv

@@ -1,9 +1,12 @@
 """The exact two-phase simplex and the reduced-cost row it carries."""
 
+import hashlib
 from fractions import Fraction as F
 from math import gcd
 
+import _reference
 import pytest
+from _reference import D16_ANCHORS, threshold_specs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +48,19 @@ ZERO_ONLY = ([F(1), F(-1), F(-1)], [[F(1), F(1), F(2)], [F(-2), F(1), F(0)]], [F
 EPIGRAPH_D4 = exponent._epigraph_lp(
     build_objective(ProblemSpec(r=(1, 1, 1, 1), p=(3, F(3, 2), 5, F(9, 4)), q=F(7, 2)))
 )
+
+
+def _epigraph(spec) -> tuple:
+    return exponent._epigraph_lp(build_objective(spec))
+
+
+# The epigraph LPs of the d = 16 anchors.
+EPIGRAPH_D16 = {
+    name: _epigraph(
+        ProblemSpec(r=tuple(map(F, r.split(","))), p=tuple(map(F, p.split(","))), q=F(q))
+    )
+    for name, (r, p, q, *_) in zip(("q5", "q7_4", "q2"), D16_ANCHORS)
+}
 
 
 def _standard_form(c, A_eq, b_eq, A_ub, b_ub):
@@ -169,6 +185,74 @@ def test_optimal_result_carries_basis_and_reduced_costs():
     assert all(rc >= 0 for rc in res.reduced_costs)
     assert all(res.reduced_costs[j] == 0 for j in res.basis)
     assert all(res.x[j] == 0 for j in range(len(C)) if j not in res.basis)
+
+
+# sha256 of repr((x, value, slack, reduced_costs)) of each LP's optimum, as
+# `solve_lp` built them eagerly before its result fields were built on read;
+# the slack is b − A_ub·x.
+EAGER = {
+    "d4": "d3e8e16be70105333fdca42e79d824d889dbc27bfbfec338bf2326657e72204e",
+    "q5": "21b7924311ab66a17bb3153797f6390f68794a6403b5352fd3bb7b84037a07c5",
+    "q7_4": "91e52753376ccab9134d80eba4f534e60c5833b5b950cee65f6a354149a7b60b",
+    "q2": "00e3e72ab4d18a441d5b816d08bc033292fc2c633c80570ef25559067f8cccd6",
+}
+
+
+def test_solve_builds_no_fraction_until_a_field_is_read(monkeypatch):
+    lps = {"d4": EPIGRAPH_D4, **EPIGRAPH_D16}
+
+    def refused(*args):
+        raise AssertionError(f"solve_lp built a Fraction{args}")
+
+    monkeypatch.setattr(simplex, "Fraction", refused)
+    results = {name: solve_lp(*lp) for name, lp in lps.items()}
+    monkeypatch.undo()
+    for name, res in results.items():
+        _, _, _, A_ub, b_ub = lps[name]
+        slack = tuple(b - sum(a * v for a, v in zip(row, res.x)) for row, b in zip(A_ub, b_ub))
+        fields = (res.x, res.value, slack, res.reduced_costs)
+        assert hashlib.sha256(repr(fields).encode()).hexdigest() == EAGER[name]
+
+
+def _pivot_path(lp, iterate, pivot):
+    """The (entering, leaving) labels of every pivot `solve_lp` takes on `lp`
+    with `iterate` and `pivot` in place of the module's own, then its final
+    basis and integer tableau."""
+    path = []
+
+    def recorded(A, D, basis, cols, row, col):
+        path.append((cols[col], basis[row]))
+        pivot(A, D, basis, cols, row, col)
+
+    saved = simplex._iterate, simplex._pivot, _reference._pivot
+    simplex._iterate, simplex._pivot, _reference._pivot = iterate, recorded, recorded
+    try:
+        res = solve_lp(*lp)
+    finally:
+        simplex._iterate, simplex._pivot, _reference._pivot = saved
+    assert res.status == "optimal"
+    return path, res.basis, res.rows, res.dens
+
+
+def _assert_reference_pivots(lp):
+    ours = _pivot_path(lp, simplex._iterate, simplex._pivot)
+    assert ours == _pivot_path(lp, _reference._iterate, _reference._pivot)
+    assert ours[0]  # some pivot ran
+
+
+@pytest.mark.parametrize(
+    "lp",
+    [(C, A_EQ, B_EQ, A_UB, B_UB), ZERO_ONLY, EPIGRAPH_D4],
+    ids=["beale-with-redundant-row", "zero-only-equalities", "epigraph-d4-high-q"],
+)
+def test_pivots_follow_the_reference_loop(lp):
+    _assert_reference_pivots(lp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(threshold_specs())
+def test_epigraph_pivots_follow_the_reference_loop(spec):
+    _assert_reference_pivots(_epigraph(spec))
 
 
 def test_infeasible_and_unbounded_results_carry_no_tableau():
