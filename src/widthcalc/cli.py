@@ -17,7 +17,10 @@ input is rejected.  "inf" is accepted only where the exact width formula
 allows it (ball exponents, and q for a single p = inf ball).  JSON output
 renders every numeric as {"ratio": "a/b", "decimal": <12 significant
 digits>}; irrational width values carry a "form" field instead of a
-ratio.  A config file of key=value lines supplies defaults; explicit
+ratio.  A JSON report is written with its keys sorted and an indent of two
+spaces, in the bytes of `json.dumps(..., sort_keys=True, indent=2)`, by a
+small writer (`_json`) that skips the standard library's pure-Python
+indenting encoder.  A config file of key=value lines supplies defaults; explicit
 flags win.  The options after a command name are parsed by that command's
 own parser, in one pass, with the usage lines and errors of argparse.
 """
@@ -28,11 +31,11 @@ import argparse
 import csv
 import functools
 import io
-import json
 import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import closedform, oracle
 from .exponent import build_objective, minimize, render_provenance
@@ -144,6 +147,31 @@ def _exact(x: Fraction) -> str:
     return f"{x} ({decimal_str(x)})"
 
 
+def _json(value, indent: str = "\n") -> str:
+    """`value` in the bytes of `json.dumps(value, sort_keys=True, indent=2)`.
+
+    A report holds str keys and str, int, bool, None, list and dict values;
+    anything else raises TypeError.  `indent` is the newline and spaces
+    that open `value`'s own line.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):  # before int: a bool is an int too
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        items = [_json(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
+    raise TypeError(f"{type(value).__name__} is not a JSON report value")
+
+
 def _show(args: argparse.Namespace, width: int, fields) -> None:
     """Print one report, as JSON or as text lines, from its table of fields.
 
@@ -159,7 +187,7 @@ def _show(args: argparse.Namespace, width: int, fields) -> None:
     if (args.format or "text") == "json":
         payload = {key: None if value is None else form(value)
                    for key, _, value, form, _ in fields if key is not None}
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_json(payload) + "\n")
         return
     lines = []
     for _, label, value, _, form in fields:

@@ -7,12 +7,14 @@ irrational but always products of integer powers with rational exponents.
 greater than 1, none of them a perfect power, as integer exponent
 numerators over one positive denominator per value:
 
-  * integers are split by `_factor` (trial division by the primes below
-    2^10, a perfect-power check, deterministic Miller–Rabin, and
-    Pollard–Brent under a fixed iteration budget), once per integer per
-    process.  A base is prime whenever that bounded split succeeds; a
-    cofactor it cannot split stays one base, as does a probable prime
-    beyond the proven Miller–Rabin range,
+  * integers are split by `_factor`, once per integer per process: one gcd
+    with the product of the odd primes below 2^10 names the small primes
+    that divide n, which are then divided out; a perfect-power check;
+    Miller–Rabin on as few prime bases as prove primality at n's size (5
+    below 2.15·10^12, all 13 near 3.3·10^24); and Pollard–Brent under a
+    fixed iteration budget.  A base is prime whenever that bounded split
+    succeeds; a cofactor it cannot split stays one base, as does a
+    probable prime beyond the proven Miller–Rabin range,
   * the denominator D is kept coprime to the numerators, so it is the
     least D with value^D rational; products, quotients and powers bring
     both operands to one denominator and add or scale integers,
@@ -46,7 +48,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from math import gcd, isqrt, lcm, log
+from math import gcd, isqrt, lcm, log, prod
 
 from .params import ParameterError
 
@@ -89,25 +91,53 @@ def is_inf(p) -> bool:
     return p is INF
 
 
+def _rational(x) -> int | Fraction:
+    """x itself when it is an int or a Fraction, else Fraction(x)."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def inv_exponent(p) -> Fraction:
     """1/p with 1/∞ = 0; the only arithmetic ever done on a p-index."""
     if is_inf(p):
         return Fraction(0)
-    return Fraction(1) / Fraction(p)
+    return Fraction(p.denominator, p.numerator)
 
 
 # ---------------------------------------------------------------------------
 # integer factoring
 
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n ≥ 2, by the sieve of Eratosthenes."""
+    flags = bytearray([1]) * n
+    flags[:2] = b"\0\0"
+    for p in range(2, isqrt(n - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(i for i, flag in enumerate(flags) if flag)
+
+
 _TRIAL_BITS = 10
-_SMALL_PRIMES = tuple(
-    p for p in range(2, 1 << _TRIAL_BITS) if all(p % d for d in range(2, isqrt(p) + 1))
-)
+_SMALL_PRIMES = _primes_below(1 << _TRIAL_BITS)
+_ODD_SMALL_PRODUCT = prod(_SMALL_PRIMES[1:])
 # Miller–Rabin on the first 13 prime bases is a proof of primality below this
 # bound (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
 # Math. Comp. 86, 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN = 3317044064679887385961981
+# (ψ_k, the first k bases): ψ_k is the least strong pseudoprime to the first k
+# prime bases, so those k prove primality below it (Jaeschke, "On strong
+# pseudoprimes to several bases", Math. Comp. 61, 1993; Jiang & Deng, "Strong
+# pseudoprimes to the first eight prime bases", Math. Comp. 83, 2014; Sorenson
+# & Webster).  ψ_8 = ψ_7 and ψ_10 = ψ_11 = ψ_12, so 8, 10 and 11 bases are
+# never the fewest.
+_MR_STEPS = tuple((psi, _MR_BASES[:k]) for psi, k in (
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+))
 # Pollard–Brent work spent on one cofactor before it is kept whole, in
 # iterations times the cofactor's bit length, so that a failed split costs
 # about the same at any size (0.04–0.1 s for 30- to 400-digit cofactors on
@@ -118,12 +148,21 @@ _RHO_BATCH = 128
 
 
 def _is_probable_prime(n: int) -> bool:
-    """Strong probable prime to every base in `_MR_BASES` (n odd, n > 41)."""
+    """Strong probable prime to the first bases of `_MR_BASES` (n odd, n > 41).
+
+    It runs the fewest of them that prove primality at n's size (`_MR_STEPS`)
+    and all 13 from ψ_12 on, so the answer is exact below `_MR_PROVEN`.
+    """
+    bases = _MR_BASES
+    for psi, first in _MR_STEPS:
+        if n < psi:
+            bases = first
+            break
     d, s = n - 1, 0
     while not d & 1:
         d >>= 1
         s += 1
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -233,10 +272,14 @@ def _factor(n: int) -> tuple[tuple[int, int, bool], ...]:
     if twos:
         out[2] = twos
         n >>= twos
+    # g is the product of the odd primes below 2^10 that divide n and are
+    # not yet divided out, so the scan stops once g is 1.
+    g = gcd(n, _ODD_SMALL_PRODUCT)
     for p in _SMALL_PRIMES[1:]:
-        if p * p > n:
+        if g == 1 or p * p > n:
             break
-        if n % p == 0:
+        if g % p == 0:
+            g //= p
             # Divide by p, p², p⁴, … while exact, then by the same powers
             # downwards: O(log mult) divisions, not one per factor of p.
             powers = [p]
@@ -305,10 +348,10 @@ def _refined(a: dict[int, int], b: dict[int, int]) -> tuple[dict, dict]:
 
 
 @lru_cache(maxsize=1 << 12)
-def _factor_fraction(x: Fraction) -> tuple[tuple[tuple[int, int], ...], bool]:
-    """(base, multiplicity) pairs of x > 0, negative for the denominator's
-    bases, and whether a base is not proven prime."""
-    num, den = _factor(x.numerator), _factor(x.denominator)
+def _factor_fraction(num: int, den: int) -> tuple[tuple[tuple[int, int], ...], bool]:
+    """(base, multiplicity) pairs of num/den > 0 in lowest terms, negative
+    for the denominator's bases, and whether a base is not proven prime."""
+    num, den = _factor(num), _factor(den)
     pairs = tuple((b, m) for b, m, _ in num) + tuple((b, -m) for b, m, _ in den)
     return pairs, not all(ok for _, _, ok in num + den)
 
@@ -359,30 +402,30 @@ class PowerProduct:
 
     @classmethod
     def from_fraction(cls, x) -> "PowerProduct":
-        x = Fraction(x)
-        if x == 0:
+        x = _rational(x)
+        if not x:
             return cls.zero()
-        if x < 0:
+        if x.numerator < 0:
             raise ParameterError(f"power products are nonnegative, got {x}")
-        pairs, unproven = _factor_fraction(x)
+        pairs, unproven = _factor_fraction(x.numerator, x.denominator)
         return cls(dict(pairs), unproven=unproven)
 
     @classmethod
     def from_pow(cls, base, exp) -> "PowerProduct":
         """base^exp with a rational (or PowerProduct) base and rational exp."""
-        exp = Fraction(exp)
+        exp = _rational(exp)
         if isinstance(base, PowerProduct):
             return base ** exp
-        base = Fraction(base)
-        if base < 0:
+        base = _rational(base)
+        if base.numerator < 0:
             raise ParameterError(f"negative base {base}")
-        if base == 0:
+        if not base:
             if exp <= 0:
                 raise ParameterError("0 ** nonpositive exponent")
             return cls.zero()
-        if exp == 0:
+        if not exp:
             return cls.one()
-        pairs, unproven = _factor_fraction(base)
+        pairs, unproven = _factor_fraction(base.numerator, base.denominator)
         a = exp.numerator
         return cls({p: m * a for p, m in pairs}, exp.denominator, unproven=unproven)
 
@@ -440,8 +483,13 @@ class PowerProduct:
         it take one or two turns."""
         from mpmath import libmp
 
-        _, _, exp, bc = self.to_libmp(32)  # exp + bc is about log2 of the value
-        approx = self.to_libmp(96 + max(0, exp + bc))
+        # The value's integer bits ⌊log2⌋ + 1, or one more where the brackets'
+        # slack crosses an integer: hi ≥ 2^64 · D · ln value takes each base's
+        # upper bracket for n > 0 and its lower one for n < 0, and the lower
+        # bracket of ln 2 is ≤ 2^64 · ln 2.
+        hi = sum(n * _log_bracket(p, 64)[n > 0] for p, n in self._factors.items())
+        top = hi // (self._den * _log_bracket(2, 64)[0]) + 1
+        approx = self.to_libmp(96 + max(0, top))
         return libmp.to_int(approx, libmp.round_floor), libmp.to_int(approx, libmp.round_ceiling)
 
     # ------------------------------------------------------------------
@@ -492,12 +540,12 @@ class PowerProduct:
         return PowerProduct(out, den, unproven=self._unproven or other._unproven)
 
     def __pow__(self, exp) -> "PowerProduct":
-        exp = Fraction(exp)
+        exp = _rational(exp)
         if self._zero:
             if exp <= 0:
                 raise ParameterError("0 ** nonpositive exponent")
             return PowerProduct.zero()
-        if exp == 0:
+        if not exp:
             return PowerProduct.one()
         if exp == 1:
             return self
@@ -557,8 +605,9 @@ class PowerProduct:
             return str(self.as_fraction())
         parts = []
         for p, n in sorted(self._factors.items()):
-            e = Fraction(n, self._den)
-            parts.append(str(p) if e == 1 else f"{p}^({e})")
+            g = gcd(n, self._den)
+            e = f"{n // g}" if g == self._den else f"{n // g}/{self._den // g}"
+            parts.append(str(p) if n == self._den else f"{p}^({e})")
         return "*".join(parts)
 
     __str__ = __repr__

@@ -5,9 +5,13 @@ against them or draw their inputs from them.  The module name does not
 match `test_*.py`, so pytest imports it only through the tests.
 """
 
+import functools
+import importlib.util
+import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -17,9 +21,30 @@ from widthcalc.closedform import noncompact_screen
 from widthcalc.finitedim import BallSpec, IntersectionSpec
 from widthcalc.oracle import Lcg
 from widthcalc.params import MAX_DIMENSION, ParameterError, ProblemSpec, as_fraction
-from widthcalc.values import INF, PowerProduct
+from widthcalc.values import INF, PowerProduct, _brent, _coprime_base, _over, _perfect_root
 
 _HALF = Fraction(1, 2)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@functools.cache
+def perfbench_gen():
+    """The benchmark's input generators, `perfbench/gen.py`, as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def catalog_argvs():
+    """Every catalog argv of the benchmark's workloads, from its generators."""
+    gen = perfbench_gen()
+    for workload in gen.WORKLOADS:
+        with open(PERFBENCH / "reference" / f"{workload}.json", encoding="utf-8") as fh:
+            strata = json.load(fh)["strata"]
+        for stratum, entries in strata.items():
+            for index, _ in entries:
+                yield gen.entry_argv(stratum, index)
 
 
 def permuted(spec: ProblemSpec, order: tuple[int, ...]) -> ProblemSpec:
@@ -446,3 +471,98 @@ def _pivot(
             A[i], D[i] = _reduced(new, pg * D[i])
     A[row], D[row] = _reduced(piv, p)
     basis[row], cols[col] = cols[col], basis[row]
+
+
+# ---------------------------------------------------------------------------
+# integer factoring as it was before the gcd screen and the per-size
+# Miller–Rabin base count: `_is_probable_prime`, `_split` and `_factor` are
+# copied unchanged (without `_factor`'s cache), with the trial-division list
+# they were built on.  `_split` is copied too so that the reference runs its
+# own primality test; the helpers it shares are unchanged in the package.
+
+_TRIAL_BITS = 10
+_SMALL_PRIMES = tuple(
+    p for p in range(2, 1 << _TRIAL_BITS) if all(p % d for d in range(2, isqrt(p) + 1))
+)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN = 3317044064679887385961981
+
+
+def _is_probable_prime(n: int) -> bool:
+    """Strong probable prime to every base in `_MR_BASES` (n odd, n > 41)."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _split(m: int, mult: int, out: dict[int, int], unproven: set[int]) -> None:
+    """Add m^mult to `out`; m > 1 has no prime factor below 2^10."""
+    if m < 1 << 2 * _TRIAL_BITS:
+        out[m] = out.get(m, 0) + mult
+        return
+    r, k = _perfect_root(m)
+    if k > 1:
+        _split(r, mult * k, out, unproven)
+        return
+    if _is_probable_prime(m):
+        if m >= _MR_PROVEN:
+            unproven.add(m)
+        out[m] = out.get(m, 0) + mult
+        return
+    d = _brent(m)
+    if d is None:
+        unproven.add(m)
+        out[m] = out.get(m, 0) + mult
+        return
+    _split(d, mult, out, unproven)
+    _split(m // d, mult, out, unproven)
+
+
+def _factor(n: int) -> tuple[tuple[int, int, bool], ...]:
+    """n ≥ 1 as (base, multiplicity, proven prime) triples, bases ascending.
+
+    The bases are pairwise coprime and none is a perfect power.  Each is a
+    proven prime unless Pollard–Brent ran out of budget on it or it is a
+    probable prime at or above `_MR_PROVEN`.
+    """
+    out: dict[int, int] = {}
+    twos = (n & -n).bit_length() - 1
+    if twos:
+        out[2] = twos
+        n >>= twos
+    for p in _SMALL_PRIMES[1:]:
+        if p * p > n:
+            break
+        if n % p == 0:
+            # Divide by p, p², p⁴, … while exact, then by the same powers
+            # downwards: O(log mult) divisions, not one per factor of p.
+            powers = [p]
+            while n % powers[-1] == 0:
+                n //= powers[-1]
+                powers.append(powers[-1] ** 2)
+            mult = (1 << (len(powers) - 1)) - 1
+            for i in range(len(powers) - 2, -1, -1):
+                if n % powers[i] == 0:
+                    n //= powers[i]
+                    mult += 1 << i
+            out[p] = mult
+    unproven: set[int] = set()
+    if n > 1:
+        _split(n, 1, out, unproven)
+    if unproven:  # split-off factors may share primes with a kept cofactor
+        proven = out.keys() - unproven
+        out = _over(out, _coprime_base(out))
+        unproven = out.keys() - proven
+    return tuple((b, m, b not in unproven) for b, m in sorted(out.items()))

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import widthcalc.cli as cli
+from _reference import catalog_argvs
 from widthcalc import finitedim
 from widthcalc.cli import CSV_HEADER, main, parse_extended, parse_rational
 from widthcalc.params import ParameterError, ProblemSpec
@@ -388,6 +389,55 @@ def test_verify_json_report(capsys, tmp_path):
     cfg.write_text("json=yes\n")
     code, out, err = run(capsys, "verify", "--samples", "0", "--config", str(cfg))
     assert code == 4 and out == "" and "unknown config key" in err
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def test_json_writer_matches_json_dumps_on_every_catalog_payload(monkeypatch):
+    payloads = []
+    write = cli._json
+
+    def record(value, indent="\n"):
+        if indent == "\n":  # a whole report; nested values carry spaces
+            payloads.append(value)
+        return write(value, indent)
+
+    monkeypatch.setattr(cli, "_json", record)
+    argvs = [argv + ["--format", "json"] if argv[0] == "verify" else argv
+             for argv in catalog_argvs() if argv[0] != "sweep"]
+    argvs.append(["verify", "--samples", "60", "--seed", "42", "--format", "json"])
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in argvs:
+            main(argv)
+    assert len(payloads) == len(argvs) > 6000
+    for payload in payloads:
+        assert write(payload) == _dumps(payload)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(max_value=-(2**70)) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.text(), json_values))
+@example({"": [], "a": {}, "b": [{}, [[]], {"c": []}], "\x00\x1f\"\\é\u2028\U0001f600": -(10**40)})
+def test_json_writer_matches_json_dumps_on_generated_payloads(payload):
+    assert cli._json(payload) == _dumps(payload)
+
+
+@pytest.mark.parametrize("payload", [1.5, (1, 2), {"a": [0.0]}, {"a": (1,)}, {1: "a"}])
+def test_json_writer_refuses_other_types(payload):
+    with pytest.raises(TypeError):
+        cli._json(payload)
 
 
 def test_verify_fails_loudly_on_an_injected_bug(capsys, monkeypatch):

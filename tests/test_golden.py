@@ -17,13 +17,11 @@ one only together with the behaviour change that explains it.
 
 import contextlib
 import hashlib
-import importlib.util
 import io
-import json
-from pathlib import Path
 
 import pytest
 
+from _reference import catalog_argvs
 from widthcalc import cli
 from widthcalc.cli import main
 from widthcalc.oracle import GRID_ENV
@@ -225,22 +223,6 @@ def test_cli_parse_outcomes_are_pinned(name, capsys, monkeypatch):
     assert (code, *digests) == PARSE_GOLDEN[name]
 
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _catalog_argvs():
-    """Every catalog argv of the benchmark's workloads, from its generators."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    for workload in gen.WORKLOADS:
-        with open(PERFBENCH / "reference" / f"{workload}.json", encoding="utf-8") as fh:
-            strata = json.load(fh)["strata"]
-        for stratum, entries in strata.items():
-            for index, _ in entries:
-                yield gen.entry_argv(stratum, index)
-
-
 def _parsed(parse, argv):
     """The namespace, or the exit code of a refusal or of help, with the output."""
     out, err = io.StringIO(), io.StringIO()
@@ -255,7 +237,7 @@ def _parsed(parse, argv):
 def test_one_pass_parse_equals_the_program_parser(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     argvs = [list(a) for _, a in ARGV] + [list(a) for a in PARSE_ARGV.values()]
-    argvs += _catalog_argvs()
+    argvs += catalog_argvs()
     assert len(argvs) > 7000
     for argv in argvs:
         assert _parsed(cli._parse, argv) == _parsed(cli._parser().parse_args, argv), argv

@@ -1,8 +1,9 @@
 """Exact power-product values: factoring, arithmetic, ordering, rendering.
 
 The factoring and ordering checks use oracles independent of the code under
-test: a numpy sieve for primality by trial division, and exact integer
-comparison of both sides raised to their common exponent denominator.
+test: a numpy sieve for primality by trial division, the earlier factoring
+code kept in `_reference` for equal triples, and exact integer comparison of
+both sides raised to their common exponent denominator.
 Arithmetic is checked against a model with `Fraction` exponents over true
 primes, the rendering of power products against mpmath's high-level
 `power`/`nstr` route, and the integer rendering of rationals against the
@@ -23,12 +24,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
+import _reference
+from widthcalc import values
 from widthcalc.cli import main
 from widthcalc.params import ParameterError
 from widthcalc.values import (
     INF,
     PowerProduct,
     _factor,
+    _is_probable_prime,
     _log_sign,
     decimal_str,
     inv_exponent,
@@ -122,6 +126,12 @@ def test_inf_sentinel_inverts_to_zero():
 # factoring
 
 FACTOR_LIMIT = 10**15
+# ψ_k, the least strong pseudoprime to the first k prime bases (2, 3, 5, …),
+# for k = 1–12; ψ_8 = ψ_7 and ψ_10 = ψ_11 = ψ_12.
+PSI = {1: 2047, 2: 1373653, 3: 25326001, 4: 3215031751, 5: 2152302898747,
+       6: 3474749660383, 7: 341550071728321, 8: 341550071728321,
+       9: 3825123056546413051, 10: 318665857834031151167461,
+       11: 318665857834031151167461, 12: 318665857834031151167461}
 
 
 @functools.cache
@@ -167,7 +177,14 @@ def test_factor_multiplies_back_to_primes(n):
         41041,
         825265,
         321197185,
-        3215031751,  # a strong pseudoprime to the bases 2, 3, 5 and 7
+        PSI[1],
+        PSI[2],
+        PSI[3],
+        3215031751,  # ψ_4, a strong pseudoprime to the bases 2, 3, 5 and 7
+        PSI[5],
+        PSI[6],
+        PSI[7],
+        PSI[9],
         999999000001 * 999999000001,
         2**31 - 1,
         (2**31 - 1) * (2**61 - 1),
@@ -177,6 +194,7 @@ def test_factor_fixed_cases(n):
     triples = _factor(n)
     assert prod(b**m for b, m, _ in triples) == n
     assert all(proven for _, _, proven in triples)
+    assert all(_prime_by_trial_division(b) for b, _, _ in triples if b < FACTOR_LIMIT)
 
 
 @pytest.mark.parametrize("p", [10**12 + 39, 10**13 + 37, 10**14 + 31])
@@ -191,6 +209,67 @@ def test_factor_keeps_an_unsplit_cofactor_whole():
     m61, m89 = 2**61 - 1, 2**89 - 1
     assert _factor(m61 * m89) == ((m61 * m89, 1, False),)
     assert _factor(12 * (m61 * m89) ** 2) == ((2, 2, True), (3, 1, True), (m61 * m89, 2, False))
+
+
+def test_factor_keeps_psi_12_whole():
+    # ψ_12 = 399165290221 · 798330580441: Pollard–Brent's budget at 79 bits
+    # ends before either factor splits off, so the product stays one base.
+    assert _factor(PSI[12]) == ((PSI[12], 1, False),)
+
+
+@pytest.mark.parametrize("k", sorted(PSI))
+def test_psi_k_is_no_probable_prime(k):
+    assert not _is_probable_prime(PSI[k])
+
+
+def _next_prime(n: int) -> int:
+    """The least prime ≥ n, for 41 < n < ψ_13, by the reference test."""
+    n |= 1
+    while not _reference._is_probable_prime(n):
+        n += 2
+    return n
+
+
+@pytest.mark.parametrize("psi", sorted(set(PSI.values())))
+def test_primes_around_each_psi_k_are_probable_primes(psi):
+    # The base count changes at ψ_5, ψ_6, ψ_7, ψ_9 and ψ_12; the primes on
+    # both sides of every ψ_k pass.
+    below = psi - 2  # every ψ_k is odd
+    while not _reference._is_probable_prime(below):
+        below -= 2
+    for p in (below, _next_prime(psi)):
+        assert _is_probable_prime(p)
+
+
+def test_small_primes_are_the_trial_division_list():
+    assert values._SMALL_PRIMES == _reference._SMALL_PRIMES
+
+
+def _wide_radius_integers() -> list[int]:
+    """Numerators and denominators of the first 128 finite-wide catalog
+    entries' radii, drawn from [10^9, 10^12] by the benchmark's generator."""
+    gen = _reference.perfbench_gen()
+    out = []
+    for index in range(128):
+        argv = gen.entry_argv("finite-wide", index)
+        for ball in argv[argv.index("--balls") + 1].split(","):
+            r = F(ball.split(":")[1])
+            out += [r.numerator, r.denominator]
+    return out
+
+
+primes_10_40 = st.integers(1 << 10, 1 << 40).map(_next_prime)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(1 << 20, 1 << 90),
+    st.tuples(primes_10_40, primes_10_40).map(lambda pq: pq[0] * pq[1]),
+    st.tuples(primes_10_40, st.integers(1, 6)).map(lambda pk: pk[0] ** pk[1]),
+    st.sampled_from(_wide_radius_integers()),
+))
+def test_factor_gives_the_reference_triples(n):
+    assert _factor.__wrapped__(n) == _reference._factor(n)
 
 
 def test_factor_strips_a_high_small_prime_power_quickly():
@@ -430,6 +509,18 @@ def test_power_products_match_the_fraction_exponent_model(la, pa, lb, pb):
     assert (a < b) == (lhs < rhs) and (b < a) == (rhs < lhs)
     if a == b:
         assert hash(a) == hash(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(leaves, power_exponent)
+def test_approx_floor_ceil_are_the_exact_floor_and_ceiling(la, pa):
+    # Checked on value^D, a rational: lo^D ≤ value^D < (lo + 1)^D.
+    v, model = _build(la, pa)
+    lo, hi = v.approx_floor_ceil()
+    d = _model_den(model)
+    exact = _raised(model, d)
+    assert lo**d <= exact < (lo + 1) ** d
+    assert hi == (lo if exact == lo**d else lo + 1)
 
 
 def test_proven_prime_forms_print_fraction_exponents():
