@@ -65,6 +65,14 @@ _HALF = Fraction(1, 2)
 _TWO = Fraction(2)
 
 
+def _check_dimensions(N, n) -> None:
+    """Refuse an ambient dimension N or a width index n outside 0 ≤ n ≤ N."""
+    if not isinstance(N, int) or N < 1:
+        raise ParameterError(f"N must be a positive integer, got {N!r}")
+    if not isinstance(n, int) or n < 0 or n > N:
+        raise ParameterError(f"n must be an integer in [0, N], got {n!r}")
+
+
 @dataclass(frozen=True)
 class BallSpec:
     """One ball ν · B_p^N; p may be the INF sentinel, ν is exact positive."""
@@ -105,10 +113,7 @@ class IntersectionSpec:
     balls: tuple[BallSpec, ...]
 
     def __init__(self, N, n, q, balls):
-        if not isinstance(N, int) or N < 1:
-            raise ParameterError(f"N must be a positive integer, got {N!r}")
-        if not isinstance(n, int) or n < 0 or n > N:
-            raise ParameterError(f"n must be an integer in [0, N], got {n!r}")
+        _check_dimensions(N, n)
         q = as_fraction(q)
         if q < 1:
             raise ParameterError(f"q = {q} must be ≥ 1")
@@ -197,10 +202,7 @@ def single_ball_order(N: int, n: int, p, q) -> WidthOrder:
     The INF sentinel is accepted for p always and for q only alongside
     p = INF (the exact route is the only one defined there).
     """
-    if not isinstance(N, int) or N < 1:
-        raise ParameterError(f"N must be a positive integer, got {N!r}")
-    if not isinstance(n, int) or n < 0 or n > N:
-        raise ParameterError(f"n must be an integer in [0, N], got {n!r}")
+    _check_dimensions(N, n)
     if not is_inf(p) and as_fraction(p) < 1:
         raise ParameterError(f"p = {p} must be ≥ 1")
     x_p = inv_exponent(p)

@@ -6,7 +6,9 @@ rebuilt from the defining formulas so that a bug in either route shows up
 as a disagreement:
 
   * `grid_minimize` brackets the true minimum of the piecewise objective
-    by the exact minimum over a rational lattice.  The objective is a max
+    by the exact minimum over a rational lattice of denominator G: the
+    call's `grid`, or 64·d (`default_grid`) when it names none, so a
+    bracket is a function of its arguments alone.  The objective is a max
     of affine pieces, hence Lipschitz; rounding any feasible point onto
     the lattice moves each coordinate by at most 1/G, so
 
@@ -19,7 +21,7 @@ as a disagreement:
     that can tie or beat the incumbent has the objective evaluated at its
     bound's minimiser.  The work budget (`_BUDGET`, cells × pieces) counts
     each cell as it is entered, so cutting a cell short saves time without
-    moving a refusal.
+    moving a refusal, and a refusal names the G it tried.
   * `check_scaling_identities` verifies, with zero tolerance, the two
     structural identities that tie the asymptotic objective to the
     finite-block rates: the s-face identity (the q > 2 objective on the
@@ -49,7 +51,6 @@ import heapq
 import itertools
 import math
 import operator
-import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,7 +63,6 @@ __all__ = [
     "Lcg",
     "BRANCH_LABELS",
     "SCREEN_LABEL",
-    "GRID_ENV",
     "sample_branch",
     "check_certificate",
     "GridBracket",
@@ -75,7 +75,6 @@ __all__ = [
     "cross_validate",
 ]
 
-GRID_ENV = "WIDTHCALC_GRID"
 # Work allowed to one lattice bracket, in cells bounded × pieces per bound:
 # a cell's cost grows with the piece count (82 pieces at d = 16, q > 2), so
 # counting cells alone would let one input run far longer than another.
@@ -420,15 +419,7 @@ class GridBracket:
 
 
 def default_grid(d: int) -> int:
-    env = os.environ.get(GRID_ENV)
-    if env is not None:
-        try:
-            g = int(env)
-        except ValueError:
-            raise ParameterError(f"{GRID_ENV} must be an integer, got {env!r}") from None
-        if g < 1:
-            raise ParameterError(f"{GRID_ENV} must be ≥ 1, got {g}")
-        return g
+    """The lattice denominator G used when a call names none: 64·d."""
     return 64 * d
 
 
@@ -482,8 +473,8 @@ def grid_minimize(spec: ProblemSpec, grid: int | None = None, tables=None) -> Gr
         cells += 1
         if cells * len(rows) > _BUDGET:
             raise RangeError(
-                f"lattice bracket needs more than {_BUDGET} piece bounds (cells × pieces); "
-                f"lower the grid (argument or {GRID_ENV})"
+                f"lattice bracket needs more than {_BUDGET} piece bounds (cells × pieces)"
+                f" at G={G}"
             )
         # Each row's least value over the cell, lo ≤ ā ≤ hi with G ≤ Σā ≤ K,
         # is a continuous knapsack with unit weights, so filling the cheapest

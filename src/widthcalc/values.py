@@ -50,7 +50,7 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import gcd, isqrt, lcm, log, prod
 
-from .params import ParameterError
+from .params import ParameterError, as_fraction
 
 __all__ = [
     "PowerProduct",
@@ -92,8 +92,9 @@ def is_inf(p) -> bool:
 
 
 def _rational(x) -> int | Fraction:
-    """x itself when it is an int or a Fraction, else Fraction(x)."""
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+    """x itself when it is an int or a Fraction, else `as_fraction(x)`, which
+    refuses a float or any other inexact value with `ParameterError`."""
+    return x if isinstance(x, (int, Fraction)) else as_fraction(x)
 
 
 def inv_exponent(p) -> Fraction:
@@ -589,7 +590,7 @@ class PowerProduct:
         return hash((self._den, num_mod, den_mod))
 
     def __lt__(self, other) -> bool:
-        if not isinstance(other, PowerProduct) and other < 0:
+        if not isinstance(other, PowerProduct) and _rational(other) < 0:
             return False
         other = self._coerce(other)
         if self._zero:
@@ -640,7 +641,7 @@ def decimal_str(x, sig: int = 12) -> str:
     """
     if sig < 1:
         raise ValueError(f"sig must be at least 1, got {sig}")
-    x = Fraction(x)
+    x = _rational(x)
     negative = x.numerator < 0
     if not x.numerator:
         return "0.0"

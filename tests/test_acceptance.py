@@ -209,8 +209,7 @@ def test_reference_intersection_value_is_frozen():
     print("PASS: frozen intersection value 1/2 with verified certificate")
 
 
-def test_verification_reports_are_byte_identical(capsys, monkeypatch):
-    monkeypatch.delenv("WIDTHCALC_GRID", raising=False)
+def test_verification_reports_are_byte_identical(capsys):
     argv = ["verify", "--samples", "500", "--seed", "42"]
     code_a = cli.main(list(argv))
     out_a = capsys.readouterr().out

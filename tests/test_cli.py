@@ -52,8 +52,7 @@ def test_exponent_text_output(capsys):
     assert "theta     1/2 (0.500000000000)" in out
 
 
-def test_exponent_json_with_grid_check(capsys, monkeypatch):
-    monkeypatch.setenv("WIDTHCALC_GRID", "32")
+def test_exponent_json_with_grid_check(capsys):
     code, out, _ = run(
         capsys, "exponent", "--r", "1,1", "--p", "3,3", "--q", "2",
         "--grid-check", "--format", "json",
@@ -62,7 +61,7 @@ def test_exponent_json_with_grid_check(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["theta"] == {"ratio": "1/2", "decimal": "0.500000000000"}
     assert payload["agreement"] is True
-    assert payload["grid"]["grid"] == 32
+    assert payload["grid"]["grid"] == 128
     assert payload["grid"]["contains"] is True
     assert payload["case"] == "T1.1"
 
@@ -375,6 +374,21 @@ def test_verify_runs_are_byte_identical(capsys):
     assert payload["branches"] == {label: 2 for label in cli.oracle.BRANCH_LABELS}
 
 
+@pytest.mark.parametrize("grid_env", ["32", "bogus"])
+def test_the_lattice_grid_ignores_the_environment(capsys, monkeypatch, grid_env):
+    # The lattice grid comes from the command line alone: no environment
+    # variable, WIDTHCALC_GRID included, changes the bytes or the exit code.
+    calls = [
+        ("verify", "--samples", "9", "--seed", "3"),
+        ("exponent", "--r", "1,1", "--p", "3,3", "--q", "2", "--grid-check", "--format", "json"),
+    ]
+    monkeypatch.delenv("WIDTHCALC_GRID", raising=False)
+    unset = [run(capsys, *argv) for argv in calls]
+    monkeypatch.setenv("WIDTHCALC_GRID", grid_env)
+    assert [run(capsys, *argv) for argv in calls] == unset
+    assert [code for code, _, _ in unset] == [0, 0]
+
+
 def test_verify_json_report(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--samples", "9", "--seed", "1", "--format", "json")
     assert code == 0
@@ -624,7 +638,6 @@ def test_one_parser_serves_back_to_back_calls(tmp_path, monkeypatch):
             seen.append((code, out.getvalue(), err.getvalue()))
         return seen
 
-    monkeypatch.setenv(cli.oracle.GRID_ENV, "16")
     monkeypatch.setenv("COLUMNS", "80")
     shared = outcomes()
     monkeypatch.setattr(cli, "_parser", cli.build_parser)

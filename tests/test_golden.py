@@ -24,7 +24,6 @@ import pytest
 from _reference import catalog_argvs
 from widthcalc import cli
 from widthcalc.cli import main
-from widthcalc.oracle import GRID_ENV
 
 D16_HIGH = (
     "--r", "5/4,5/4,7/4,2,3/2,11/4,13/4,13/4,3/2,5/4,7/2,3/2,9/4,7/4,3/4,2",
@@ -164,8 +163,7 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("argv", [a for _, a in ARGV], ids=[n for n, _ in ARGV])
-def test_cli_stdout_bytes_are_pinned(argv, capsys, monkeypatch, request):
-    monkeypatch.delenv(GRID_ENV, raising=False)
+def test_cli_stdout_bytes_are_pinned(argv, capsys, request):
     code, digest = GOLDEN[request.node.callspec.id]
     assert main(list(argv)) == code
     out = capsys.readouterr().out

@@ -7,7 +7,10 @@ are rendered through mpmath.  Each command runs in a fresh interpreter.
 `values` is the one module that names mpmath, so this boundary is kept in
 one place.  Likewise `cli` is the one module that imports `json` or names
 `json_rational`: the other modules hold reports as data, and `cli` renders
-them.
+them.  No module reads the process environment, so every report is a
+function of its command line.  And the closed forms and the oracle's
+tables, lattice and certificate checker name nothing of the LP route, so
+the routes that cross-check each other share no code.
 """
 
 import ast
@@ -85,3 +88,58 @@ def test_only_values_names_mpmath():
 def test_only_cli_renders_json():
     # The routes hold reports as data; `cli` is the one module that renders them.
     assert _modules_naming("json", "json_rational") == {"cli.py"}
+
+
+def test_no_module_reads_the_environment():
+    assert _modules_naming("environ", "getenv") == set()
+
+
+# The LP route: its solver module, its entry points and the shared piece
+# tables it is built from.
+LP_ROUTE = {
+    "_simplex", "exponent", "build_objective", "minimize", "solve_lp", "piece_rows", "rate_rows",
+}
+
+
+def _names_used(tree: ast.AST) -> set[str]:
+    """Each module, imported name, loaded variable and attribute `tree` names.
+
+    A variable that is only assigned, such as the `exponent` field of
+    `closedform.RegimeReport`, names nothing."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _functions_names(path: Path, roots: set[str]) -> set[str]:
+    """The names used by the module functions `roots` and by every module
+    function they reach by name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert roots <= functions.keys()
+    seen, todo, names = set(), list(roots), set()
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            used = _names_used(functions[name])
+            names |= used
+            todo.extend(used & functions.keys())
+    return names
+
+
+def test_closed_forms_and_oracle_checks_share_no_code_with_the_lp():
+    src = ROOT / "src" / "widthcalc"
+    closed = ast.parse((src / "closedform.py").read_text(encoding="utf-8"))
+    assert _names_used(closed) & LP_ROUTE == set()
+    checks = {"_table", "_tables", "grid_minimize", "check_certificate"}
+    assert _functions_names(src / "oracle.py", checks) & LP_ROUTE == set()

@@ -27,7 +27,6 @@ from widthcalc.exponent import build_objective, minimize
 from widthcalc.finitedim import intersection_order
 from widthcalc.oracle import (
     BRANCH_LABELS,
-    GRID_ENV,
     SCREEN_LABEL,
     Lcg,
     check_certificate,
@@ -301,17 +300,10 @@ def test_a_wrong_oracle_row_weight_fails_the_identities(monkeypatch, shape):
 # grid brackets
 
 
-def test_default_grid_scales_with_dimension(monkeypatch):
-    monkeypatch.delenv(GRID_ENV, raising=False)
+def test_default_grid_scales_with_dimension():
     assert default_grid(2) == 128
-    monkeypatch.setenv(GRID_ENV, "32")
-    assert default_grid(2) == 32
-    monkeypatch.setenv(GRID_ENV, "bogus")
-    with pytest.raises(ParameterError):
-        default_grid(2)
-    monkeypatch.setenv(GRID_ENV, "0")
-    with pytest.raises(ParameterError):
-        default_grid(2)
+    assert [default_grid(d) for d in (1, 5, 16)] == [64, 320, 1024]
+    assert grid_minimize(_spec((1, 1), (3, 3), 2)).grid == 128
 
 
 def test_bracket_on_the_balanced_pair():

@@ -116,6 +116,27 @@ def test_decimal_renders_twelve_significant_digits():
     assert decimal_str(F(-5, 4)) == "-1.25000000000"
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: PP.from_fraction(0.1),
+        lambda: PP.from_pow(2, 0.5),
+        lambda: PP.from_pow(0.5, 2),
+        lambda: PP.from_fraction(2) ** 0.5,
+        lambda: PP.from_pow(2, F(1, 2)) < 0.5,
+        lambda: PP.from_pow(2, F(1, 2)) > -0.5,
+        lambda: decimal_str(0.1),
+    ],
+    ids=["from_fraction", "from_pow-exponent", "from_pow-base", "pow", "lt", "gt-negative",
+         "decimal_str"],
+)
+def test_floats_are_refused_as_exact_values(call):
+    # A float is a binary approximation: taking it as its exact value would
+    # turn 0.1 into 3602879701896397/36028797018963968.
+    with pytest.raises(ParameterError, match="got float"):
+        call()
+
+
 def test_inf_sentinel_inverts_to_zero():
     assert is_inf(INF)
     assert inv_exponent(INF) == 0
