@@ -20,9 +20,11 @@ digits>}; irrational width values carry a "form" field instead of a
 ratio.  A JSON report is written with its keys sorted and an indent of two
 spaces, in the bytes of `json.dumps(..., sort_keys=True, indent=2)`, by a
 small writer (`_json`) that skips the standard library's pure-Python
-indenting encoder.  A config file of key=value lines supplies defaults; explicit
-flags win.  The options after a command name are parsed by that command's
-own parser, in one pass, with the usage lines and errors of argparse.
+indenting encoder.  The options after a command name are parsed by that
+command's own parser, in one pass, with the usage lines and errors of
+argparse.  A `--config` file holds more of those options, split as a shell
+splits them (`#` comments allowed); it is read before the command line,
+whose flags win, and its own `--config` is not followed.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import functools
 import io
 import os
 import re
+import shlex
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -184,7 +187,7 @@ def _show(args: argparse.Namespace, width: int, fields) -> None:
     the whole report is written at once, so a refusal leaves no partial
     output.
     """
-    if (args.format or "text") == "json":
+    if args.format == "json":
         payload = {key: None if value is None else form(value)
                    for key, _, value, form, _ in fields if key is not None}
         sys.stdout.write(_json(payload) + "\n")
@@ -199,67 +202,15 @@ def _show(args: argparse.Namespace, width: int, fields) -> None:
 # ---------------------------------------------------------------------------
 # config files
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-_FORMATS = ("text", "json")
 
-
-def _load_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_args(path: str) -> list[str]:
+    """The arguments in a config file, split as a shell splits them, `#`
+    comments dropped."""
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ParameterError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
-    except (OSError, UnicodeDecodeError) as exc:
+            return shlex.split(fh.read(), comments=True)
+    except (OSError, UnicodeDecodeError, ValueError) as exc:
         raise ParameterError(f"cannot read config {path}: {exc}") from None
-    return values
-
-
-def _config_keys(sub: argparse.ArgumentParser) -> dict[str, argparse.Action]:
-    """The options a config file may set, by key: each option's dest and its
-    long name without the dashes (`range_from` and `from`), '-' read as '_'."""
-    return {
-        name.lstrip("-").replace("-", "_"): action
-        for action in sub._actions
-        if action.dest not in ("help", "config")
-        for name in (action.dest, *action.option_strings)
-    }
-
-
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset options from the config file; explicit flags keep priority."""
-    if not getattr(args, "config", None):
-        return
-    for key, value in _load_config(args.config).items():
-        action = args.config_keys.get(key.replace("-", "_"))
-        if action is None:
-            raise ParameterError(f"unknown config key {key!r}")
-        dest = action.dest
-        if getattr(args, dest) is not None:
-            continue
-        if action.nargs == 0:  # boolean flag
-            low = value.lower()
-            if low in _TRUE:
-                setattr(args, dest, True)
-            elif low in _FALSE:
-                setattr(args, dest, False)
-            else:
-                raise ParameterError(f"config key {key!r} expects a boolean, got {value!r}")
-        elif action.choices and value not in action.choices:
-            # The line argparse gives for the same value as a flag.
-            choices = ", ".join(map(repr, action.choices))
-            raise ParameterError(
-                f"argument {'/'.join(action.option_strings)}: invalid choice: {value!r} "
-                f"(choose from {choices})"
-            )
-        else:
-            setattr(args, dest, value)
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -513,18 +464,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    samples = parse_integer(args.samples, "--samples") if args.samples is not None else 100
-    seed = parse_integer(args.seed, "--seed") if args.seed is not None else 0
+    samples = parse_integer(args.samples, "--samples")
+    seed = parse_integer(args.seed, "--seed")
     if samples < 0:
         raise ParameterError(f"--samples must be ≥ 0, got {samples}")
     grid = oracle.default_grid(2) if args.grid is None else parse_integer(args.grid, "--grid")
     if grid < 1:
         raise ParameterError(f"--grid must be ≥ 1, got {grid}")
-    points = 2
-    if args.identity_points is not None:
-        points = parse_integer(args.identity_points, "--identity-points")
-        if points < 0:
-            raise ParameterError(f"--identity-points must be ≥ 0, got {points}")
+    points = parse_integer(args.identity_points, "--identity-points")
+    if points < 0:
+        raise ParameterError(f"--identity-points must be ≥ 0, got {points}")
     if samples * (1 + points) > WORK_BUDGET:
         raise ParameterError(
             f"--samples {samples} with {points} identity points each asks for"
@@ -581,13 +530,15 @@ def _record_text(rec: oracle.ValidationRecord) -> str:
 # ---------------------------------------------------------------------------
 # parser
 
+_FORMATS = ("text", "json")
+
 
 def _add_common(sub: argparse.ArgumentParser, *, spec_opts: bool) -> None:
-    sub.add_argument("--config", default=None, help="key=value defaults file")
+    sub.add_argument("--config", help="file of arguments read before the command line")
     if spec_opts:
-        sub.add_argument("--r", default=None, help="smoothness orders, e.g. 1,1 or 3/2,2")
-        sub.add_argument("--p", default=None, help="integrability exponents, e.g. 3,3/2")
-        sub.add_argument("--q", default=None, help="target exponent, e.g. 2 or 7/3")
+        sub.add_argument("--r", help="smoothness orders, e.g. 1,1 or 3/2,2")
+        sub.add_argument("--p", help="integrability exponents, e.g. 3,3/2")
+        sub.add_argument("--q", help="target exponent, e.g. 2 or 7/3")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -612,46 +563,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("exponent", help="decay exponent of one spec")
     _add_common(sub, spec_opts=True)
-    sub.add_argument("--grid-check", dest="grid_check", action="store_const", const=True,
-                     default=None, help="also bracket the minimum on a lattice")
-    sub.add_argument("--format", choices=_FORMATS, default=None)
+    sub.add_argument("--grid-check", action="store_true",
+                     help="also bracket the minimum on a lattice")
+    sub.add_argument("--format", choices=_FORMATS, default="text")
     sub.set_defaults(func=_cmd_exponent)
 
     sub = subs.add_parser("regime", help="regime classification report")
     _add_common(sub, spec_opts=True)
-    sub.add_argument("--format", choices=_FORMATS, default=None)
+    sub.add_argument("--format", choices=_FORMATS, default="text")
     sub.set_defaults(func=_cmd_regime)
 
     sub = subs.add_parser("finite", help="finite-dimensional width order")
     _add_common(sub, spec_opts=False)
-    sub.add_argument("--N", default=None, help="ambient dimension")
-    sub.add_argument("--n", default=None, help="approximation rank")
-    sub.add_argument("--q", default=None, help="target norm exponent (inf allowed for one inf ball)")
-    sub.add_argument("--balls", default=None, help="comma list of p:nu, e.g. inf:1/4,1:1")
-    sub.add_argument("--format", choices=_FORMATS, default=None)
+    sub.add_argument("--N", help="ambient dimension")
+    sub.add_argument("--n", help="approximation rank")
+    sub.add_argument("--q", help="target norm exponent (inf allowed for one inf ball)")
+    sub.add_argument("--balls", help="comma list of p:nu, e.g. inf:1/4,1:1")
+    sub.add_argument("--format", choices=_FORMATS, default="text")
     sub.set_defaults(func=_cmd_finite)
 
     sub = subs.add_parser("sweep", help="CSV sweep over one parameter")
     _add_common(sub, spec_opts=True)
-    sub.add_argument("--vary", default=None, help="q, p<i>, r<i>, or n")
-    sub.add_argument("--from", dest="range_from", default=None)
-    sub.add_argument("--to", dest="range_to", default=None)
-    sub.add_argument("--steps", default=None)
-    sub.add_argument("--m-vec", dest="m_vec", default=None,
-                     help="dyadic block profile for n sweeps, e.g. 3,2")
-    sub.add_argument("--out", default=None, help="write CSV here instead of stdout")
+    sub.add_argument("--vary", help="q, p<i>, r<i>, or n")
+    sub.add_argument("--from", dest="range_from")
+    sub.add_argument("--to", dest="range_to")
+    sub.add_argument("--steps")
+    sub.add_argument("--m-vec", help="dyadic block profile for n sweeps, e.g. 3,2")
+    sub.add_argument("--out", help="write CSV here instead of stdout")
     sub.set_defaults(func=_cmd_sweep)
 
     sub = subs.add_parser("verify", help="randomized cross-validation")
     _add_common(sub, spec_opts=False)
-    sub.add_argument("--samples", default=None)
-    sub.add_argument("--seed", default=None)
-    sub.add_argument("--grid", default=None, help="lattice denominator for brackets")
-    sub.add_argument("--identity-points", dest="identity_points", default=None)
-    sub.add_argument("--format", choices=_FORMATS, default=None)
+    sub.add_argument("--samples", default="100")
+    sub.add_argument("--seed", default="0")
+    sub.add_argument("--grid", help="lattice denominator for brackets")
+    sub.add_argument("--identity-points", default="2")
+    sub.add_argument("--format", choices=_FORMATS, default="text")
     sub.set_defaults(func=_cmd_verify)
-    for sub in subs.choices.values():
-        sub.set_defaults(config_keys=_config_keys(sub))
     parser.commands = subs.choices
     return parser
 
@@ -677,9 +625,8 @@ def main(argv=None) -> int:
         return 4
 
 
-def _parse(argv) -> argparse.Namespace:
-    """`argv`, or `sys.argv[1:]` when it is None, parsed as
-    `_parser().parse_args` parses it, in one pass.
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`argv` parsed as `_parser().parse_args` parses it, in one pass.
 
     argparse hands every token after the command name to that command's
     parser, so an argv that starts with a command is read by that parser
@@ -688,7 +635,6 @@ def _parse(argv) -> argparse.Namespace:
     unknown word) goes to the program's parser.
     """
     parser = _parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
     sub = parser.commands.get(argv[0]) if argv else None
     if sub is None:
         return parser.parse_args(argv)
@@ -700,12 +646,16 @@ def _parse(argv) -> argparse.Namespace:
 
 
 def _main(argv) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parse(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 4
-    try:
-        _merge_config(args)
+        try:
+            args = _parse(argv)
+            if args.config is not None:
+                # The file's arguments go before the command line's, whose
+                # flags then win; its own --config is parsed but not followed.
+                args = _parse([argv[0], *_config_args(args.config), *argv[1:]])
+        except SystemExit as exc:
+            return 0 if exc.code == 0 else 4
         return args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -561,9 +561,9 @@ class PowerProduct:
     # exact order; every value is ≥ 0, so above any negative rational
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (PowerProduct, Fraction, int)):
+        if not isinstance(other, (PowerProduct, Fraction, int, float)):
             return NotImplemented
-        if not isinstance(other, PowerProduct) and other < 0:
+        if not isinstance(other, PowerProduct) and _rational(other) < 0:
             return False
         other = self._coerce(other)
         if self._zero or other._zero:

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import widthcalc.cli as cli
 from _reference import catalog_argvs
+from test_golden import ARGV as GOLDEN_ARGV
 from widthcalc import finitedim
 from widthcalc.cli import CSV_HEADER, main, parse_extended, parse_rational
 from widthcalc.params import ParameterError, ProblemSpec
@@ -26,6 +28,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +406,13 @@ def test_verify_json_report(capsys, tmp_path):
     assert payload["ok"] is True
     assert len(payload["records"]) == 9
     # `--format` replaced `--json`, on the command line and in config files.
-    code, out, _ = run(capsys, "verify", "--samples", "0", "--json")
+    code, out, flag_err = run(capsys, "verify", "--samples", "0", "--json")
     assert code == 4 and out == ""
     cfg = tmp_path / "verify.cfg"
-    cfg.write_text("json=yes\n")
+    cfg.write_text("--json\n")
     code, out, err = run(capsys, "verify", "--samples", "0", "--config", str(cfg))
-    assert code == 4 and out == "" and "unknown config key" in err
+    assert code == 4 and out == "" and err == flag_err
+    assert err.endswith("error: unrecognized arguments: --json\n")
 
 
 # ---------------------------------------------------------------------------
@@ -473,17 +483,17 @@ def test_verify_fails_loudly_on_an_injected_bug(capsys, monkeypatch):
 
 def test_config_supplies_defaults_but_flags_win(capsys, tmp_path):
     cfg = tmp_path / "widths.cfg"
-    cfg.write_text("# defaults\nr=1,1\np=3,3\nq=2\n")
+    cfg.write_text("# defaults\n--r 1,1\n--p=3,3\n--q 2\n")
     code, out, _ = run(capsys, "exponent", "--config", str(cfg), "--q", "4")
     assert code == 0
-    assert "case      T1.3b" in out  # the explicit --q 4 overrode q=2
+    assert "case      T1.3b" in out  # the explicit --q 4 overrode --q 2
     code, out, _ = run(capsys, "exponent", "--config", str(cfg))
     assert code == 0 and "case      T1.1" in out
 
 
 def test_config_that_is_not_utf8_is_refused(capsys, tmp_path):
     cfg = tmp_path / "widths.cfg"
-    cfg.write_bytes(b"r=1,1\n\xff\xfe=2\n")
+    cfg.write_bytes(b"--r 1,1\n\xff\xfe 2\n")
     code, out, err = run(capsys, "exponent", "--p", "3,3", "--q", "2", "--config", str(cfg))
     assert (code, out) == (4, "")
     assert err.startswith(f"error: cannot read config {cfg}: ") and err.count("\n") == 1
@@ -491,13 +501,16 @@ def test_config_that_is_not_utf8_is_refused(capsys, tmp_path):
 
 def test_config_boolean_and_unknown_keys(capsys, tmp_path):
     cfg = tmp_path / "widths.cfg"
-    cfg.write_text("r=1,1\np=3,3\nq=2\ngrid-check=yes\n")
+    cfg.write_text("--r 1,1 --p 3,3 --q 2\n--grid-check\n")
     code, out, _ = run(capsys, "exponent", "--config", str(cfg))
     assert code == 0 and "grid      [" in out
-    cfg.write_text("volume=11\n")
-    code, _, err = run(capsys, "exponent", "--r", "1,1", "--p", "3,3", "--q", "2",
-                       "--config", str(cfg))
-    assert code == 4 and "unknown config key" in err
+    # A file option is refused exactly as the same flag on the command line is.
+    spec = ("--r", "1,1", "--p", "3,3", "--q", "2")
+    for text in ("--volume 11\n", "--grid-check=yes\n"):
+        cfg.write_text(text)
+        code, out, err = run(capsys, "exponent", *spec, "--config", str(cfg))
+        assert (code, out) == (4, "")
+        assert (code, out, err) == run(capsys, "exponent", *spec, *text.split())
 
 
 def test_config_keys_are_the_option_names(capsys, tmp_path):
@@ -505,30 +518,34 @@ def test_config_keys_are_the_option_names(capsys, tmp_path):
     code, want, _ = run(capsys, "sweep", *spec, "--from", "0", "--to", "16", "--steps", "4")
     assert code == 0 and want.count(",ok\n") == 2
     cfg = tmp_path / "sweep.cfg"
-    # `--from` and `--to` store under other names; both spellings are keys.
-    for text in ("from=0\nto=16\nsteps=4\n", "range_from=0\nrange-to=16\nsteps=4\n"):
+    # `--from` and `--to` store under other names; a file names the flag, in
+    # either of its spellings, and may shorten it as the command line may.
+    for text in ("--from 0\n--to 16\n--steps 4\n", "--from=0 --to=16 --ste 4\n"):
         cfg.write_text(text)
         assert run(capsys, "sweep", *spec, "--config", str(cfg)) == (0, want, "")
+    # The name an option stores under is not a flag, in a file or out of one.
+    cfg.write_text("--range-from 0\n--to 16\n--steps 4\n")
+    code, out, err = run(capsys, "sweep", *spec, "--config", str(cfg))
+    assert (code, out) == (4, "") and "unrecognized arguments: --range-from 0" in err
 
 
 @pytest.mark.parametrize(
     "argv,config",
-    [(["exponent"], "r=1,1\np=3,3\nq=2\n"), (["verify", "--samples", "1"], "")],
+    [(["exponent"], "--r 1,1\n--p 3,3\n--q 2\n"), (["verify", "--samples", "1"], "")],
     ids=["exponent", "verify"],
 )
 def test_config_choices_are_checked_like_the_flag(capsys, tmp_path, argv, config):
     cfg = tmp_path / "widths.cfg"
-    cfg.write_text(config + "format=xml\n")
+    cfg.write_text(config + "--format=xml\n")
     code, out, err = run(capsys, *argv, "--config", str(cfg))
     assert code == 4 and out == ""
-    assert err == "error: argument --format: invalid choice: 'xml' (choose from 'text', 'json')\n"
-    # The flag gives the same line after argparse's usage and prog prefix.
+    assert err.endswith(
+        "error: argument --format: invalid choice: 'xml' (choose from 'text', 'json')\n")
+    # The flag gives the same usage and error lines.
     cfg.write_text(config)
-    code, out, flag_err = run(capsys, *argv, "--config", str(cfg), "--format", "xml")
-    assert code == 4 and out == ""
-    assert flag_err.splitlines()[-1].endswith(err.removeprefix("error: ").rstrip("\n"))
+    assert run(capsys, *argv, "--config", str(cfg), "--format", "xml") == (4, "", err)
     # A valid choice from the file still applies.
-    cfg.write_text(config + "format=json\n")
+    cfg.write_text(config + "--format=json\n")
     code, out, _ = run(capsys, *argv, "--config", str(cfg))
     assert code == 0 and json.loads(out)
 
@@ -588,6 +605,85 @@ def test_a_closed_stdout_is_refused_without_a_traceback(argv):
     assert b"Traceback" not in proc.stderr
 
 
+def _config_text(options) -> str:
+    """`options`, the tokens after a command name, as config lines: each
+    option with its value, alternately as `--opt value` and `--opt=value`,
+    with a comment and a blank line."""
+    groups = []
+    for token in options:
+        if token.startswith("--"):
+            groups.append([token])
+        else:
+            groups[-1].append(token)
+    lines = ["# written from an argv", ""]
+    for i, group in enumerate(groups):
+        if len(group) == 2 and i % 2:
+            group = ["=".join(group)]
+        lines.append(" ".join(map(shlex.quote, group)))
+    return "\n".join(lines) + "\n"
+
+
+_OTHER_FORMAT = {"text": "json", "json": "text"}
+
+
+# Every golden argv, and every command of the closed-stdout checks.
+ROUND_TRIP_ARGV = {name: list(argv) for name, argv in GOLDEN_ARGV} | {
+    f"closed-stdout-{name}": argv for name, argv in CLOSED_STDOUT_ARGV.items()
+    if not argv[0].startswith("-")
+}
+
+
+@pytest.mark.parametrize("argv", ROUND_TRIP_ARGV.values(), ids=ROUND_TRIP_ARGV)
+def test_a_config_file_gives_the_argv_it_was_written_from(argv, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    cfg = tmp_path / "argv.cfg"
+    cfg.write_text(_config_text(argv[1:]))
+    assert _outcome([argv[0], "--config", str(cfg)]) == _outcome(argv)
+    # A flag after --config overrides the file's value.
+    if "--format" in argv:
+        other = _OTHER_FORMAT[argv[argv.index("--format") + 1]]
+        want = _outcome([*argv, "--format", other])
+        assert _outcome([argv[0], "--config", str(cfg), "--format", other]) == want
+
+
+CONFIG_REFUSALS = {
+    "missing-file": None,
+    "not-utf8": b"--r 1,1\n\xff\n",
+    "unclosed-quote": b'--r "1,1\n',
+    "unknown-option": b"--r 1,1\n--volume 11\n",
+    "bad-choice": b"--format=xml\n",
+}
+
+
+@pytest.mark.parametrize("content", CONFIG_REFUSALS.values(), ids=CONFIG_REFUSALS)
+def test_bad_config_files_are_refused_without_a_traceback(capsys, tmp_path, content):
+    cfg = tmp_path / "widths.cfg"
+    if content is not None:
+        cfg.write_bytes(content)
+    argv = ["exponent", "--p", "3,3", "--q", "2", "--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    *usage, last = err.splitlines()
+    assert "error: " in last and all(line.startswith(("usage: ", " ")) for line in usage)
+    proc = subprocess.run(
+        [sys.executable, "-m", "widthcalc", *argv], capture_output=True,
+        env=_module_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, b"", err.encode())
+
+
+def test_a_config_file_that_names_itself_is_read_once(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "widths.cfg"
+    cfg.write_text(f"--config {shlex.quote(str(cfg))}\n--r 1,1 --p 3,3 --q 2\n")
+    reads = []
+    read = cli._config_args
+    monkeypatch.setattr(cli, "_config_args", lambda path: reads.append(path) or read(path))
+    code, out, err = run(capsys, "exponent", "--config", str(cfg))
+    assert reads == [str(cfg)]
+    assert (code, out, err) == run(capsys, "exponent", "--r", "1,1", "--p", "3,3", "--q", "2")
+    assert code == 0
+
+
 def test_missing_options_and_unknown_commands_exit_4(capsys):
     code, _, err = run(capsys, "exponent", "--p", "3,3", "--q", "2")
     assert code == 4 and "missing required option --r" in err
@@ -616,7 +712,7 @@ def test_help_exits_zero(capsys):
 
 def test_one_parser_serves_back_to_back_calls(tmp_path, monkeypatch):
     cfg = tmp_path / "widths.cfg"
-    cfg.write_text("r=1,1\np=3,3\nq=2\n")
+    cfg.write_text("--r 1,1 --p 3,3 --q 2\n")
     calls = [
         ["exponent", "--config", str(cfg)],
         ["exponent", "--bogus"],
@@ -629,19 +725,10 @@ def test_one_parser_serves_back_to_back_calls(tmp_path, monkeypatch):
         ["exponent", "--config", str(cfg)],
     ]
 
-    def outcomes():
-        seen = []
-        for argv in calls:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            seen.append((code, out.getvalue(), err.getvalue()))
-        return seen
-
     monkeypatch.setenv("COLUMNS", "80")
-    shared = outcomes()
+    shared = [_outcome(argv) for argv in calls]
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
-    fresh = outcomes()
+    fresh = [_outcome(argv) for argv in calls]
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, 4, 4, 0, 0, 0, 0, 0, 0]
     assert shared[0] == shared[-1]

@@ -207,7 +207,7 @@ PARSE_GOLDEN = {
         "d948427cd63ec338f6d9b969496fc5a0a0591a0743c81ce7f847609ce20453f2"),
     "help": (0, "51fac9604cf209ad7e5267fbad63ced874052e59dad88872c7b00c7ebf5a843e",
         EMPTY),
-    "exponent-help": (0, "6623edc9c74f5c5d4d550e4acf3af5d7346a5b98329398f8e7c34a8426568c15",
+    "exponent-help": (0, "caade55fc3899a4686d8bddd7a0fa8f63d30000e73299684504e5ec5de506ffb",
         EMPTY),
 }
 

@@ -126,15 +126,24 @@ def test_decimal_renders_twelve_significant_digits():
         lambda: PP.from_pow(2, F(1, 2)) < 0.5,
         lambda: PP.from_pow(2, F(1, 2)) > -0.5,
         lambda: decimal_str(0.1),
+        lambda: PP.from_fraction(F(1, 2)) == 0.5,
+        lambda: PP.from_fraction(F(1, 2)) != 0.5,
     ],
     ids=["from_fraction", "from_pow-exponent", "from_pow-base", "pow", "lt", "gt-negative",
-         "decimal_str"],
+         "decimal_str", "eq", "ne"],
 )
 def test_floats_are_refused_as_exact_values(call):
     # A float is a binary approximation: taking it as its exact value would
     # turn 0.1 into 3602879701896397/36028797018963968.
     with pytest.raises(ParameterError, match="got float"):
         call()
+
+
+@pytest.mark.parametrize("other", [None, "x", "1/2"])
+def test_non_numbers_are_unequal_rather_than_refused(other):
+    half = PP.from_fraction(F(1, 2))
+    assert half.__eq__(other) is NotImplemented
+    assert not half == other and half != other
 
 
 def test_inf_sentinel_inverts_to_zero():
