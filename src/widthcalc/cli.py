@@ -359,7 +359,11 @@ def _sweep_values(args: argparse.Namespace) -> list[Fraction]:
         raise ParameterError(f"--steps {steps} asks for more than {WORK_BUDGET} rows")
     if steps == 1:
         return [lo]
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    # lo + (hi − lo)·i/m = (a·e·(m − i) + c·b·i)/(b·e·m) for lo = a/b, hi = c/e.
+    m = steps - 1
+    a, b = lo.numerator, lo.denominator
+    c, e = hi.numerator, hi.denominator
+    return [Fraction(a * e * (m - i) + c * b * i, b * e * m) for i in range(steps)]
 
 
 def _sweep_row_spec(
@@ -468,7 +472,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     seed = parse_integer(args.seed, "--seed")
     if samples < 0:
         raise ParameterError(f"--samples must be ≥ 0, got {samples}")
-    grid = oracle.default_grid(2) if args.grid is None else parse_integer(args.grid, "--grid")
+    grid = parse_integer(args.grid, "--grid")
     if grid < 1:
         raise ParameterError(f"--grid must be ≥ 1, got {grid}")
     points = parse_integer(args.identity_points, "--identity-points")
@@ -596,7 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub, spec_opts=False)
     sub.add_argument("--samples", default="100")
     sub.add_argument("--seed", default="0")
-    sub.add_argument("--grid", help="lattice denominator for brackets")
+    sub.add_argument("--grid", default=str(oracle.default_grid(2)),
+                     help="lattice denominator for brackets")
     sub.add_argument("--identity-points", default="2")
     sub.add_argument("--format", choices=_FORMATS, default="text")
     sub.set_defaults(func=_cmd_verify)

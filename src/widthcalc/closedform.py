@@ -38,10 +38,27 @@ weights of 1/q resp. 1/2 between 1/p_hi and 1/p_lo, and
     T4.2b  q > 2, p_lo < 2   θ = strict min of {θ1, ŝ λ r_lo, μ r_lo}
 
 Any required strict inequality that fails is a tie: the estimate is not
-certified, the case label is ``uncovered`` and ``tie`` is set.  Everything
-here is exact rational arithmetic; the LP route in `exponent` recomputes
-the same θ values from the raw piecewise objective and the two are checked
-against each other in the test suite.
+certified, the case label is ``uncovered`` and ``tie`` is set.
+
+Everything here is exact, and it runs on the integers `ProblemSpec` keeps
+over its denominator D: X_j = D/p_j, total = D·Σ 1/r_j and mixed =
+D·Σ 1/(p_j r_j), with q = q_n/q_d.  Then θ1 = D/total, the margin has the
+sign of (D − mixed)·q_n + q_d·total, and
+
+    θ2 = (2(D − mixed) + total) / (2·total)                      (T1.3)
+    θ3 = ((D − mixed)·q_n + q_d·total) / (2·q_d·total)
+
+while the planar rows, with gap = X_lo − X_hi and r_lo = r_n/r_d, take
+
+    λ = (q_d·D − q_n·X_hi) / (q_n·gap),     μ = (D − 2·X_hi) / (2·gap),
+    ŝ = r_d·q_n·gap / (r_d·q_n·gap − r_n·(q_n − 2q_d)·D).
+
+Each θ is compared as a (numerator, denominator) pair, and one `Fraction`
+is built per θ that a report carries.  `classify_regime` keeps its report
+on the spec, so a spec is classified once however often it is asked.  The
+LP route in `exponent` recomputes the same θ values from the raw piecewise
+objective, and the test suite checks the two against each other and these
+forms against their `Fraction` definitions.
 """
 
 from __future__ import annotations
@@ -59,9 +76,6 @@ __all__ = [
     "small_smoothness_exponent",
     "classify_regime",
 ]
-
-_ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -98,8 +112,10 @@ def noncompact_screen(spec: ProblemSpec) -> bool | None:
     return not check_regularity(spec)
 
 
-def _theta1(spec: ProblemSpec) -> Fraction:
-    return spec.r_mean() / spec.d
+def _excess(spec: ProblemSpec) -> int:
+    """The compactness margin times total·q, an integer of the margin's sign."""
+    qn, qd = spec.q.numerator, spec.q.denominator
+    return (spec.D - spec.mixed) * qn + qd * spec.total
 
 
 # Each case's exponent is the strict minimum of its rival thetas: these
@@ -107,9 +123,11 @@ def _theta1(spec: ProblemSpec) -> Fraction:
 _RIVALS = {"T1.2a": ("theta2",), "T1.3a": ("theta2", "theta3"), "T1.3b": ("theta1", "theta3")}
 
 
-def _strict_min(regular: bool, case: str, thetas: dict[str, Fraction]) -> RegimeReport:
-    """The compact report for `case`; ``uncovered`` with `tie` set when the
-    least of its rival thetas is shared."""
+def _strict_min(regular: bool, case: str, thetas: dict[str, tuple[int, int]]) -> RegimeReport:
+    """The compact report for `case`, each theta given as a (numerator,
+    denominator) pair and built as one `Fraction`; ``uncovered`` with `tie`
+    set when the least of its rival thetas is shared."""
+    thetas = {k: Fraction(n, m) for k, (n, m) in thetas.items()}
     values = sorted(thetas[k] for k in _RIVALS.get(case, thetas))
     if len(values) > 1 and values[0] == values[1]:
         return RegimeReport(True, True, regular, "uncovered", thetas, None, tie=True)
@@ -122,24 +140,25 @@ def regular_exponent(spec: ProblemSpec) -> RegimeReport | None:
     Requires a strictly positive margin.  The all-p≥q row never needs the
     regularity sums; the other rows do.
     """
-    margin = spec.compact_margin()
     regular = check_regularity(spec)
-    D, X_min, X_max = spec.D, min(spec.X), max(spec.X)
-    t1 = _theta1(spec)
+    excess = _excess(spec)
+    D, total, mixed, X_min, X_max = spec.D, spec.total, spec.mixed, min(spec.X), max(spec.X)
+    qn, qd = spec.q.numerator, spec.q.denominator
+    t1 = (D, total)
     if _beyond_q(spec, X_max) <= 0:  # all p_j ≥ q
         # margin >= theta1 > 0 automatically in this row.
         case, thetas = "T1.1", {"theta1": t1}
-    elif margin.numerator <= 0 or not regular:
+    elif excess <= 0 or not regular:
         return None
-    elif spec.q.numerator <= 2 * spec.q.denominator:  # q ≤ 2
+    elif qn <= 2 * qd:  # q ≤ 2
         # T1.2a: all p_j ≤ q; T1.2b: p̄ straddles q.
         case = "T1.2a" if _beyond_q(spec, X_min) >= 0 else "T1.2b"
-        thetas = {"theta1": t1, "theta2": margin}
+        thetas = {"theta1": t1, "theta2": (excess, total * qn)}
     else:  # q > 2 with some p_j < q
         low, high = 2 * X_min >= D, 2 * X_max <= D  # all p_j ≤ 2, all p_j ≥ 2
         case = "T1.3a" if low else "T1.3b" if high else "T1.3c"
-        t2 = t1 + _HALF - spec.r_mean() / spec.pr_mean()
-        thetas = {"theta1": t1, "theta2": t2, "theta3": (spec.q / 2) * margin}
+        t2 = (2 * (D - mixed) + total, 2 * total)
+        thetas = {"theta1": t1, "theta2": t2, "theta3": (excess, 2 * qd * total)}
     return _strict_min(regular, case, thetas)
 
 
@@ -149,10 +168,7 @@ def small_smoothness_exponent(spec: ProblemSpec) -> RegimeReport | None:
     Preconditions: d = 2, the p̄ straddle p_lo < q < p_hi (either coordinate
     order), small smoothness r_lo ≤ 1/p_lo − 1/p_hi, and a positive margin.
     """
-    if spec.d != 2:
-        return None
-    margin = spec.compact_margin()
-    if margin.numerator <= 0:
+    if spec.d != 2 or _excess(spec) <= 0:
         return None
     side = [_beyond_q(spec, X_j) for X_j in spec.X]
     if side[0] < 0 < side[1]:
@@ -161,23 +177,24 @@ def small_smoothness_exponent(spec: ProblemSpec) -> RegimeReport | None:
         hi, lo = 1, 0
     else:
         return None
-    r_lo = spec.r[lo]
-    # r_lo > x_lo − x_hi, over D.
-    if r_lo.numerator * spec.D > r_lo.denominator * (spec.X[lo] - spec.X[hi]):
+    D, X_hi = spec.D, spec.X[hi]
+    gap = spec.X[lo] - X_hi  # (x_lo − x_hi)·D > 0
+    rn, rd = spec.r[lo].numerator, spec.r[lo].denominator
+    if rn * D > rd * gap:  # r_lo > x_lo − x_hi
         return None
-    x_hi, x_lo = spec.x[hi], spec.x[lo]
     regular = check_regularity(spec)  # always False here; reported for context
-    q = spec.q
-    t1 = _theta1(spec)
-    lam = (spec.x_q - x_hi) / (x_lo - x_hi)
-    if q.numerator <= 2 * q.denominator:  # q ≤ 2
-        case, thetas = "T4.1", {"theta1": t1, "theta2": lam * r_lo}
+    qn, qd = spec.q.numerator, spec.q.denominator
+    t1 = (D, spec.total)
+    lam = qd * D - qn * X_hi  # λ = lam/(q_n·gap)
+    if qn <= 2 * qd:  # q ≤ 2
+        case, thetas = "T4.1", {"theta1": t1, "theta2": (lam * rn, qn * gap * rd)}
     else:
-        s_hat = _ONE / (_ONE - r_lo * (_ONE - 2 / q) / (x_lo - x_hi))
-        case, thetas = "T4.2a", {"theta1": t1, "theta2": s_hat * lam * r_lo}
-        if 2 * spec.X[lo] > spec.D:  # p_lo < 2
-            mu = (_HALF - x_hi) / (x_lo - x_hi)
-            case, thetas["theta3"] = "T4.2b", mu * r_lo
+        # ŝ = r_d·q_n·gap / (r_d·q_n·gap − r_n·(q_n − 2q_d)·D), so ŝλr_lo is:
+        s_lam_r = (lam * rn, rd * qn * gap - rn * (qn - 2 * qd) * D)
+        case, thetas = "T4.2a", {"theta1": t1, "theta2": s_lam_r}
+        if 2 * spec.X[lo] > D:  # p_lo < 2
+            # μ r_lo, with μ = (D − 2X_hi)/(2·gap).
+            case, thetas["theta3"] = "T4.2b", ((D - 2 * X_hi) * rn, 2 * gap * rd)
     return _strict_min(regular, case, thetas)
 
 
@@ -188,18 +205,27 @@ def classify_regime(spec: ProblemSpec) -> RegimeReport:
     reaching 1) wins; then all-p≥q (always compact); then a non-positive
     margin (non-compact, no estimate); then the regular T1 rows; then the
     planar small-smoothness rows; everything else is ``uncovered``.  The
-    screens compare the integers `ProblemSpec` keeps over D and the sign
-    of the margin's numerator; only the reported θ values are `Fraction`s.
+    screens and the closed forms run on the integers `ProblemSpec` keeps
+    over D, and only the reported θ values are `Fraction`s.  The report is
+    kept on the spec, so classifying the same spec again is a lookup.
     """
-    margin = spec.compact_margin()
-    bounded = margin.numerator >= 0
+    report = spec.__dict__.get("_regime")
+    if report is None:
+        # Frozen: the report goes straight into the instance dict.
+        report = spec.__dict__["_regime"] = _classify(spec)
+    return report
+
+
+def _classify(spec: ProblemSpec) -> RegimeReport:
+    excess = _excess(spec)
+    bounded = excess >= 0
     regular = check_regularity(spec)
     if noncompact_screen(spec):
         return RegimeReport(bounded, False, regular, "T3-noncompact")
     report = regular_exponent(spec)
     if report is not None:
         return report
-    if margin.numerator <= 0:
+    if excess <= 0:
         return RegimeReport(bounded, False, regular, "uncovered")
     report = small_smoothness_exponent(spec)
     if report is not None:

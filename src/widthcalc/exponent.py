@@ -41,8 +41,6 @@ __all__ = [
     "render_provenance",
 ]
 
-_ONE = Fraction(1)
-
 #: Provenance tag: (family, indices), 0-based indices.
 Provenance = tuple[str, tuple[int, ...]]
 
@@ -133,11 +131,11 @@ def _epigraph_lp(obj: PiecewiseMax):
     A_eq, b_eq = [row], [1]
     A_ub, b_ub = [], []
     if obj.has_s:
-        bound = obj.s_max - _ONE
+        # σ ≤ q/2 − 1 = (a − b)/b, in lowest terms as q/2 = a/b is.
         up = [0] * n
-        up[d] = bound.denominator
+        up[d] = obj.s_max.denominator
         A_ub.append(up)
-        b_ub.append(bound.numerator)
+        b_ub.append(obj.s_max.numerator - obj.s_max.denominator)
     for _, coeffs in obj.pieces:
         g = gcd(obj.L, *coeffs)
         c_s, c_1 = coeffs[d] // g, coeffs[d + 1] // g
@@ -216,12 +214,16 @@ def minimize(obj: PiecewiseMax) -> ExponentResult:
     d = obj.dim
     x = res.x
     positive = res.positive()
+    argmin_s = None
+    if obj.has_s:  # s = 1 + σ: (a + b)/b is in lowest terms, as σ = a/b is
+        sigma = x[d]
+        argmin_s = Fraction(sigma.numerator + sigma.denominator, sigma.denominator)
     # The first piece's slack label: the variables, then the σ bound row's slack.
     first = len(lp[0]) + len(lp[3]) - len(obj.pieces)
     result = ExponentResult(
         theta=res.value,
         argmin_alpha=x[:d],
-        argmin_s=_ONE + x[d] if obj.has_s else None,
+        argmin_s=argmin_s,
         unique=_argmin_is_unique(res, *lp),
         active_pieces=tuple(
             tag for j, (tag, _) in enumerate(obj.pieces, first) if j not in positive

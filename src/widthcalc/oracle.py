@@ -672,6 +672,7 @@ def cross_validate(
         spec = sample_branch(rng, label)
         # Only the lattice and the identity checks read the oracle's tables.
         tables = _tables(spec) if grid is not None or identity_points else None
+        # A lookup: `sample_branch` classified this spec when it accepted it.
         report = closedform.classify_regime(spec)
         result = minimize(build_objective(spec))
         problems: list[str] = []

@@ -84,25 +84,26 @@ class ProblemSpec:
         x         (1/p_1, ..., 1/p_d)
         x_q       1/q
 
-    together with <r̄>, <p̄ ∘ r̄> and the compactness margin, which
-    `r_mean`, `pr_mean` and `compact_margin` return.  The sums behind them
-    run on integers over one denominator D, the lcm of the numerators of
-    the products p_j r_j, and each value is built as one `Fraction` at the
-    end rather than one per arithmetic step.  Those integers are kept too,
-    for the regime screens to compare:
+    The sums behind everything else run on integers over one denominator
+    D, the lcm of the numerators of the products p_j r_j, and those
+    integers are kept for the closed forms and the regime screens:
 
         D         the common denominator
         X         (X_1, ..., X_d),  X_j = D/p_j
-        total     D·Σ_j 1/r_j
-        mixed     D·Σ_j 1/(p_j r_j)
+        total     D·Σ_j 1/r_j  = D·d/<r̄>
+        mixed     D·Σ_j 1/(p_j r_j)  = D·d/<p̄ ∘ r̄>
 
-    so that the regularity sum M_j = Σ_i (1/r_i)(1/p_i − 1/p_j) is
-    (mixed·D − X_j·total)/D²; `reg_sums` builds them as `Fraction`s on
-    first read.  `rate_rows(high)` is the `piece_rows` table at (x̄, 1/q)
-    in the low or the high shape, scaled to integers over one denominator
-    and built on first use; φ/ψ and the epigraph LP read it.  None of this
-    takes part in ==, hash, repr or str: two specs with the same (r̄, p̄, q)
-    are equal whatever they hold.
+    so that <r̄>/d = D/total, the compactness margin is
+    ((D − mixed)·q + total)/(total·q) and the regularity sum
+    M_j = Σ_i (1/r_i)(1/p_i − 1/p_j) is (mixed·D − X_j·total)/D².
+    `compact_margin` builds the margin as a `Fraction` when called, and
+    `reg_sums` builds the sums on first read.  `rate_rows(high)` is the
+    `piece_rows` table at (x̄, 1/q) in the low or the high shape, scaled to
+    integers over one denominator and built on first use; φ/ψ and the
+    epigraph LP read it.  `closedform.classify_regime` keeps its report on
+    the instance in the same way.  None of this takes part in ==, hash,
+    repr or str: two specs with the same (r̄, p̄, q) are equal whatever they
+    hold.
     """
 
     r: tuple[Fraction, ...]
@@ -116,13 +117,11 @@ class ProblemSpec:
         self._validate()
         # Over D, the lcm of the numerators of p_j r_j, each of 1/r_j, 1/p_j
         # = X_j/D and (1/r_j)(1/p_j) is an integer numerator; the sums run on
-        # those integers, and each output is one Fraction.
-        d = len(self.r)
+        # those integers.
         rn = [v.numerator for v in self.r]
         rd = [v.denominator for v in self.r]
         pn = [v.numerator for v in self.p]
         pd = [v.denominator for v in self.p]
-        qn, qd = self.q.numerator, self.q.denominator
         D = lcm(*(a * b for a, b in zip(rn, pn)))
         X = [b * (D // a) for a, b in zip(pn, pd)]
         total = sum(b * (D // a) for a, b in zip(rn, rd))  # d/<r̄>, times D
@@ -132,11 +131,7 @@ class ProblemSpec:
         # Frozen: the derived values go straight into the instance dict.
         self.__dict__.update(
             x=tuple(Fraction(b, a) for a, b in zip(pn, pd)),
-            x_q=Fraction(qd, qn),
-            _r_mean=Fraction(d * D, total),
-            _pr_mean=Fraction(d * D, mixed),
-            # <r̄>/d + 1/q − <r̄>/<p̄ ∘ r̄> = (1 − mixed)/total + 1/q.
-            _margin=Fraction((D - mixed) * qn + qd * total, total * qn),
+            x_q=Fraction(self.q.denominator, self.q.numerator),
             D=D,
             X=tuple(X),
             total=total,
@@ -174,21 +169,15 @@ class ProblemSpec:
         D = self.D
         return tuple(Fraction(self.mixed * D - X_j * self.total, D * D) for X_j in self.X)
 
-    def r_mean(self) -> Fraction:
-        """Harmonic mean <r̄> of the smoothness orders."""
-        return self._r_mean
-
-    def pr_mean(self) -> Fraction:
-        """Harmonic mean <p̄ ∘ r̄> of the coordinatewise products p_j r_j."""
-        return self._pr_mean
-
     def compact_margin(self) -> Fraction:
         """<r̄>/d + 1/q − <r̄>/<p̄ ∘ r̄>, the exact compactness margin.
 
         ≥ 0 means the class embeds boundedly into L_q; > 0 is the strict
         margin required by every order estimate in this package.
         """
-        return self._margin
+        # = (D − mixed)/total + 1/q.
+        qn, qd = self.q.numerator, self.q.denominator
+        return Fraction((self.D - self.mixed) * qn + qd * self.total, self.total * qn)
 
     def rate_rows(self, high: bool) -> tuple[int, tuple[RateRow, ...]]:
         """`piece_rows(x̄, 1/q, high)` as (L, rows), built on first use per
@@ -213,6 +202,9 @@ class ProblemSpec:
             ):
                 terms = []
                 for i, w in zip(idx, weights):
+                    if w == den:  # weight 1: the coefficient is r_i, in lowest terms
+                        terms.append((i, rn[i], rd[i]))
+                        continue
                     a, b = w * rn[i], den * rd[i]
                     g = gcd(a, b)
                     terms.append((i, a // g, b // g))

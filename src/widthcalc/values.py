@@ -456,20 +456,18 @@ class PowerProduct:
         """The raw libmp value at binary precision `prec`, rounded to nearest.
 
         Each base in ascending order contributes b^(n_b/D), its exponent
-        rounded first; the products are rounded in the same order.
+        rounded first (`_root_power`, cached per base, exponent and
+        precision); the products are rounded in the same order.
         """
         from mpmath import libmp
 
         if self._zero:
             return libmp.fzero
-        nearest = libmp.round_nearest
         acc = libmp.fone
         for p, n in sorted(self._factors.items()):
             g = gcd(n, self._den)
-            e = libmp.mpf_div(libmp.from_int(n // g, prec, nearest),
-                              libmp.from_int(self._den // g), prec, nearest)
-            power = libmp.mpf_pow(libmp.from_int(p), e, prec, nearest)
-            acc = libmp.mpf_mul(acc, power, prec, nearest)
+            power = _root_power(p, n // g, self._den // g, prec)
+            acc = libmp.mpf_mul(acc, power, prec, libmp.round_nearest)
         return acc
 
     def decimal(self, sig: int = 12) -> str:
@@ -679,6 +677,18 @@ def decimal_str(x, sig: int = 12) -> str:
             return f"{sign}0.{'0' * (-point - 1)}{digits}"
         return f"{sign}{digits[:point + 1]}.{digits[point + 1:]}"
     return f"{sign}{digits[0]}.{digits[1:]}e{point:+d}"
+
+
+@lru_cache(maxsize=1 << 10)
+def _root_power(b: int, n: int, den: int, prec: int) -> tuple:
+    """The raw libmp value b^(n/den) for n/den in lowest terms, at binary
+    precision `prec`, its exponent rounded to nearest first and then the
+    power."""
+    from mpmath import libmp
+
+    nearest = libmp.round_nearest
+    e = libmp.mpf_div(libmp.from_int(n, prec, nearest), libmp.from_int(den), prec, nearest)
+    return libmp.mpf_pow(libmp.from_int(b), e, prec, nearest)
 
 
 @lru_cache(maxsize=1 << 14)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from widthcalc import finitedim as fd
 from widthcalc._simplex import LpError
-from widthcalc.closedform import noncompact_screen
+from widthcalc.closedform import RegimeReport, noncompact_screen
 from widthcalc.finitedim import BallSpec, IntersectionSpec
 from widthcalc.oracle import Lcg
 from widthcalc.params import MAX_DIMENSION, ParameterError, ProblemSpec, as_fraction
@@ -63,6 +63,63 @@ def check_compact(spec: ProblemSpec) -> bool:
     if noncompact_screen(spec):
         return False
     return spec.compact_margin() > 0
+
+
+# The closed forms in `Fraction` arithmetic, straight from their definitions:
+# harmonic means, 1/p_j and 1/q, with no integer over a common denominator.
+_RIVALS = {"T1.2a": ("theta2",), "T1.3a": ("theta2", "theta3"), "T1.3b": ("theta1", "theta3")}
+
+
+def _reference_strict_min(regular, case, thetas):
+    values = sorted(thetas[k] for k in _RIVALS.get(case, thetas))
+    if len(values) > 1 and values[0] == values[1]:
+        return RegimeReport(True, True, regular, "uncovered", thetas, None, tie=True)
+    return RegimeReport(True, True, regular, case, thetas, values[0])
+
+
+def reference_classify_regime(spec: ProblemSpec) -> RegimeReport:
+    """`closedform.classify_regime` from the `Fraction` formulas of its
+    module docstring, screen by screen in the same order."""
+    d, q, r = spec.d, spec.q, spec.r
+    x = [1 / p for p in spec.p]
+    x_q = 1 / q
+    r_mean = d / sum(1 / rj for rj in r)
+    pr_mean = d / sum(1 / (pj * rj) for pj, rj in zip(spec.p, r))
+    margin = r_mean / d + x_q - r_mean / pr_mean
+    M = [sum((1 / r[i]) * (x[i] - x[j]) for i in range(d)) for j in range(d)]
+    regular = all(m < 1 for m in M)
+    bounded = margin >= 0
+    theta1 = r_mean / d
+    if all(xj >= x_q for xj in x) and not regular:  # all p_j ≤ q
+        return RegimeReport(bounded, False, regular, "T3-noncompact")
+    if all(xj <= x_q for xj in x):  # all p_j ≥ q
+        return _reference_strict_min(regular, "T1.1", {"theta1": theta1})
+    if margin > 0 and regular:
+        if q <= 2:
+            case = "T1.2a" if all(xj >= x_q for xj in x) else "T1.2b"
+            return _reference_strict_min(regular, case, {"theta1": theta1, "theta2": margin})
+        low, high = all(xj >= _HALF for xj in x), all(xj <= _HALF for xj in x)
+        case = "T1.3a" if low else "T1.3b" if high else "T1.3c"
+        theta2 = theta1 + _HALF - r_mean / pr_mean
+        thetas = {"theta1": theta1, "theta2": theta2, "theta3": q / 2 * margin}
+        return _reference_strict_min(regular, case, thetas)
+    if margin <= 0:
+        return RegimeReport(bounded, False, regular, "uncovered")
+    if d == 2 and (x[0] - x_q) * (x[1] - x_q) < 0:  # p_hi > q > p_lo
+        hi, lo = (0, 1) if x[0] < x_q else (1, 0)
+        x_hi, x_lo, r_lo = x[hi], x[lo], r[lo]
+        if r_lo <= x_lo - x_hi:
+            lam = (x_q - x_hi) / (x_lo - x_hi)
+            if q <= 2:
+                thetas = {"theta1": theta1, "theta2": lam * r_lo}
+                return _reference_strict_min(regular, "T4.1", thetas)
+            s_hat = 1 / (1 - r_lo * (1 - 2 / q) / (x_lo - x_hi))
+            thetas = {"theta1": theta1, "theta2": s_hat * lam * r_lo}
+            if x_lo <= _HALF:  # p_lo ≥ 2
+                return _reference_strict_min(regular, "T4.2a", thetas)
+            thetas["theta3"] = (_HALF - x_hi) / (x_lo - x_hi) * r_lo
+            return _reference_strict_min(regular, "T4.2b", thetas)
+    return RegimeReport(bounded, True, regular, "uncovered")
 
 
 def sample_intersection(rng: Lcg, max_balls: int = 3) -> IntersectionSpec:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -304,6 +305,29 @@ def test_sweep_rejects_unknown_axis(capsys):
         "--vary", "z", "--from", "0", "--to", "1", "--steps", "2",
     )
     assert code == 4 and "--vary" in err
+
+
+@pytest.mark.parametrize(
+    "lo, hi, steps",
+    [
+        ("3/2", "3", 7),
+        ("5", "1/3", 9),  # reversed bounds
+        ("7/4", "7/4", 4),  # equal bounds
+        ("-5/3", "-1/7", 6),  # negative bounds
+        ("-2", "11/6", 13),
+        ("3/2", "3", 1),
+        ("2/3", "1", 2),
+    ],
+)
+def test_sweep_values_follow_the_interpolation_formula(lo, hi, steps):
+    args = SimpleNamespace(vary="q", range_from=lo, range_to=hi, steps=str(steps))
+    values = cli._sweep_values(args)
+    a, b = F(lo), F(hi)
+    if steps == 1:
+        assert values == [a]
+    else:
+        assert values == [a + (b - a) * i / (steps - 1) for i in range(steps)]
+    assert all(type(v) is F for v in values)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Closed-form regime classification: one worked example per case, totality."""
 
+import dataclasses
 from fractions import Fraction as F
 
-from _reference import check_compact, permuted
+from _reference import check_compact, permuted, reference_classify_regime
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widthcalc.closedform import check_regularity, classify_regime, noncompact_screen
 from widthcalc.exponent import build_objective, minimize
-from widthcalc.params import ProblemSpec
+from widthcalc.oracle import BRANCH_LABELS, SCREEN_LABEL, Lcg, _propose
+from widthcalc.params import ParameterError, ProblemSpec
 
 CASE_LABELS = (
     "T1.1",
@@ -106,7 +108,7 @@ def test_all_large_row_never_needs_regularity():
     spec = _spec(("1/8", 4), ("5/2", 10), 2)
     assert not check_regularity(spec)  # irregular on purpose
     rep = classify_regime(spec)
-    assert rep.case == "T1.1" and rep.exponent == spec.r_mean() / 2
+    assert rep.case == "T1.1" and rep.exponent == 1 / sum(1 / r for r in spec.r)  # <r̄>/d
     assert rep.compact and check_compact(spec)
 
 
@@ -130,3 +132,70 @@ def test_every_spec_gets_exactly_one_known_label(r, p, q):
         assert rep.case in ("T3-noncompact", "uncovered")
     if rep.tie:
         assert rep.case == "uncovered"
+
+
+# Exact ties in the T1 and the planar rows, and r_lo = 1/p_lo − 1/p_hi on
+# the small-smoothness line, which random draws rarely meet.
+EDGES = [
+    (("2", "2"), ("3", "3/2"), "2"),
+    (("1", "1"), ("2", "2"), "5"),
+    (("2/3", "1/3"), ("5/2", "5/4"), "3/2"),
+    (("1/6", "2"), ("5/2", "5"), "3"),
+    (("1/2", "1"), ("4/3", "4"), "2"),
+    (("1/2", "1"), ("4/3", "4"), "3"),
+]
+
+
+def _seeded_specs():
+    """Specs at d = 2–16: each branch sampler's proposals at d = 2, draws
+    with small denominators at d = 3–16, and the edge cases above."""
+    rng = Lcg(2027)
+    for label in (*BRANCH_LABELS, SCREEN_LABEL):
+        for _ in range(60):
+            try:
+                yield _propose(rng, label)
+            except (ParameterError, ZeroDivisionError):
+                pass
+    for d in (3, 4, 5, 8, 12, 16):
+        for _ in range(80):
+            q = rng.fraction_between(1, 6, 4) if rng.coin() else F(rng.rand_below(3) + 2)
+            # p̄ below q, below 2, or anywhere; r̄ small or large.
+            p_hi = (q, min(q, F(2)), F(8))[rng.rand_below(3)]
+            p = [rng.fraction_between(1, p_hi, 8) for _ in range(d)]
+            if rng.coin():
+                p[rng.rand_below(d)] = q if rng.coin() else F(2)
+            r_lo = F(rng.rand_below(2))
+            r = [rng.fraction_between(r_lo, r_lo + 3, 4) for _ in range(d)]
+            yield ProblemSpec(r=r, p=p, q=q)
+    for r, p, q in EDGES:
+        yield _spec(r, p, q)
+
+
+def test_integer_closed_forms_equal_the_fraction_definitions():
+    reached, reached_beyond_plane, tied, dims = set(), set(), set(), set()
+    for spec in _seeded_specs():
+        report, reference = classify_regime(spec), reference_classify_regime(spec)
+        for f in dataclasses.fields(report):
+            assert getattr(report, f.name) == getattr(reference, f.name), (str(spec), f.name)
+        assert list(report.thetas) == list(reference.thetas)
+        assert all(type(v) is F for v in report.thetas.values())
+        reached.add(report.case)
+        if spec.d > 2:
+            reached_beyond_plane.add(report.case)
+        dims.add(spec.d)
+        if report.tie:
+            tied.add(frozenset(report.thetas))
+    assert reached == set(CASE_LABELS)
+    assert reached_beyond_plane == set(CASE_LABELS) - {"T4.1", "T4.2a", "T4.2b"}
+    assert dims == {2, 3, 4, 5, 8, 12, 16}
+    # Two-way ties in T1.2 and T4 rows, and a tie among three thetas.
+    assert {frozenset({"theta1", "theta2"}), frozenset({"theta1", "theta2", "theta3"})} <= tied
+
+
+def test_a_spec_is_classified_once():
+    spec = _spec((1, 1), (3, "3/2"), 4)
+    assert classify_regime(spec) is classify_regime(spec)
+    # An equal spec built anew is classified anew, to an equal report.
+    again = _spec((1, 1), (3, "3/2"), 4)
+    assert classify_regime(again) is not classify_regime(spec)
+    assert classify_regime(again) == classify_regime(spec)

@@ -7,9 +7,11 @@ the active pieces) at d = 2, 4, 8 and 16 on both sides of q = 2, `finite`
 on each dominance branch and on threshold exponents (in text too, with a
 value in exponent notation and a radius whose denominator stays one
 unfactored base), `sweep --vary n`
-(dyadic blocks through the intersection terms) and `verify` (the block
-rates φ/ψ against the oracle).  Each report layout is pinned in text and
-in JSON: `regime` on a covered spec, a tie, a non-compact spec and d = 16;
+(dyadic blocks through the intersection terms), `sweep` along q, p1 and r2
+(the closed forms and the LP per row) and `verify` (the block rates φ/ψ
+against the oracle).  Each report layout is pinned in text and in JSON:
+`regime` on a covered spec, a tie, a non-compact spec and d = 16, and in
+JSON on one spec per case label, ties and each uncovered kind included;
 `exponent` in text and with `--grid-check`; `finite` on one ball at q = 2
 and q = inf; and `verify`.  A changed digest is a changed output: update
 one only together with the behaviour change that explains it.
@@ -112,6 +114,36 @@ ARGV = [
     ("finite-one-ball-q2-json", _finite("64", "8", "2", "inf:1/2")),
     ("finite-one-ball-qinf-text", _finite("64", "8", "inf", "inf:1/2", "text")),
     ("finite-one-ball-qinf-json", _finite("64", "8", "inf", "inf:1/2")),
+    # One spec per case label, so that every candidate θ of the closed forms
+    # is pinned, with ties in the T1.3 and T4 rows and each uncovered kind.
+    ("regime-json-t1-1", _regime("--r", "1,3", "--p", "6,59/18", "--q", "5/2", fmt="json")),
+    ("regime-json-t1-2a", _regime("--r", "4,1", "--p", "6/5,8/7", "--q", "4/3", fmt="json")),
+    ("regime-json-t1-2b", _regime("--r", "23/9,9/4", "--p", "6/5,2", "--q", "3/2", fmt="json")),
+    ("regime-json-t1-3a", _regime("--r", "7/3,2", "--p", "6/5,4/3", "--q", "3", fmt="json")),
+    ("regime-json-t1-3b", _regime("--r", "4,1", "--p", "32/7,29/4", "--q", "5", fmt="json")),
+    ("regime-json-t1-3c", _regime("--r", "3/2,3", "--p", "6/5,8", "--q", "15/2", fmt="json")),
+    ("regime-json-t4-1", _regime("--r", "1,27/92", "--p", "23/12,7/6", "--q", "5/4", fmt="json")),
+    ("regime-json-t4-2a", _regime("--r", "1,3/25", "--p", "10,4", "--q", "11/2", fmt="json")),
+    ("regime-json-t4-2b", _regime("--r", "2,97/236", "--p", "59/7,3/2", "--q", "3", fmt="json")),
+    ("regime-json-t3-noncompact", _regime("--r", "1/3,5/9", "--p", "8/7,3", "--q", "4", fmt="json")),
+    ("regime-json-tie-t1-3", _regime("--r", "1,1", "--p", "2,2", "--q", "5", fmt="json")),
+    ("regime-json-tie-t4-1", _regime("--r", "2/3,1/3", "--p", "5/2,5/4", "--q", "3/2", fmt="json")),
+    ("regime-json-tie-t4-2a", _regime("--r", "1/6,2", "--p", "5/2,5", "--q", "3", fmt="json")),
+    ("regime-json-unbounded", _regime("--r", "1,1/4", "--p", "8,2", "--q", "6", fmt="json")),
+    ("regime-json-margin-zero", _regime("--r", "1/4,1", "--p", "3,2", "--q", "6", fmt="json")),
+    ("regime-json-uncovered-d3", _regime(
+        "--r", "3,1/2,1", "--p", "11/2,2,3/2", "--q", "4", fmt="json")),
+    # A sweep axis in q (across q = 2), in p1 (bounds reversed, running into
+    # invalid rows) and in r2 (across the planar small-smoothness line).
+    ("sweep-q-across-2", (
+        "sweep", "--r", "1,1", "--p", "5/2,3/2", "--q", "2", "--vary", "q",
+        "--from", "5/4", "--to", "6", "--steps", "20")),
+    ("sweep-p1-reversed", (
+        "sweep", "--r", "1,1/2", "--p", "3,3/2", "--q", "5/2", "--vary", "p1",
+        "--from", "6", "--to", "1/2", "--steps", "12")),
+    ("sweep-r2", (
+        "sweep", "--r", "1,1", "--p", "4,4/3", "--q", "3", "--vary", "r2",
+        "--from", "1/8", "--to", "3", "--steps", "9")),
 ]
 
 GOLDEN = {
@@ -159,6 +191,25 @@ GOLDEN = {
     "finite-one-ball-q2-json": (0, "02b2ca1acad483f9081a3d4ff0d29d02635f914f82d8b1176c24cb430f7cf1b1"),
     "finite-one-ball-qinf-text": (0, "00915c06e893dcf29d0a85b165c2fd63addc2543aa7e89305734d9d076976a4b"),
     "finite-one-ball-qinf-json": (0, "195467ffc36770aee5dde8cb58f6c049e5fcf399799de51e606e933a94d9edc6"),
+    "regime-json-t1-1": (0, "a5ba838d1cf6700cc245e23bee1938dcedb1f51020723f36d57e69b3bbdc1fb3"),
+    "regime-json-t1-2a": (0, "803707f566afacf02922de7804729c4ce2237ec12e10d2acea22ee6f732716c1"),
+    "regime-json-t1-2b": (0, "fed68de178a745c3a42d9d124a782df1b164d9f0888499897a17231de29ed983"),
+    "regime-json-t1-3a": (0, "34dfe64b80998412a56c5178072fb9dbb9105781c5cbbb5996629eff8b1d987b"),
+    "regime-json-t1-3b": (0, "48ef940ae7cb264821252f10e0b55f1a4ae03c5bc4199f18e300c425dc43749a"),
+    "regime-json-t1-3c": (0, "b4cc194c0d9faf8f5d50a31c1b65bd1f1a8816e76b977414d9a7b53aacaf917f"),
+    "regime-json-t4-1": (0, "2fd227d1e4f9f98603ced7b7f0553a52e40118cfbd06b3de25dbac577bdd9f48"),
+    "regime-json-t4-2a": (0, "e60855005f5380160fb84987c88ce9d5d7e5f4301e35c33705bcd6584d31c672"),
+    "regime-json-t4-2b": (0, "5a577450781297a5a9e14ed2b36733514ce19a5d6b3e2f711817e4c59482eadd"),
+    "regime-json-t3-noncompact": (2, "f39e415e4804330bbce7075adc6867191ac10529702d3b7c8ab20a183540265a"),
+    "regime-json-tie-t1-3": (3, "f9bcb357c8f7e8001d77954b118b68547a6f39161dcc77a37fc6d80e228891f4"),
+    "regime-json-tie-t4-1": (3, "95a257ab7d0085cef476042b52fc46bafb5f228763e631df000ac6875761d69e"),
+    "regime-json-tie-t4-2a": (3, "bde710d2bbaa697752284e01e011986c023fe74ca390fb311ab09ca656fa674e"),
+    "regime-json-unbounded": (2, "1ae4427b7a22156517b158cba6248f80060f3b3bd8c05b004ffc14b45533fdc7"),
+    "regime-json-margin-zero": (2, "e6d7ce70cffdd790c71873739a785299a892c7e3682ba6455658eb09708f7986"),
+    "regime-json-uncovered-d3": (3, "c6e26bb552da2aa9ab3fe28ab4fcda908379268197bba12983a4874a24f6ca61"),
+    "sweep-q-across-2": (0, "8a2ce90deffd368c1728dd7aa4a46dc130906eadf8f2b19c91aa5eed58309b99"),
+    "sweep-p1-reversed": (0, "1f9e8f16b0e000f514bfb3219cd8ac54bb93b8b287d9fa7c06dcb00b9ff6c09b"),
+    "sweep-r2": (0, "c7e3fb7c0aa94c14791b4a65dcb5e511921237860496b6e611a23ac6ac42e93c"),
 }
 
 

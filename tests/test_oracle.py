@@ -19,6 +19,7 @@ from _reference import sample_intersection
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import widthcalc.closedform as closedform
 import widthcalc.oracle as oracle
 import widthcalc.params as params
 from widthcalc.cli import main
@@ -537,6 +538,42 @@ def test_cross_validation_is_deterministic_and_green():
     assert first.ok
     assert first == second
     assert first.branch_counts() == {label: 2 for label in BRANCH_LABELS}
+
+
+def test_cross_validation_classifies_each_spec_once(monkeypatch):
+    # The uncached classification runs once per spec, the accepted ones
+    # included; the traced names, `oracle.sample_branch` and
+    # `closedform.classify_regime` as module attributes, are still called.
+    classified, sampled, asked = [], [], []
+    real_classify, real_sample, real_regime = (
+        closedform._classify, oracle.sample_branch, closedform.classify_regime)
+
+    def classify(spec):
+        classified.append(spec)  # keeps every spec alive, so ids stay distinct
+        return real_classify(spec)
+
+    def sample(rng, label):
+        spec = real_sample(rng, label)
+        sampled.append(spec)
+        return spec
+
+    def regime(spec):
+        asked.append(spec)
+        return real_regime(spec)
+
+    monkeypatch.setattr(closedform, "_classify", classify)
+    monkeypatch.setattr(oracle, "sample_branch", sample)
+    monkeypatch.setattr(closedform, "classify_regime", regime)
+    report = cross_validate(18, seed=7, grid=48, identity_points=1)
+    assert report.ok
+    counts = Counter(map(id, classified))
+    assert max(counts.values()) == 1
+    assert [id(rec.spec) for rec in report.records] == list(map(id, sampled))
+    asked_counts = Counter(map(id, asked))
+    for rec in report.records:
+        assert counts[id(rec.spec)] == 1
+        # Once when sampled and accepted, once more in `cross_validate`.
+        assert asked_counts[id(rec.spec)] == 2
 
 
 def test_cross_validation_flags_an_injected_lp_bug(monkeypatch):

@@ -107,8 +107,9 @@ def test_compact_margin_matches_reciprocal_form(spec):
 def test_permutation_preserves_margin_and_means(spec):
     flipped = permuted(spec, (1, 0))
     assert flipped.compact_margin() == spec.compact_margin()
-    assert flipped.r_mean() == spec.r_mean()
-    assert flipped.pr_mean() == spec.pr_mean()
+    # <r̄>/d = D/total and <p̄ ∘ r̄>/d = D/mixed.
+    assert F(flipped.D, flipped.total) == F(spec.D, spec.total)
+    assert F(flipped.D, flipped.mixed) == F(spec.D, spec.mixed)
 
 
 def _shapes(spec):
@@ -123,10 +124,11 @@ def test_cached_invariants_equal_their_definitions(case):
     d = spec.d
     assert spec.x == tuple(1 / p for p in spec.p)
     assert spec.x_q == 1 / spec.q
-    assert spec.r_mean() == harmonic_mean(spec.r)
-    assert spec.pr_mean() == harmonic_mean([p * r for p, r in zip(spec.p, spec.r)])
     rm = harmonic_mean(spec.r)
-    assert spec.compact_margin() == rm / d + 1 / spec.q - rm / spec.pr_mean()
+    prm = harmonic_mean([p * r for p, r in zip(spec.p, spec.r)])
+    assert F(d * spec.D, spec.total) == rm
+    assert F(d * spec.D, spec.mixed) == prm
+    assert spec.compact_margin() == rm / d + 1 / spec.q - rm / prm
     inv_r_sum = sum(1 / r for r in spec.r)
     mixed = sum((1 / p) / r for p, r in zip(spec.p, spec.r))
     assert spec.compact_margin() == (1 - mixed) / inv_r_sum + 1 / spec.q
@@ -265,7 +267,7 @@ def test_spec_invariants_match_plain_fraction_formulas(spec):
     )
     r_mean = d / sum(F(1) / rj for rj in r)
     pr_mean = d / sum(F(1) / (pj * rj) for pj, rj in zip(p, r))
-    assert spec.r_mean() == r_mean and spec.pr_mean() == pr_mean
+    assert F(d * spec.D, spec.total) == r_mean and F(d * spec.D, spec.mixed) == pr_mean
     assert spec.compact_margin() == r_mean / d + F(1) / q - r_mean / pr_mean
     derived = (*spec.x, spec.x_q, *spec.reg_sums)
     assert all(type(v) is F for v in derived)
