@@ -40,18 +40,23 @@ weights of 1/q resp. 1/2 between 1/p_hi and 1/p_lo, and
 Any required strict inequality that fails is a tie: the estimate is not
 certified, the case label is ``uncovered`` and ``tie`` is set.
 
-Everything here is exact, and it runs on the integers `ProblemSpec` keeps
-over its denominator D: X_j = D/p_j, total = D·Σ 1/r_j and mixed =
-D·Σ 1/(p_j r_j), with q = q_n/q_d.  Then θ1 = D/total, the margin has the
-sign of (D − mixed)·q_n + q_d·total, and
+Everything here is exact, and it runs on the integer scale `ProblemSpec`
+keeps over its denominator D: X_j = D/p_j, Q = D/q, D/2, total =
+D·Σ 1/r_j and mixed = D·Σ 1/(p_j r_j).  Every screen compares X_j with Q
+and D/2, or 2Q with D.  Then θ1 = D/total, and with
 
-    θ2 = (2(D − mixed) + total) / (2·total)                      (T1.3)
-    θ3 = ((D − mixed)·q_n + q_d·total) / (2·q_d·total)
+    excess = (D − mixed)·D + Q·total = margin·total·D
+
+the margin has the sign of excess and
+
+    θ2 = excess / (total·D)                                  (T1.2)
+    θ2 = (2(D − mixed) + total) / (2·total)                  (T1.3)
+    θ3 = excess / (2·Q·total)
 
 while the planar rows, with gap = X_lo − X_hi and r_lo = r_n/r_d, take
 
-    λ = (q_d·D − q_n·X_hi) / (q_n·gap),     μ = (D − 2·X_hi) / (2·gap),
-    ŝ = r_d·q_n·gap / (r_d·q_n·gap − r_n·(q_n − 2q_d)·D).
+    λ = (Q − X_hi) / gap,     μ = (D/2 − X_hi) / gap,
+    ŝλr_lo = (Q − X_hi)·r_n / (r_d·gap − r_n·(D − 2Q)).
 
 Each θ is compared as a (numerator, denominator) pair, and one `Fraction`
 is built per θ that a report carries.  `classify_regime` keeps its report
@@ -95,11 +100,6 @@ def check_regularity(spec: ProblemSpec) -> bool:
     return (spec.mixed - spec.D) * spec.D < min(spec.X) * spec.total
 
 
-def _beyond_q(spec: ProblemSpec, X_j: int) -> int:
-    """(x_j − x_q)·D·a for q = a/b, an integer whose sign is that of q − p_j."""
-    return X_j * spec.q.numerator - spec.D * spec.q.denominator
-
-
 def noncompact_screen(spec: ProblemSpec) -> bool | None:
     """Non-compactness screen for the all-p≤q range.
 
@@ -107,15 +107,14 @@ def noncompact_screen(spec: ProblemSpec) -> bool | None:
     whether some regularity sum reaches 1, which forces a non-compact
     embedding regardless of the compactness margin.
     """
-    if _beyond_q(spec, min(spec.X)) < 0:  # some p_j > q
+    if min(spec.X) < spec.Q:  # some p_j > q
         return None
     return not check_regularity(spec)
 
 
 def _excess(spec: ProblemSpec) -> int:
-    """The compactness margin times total·q, an integer of the margin's sign."""
-    qn, qd = spec.q.numerator, spec.q.denominator
-    return (spec.D - spec.mixed) * qn + qd * spec.total
+    """The compactness margin times total·D, an integer of the margin's sign."""
+    return (spec.D - spec.mixed) * spec.D + spec.Q * spec.total
 
 
 # Each case's exponent is the strict minimum of its rival thetas: these
@@ -142,23 +141,23 @@ def regular_exponent(spec: ProblemSpec) -> RegimeReport | None:
     """
     regular = check_regularity(spec)
     excess = _excess(spec)
-    D, total, mixed, X_min, X_max = spec.D, spec.total, spec.mixed, min(spec.X), max(spec.X)
-    qn, qd = spec.q.numerator, spec.q.denominator
+    D, Q, total, mixed = spec.D, spec.Q, spec.total, spec.mixed
+    X_min, X_max = min(spec.X), max(spec.X)
     t1 = (D, total)
-    if _beyond_q(spec, X_max) <= 0:  # all p_j ≥ q
+    if X_max <= Q:  # all p_j ≥ q
         # margin >= theta1 > 0 automatically in this row.
         case, thetas = "T1.1", {"theta1": t1}
     elif excess <= 0 or not regular:
         return None
-    elif qn <= 2 * qd:  # q ≤ 2
+    elif 2 * Q >= D:  # q ≤ 2
         # T1.2a: all p_j ≤ q; T1.2b: p̄ straddles q.
-        case = "T1.2a" if _beyond_q(spec, X_min) >= 0 else "T1.2b"
-        thetas = {"theta1": t1, "theta2": (excess, total * qn)}
+        case = "T1.2a" if X_min >= Q else "T1.2b"
+        thetas = {"theta1": t1, "theta2": (excess, total * D)}
     else:  # q > 2 with some p_j < q
         low, high = 2 * X_min >= D, 2 * X_max <= D  # all p_j ≤ 2, all p_j ≥ 2
         case = "T1.3a" if low else "T1.3b" if high else "T1.3c"
         t2 = (2 * (D - mixed) + total, 2 * total)
-        thetas = {"theta1": t1, "theta2": t2, "theta3": (excess, 2 * qd * total)}
+        thetas = {"theta1": t1, "theta2": t2, "theta3": (excess, 2 * Q * total)}
     return _strict_min(regular, case, thetas)
 
 
@@ -170,31 +169,27 @@ def small_smoothness_exponent(spec: ProblemSpec) -> RegimeReport | None:
     """
     if spec.d != 2 or _excess(spec) <= 0:
         return None
-    side = [_beyond_q(spec, X_j) for X_j in spec.X]
-    if side[0] < 0 < side[1]:
-        hi, lo = 0, 1
-    elif side[1] < 0 < side[0]:
-        hi, lo = 1, 0
-    else:
+    D, Q = spec.D, spec.Q
+    hi, lo = (0, 1) if spec.X[0] < Q else (1, 0)
+    X_hi, X_lo = spec.X[hi], spec.X[lo]
+    if not X_hi < Q < X_lo:
         return None
-    D, X_hi = spec.D, spec.X[hi]
-    gap = spec.X[lo] - X_hi  # (x_lo − x_hi)·D > 0
+    gap = X_lo - X_hi  # (x_lo − x_hi)·D > 0
     rn, rd = spec.r[lo].numerator, spec.r[lo].denominator
     if rn * D > rd * gap:  # r_lo > x_lo − x_hi
         return None
     regular = check_regularity(spec)  # always False here; reported for context
-    qn, qd = spec.q.numerator, spec.q.denominator
     t1 = (D, spec.total)
-    lam = qd * D - qn * X_hi  # λ = lam/(q_n·gap)
-    if qn <= 2 * qd:  # q ≤ 2
-        case, thetas = "T4.1", {"theta1": t1, "theta2": (lam * rn, qn * gap * rd)}
+    lam = Q - X_hi  # λ = lam/gap
+    if 2 * Q >= D:  # q ≤ 2
+        case, thetas = "T4.1", {"theta1": t1, "theta2": (lam * rn, gap * rd)}
     else:
-        # ŝ = r_d·q_n·gap / (r_d·q_n·gap − r_n·(q_n − 2q_d)·D), so ŝλr_lo is:
-        s_lam_r = (lam * rn, rd * qn * gap - rn * (qn - 2 * qd) * D)
+        # ŝ = r_d·gap / (r_d·gap − r_n·(D − 2Q)), so ŝλr_lo is:
+        s_lam_r = (lam * rn, rd * gap - rn * (D - 2 * Q))
         case, thetas = "T4.2a", {"theta1": t1, "theta2": s_lam_r}
-        if 2 * spec.X[lo] > D:  # p_lo < 2
-            # μ r_lo, with μ = (D − 2X_hi)/(2·gap).
-            case, thetas["theta3"] = "T4.2b", ((D - 2 * X_hi) * rn, 2 * gap * rd)
+        if 2 * X_lo > D:  # p_lo < 2
+            # μ r_lo, with μ = (D/2 − X_hi)/gap.
+            case, thetas["theta3"] = "T4.2b", ((D // 2 - X_hi) * rn, gap * rd)
     return _strict_min(regular, case, thetas)
 
 

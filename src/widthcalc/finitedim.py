@@ -54,6 +54,7 @@ __all__ = [
     "intersection_order",
     "classify_branch",
     "vk_vertex_norm",
+    "MAX_BLOCK_RANK",
     "block_profile",
     "dyadic_block_order",
     "phi_value",
@@ -102,9 +103,10 @@ class IntersectionSpec:
     n ≥ N^(2/q) for q > 2) with a `RangeError`, and keeps, once: the tuples
     `x` (1/p_α, with 1/∞ = 0) and `nu` (ν_α) of the balls, `x_q` = 1/q,
     `g` = n^(−1/2) N^(1/q) (None for q ≤ 2), and `terms`, the display
-    terms (family, indices, value) in `piece_rows` order, whose exponents
-    are built as `Fraction`s from each row's integers over its den.  None
-    of these takes part in ==, hash or repr.
+    terms (family, indices, value) in `piece_rows` order.  The rows are
+    read at x̄ and 1/q put over one even denominator, and each term's
+    exponents are built as `Fraction`s from its row's integers over its
+    den.  None of these takes part in ==, hash or repr.
     """
 
     N: int
@@ -135,8 +137,11 @@ class IntersectionSpec:
                 raise RangeError(f"q > 2 needs n ≥ N^(2/q), got n = {n}, N = {N}, q = {q}")
             g = PowerProduct.from_pow(n, Fraction(-1, 2)) * PowerProduct.from_pow(N, x_q)
         x, nu = tuple(inv_exponent(b.p) for b in balls), tuple(b.nu for b in balls)
+        # x̄ and 1/q over one even denominator, as `piece_rows` reads them.
+        D = math.lcm(2, q.numerator, *(v.denominator for v in x))
+        X = [v.numerator * (D // v.denominator) for v in x]
         terms = []
-        rows = piece_rows(x, x_q, g is not None)
+        rows = piece_rows(X, q.denominator * (D // q.numerator), D, g is not None)
         for family, idx, den, weights, _, logn_coeff, n_power in rows:
             factors = [nu[i] ** Fraction(w, den) for i, w in zip(idx, weights)]
             if n_power:
@@ -476,13 +481,22 @@ def classify_branch(spec: IntersectionSpec):
 # dyadic blocks of a smoothness class
 
 
+#: Largest block rank m = Σ m_j that `block_profile` accepts.  The block
+#: dimension 2^m is then a 128 KiB integer, and from m ≈ 14 300 on every
+#: answer already has more digits than the interpreter converts to text.
+MAX_BLOCK_RANK = 2**20
+
+
 def block_profile(spec: ProblemSpec, m_vec: tuple[int, ...]) -> tuple[int, ...]:
-    """m̄ as integers, refused unless it has one entry ≥ 0 per coordinate."""
+    """m̄ as integers, refused unless it has one entry ≥ 0 per coordinate and
+    its entries sum to at most `MAX_BLOCK_RANK`."""
     if len(m_vec) != spec.d:
         raise ParameterError(f"block profile has {len(m_vec)} entries, spec has {spec.d}")
     m_vec = tuple(int(v) for v in m_vec)
     if any(v < 0 for v in m_vec):
         raise ParameterError("block profile entries must be ≥ 0")
+    if sum(m_vec) > MAX_BLOCK_RANK:
+        raise ParameterError(f"block profile entries must sum to at most {MAX_BLOCK_RANK}")
     return m_vec
 
 
@@ -492,13 +506,16 @@ def dyadic_block_order(spec: ProblemSpec, m_vec: tuple[int, ...], n: int) -> Wid
     The block with profile m̄ has dimension N = 2^m, m = Σ m_j, and reduces
     to the intersection ∩_j ν_j B_{p_j}^N in ℓ_q^N with exact radii
 
-        ν_j = 2^(−m_j r_j + m/p_j − m/q).
+        ν_j = 2^(−m_j r_j + m/p_j − m/q),
+
+    the exponent's last two terms read as m·(X_j − Q)/D from the spec's
+    integer scale.  `block_profile` refuses m̄ before 2^m is built.
     """
     m_vec = block_profile(spec, m_vec)
     m = sum(m_vec)
     balls = []
     for j in range(spec.d):
-        e = -m_vec[j] * spec.r[j] + m * spec.x[j] - m * spec.x_q
+        e = -m_vec[j] * spec.r[j] + Fraction(m * (spec.X[j] - spec.Q), spec.D)
         balls.append(BallSpec(spec.p[j], PowerProduct.from_pow(2, e)))
     return intersection_order(IntersectionSpec(N=2**m, n=n, q=spec.q, balls=tuple(balls)))
 

@@ -13,9 +13,9 @@ Everything downstream is driven by a handful of exact quantities:
     <r̄>/d + 1/q − <r̄>/<p̄ ∘ r̄>                        compactness margin.
 
 All arithmetic is exact: sums and comparisons run on integers over one
-common denominator.  A value handed out is a `fractions.Fraction`, or, in
-the piece tables, an integer numerator over a stated denominator.  Nothing
-in this module rounds.
+common denominator.  A value handed out is a `fractions.Fraction`, or, on
+the spec's integer scale and in the piece tables, an integer numerator
+over a stated denominator.  Nothing in this module rounds.
 
 Index conventions: coordinates are 0-based everywhere in code.  Rendered
 output (CLI, reports) prints 1-based names like ``p1`` to match the flag
@@ -78,28 +78,25 @@ def as_fraction(x) -> Fraction:
 class ProblemSpec:
     """An exact (r̄, p̄, q) triple with validated domains.
 
-    Construction also derives, once, the exact quantities that every order
-    estimate is keyed by, and keeps them on the instance:
+    Construction also puts 1/p̄, 1/q and 1/2 on one integer scale, once,
+    and keeps it on the instance with the sums that every order estimate is
+    keyed by:
 
-        x         (1/p_1, ..., 1/p_d)
-        x_q       1/q
-
-    The sums behind everything else run on integers over one denominator
-    D, the lcm of the numerators of the products p_j r_j, and those
-    integers are kept for the closed forms and the regime screens:
-
-        D         the common denominator
+        D         the lcm of 2, the numerator of q and the numerators of
+                  the products p_j r_j
         X         (X_1, ..., X_d),  X_j = D/p_j
+        Q         D/q  (and D/2 = D // 2 needs no field)
         total     D·Σ_j 1/r_j  = D·d/<r̄>
         mixed     D·Σ_j 1/(p_j r_j)  = D·d/<p̄ ∘ r̄>
 
-    so that <r̄>/d = D/total, the compactness margin is
-    ((D − mixed)·q + total)/(total·q) and the regularity sum
+    all integers.  Every regime screen is a comparison of X_j with Q and
+    D/2, <r̄>/d = D/total, the compactness margin is
+    ((D − mixed)·D + Q·total)/(total·D) and the regularity sum
     M_j = Σ_i (1/r_i)(1/p_i − 1/p_j) is (mixed·D − X_j·total)/D².
     `compact_margin` builds the margin as a `Fraction` when called, and
     `reg_sums` builds the sums on first read.  `rate_rows(high)` is the
-    `piece_rows` table at (x̄, 1/q) in the low or the high shape, scaled to
-    integers over one denominator and built on first use; φ/ψ and the
+    `piece_rows(X, Q, D, high)` table in the low or the high shape, scaled
+    to integers over one denominator and built on first use; φ/ψ and the
     epigraph LP read it.  `closedform.classify_regime` keeps its report on
     the instance in the same way.  None of this takes part in ==, hash,
     repr or str: two specs with the same (r̄, p̄, q) are equal whatever they
@@ -115,25 +112,23 @@ class ProblemSpec:
         object.__setattr__(self, "p", tuple(as_fraction(x) for x in p))
         object.__setattr__(self, "q", as_fraction(q))
         self._validate()
-        # Over D, the lcm of the numerators of p_j r_j, each of 1/r_j, 1/p_j
-        # = X_j/D and (1/r_j)(1/p_j) is an integer numerator; the sums run on
-        # those integers.
+        # Over D, the lcm of 2, q's numerator and the numerators of p_j r_j,
+        # each of 1/r_j, 1/p_j = X_j/D, (1/r_j)(1/p_j), 1/q = Q/D and 1/2 is
+        # an integer numerator; the sums run on those integers.
         rn = [v.numerator for v in self.r]
         rd = [v.denominator for v in self.r]
         pn = [v.numerator for v in self.p]
         pd = [v.denominator for v in self.p]
-        D = lcm(*(a * b for a, b in zip(rn, pn)))
-        X = [b * (D // a) for a, b in zip(pn, pd)]
+        D = lcm(2, self.q.numerator, *(a * b for a, b in zip(rn, pn)))
         total = sum(b * (D // a) for a, b in zip(rn, rd))  # d/<r̄>, times D
         mixed = sum(  # d/<p̄ ∘ r̄>, times D
             b1 * b2 * (D // (a1 * a2)) for a1, b1, a2, b2 in zip(rn, rd, pn, pd)
         )
         # Frozen: the derived values go straight into the instance dict.
         self.__dict__.update(
-            x=tuple(Fraction(b, a) for a, b in zip(pn, pd)),
-            x_q=Fraction(self.q.denominator, self.q.numerator),
             D=D,
-            X=tuple(X),
+            X=tuple(b * (D // a) for a, b in zip(pn, pd)),
+            Q=self.q.denominator * (D // self.q.numerator),
             total=total,
             mixed=mixed,
             _rows={},
@@ -164,7 +159,7 @@ class ProblemSpec:
 
     @cached_property
     def reg_sums(self) -> tuple[Fraction, ...]:
-        """(M_1, ..., M_d), M_j = Σ_i (1/r_i)(1/p_i − 1/p_j) = mixed − x_j·total
+        """(M_1, ..., M_d), M_j = Σ_i (1/r_i)(1/p_i − 1/p_j) = mixed·D − X_j·total
         over D²."""
         D = self.D
         return tuple(Fraction(self.mixed * D - X_j * self.total, D * D) for X_j in self.X)
@@ -175,12 +170,12 @@ class ProblemSpec:
         ≥ 0 means the class embeds boundedly into L_q; > 0 is the strict
         margin required by every order estimate in this package.
         """
-        # = (D − mixed)/total + 1/q.
-        qn, qd = self.q.numerator, self.q.denominator
-        return Fraction((self.D - self.mixed) * qn + qd * self.total, self.total * qn)
+        # = (D − mixed)/total + Q/D.
+        D, total = self.D, self.total
+        return Fraction((D - self.mixed) * D + self.Q * total, total * D)
 
     def rate_rows(self, high: bool) -> tuple[int, tuple[RateRow, ...]]:
-        """`piece_rows(x̄, 1/q, high)` as (L, rows), built on first use per
+        """`piece_rows(X, Q, D, high)` as (L, rows), built on first use per
         shape: each row is ((family, indices), L times the coefficients
         (w_1 r_1, …, w_d r_d, t_coeff, logn_coeff) of that piece), all
         integers, in `piece_rows` order, and L is the least denominator
@@ -198,7 +193,7 @@ class ProblemSpec:
             rd = [v.denominator for v in self.r]
             pieces = []  # (tag, [(column, numerator, denominator)]), in lowest terms
             for family, idx, den, weights, t_coeff, logn_coeff, _ in piece_rows(
-                self.x, self.x_q, high
+                self.X, self.Q, self.D, high
             ):
                 terms = []
                 for i, w in zip(idx, weights):
@@ -237,13 +232,14 @@ PieceRow = tuple[str, tuple[int, ...], int, tuple[int, ...], int, int, int]
 RateRow = tuple[tuple[str, tuple[int, ...]], tuple[int, ...]]
 
 
-def piece_rows(x: Sequence[Fraction], x_q: Fraction, high: bool) -> list[PieceRow]:
+def piece_rows(X: Sequence[int], Q: int, D: int, high: bool) -> list[PieceRow]:
     """The five piece families of every width order, as one table of rows.
 
-    x[j] = 1/p_j (0 for a p = ∞ ball), x_q = 1/q and θ_q = 1/2 − x_q;
-    `high` selects the q > 2 shape, which is refused (`ParameterError`)
-    when q ≤ 2.  A row carries a coordinate term Σ w_i r_i t_i over its
-    indices plus the listed coefficients:
+    x_j = X[j]/D = 1/p_j (0 for a p = ∞ ball), x_q = Q/D = 1/q and 1/2 =
+    H/D with H = D/2, all on one integer scale: D is even and positive.
+    θ_q = 1/2 − x_q, and `high` selects the q > 2 shape, which is refused
+    (`ParameterError`) when q ≤ 2.  A row carries a coordinate term
+    Σ w_i r_i t_i over its indices plus the listed coefficients:
 
       family          switched on by        weights   t_coeff    logn_coeff  n_power
       large-p         x_j ≤ x_q             1         0          0           x_q − x_j
@@ -259,12 +255,12 @@ def piece_rows(x: Sequence[Fraction], x_q: Fraction, high: bool) -> list[PieceRo
     thresholds are closed, so a coordinate with x_j = x_q (or x_j = 1/2 in
     the high shape) has a row in both neighbouring families.
 
-    Everything runs on x̄, x_q and 1/2 as integers X_j, Q and H over their
-    common denominator D, and no `Fraction` is built: a row is (family,
-    indices, den, weights, t_coeff, logn_coeff, n_power), each coefficient
-    an integer numerator over the row's den, which need not be in lowest
-    terms.  den is D for the single-index rows except mid-p, where it is
-    2θ_q·D = D − 2Q, and 2(X_j − X_i) for a pair (i, j).
+    Everything runs on the integers X_j, Q and H, and no `Fraction` is
+    built but for the text of a refusal: a row is (family, indices, den,
+    weights, t_coeff, logn_coeff, n_power), each coefficient an integer
+    numerator over the row's den, which need not be in lowest terms.  den
+    is D for the single-index rows except mid-p, where it is 2θ_q·D =
+    D − 2Q, and 2(X_j − X_i) for a pair (i, j).
 
     The consumers read the rows as they stand, the first three through
     `ProblemSpec.rate_rows` (as integers over one denominator):
@@ -277,14 +273,12 @@ def piece_rows(x: Sequence[Fraction], x_q: Fraction, high: bool) -> list[PieceRo
       IntersectionSpec.terms    Π ν_i^(w_i) · N^(n_power) · g^(2·logn_coeff),
                                 g = n^(−1/2) N^(1/q), in the shape of q.
     """
-    # x_j, x_q and 1/2 as integers X_j, Q and H over one denominator D.
-    D = lcm(2, x_q.denominator, *(v.denominator for v in x))
-    X = [v.numerator * (D // v.denominator) for v in x]
-    Q = x_q.numerator * (D // x_q.denominator)
     H = D // 2
     if high and Q >= H:
-        raise ParameterError(f"the high (q > 2) piece rows need 1/q < 1/2, got 1/q = {x_q}")
-    idx = range(len(x))
+        raise ParameterError(
+            f"the high (q > 2) piece rows need 1/q < 1/2, got 1/q = {Fraction(Q, D)}"
+        )
+    idx = range(len(X))
     unit = (D,)
     rows = [("large-p", (j,), D, unit, 0, 0, Q - X[j]) for j in idx if X[j] <= Q]
     if high:

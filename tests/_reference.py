@@ -274,6 +274,19 @@ def reference_classify_branch(spec: IntersectionSpec):
     return "unclassified", None
 
 
+def reciprocals(spec: ProblemSpec):
+    """(x̄, x_q) = ((1/p_1, …, 1/p_d), 1/q) of a spec, as `Fraction`s."""
+    return tuple(1 / p for p in spec.p), 1 / spec.q
+
+
+def scaled(x, x_q):
+    """(X, Q, D): x̄ and x_q as integers over D = lcm(2, their denominators),
+    the arguments of `params.piece_rows`."""
+    D = lcm(2, x_q.denominator, *(v.denominator for v in x))
+    X = [v.numerator * (D // v.denominator) for v in x]
+    return X, x_q.numerator * (D // x_q.denominator), D
+
+
 def plain_piece_rows(x, x_q, high):
     """The piece table of `params.piece_rows`' docstring in `Fraction`s, one
     step at a time: rows (family, indices, weights, t_coeff, logn_coeff,
@@ -313,7 +326,7 @@ def reference_rate_rows(spec: ProblemSpec, high: bool):
     coefficients of (α_1, …, α_d, s, 1)), L the lcm of their denominators."""
     d = spec.d
     pieces = []  # (tag, the nonzero (column, coefficient) pairs of the row)
-    for family, idx, weights, t_coeff, logn_coeff, _ in plain_piece_rows(spec.x, spec.x_q, high):
+    for family, idx, weights, t_coeff, logn_coeff, _ in plain_piece_rows(*reciprocals(spec), high):
         terms = [(i, Fraction(w) * spec.r[i]) for i, w in zip(idx, weights)]
         terms += [(j, Fraction(v)) for j, v in ((d, t_coeff), (d + 1, logn_coeff)) if v]
         pieces.append(((family, idx), terms))
@@ -380,7 +393,7 @@ def cross_term_dominated(
     if any(v < 0 for v in m_vec):
         raise ParameterError("m̄ entries must be ≥ 0")
     m = sum(m_vec)
-    x_q, x, r = spec.x_q, spec.x, spec.r
+    (x, x_q), r = reciprocals(spec), spec.r
     checks = []
     for i in range(spec.d):
         if x[i] >= _HALF:

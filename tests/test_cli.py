@@ -288,6 +288,26 @@ def test_sweep_refuses_a_block_profile_that_no_rank_can_use(capsys, m_vec):
     assert got == (4, "", f"error: {refusal.value}\n")
 
 
+def test_sweep_refuses_a_block_rank_too_large_to_build(capsys):
+    # The profile is refused before the block dimension 2^(Σ m_j) is built.
+    spec = ProblemSpec(r=(F(1), F(1)), p=(F(3), F(3)), q=F(2))
+    with pytest.raises(ParameterError) as refusal:
+        finitedim.dyadic_block_order(spec, (10**12, 0), 4)
+    top = finitedim.MAX_BLOCK_RANK
+
+    def sweep(m_vec):
+        return run(
+            capsys, "sweep", "--r", "1,1", "--p", "3,3", "--q", "2",
+            "--vary", "n", "--m-vec", m_vec, "--from", "0", "--to", "16", "--steps", "2",
+        )
+
+    assert sweep("1000000000000,0") == (4, "", f"error: {refusal.value}\n")
+    assert sweep(f"{top},1") == sweep(f"0,{top + 1}") == sweep("1000000000000,0")
+    # At the bound the block is built, and its answer is not the refusal.
+    code, out, err = sweep(f"{top},0")
+    assert err.count("\n") == 1 and err != f"error: {refusal.value}\n"
+
+
 @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
 def test_sweep_refuses_an_out_path_it_cannot_write(capsys, tmp_path, where):
     out_path = tmp_path / "no-such-dir" / "rows.csv" if where == "missing-dir" else tmp_path

@@ -7,7 +7,13 @@ from _reference import check_compact, permuted, reference_classify_regime
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from widthcalc.closedform import check_regularity, classify_regime, noncompact_screen
+from widthcalc.closedform import (
+    check_regularity,
+    classify_regime,
+    noncompact_screen,
+    regular_exponent,
+    small_smoothness_exponent,
+)
 from widthcalc.exponent import build_objective, minimize
 from widthcalc.oracle import BRANCH_LABELS, SCREEN_LABEL, Lcg, _propose
 from widthcalc.params import ParameterError, ProblemSpec
@@ -143,6 +149,21 @@ EDGES = [
     (("1/6", "2"), ("5/2", "5"), "3"),
     (("1/2", "1"), ("4/3", "4"), "2"),
     (("1/2", "1"), ("4/3", "4"), "3"),
+    # Thresholds, at d = 2 and d = 3: q = 2, some p_j = q, some p_j = 2, each
+    # on the boundary of one integer screen (X_j against Q, 2Q against D,
+    # 2X_j against D).
+    (("1/4", "1"), ("9/8", "2"), "2"),
+    (("1/4", "1", "1"), ("9/8", "2", "3/2"), "2"),
+    (("2", "2"), ("3/2", "2"), "2"),
+    (("2", "2", "2"), ("3/2", "4/3", "2"), "2"),
+    (("1", "1"), ("3", "5"), "3"),
+    (("1", "2", "1"), ("3", "5", "4"), "3"),
+    (("2", "2"), ("2", "3/2"), "3"),
+    (("2", "2", "2"), ("2", "3/2", "5/4"), "3"),
+    (("1", "1"), ("2", "4"), "3"),
+    (("1", "1", "1"), ("2", "4", "5/2"), "3"),
+    (("1", "1/4"), ("6", "2"), "3"),
+    (("1/10", "1"), ("3", "5"), "3"),
 ]
 
 
@@ -172,20 +193,27 @@ def _seeded_specs():
 
 
 def test_integer_closed_forms_equal_the_fraction_definitions():
-    reached, reached_beyond_plane, tied, dims = set(), set(), set(), set()
+    reached, reached_beyond_plane, tied, dims, edges = set(), set(), set(), set(), set()
     for spec in _seeded_specs():
         report, reference = classify_regime(spec), reference_classify_regime(spec)
         for f in dataclasses.fields(report):
             assert getattr(report, f.name) == getattr(reference, f.name), (str(spec), f.name)
         assert list(report.thetas) == list(reference.thetas)
         assert all(type(v) is F for v in report.thetas.values())
+        # A row family that answers at all answers with the classification.
+        assert regular_exponent(spec) in (None, report)
+        assert small_smoothness_exponent(spec) in (None, report)
         reached.add(report.case)
         if spec.d > 2:
             reached_beyond_plane.add(report.case)
         dims.add(spec.d)
         if report.tie:
             tied.add(frozenset(report.thetas))
+        on = {"q = 2": spec.q == 2, "p_j = q": spec.q in spec.p, "p_j = 2": 2 in spec.p}
+        edges |= {(edge, spec.d > 2) for edge in on if on[edge]}
     assert reached == set(CASE_LABELS)
+    kinds = ("q = 2", "p_j = q", "p_j = 2")
+    assert edges == {(kind, beyond) for kind in kinds for beyond in (False, True)}
     assert reached_beyond_plane == set(CASE_LABELS) - {"T4.1", "T4.2a", "T4.2b"}
     assert dims == {2, 3, 4, 5, 8, 12, 16}
     # Two-way ties in T1.2 and T4 rows, and a tie among three thetas.

@@ -11,6 +11,7 @@ from _reference import (
     check_compact,
     permuted,
     plain_piece_rows,
+    reciprocals,
     threshold_specs,
     units,
 )
@@ -89,7 +90,7 @@ def _epigraph_rows(spec):
     if high:
         A_ub.append([F(0)] * d + [F(1), F(0), F(0)])
         b_ub.append(spec.q / 2 - 1)
-    for _, idx, weights, t_coeff, logn_coeff, _ in plain_piece_rows(spec.x, spec.x_q, high):
+    for _, idx, weights, t_coeff, logn_coeff, _ in plain_piece_rows(*reciprocals(spec), high):
         coeffs = [F(0)] * d
         for i, w in zip(idx, weights):
             coeffs[i] = w * spec.r[i]

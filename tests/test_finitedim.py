@@ -8,6 +8,7 @@ import pytest
 from _reference import (
     cross_term_dominated,
     plain_piece_rows,
+    reciprocals,
     reference_classify_branch,
     sample_intersection,
     sample_tie_intersection,
@@ -380,7 +381,7 @@ def _reference_block_rate(spec, t_vec, t, log_n, high):
         sum(w * spec.r[i] * t_vec[i] for i, w in zip(idx, weights))
         + t_coeff * t
         + logn_coeff * log_n
-        for _, idx, weights, t_coeff, logn_coeff, _ in plain_piece_rows(spec.x, spec.x_q, high)
+        for _, idx, weights, t_coeff, logn_coeff, _ in plain_piece_rows(*reciprocals(spec), high)
     )
 
 

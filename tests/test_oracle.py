@@ -273,8 +273,8 @@ def test_a_wrong_rate_rows_weight_fails_the_certificate(monkeypatch):
 def test_a_wrong_piece_rows_weight_fails_the_identities(monkeypatch):
     real = params.piece_rows
 
-    def wrong(x, x_q, high):
-        (family, idx, den, weights, *rest), *others = real(x, x_q, high)
+    def wrong(X, Q, D, high):
+        (family, idx, den, weights, *rest), *others = real(X, Q, D, high)
         return [(family, idx, den, (2 * weights[0], *weights[1:]), *rest), *others]
 
     monkeypatch.setattr(params, "piece_rows", wrong)

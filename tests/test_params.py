@@ -7,12 +7,15 @@ from _reference import (
     fraction_row,
     permuted,
     plain_piece_rows,
+    reciprocals,
     reference_rate_rows,
     reference_terms,
+    scaled,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from widthcalc import params
 from widthcalc.exponent import build_objective
 from widthcalc.finitedim import BallSpec, IntersectionSpec
 from widthcalc.params import MAX_DIMENSION, ParameterError, ProblemSpec, as_fraction, piece_rows
@@ -122,8 +125,7 @@ def _shapes(spec):
 def test_cached_invariants_equal_their_definitions(case):
     spec, _ = case
     d = spec.d
-    assert spec.x == tuple(1 / p for p in spec.p)
-    assert spec.x_q == 1 / spec.q
+    assert spec.D % 2 == 0 and spec.Q == spec.D / spec.q
     rm = harmonic_mean(spec.r)
     prm = harmonic_mean([p * r for p, r in zip(spec.p, spec.r)])
     assert F(d * spec.D, spec.total) == rm
@@ -136,7 +138,7 @@ def test_cached_invariants_equal_their_definitions(case):
         sum((1 / spec.r[i]) * (1 / spec.p[i] - 1 / spec.p[j]) for i in range(d))
         for j in range(d)
     )
-    assert spec.X == tuple(spec.D * v for v in spec.x)
+    assert spec.X == tuple(spec.D / p for p in spec.p)
     assert spec.total == spec.D * inv_r_sum
     assert spec.mixed == spec.D * mixed
     for high in _shapes(spec):
@@ -163,7 +165,8 @@ def test_permuted_spec_derives_its_own_invariants(case):
     spec, order = case
     spec.rate_rows(False)  # a filled cache on the original must not leak
     moved = permuted(spec, order)
-    assert moved.x == tuple(spec.x[i] for i in order)
+    assert (moved.D, moved.Q) == (spec.D, spec.Q)
+    assert moved.X == tuple(spec.X[i] for i in order)
     assert moved.reg_sums == tuple(spec.reg_sums[i] for i in order)
     assert moved.compact_margin() == spec.compact_margin()
     for high in _shapes(moved):
@@ -172,7 +175,7 @@ def test_permuted_spec_derives_its_own_invariants(case):
 
 def _rows(spec, high):
     """`piece_rows` at (x̄, 1/q) in the `Fraction` form of `plain_piece_rows`."""
-    return [fraction_row(row) for row in piece_rows([1 / p for p in spec.p], 1 / spec.q, high)]
+    return [fraction_row(row) for row in piece_rows(*scaled(*reciprocals(spec)), high)]
 
 
 def _members(rows, family):
@@ -201,7 +204,7 @@ def test_high_shape_is_refused_at_q_up_to_two(q):
     with pytest.raises(ParameterError):
         spec.rate_rows(True)
     with pytest.raises(ParameterError):
-        piece_rows(spec.x, spec.x_q, high=True)
+        piece_rows(spec.X, spec.Q, spec.D, high=True)
     assert spec.rate_rows(False)[1]  # the low shape stays defined
 
 
@@ -214,7 +217,8 @@ def test_low_q_partition_worked_example():
         ("cross-lambda", (0, 1), (F(1, 2), F(1, 2)), zero, zero, zero),
     ]
     # x̄ = (2, 4)/6 and 1/q = 3/6: each row over its own den.
-    assert piece_rows(spec.x, spec.x_q, high=False) == [
+    assert (spec.X, spec.Q, spec.D) == ((2, 4), 3, 6)
+    assert piece_rows(spec.X, spec.Q, spec.D, high=False) == [
         ("large-p", (0,), 6, (6,), 0, 0, 1),
         ("small-p", (1,), 6, (6,), -1, 0, 0),
         ("cross-lambda", (0, 1), 4, (2, 2), 0, 0, 0),
@@ -240,16 +244,17 @@ def test_interp_weights_hit_their_levels_exactly(spec):
 
 
 @st.composite
-def threshold_specs(draw):
-    """Specs at d = 2..16 whose p_j may sit on q or on 2."""
+def threshold_triples(draw):
+    """(r̄, p̄, q) in `Fraction`s at d = 2..16, whose p_j may sit on q or on 2."""
     d = draw(st.integers(2, MAX_DIMENSION))
     q = 1 + draw(rationals)
     p = st.one_of(rationals.map(lambda x: 1 + x), st.just(q), st.just(F(2)))
-    return ProblemSpec(
-        r=[x + F(1, 8) for x in draw(st.lists(rationals, min_size=d, max_size=d))],
-        p=draw(st.lists(p, min_size=d, max_size=d)),
-        q=q,
-    )
+    r = [x + F(1, 8) for x in draw(st.lists(rationals, min_size=d, max_size=d))]
+    return r, draw(st.lists(p, min_size=d, max_size=d)), q
+
+
+def threshold_specs():
+    return threshold_triples().map(lambda triple: ProblemSpec(*triple))
 
 
 def _all_integers(rows):
@@ -260,8 +265,8 @@ def _all_integers(rows):
 @given(threshold_specs())
 def test_spec_invariants_match_plain_fraction_formulas(spec):
     d, r, p, q = spec.d, spec.r, spec.p, spec.q
-    assert spec.x == tuple(F(1) / pj for pj in p)
-    assert spec.x_q == F(1) / q
+    assert spec.X == tuple(spec.D * (F(1) / pj) for pj in p)
+    assert spec.Q == spec.D * (F(1) / q) and spec.D % 2 == 0
     assert spec.reg_sums == tuple(
         sum((F(1) / r[i]) * (F(1) / p[i] - F(1) / p[j]) for i in range(d)) for j in range(d)
     )
@@ -269,11 +274,39 @@ def test_spec_invariants_match_plain_fraction_formulas(spec):
     pr_mean = d / sum(F(1) / (pj * rj) for pj, rj in zip(p, r))
     assert F(d * spec.D, spec.total) == r_mean and F(d * spec.D, spec.mixed) == pr_mean
     assert spec.compact_margin() == r_mean / d + F(1) / q - r_mean / pr_mean
-    derived = (*spec.x, spec.x_q, *spec.reg_sums)
-    assert all(type(v) is F for v in derived)
+    assert all(type(v) is int for v in (spec.D, *spec.X, spec.Q, spec.total, spec.mixed))
+    assert all(type(v) is F for v in spec.reg_sums)
     for high in _shapes(spec):
         assert _rows(spec, high) == plain_piece_rows([F(1) / pj for pj in p], F(1) / q, high)
         assert spec.rate_rows(high) == reference_rate_rows(spec, high)
+
+
+class _RefusedFraction(type):
+    """Stands in for `params.Fraction`: `isinstance` answers as for
+    `Fraction`, and building one fails."""
+
+    def __instancecheck__(cls, value):
+        return isinstance(value, F)
+
+    def __call__(cls, *args):
+        raise AssertionError(f"params built a Fraction{args}")
+
+
+class _NoFraction(metaclass=_RefusedFraction):
+    pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(threshold_triples())
+def test_specs_and_their_row_tables_build_no_fraction_in_params(triple):
+    """From `Fraction` inputs, a spec puts 1/p̄, 1/q and 1/2 on its integer
+    scale and fills the row tables of both shapes without one `Fraction`
+    built in `params`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(params, "Fraction", _NoFraction)
+        spec = ProblemSpec(*triple)
+        tables = [spec.rate_rows(high) for high in _shapes(spec)]
+    assert tables == [reference_rate_rows(spec, high) for high in _shapes(spec)]
 
 
 @st.composite
@@ -293,7 +326,7 @@ def threshold_points(draw):
 def test_piece_rows_match_plain_fraction_formulas(point):
     x, x_q = point
     for high in (False, True) if x_q < F(1, 2) else (False,):
-        rows = piece_rows(x, x_q, high)
+        rows = piece_rows(*scaled(x, x_q), high)
         assert [fraction_row(row) for row in rows] == plain_piece_rows(x, x_q, high)
         assert _all_integers(rows)
 
