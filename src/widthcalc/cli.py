@@ -51,7 +51,7 @@ from .finitedim import (
     intersection_order,
     single_ball_order,
 )
-from .params import MAX_DIMENSION, ParameterError, ProblemSpec
+from .params import ParameterError, ProblemSpec
 from .values import INF, PowerProduct, decimal_str, is_inf
 
 __all__ = ["main"]

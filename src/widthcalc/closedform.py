@@ -58,12 +58,15 @@ while the planar rows, with gap = X_lo − X_hi and r_lo = r_n/r_d, take
     λ = (Q − X_hi) / gap,     μ = (D/2 − X_hi) / gap,
     ŝλr_lo = (Q − X_hi)·r_n / (r_d·gap − r_n·(D − 2Q)).
 
-Each θ is compared as a (numerator, denominator) pair, and one `Fraction`
-is built per θ that a report carries.  `classify_regime` keeps its report
-on the spec, so a spec is classified once however often it is asked.  The
-LP route in `exponent` recomputes the same θ values from the raw piecewise
-objective, and the test suite checks the two against each other and these
-forms against their `Fraction` definitions.
+`classify_regime` is the one public entry: it builds excess, the
+regularity verdict (every M_j < 1, read at the least X_j) and the least and
+greatest X_j once, and runs every screen above in one pass.  Each θ is
+compared as a (numerator, denominator) pair, and one `Fraction` is built
+per θ that a report carries.  The report is kept on the spec, so a spec is
+classified once however often it is asked.  The LP route in `exponent`
+recomputes the same θ values from the raw piecewise objective, and the
+test suite checks the two against each other and these forms against their
+`Fraction` definitions.
 """
 
 from __future__ import annotations
@@ -73,14 +76,7 @@ from fractions import Fraction
 
 from .params import ProblemSpec
 
-__all__ = [
-    "RegimeReport",
-    "check_regularity",
-    "noncompact_screen",
-    "regular_exponent",
-    "small_smoothness_exponent",
-    "classify_regime",
-]
+__all__ = ["RegimeReport", "classify_regime"]
 
 
 @dataclass(frozen=True)
@@ -92,29 +88,6 @@ class RegimeReport:
     thetas: dict[str, Fraction] = field(default_factory=dict)
     exponent: Fraction | None = None
     tie: bool = False
-
-
-def check_regularity(spec: ProblemSpec) -> bool:
-    """All regularity sums strictly below 1."""
-    # M_j = (mixed·D − X_j·total)/D² is largest at the least X_j.
-    return (spec.mixed - spec.D) * spec.D < min(spec.X) * spec.total
-
-
-def noncompact_screen(spec: ProblemSpec) -> bool | None:
-    """Non-compactness screen for the all-p≤q range.
-
-    Returns None when some p_j > q (the screen does not apply), else
-    whether some regularity sum reaches 1, which forces a non-compact
-    embedding regardless of the compactness margin.
-    """
-    if min(spec.X) < spec.Q:  # some p_j > q
-        return None
-    return not check_regularity(spec)
-
-
-def _excess(spec: ProblemSpec) -> int:
-    """The compactness margin times total·D, an integer of the margin's sign."""
-    return (spec.D - spec.mixed) * spec.D + spec.Q * spec.total
 
 
 # Each case's exponent is the strict minimum of its rival thetas: these
@@ -131,66 +104,6 @@ def _strict_min(regular: bool, case: str, thetas: dict[str, tuple[int, int]]) ->
     if len(values) > 1 and values[0] == values[1]:
         return RegimeReport(True, True, regular, "uncovered", thetas, None, tie=True)
     return RegimeReport(True, True, regular, case, thetas, values[0])
-
-
-def regular_exponent(spec: ProblemSpec) -> RegimeReport | None:
-    """The T1 closed forms, or None when their preconditions fail.
-
-    Requires a strictly positive margin.  The all-p≥q row never needs the
-    regularity sums; the other rows do.
-    """
-    regular = check_regularity(spec)
-    excess = _excess(spec)
-    D, Q, total, mixed = spec.D, spec.Q, spec.total, spec.mixed
-    X_min, X_max = min(spec.X), max(spec.X)
-    t1 = (D, total)
-    if X_max <= Q:  # all p_j ≥ q
-        # margin >= theta1 > 0 automatically in this row.
-        case, thetas = "T1.1", {"theta1": t1}
-    elif excess <= 0 or not regular:
-        return None
-    elif 2 * Q >= D:  # q ≤ 2
-        # T1.2a: all p_j ≤ q; T1.2b: p̄ straddles q.
-        case = "T1.2a" if X_min >= Q else "T1.2b"
-        thetas = {"theta1": t1, "theta2": (excess, total * D)}
-    else:  # q > 2 with some p_j < q
-        low, high = 2 * X_min >= D, 2 * X_max <= D  # all p_j ≤ 2, all p_j ≥ 2
-        case = "T1.3a" if low else "T1.3b" if high else "T1.3c"
-        t2 = (2 * (D - mixed) + total, 2 * total)
-        thetas = {"theta1": t1, "theta2": t2, "theta3": (excess, 2 * Q * total)}
-    return _strict_min(regular, case, thetas)
-
-
-def small_smoothness_exponent(spec: ProblemSpec) -> RegimeReport | None:
-    """The planar T4 closed forms, or None when their preconditions fail.
-
-    Preconditions: d = 2, the p̄ straddle p_lo < q < p_hi (either coordinate
-    order), small smoothness r_lo ≤ 1/p_lo − 1/p_hi, and a positive margin.
-    """
-    if spec.d != 2 or _excess(spec) <= 0:
-        return None
-    D, Q = spec.D, spec.Q
-    hi, lo = (0, 1) if spec.X[0] < Q else (1, 0)
-    X_hi, X_lo = spec.X[hi], spec.X[lo]
-    if not X_hi < Q < X_lo:
-        return None
-    gap = X_lo - X_hi  # (x_lo − x_hi)·D > 0
-    rn, rd = spec.r[lo].numerator, spec.r[lo].denominator
-    if rn * D > rd * gap:  # r_lo > x_lo − x_hi
-        return None
-    regular = check_regularity(spec)  # always False here; reported for context
-    t1 = (D, spec.total)
-    lam = Q - X_hi  # λ = lam/gap
-    if 2 * Q >= D:  # q ≤ 2
-        case, thetas = "T4.1", {"theta1": t1, "theta2": (lam * rn, gap * rd)}
-    else:
-        # ŝ = r_d·gap / (r_d·gap − r_n·(D − 2Q)), so ŝλr_lo is:
-        s_lam_r = (lam * rn, rd * gap - rn * (D - 2 * Q))
-        case, thetas = "T4.2a", {"theta1": t1, "theta2": s_lam_r}
-        if 2 * X_lo > D:  # p_lo < 2
-            # μ r_lo, with μ = (D/2 − X_hi)/gap.
-            case, thetas["theta3"] = "T4.2b", ((D // 2 - X_hi) * rn, gap * rd)
-    return _strict_min(regular, case, thetas)
 
 
 def classify_regime(spec: ProblemSpec) -> RegimeReport:
@@ -212,17 +125,48 @@ def classify_regime(spec: ProblemSpec) -> RegimeReport:
 
 
 def _classify(spec: ProblemSpec) -> RegimeReport:
-    excess = _excess(spec)
+    """The screens of `classify_regime` in one pass over the spec's integers."""
+    D, Q, total, mixed = spec.D, spec.Q, spec.total, spec.mixed
+    X_min, X_max = min(spec.X), max(spec.X)
+    excess = (D - mixed) * D + Q * total  # margin·total·D
     bounded = excess >= 0
-    regular = check_regularity(spec)
-    if noncompact_screen(spec):
+    # M_j = (mixed·D − X_j·total)/D² is largest at the least X_j.
+    regular = (mixed - D) * D < X_min * total
+    if X_min >= Q and not regular:  # all p_j ≤ q, some M_j ≥ 1
         return RegimeReport(bounded, False, regular, "T3-noncompact")
-    report = regular_exponent(spec)
-    if report is not None:
-        return report
+    t1 = (D, total)
+    if X_max <= Q:  # all p_j ≥ q: margin ≥ θ1 > 0, no regularity needed
+        return _strict_min(regular, "T1.1", {"theta1": t1})
     if excess <= 0:
         return RegimeReport(bounded, False, regular, "uncovered")
-    report = small_smoothness_exponent(spec)
-    if report is not None:
-        return report
+    if regular:
+        if 2 * Q >= D:  # q ≤ 2
+            # T1.2a: all p_j ≤ q; T1.2b: p̄ straddles q.
+            case = "T1.2a" if X_min >= Q else "T1.2b"
+            return _strict_min(regular, case, {"theta1": t1, "theta2": (excess, total * D)})
+        # q > 2 with some p_j < q.
+        low, high = 2 * X_min >= D, 2 * X_max <= D  # all p_j ≤ 2, all p_j ≥ 2
+        case = "T1.3a" if low else "T1.3b" if high else "T1.3c"
+        t2 = (2 * (D - mixed) + total, 2 * total)
+        thetas = {"theta1": t1, "theta2": t2, "theta3": (excess, 2 * Q * total)}
+        return _strict_min(regular, case, thetas)
+    if spec.d == 2:  # the planar rows, where irregular specs can still be compact
+        # Irregular and not T3, some p_j < q; not T1.1, some p_j > q: so p̄
+        # straddles q, X_hi < Q < X_lo, and small smoothness is what is left.
+        hi, lo = (0, 1) if spec.X[0] < Q else (1, 0)
+        X_hi, X_lo = spec.X[hi], spec.X[lo]
+        gap = X_lo - X_hi  # (x_lo − x_hi)·D
+        rn, rd = spec.r[lo].numerator, spec.r[lo].denominator
+        if rn * D <= rd * gap:  # r_lo ≤ x_lo − x_hi
+            lam = Q - X_hi  # λ = lam/gap
+            if 2 * Q >= D:  # q ≤ 2
+                case, thetas = "T4.1", {"theta1": t1, "theta2": (lam * rn, gap * rd)}
+            else:
+                # ŝ = r_d·gap / (r_d·gap − r_n·(D − 2Q)), so ŝλr_lo is:
+                s_lam_r = (lam * rn, rd * gap - rn * (D - 2 * Q))
+                case, thetas = "T4.2a", {"theta1": t1, "theta2": s_lam_r}
+                if 2 * X_lo > D:  # p_lo < 2
+                    # μ r_lo, with μ = (D/2 − X_hi)/gap.
+                    case, thetas["theta3"] = "T4.2b", ((D // 2 - X_hi) * rn, gap * rd)
+            return _strict_min(regular, case, thetas)
     return RegimeReport(bounded, True, regular, "uncovered")

@@ -36,13 +36,14 @@ left `unclassified`, without a certificate.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .params import ParameterError, ProblemSpec, RangeError, as_fraction, piece_rows
-from .values import INF, PowerProduct, inv_exponent, is_inf
+from .params import (
+    ParameterError, ProblemSpec, RangeError, as_fraction, over_one_denominator, piece_rows
+)
+from .values import PowerProduct, inv_exponent, is_inf
 
 __all__ = [
     "BallSpec",
@@ -138,10 +139,9 @@ class IntersectionSpec:
             g = PowerProduct.from_pow(n, Fraction(-1, 2)) * PowerProduct.from_pow(N, x_q)
         x, nu = tuple(inv_exponent(b.p) for b in balls), tuple(b.nu for b in balls)
         # x̄ and 1/q over one even denominator, as `piece_rows` reads them.
-        D = math.lcm(2, q.numerator, *(v.denominator for v in x))
-        X = [v.numerator * (D // v.denominator) for v in x]
+        D, (*X, Q, _) = over_one_denominator((*x, x_q, _HALF))
         terms = []
-        rows = piece_rows(X, q.denominator * (D // q.numerator), D, g is not None)
+        rows = piece_rows(X, Q, D, g is not None)
         for family, idx, den, weights, _, logn_coeff, n_power in rows:
             factors = [nu[i] ** Fraction(w, den) for i, w in zip(idx, weights)]
             if n_power:
@@ -527,12 +527,6 @@ def _block_rate(spec, high, E, point) -> Fraction:
     return Fraction(max(sum(map(operator.mul, row, point)) for _, row in rows), L * E)
 
 
-def _over_one_denominator(values) -> tuple[int, list[int]]:
-    """(E, [a_k]) with a_k/E = values[k] and E the lcm of their denominators."""
-    E = math.lcm(*(v.denominator for v in values))
-    return E, [v.numerator * (E // v.denominator) for v in values]
-
-
 def phi_value(spec: ProblemSpec, t_vec: tuple[Fraction, ...]) -> Fraction:
     """φ(t̄): the block-decay rate in the low-q shape, any q.
 
@@ -543,7 +537,7 @@ def phi_value(spec: ProblemSpec, t_vec: tuple[Fraction, ...]) -> Fraction:
     t_vec = tuple(as_fraction(v) for v in t_vec)
     if len(t_vec) != spec.d:
         raise ParameterError("t̄ length mismatch")
-    E, a = _over_one_denominator(t_vec)
+    E, a = over_one_denominator(t_vec)
     if min(a) < 0:
         raise ParameterError("t̄ entries must be ≥ 0")
     return _block_rate(spec, False, E, a + [sum(a), 0])
@@ -568,5 +562,5 @@ def psi_value(
     t_vec = tuple(as_fraction(v) for v in t_vec)
     if len(t_vec) != spec.d:
         raise ParameterError("t̄ length mismatch")
-    E, point = _over_one_denominator((*t_vec, as_fraction(t), as_fraction(log_n)))
+    E, point = over_one_denominator((*t_vec, as_fraction(t), as_fraction(log_n)))
     return _block_rate(spec, True, E, point)

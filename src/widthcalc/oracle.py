@@ -1,7 +1,8 @@
 """Independent recomputation oracles for the decay-exponent machinery.
 
 The closed forms in `closedform` and the LP route in `exponent` share no
-code with this module beyond the parameter types.  Everything here is
+code with this module beyond the parameter types and `params`' exact
+arithmetic (`as_fraction`, `over_one_denominator`).  Everything here is
 rebuilt from the defining formulas so that a bug in either route shows up
 as a disagreement:
 
@@ -38,10 +39,12 @@ as a disagreement:
 Reports are returned as data, never rendered here: `cli` prints them as
 text and as JSON.
 
-The pieces are integer rows over one common denominator (`_table`), built
-once per spec by `cross_validate` when it runs the lattice bracket or the
-identity checks, and shared by both; a point is scaled to integers once,
-and one `Fraction` is built only for a value that is returned or compared.
+The pieces are integer rows over one common denominator, built by `_table`
+for one spec and shape.  `_table` keeps the last two tables it built, the
+two shapes of one spec, and every check fetches its own from it, so a
+`cross_validate` record builds each shape it reads once; a point is scaled
+to integers once, and one `Fraction` is built only for a value that is
+returned or compared.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from fractions import Fraction
 
 from . import closedform
 from .exponent import build_objective, minimize
-from .params import ParameterError, ProblemSpec, RangeError, as_fraction
+from .params import ParameterError, ProblemSpec, RangeError, as_fraction, over_one_denominator
 
 __all__ = [
     "Lcg",
@@ -256,6 +259,7 @@ def sample_branch(rng: Lcg, label: str, max_tries: int = 50_000) -> ProblemSpec:
 # independent objective evaluation
 
 
+@functools.lru_cache(maxsize=2)
 def _table(spec: ProblemSpec, high: bool):
     """The objective's pieces as integer rows over one denominator L: (L, rows).
 
@@ -271,7 +275,10 @@ def _table(spec: ProblemSpec, high: bool):
 
     with (1 − λ)x_i + λx_j = x_q and (1 − μ)x_i + μx_j = 1/2.  A row is
     (tag, L × the coefficients of (α_1, …, α_d, s, 1)), the tag being
-    (family, 0-based indices) as in `exponent.Provenance`.
+    (family, 0-based indices) as in `exponent.Provenance`.  The last two
+    tables built are kept, enough for the two shapes of the spec that a
+    `cross_validate` record checks; call it with positional arguments, as
+    the cache keys on them.
     """
     d = spec.d
     # x_j, x_q and 1/2 as integers X_j, Q and H over one denominator D.
@@ -312,17 +319,6 @@ def _table(spec: ProblemSpec, high: bool):
     return L, tuple(rows)
 
 
-def _tables(spec: ProblemSpec):
-    """The low-shape table, and the q > 2 table (None for q ≤ 2), of `spec`."""
-    return _table(spec, False), (_table(spec, True) if spec.q > 2 else None)
-
-
-def _scaled(values) -> tuple[int, list[int]]:
-    """(E, [a_k]) with a_k/E = values[k] and E the lcm of their denominators."""
-    E = math.lcm(*(v.denominator for v in values))
-    return E, [v.numerator * (E // v.denominator) for v in values]
-
-
 def _over_lcm(pairs) -> list[int]:
     """The rationals (numerator, denominator) `pairs` as integers over the
     lcm of their denominators; where that lcm cancels, it is not kept."""
@@ -340,7 +336,7 @@ def _top(rows, point) -> int:
 # LP-duality certificate
 
 
-def check_certificate(spec: ProblemSpec, result, tables=None) -> list[str]:
+def check_certificate(spec: ProblemSpec, result) -> list[str]:
     """The failed checks of a `minimize` result for `spec`; [] when all hold.
 
     An LP-duality certificate (McConnell, Mehlhorn, Näher & Schweitzer,
@@ -350,10 +346,9 @@ def check_certificate(spec: ProblemSpec, result, tables=None) -> list[str]:
     below the objective, has least value θ over the domain's vertices; the
     argmin is in the domain and the objective there is θ; and the active
     pieces are the pieces worth θ there.  `unique` is not checked.
-    `tables` defaults to `_tables(spec)`.
     """
     high = spec.q > 2
-    L, rows = (tables or _tables(spec))[high]
+    L, rows = _table(spec, high)
     by_tag = dict(rows)
     theta, weights, alpha, s = result.theta, result.weights, result.argmin_alpha, result.argmin_s
     failures = []
@@ -364,7 +359,7 @@ def check_certificate(spec: ProblemSpec, result, tables=None) -> list[str]:
     else:
         # Σ λ_k·piece_k as one row over M·L, at the vertices c·e_j, s = c for
         # c = 1 and, when q > 2, c = q/2 (the low shape has no s slope); c = C/E.
-        M, lam = _scaled([w for _, w in weights])
+        M, lam = over_one_denominator([w for _, w in weights])
         *w, slope, const = (
             sum(m * by_tag[tag][k] for m, (tag, _) in zip(lam, weights)) for k in range(spec.d + 2)
         )
@@ -381,7 +376,7 @@ def check_certificate(spec: ProblemSpec, result, tables=None) -> list[str]:
         or high and not _ONE <= s <= spec.q / 2
     ):
         return failures + [f"argmin {alpha}, s={s} is outside the domain"]
-    E, point = _scaled((*alpha, s if high else _ONE))
+    E, point = over_one_denominator((*alpha, s if high else _ONE))
     values = {tag: sum(map(operator.mul, c, point + [E])) for tag, c in rows}
     # A value v over L·E equals θ when v·θ_den = θ_num·L·E.
     target = theta.numerator * L * E
@@ -423,7 +418,7 @@ def default_grid(d: int) -> int:
     return 64 * d
 
 
-def grid_minimize(spec: ProblemSpec, grid: int | None = None, tables=None) -> GridBracket:
+def grid_minimize(spec: ProblemSpec, grid: int | None = None) -> GridBracket:
     """Exact bracket of the objective minimum from a denominator-G lattice.
 
     q ≤ 2: points ᾱ = ā/G with ā ∈ Z≥0^d, Σā = G.  q > 2: additionally
@@ -439,7 +434,6 @@ def grid_minimize(spec: ProblemSpec, grid: int | None = None, tables=None) -> Gr
     or beat the incumbent.  `points` is the lattice size; the work is
     budgeted in cells × pieces, counted as each cell is entered whether or
     not it is cut short, and a lattice that needs more raises `RangeError`.
-    `tables` defaults to `_tables(spec)`.
     """
     d = spec.d
     G = default_grid(d) if grid is None else int(grid)
@@ -447,7 +441,7 @@ def grid_minimize(spec: ProblemSpec, grid: int | None = None, tables=None) -> Gr
         raise ParameterError(f"grid must be ≥ 1, got {G}")
     q = spec.q
     has_s = q > 2
-    L, pieces = (tables or _tables(spec))[has_s]
+    L, pieces = _table(spec, has_s)
     if has_s:
         K = (G * q.numerator) // (2 * q.denominator)
         # Σ_{G ≤ k ≤ K} C(k+d−1, d−1), by the hockey-stick identity.
@@ -549,9 +543,7 @@ class IdentityReport:
         return not self.failures
 
 
-def check_scaling_identities(
-    spec: ProblemSpec, points: int = 100, seed: int = 0, tables=None
-) -> IdentityReport:
+def check_scaling_identities(spec: ProblemSpec, points: int = 100, seed: int = 0) -> IdentityReport:
     """Exact spot checks of the identities linking block rates to exponents.
 
     Per sampled point, for q > 2:
@@ -562,15 +554,15 @@ def check_scaling_identities(
     apply.  All comparisons are exact; any nonzero residual is a failure.
     Both sides run in integers over one denominator per point: φ and ψ on
     `spec.rate_rows`, the table `finitedim.phi_value` and `psi_value` read
-    (built from `params.piece_rows`), h and h̃ on this module's own `tables`
-    (`_tables(spec)` when not given).  A `Fraction` is built only for the
-    text of a failure.
+    (built from `params.piece_rows`), h and h̃ on this module's own tables
+    (`_table`).  A `Fraction` is built only for the text of a failure.
     """
     rng = Lcg(seed)
     failures: list[str] = []
     checked = 0
     d = spec.d
-    low, high = tables or _tables(spec)
+    low = _table(spec, False)
+    high = _table(spec, True) if spec.q > 2 else None
     phi_L, phi_rows = spec.rate_rows(False)
     if high is not None:
         psi_L, psi_rows = spec.rate_rows(True)
@@ -670,8 +662,6 @@ def cross_validate(
     for i in range(samples):
         label = BRANCH_LABELS[i % len(BRANCH_LABELS)]
         spec = sample_branch(rng, label)
-        # Only the lattice and the identity checks read the oracle's tables.
-        tables = _tables(spec) if grid is not None or identity_points else None
         # A lookup: `sample_branch` classified this spec when it accepted it.
         report = closedform.classify_regime(spec)
         result = minimize(build_objective(spec))
@@ -684,14 +674,14 @@ def cross_validate(
             problems.append(f"closed={report.exponent}!=lp={result.theta}")
         g_lower = g_best = None
         if grid is not None:
-            bracket = grid_minimize(spec, grid, tables)
+            bracket = grid_minimize(spec, grid)
             g_lower, g_best = bracket.lower, bracket.best_value
             if not bracket.contains(result.theta):
                 problems.append(f"lp={result.theta} outside [{g_lower},{g_best}]")
         id_count = 0
         if identity_points:
             id_report = check_scaling_identities(
-                spec, points=identity_points, seed=rng.rand_below(1 << 32), tables=tables
+                spec, points=identity_points, seed=rng.rand_below(1 << 32)
             )
             id_count = id_report.checked
             if not id_report.ok:

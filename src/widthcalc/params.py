@@ -15,7 +15,11 @@ Everything downstream is driven by a handful of exact quantities:
 All arithmetic is exact: sums and comparisons run on integers over one
 common denominator.  A value handed out is a `fractions.Fraction`, or, on
 the spec's integer scale and in the piece tables, an integer numerator
-over a stated denominator.  Nothing in this module rounds.
+over a stated denominator.  `over_one_denominator` is the one helper that
+puts given rationals over the lcm of their denominators: φ/ψ scale their
+point with it, `finitedim.IntersectionSpec` its x̄, 1/q and 1/2, and the
+oracle's checks their points and dual weights.  Nothing in this module
+rounds.
 
 Index conventions: coordinates are 0-based everywhere in code.  Rendered
 output (CLI, reports) prints 1-based names like ``p1`` to match the flag
@@ -37,6 +41,7 @@ __all__ = [
     "PieceRow",
     "piece_rows",
     "as_fraction",
+    "over_one_denominator",
 ]
 
 #: Hard cap on the number of coordinates.  The closed forms are cheap at any
@@ -72,6 +77,13 @@ def as_fraction(x) -> Fraction:
     raise ParameterError(
         f"expected an exact rational (Fraction, int, or 'a/b' string), got {type(x).__name__}"
     )
+
+
+def over_one_denominator(values) -> tuple[int, list[int]]:
+    """(E, [a_k]) with a_k/E = values[k] for the exact rationals `values`,
+    E the lcm of their denominators."""
+    E = lcm(*(v.denominator for v in values))
+    return E, [v.numerator * (E // v.denominator) for v in values]
 
 
 @dataclass(frozen=True)

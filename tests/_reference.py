@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from widthcalc import finitedim as fd
 from widthcalc._simplex import LpError
-from widthcalc.closedform import RegimeReport, noncompact_screen
+from widthcalc.closedform import RegimeReport
 from widthcalc.finitedim import BallSpec, IntersectionSpec
 from widthcalc.oracle import Lcg
 from widthcalc.params import MAX_DIMENSION, ParameterError, ProblemSpec, as_fraction
@@ -59,10 +59,8 @@ def permuted(spec: ProblemSpec, order: tuple[int, ...]) -> ProblemSpec:
 
 
 def check_compact(spec: ProblemSpec) -> bool:
-    """Compact embedding: positive margin and the screen does not fire."""
-    if noncompact_screen(spec):
-        return False
-    return spec.compact_margin() > 0
+    """Compact embedding, as `reference_classify_regime` reports it."""
+    return reference_classify_regime(spec).compact
 
 
 # The closed forms in `Fraction` arithmetic, straight from their definitions:

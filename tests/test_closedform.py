@@ -7,13 +7,7 @@ from _reference import check_compact, permuted, reference_classify_regime
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from widthcalc.closedform import (
-    check_regularity,
-    classify_regime,
-    noncompact_screen,
-    regular_exponent,
-    small_smoothness_exponent,
-)
+from widthcalc.closedform import classify_regime
 from widthcalc.exponent import build_objective, minimize
 from widthcalc.oracle import BRANCH_LABELS, SCREEN_LABEL, Lcg, _propose
 from widthcalc.params import ParameterError, ProblemSpec
@@ -99,9 +93,11 @@ def test_planar_small_smoothness_high_q_small_range():
 
 def test_screen_fires_for_saturated_regularity_sums():
     # all p below q, and the rough coordinate carries the larger 1/p
-    rep = _case(("1/4", 1), ("9/8", 2), 2)
+    spec = _spec(("1/4", 1), ("9/8", 2), 2)
+    rep = classify_regime(spec)
     assert rep.case == "T3-noncompact" and not rep.compact and rep.exponent is None
-    assert noncompact_screen(_spec(("1/4", 1), ("9/8", 2), 2)) is True
+    # The screen's two conditions: every p_j ≤ q, and a regularity sum reaching 1.
+    assert max(spec.p) <= spec.q and max(spec.reg_sums) >= 1 and not rep.regularity
 
 
 def test_exact_candidate_tie_is_reported_uncovered():
@@ -112,8 +108,8 @@ def test_exact_candidate_tie_is_reported_uncovered():
 
 def test_all_large_row_never_needs_regularity():
     spec = _spec(("1/8", 4), ("5/2", 10), 2)
-    assert not check_regularity(spec)  # irregular on purpose
     rep = classify_regime(spec)
+    assert not rep.regularity  # irregular on purpose
     assert rep.case == "T1.1" and rep.exponent == 1 / sum(1 / r for r in spec.r)  # <r̄>/d
     assert rep.compact and check_compact(spec)
 
@@ -121,7 +117,7 @@ def test_all_large_row_never_needs_regularity():
 def test_regularity_sums_sum_signs():
     spec = _spec((1, "1/4"), (8, "8/5"), 2)
     assert spec.reg_sums == (F(2), F(-1, 2))
-    assert not check_regularity(spec)
+    assert not classify_regime(spec).regularity
 
 
 @settings(max_examples=150, deadline=None)
@@ -200,9 +196,6 @@ def test_integer_closed_forms_equal_the_fraction_definitions():
             assert getattr(report, f.name) == getattr(reference, f.name), (str(spec), f.name)
         assert list(report.thetas) == list(reference.thetas)
         assert all(type(v) is F for v in report.thetas.values())
-        # A row family that answers at all answers with the classification.
-        assert regular_exponent(spec) in (None, report)
-        assert small_smoothness_exponent(spec) in (None, report)
         reached.add(report.case)
         if spec.d > 2:
             reached_beyond_plane.add(report.case)

@@ -23,7 +23,7 @@ import widthcalc.params as params
 from widthcalc._simplex import solve_lp
 from widthcalc.exponent import build_objective, minimize
 from widthcalc.oracle import Lcg, check_certificate
-from widthcalc.params import MAX_DIMENSION, ProblemSpec
+from widthcalc.params import MAX_DIMENSION, ProblemSpec, over_one_denominator
 
 rationals = st.fractions(min_value=F(1, 6), max_value=F(6), max_denominator=10)
 
@@ -296,7 +296,7 @@ def test_active_pieces_and_verdict_agree_with_an_all_artificial_solve(spec):
     # Each oracle row's value at (ᾱ, s) is an integer over L·E, s = 1 when q ≤ 2.
     high = spec.q > 2
     L, rows = oracle._table(spec, high)
-    E, point = oracle._scaled((*res.argmin_alpha, res.argmin_s if high else F(1), F(1)))
+    E, point = over_one_denominator((*res.argmin_alpha, res.argmin_s if high else F(1), F(1)))
     values = {tag: F(sum(map(operator.mul, c, point)), L * E) for tag, c in rows}
     assert len(set(res.active_pieces)) == len(res.active_pieces)
     assert set(res.active_pieces) == {tag for tag, v in values.items() if v == res.theta}

@@ -10,7 +10,10 @@ one place.  Likewise `cli` is the one module that imports `json` or names
 them.  No module reads the process environment, so every report is a
 function of its command line.  And the closed forms and the oracle's
 tables, lattice and certificate checker name nothing of the LP route, so
-the routes that cross-check each other share no code.
+the routes that cross-check each other share no code; nor do the test
+suite's `Fraction` closed forms read anything of `closedform` but the
+report type they fill in.  Every name a module imports is used there or
+exported in its `__all__`.
 """
 
 import ast
@@ -141,5 +144,57 @@ def test_closed_forms_and_oracle_checks_share_no_code_with_the_lp():
     src = ROOT / "src" / "widthcalc"
     closed = ast.parse((src / "closedform.py").read_text(encoding="utf-8"))
     assert _names_used(closed) & LP_ROUTE == set()
-    checks = {"_table", "_tables", "grid_minimize", "check_certificate"}
+    checks = {"_table", "grid_minimize", "check_certificate"}
     assert _functions_names(src / "oracle.py", checks) & LP_ROUTE == set()
+
+
+def _exports(tree: ast.Module) -> set[str]:
+    """The names of a module's literal `__all__`, if it has one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_imported_name_is_used_or_exported():
+    unused = {}
+    for path in sorted((ROOT / "src" / "widthcalc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        loaded = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        names = imported - loaded - _exports(tree)
+        if names:
+            unused[path.name] = names
+    assert unused == {}
+
+
+def test_the_reference_closed_forms_import_only_the_report_type():
+    # `tests/_reference.py` rebuilds the classification from the Fraction
+    # formulas, so of `closedform` it may read only the report it fills in.
+    closed = ast.parse((ROOT / "src" / "widthcalc" / "closedform.py").read_text(encoding="utf-8"))
+    defined = {"closedform"} | {
+        node.name for node in closed.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    reference = ast.parse((ROOT / "tests" / "_reference.py").read_text(encoding="utf-8"))
+    paths = set()  # each imported name as a dotted path
+    for node in ast.walk(reference):
+        if isinstance(node, ast.Import):
+            paths.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            paths.update(f"{node.module}.{a.name}" for a in node.names)
+    reached = {
+        path for path in paths
+        if path.startswith("widthcalc.closedform")
+        or path.startswith("widthcalc.") and path.rsplit(".", 1)[1] in defined
+    }
+    assert reached == {"widthcalc.closedform.RegimeReport"}

@@ -233,17 +233,16 @@ def test_certificate_mutants_are_caught():
     rng = Lcg(32)
     for spec in _threshold_specs(rng, per_d=1):
         res = minimize(build_objective(spec))
-        tables = oracle._tables(spec)
-        assert check_certificate(spec, res, tables) == [], spec
+        assert check_certificate(spec, res) == [], spec
         fields = dict(
             theta=res.theta, weights=res.weights, argmin_alpha=res.argmin_alpha,
             argmin_s=res.argmin_s, active_pieces=res.active_pieces,
         )
         (tag, w), *rest = res.weights
         flipped = SimpleNamespace(**{**fields, "weights": ((tag, -w), *rest)})
-        assert check_certificate(spec, flipped, tables), spec
+        assert check_certificate(spec, flipped), spec
         off = SimpleNamespace(**{**fields, "theta": res.theta + 1})
-        assert check_certificate(spec, off, tables), spec
+        assert check_certificate(spec, off), spec
         # The LP without its top-weighted piece has its own certificate,
         # which the full objective refutes.
         top = max(res.weights, key=lambda tw: tw[1])[0]
@@ -251,7 +250,7 @@ def test_certificate_mutants_are_caught():
         dropped = dataclasses.replace(
             obj, pieces=tuple((tag, row) for tag, row in obj.pieces if tag != top)
         )
-        assert check_certificate(spec, minimize(dropped), tables), spec
+        assert check_certificate(spec, minimize(dropped)), spec
 
 
 def test_a_wrong_rate_rows_weight_fails_the_certificate(monkeypatch):
@@ -574,6 +573,30 @@ def test_cross_validation_classifies_each_spec_once(monkeypatch):
         assert counts[id(rec.spec)] == 1
         # Once when sampled and accepted, once more in `cross_validate`.
         assert asked_counts[id(rec.spec)] == 2
+
+
+def test_a_record_builds_each_table_shape_once():
+    # The lattice bracket reads the shape of q and the identity checks read
+    # both shapes, so a q > 2 record needs two tables and a q ≤ 2 one needs
+    # one; whatever a record reads twice comes from the cache.
+    oracle._table.cache_clear()
+    report = cross_validate(18, seed=7, grid=48, identity_points=1)
+    info = oracle._table.cache_info()
+    assert report.ok and {rec.spec.q > 2 for rec in report.records} == {False, True}
+    assert info.misses == sum(2 if rec.spec.q > 2 else 1 for rec in report.records)
+    assert info.hits == len(report.records)
+    # Without the lattice and the identity checks no table is built.
+    oracle._table.cache_clear()
+    assert cross_validate(9, seed=7).ok and oracle._table.cache_info().misses == 0
+
+
+def test_grid_check_above_two_builds_only_the_high_table():
+    oracle._table.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["exponent", "--r", "1,1", "--p", "3,3", "--q", "4", "--grid-check"]) == 0
+    assert oracle._table.cache_info()[:] == (0, 1, 2, 1)  # hits, misses, maxsize, currsize
+    oracle._table(_spec((1, 1), (3, 3), 4), True)  # the one table held is the high one
+    assert oracle._table.cache_info().hits == 1
 
 
 def test_cross_validation_flags_an_injected_lp_bug(monkeypatch):
