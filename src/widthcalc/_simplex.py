@@ -35,27 +35,34 @@ exactly the ones a `Fraction` tableau takes, without the gcd that
 
 The problems this package feeds in are tiny (a handful of variables, at
 most a couple of hundred rows), so a dense condensed tableau is the right
-level of machinery.  The reduced costs are a row below the constraint rows,
-updated by every pivot like them; its right-hand side holds the negated
-objective value.  Phase 1 carries that phase-2 row along, and hands over to
-phase 2 by deleting the artificial columns in place, after driving any
-artificial left in the basis out of it.
+level of machinery, and the work around the pivots is kept as small as the
+pivots: each input row is copied once into the tableau, and a row of
+`int`s is taken as it stands once its sum reads as an `int`.  The reduced
+costs are a row below the constraint rows, updated by every pivot like
+them; its right-hand side holds the negated objective value.  Phase 1
+carries that phase-2 row along, and hands over to phase 2 by deleting the
+artificial columns in place, after driving any artificial left in the basis
+out of it; only a row that held a nonzero entry in a deleted column is
+reduced again.
 
 When optimal, a basic variable's value is its row's right-hand side and its
 reduced cost is 0, and a nonbasic variable's value is 0 and its reduced
 cost is its entry in the reduced-cost row.  The result is the final
-tableau: its basis, nonbasic labels and integer rows.  The `Fraction`
-values `x`, `value` and `reduced_costs` are built from it on first read,
-and a caller that only needs to know which values are zero (tight rows,
-zero reduced costs) reads the signs of the integers and builds none.
+tableau: its basis, nonbasic labels and integer rows.  `LpResult.vertex`
+reads the optimum off it in one pass, the one derivation of x and c·x that
+`exponent.minimize` and the fields `x` and `value` share: it builds a
+`Fraction` for c·x and for each nonzero value it is asked for, reuses one
+shared zero for the rest, and gives the labels with a positive value as
+integers.  `x`, `value` and `reduced_costs` are built on every read; a
+caller that only needs to know which values are zero (tight rows, zero
+reduced costs) reads the signs of the integers and builds no `Fraction`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
+from typing import NamedTuple
 
 __all__ = ["LpResult", "solve_lp", "LpError"]
 
@@ -66,8 +73,7 @@ class LpError(RuntimeError):
     """Internal inconsistency while pivoting (should never escape tests)."""
 
 
-@dataclass(frozen=True)
-class LpResult:
+class LpResult(NamedTuple):
     """Outcome of one solve: its status and, when optimal, the final tableau.
 
     `basis` lists the basic label of each remaining row and `cols` the
@@ -75,9 +81,9 @@ class LpResult:
     `rows` holds one list of integers per row of `basis`, an entry per
     label of `cols` and then the right-hand side, and below them the
     reduced-cost row, whose right-hand side is the negated optimal value;
-    row i is over `dens[i]`.  The `Fraction` fields `x`, `value` and
-    `reduced_costs` are built from them on first read; they are None when
-    the status is not "optimal".
+    row i is over `dens[i]`.  `vertex` reads the optimum off them; the
+    `Fraction` fields `x`, `value` and `reduced_costs` are built from them
+    on every read, and are None when the status is not "optimal".
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -87,35 +93,42 @@ class LpResult:
     dens: list[int] | None = None
     n: int = 0  # the number of variables of c
 
-    @cached_property
+    def vertex(self, k: int) -> tuple[Fraction, tuple[Fraction, ...], dict[int, tuple[int, int]]]:
+        """(c·x, (x_0, …, x_{k−1}), levels), read off the final tableau in one
+        pass over its rows.
+
+        `levels` maps each label with a positive value, a basic label whose
+        row has a nonzero right-hand side, to that right-hand side and the
+        row denominator, as integers; every other value is 0.  The
+        `Fraction`s built are c·x and one per nonzero x_j with j < k; each
+        zero is one shared `Fraction(0)`.
+        """
+        x = [_ZERO] * k
+        levels = {}
+        for j, row, den in zip(self.basis, self.rows, self.dens):
+            v = row[-1]
+            if v:
+                levels[j] = v, den
+                if j < k:
+                    x[j] = Fraction(v, den)
+        return Fraction(-self.rows[-1][-1], self.dens[-1]), tuple(x), levels
+
+    @property
     def x(self) -> tuple[Fraction, ...] | None:
         """The optimal vertex: a basic variable's right-hand side, else 0."""
-        if self.rows is None:
-            return None
-        x = [_ZERO] * self.n
-        for j, row, den in zip(self.basis, self.rows, self.dens):
-            if j < self.n and row[-1]:
-                x[j] = Fraction(row[-1], den)
-        return tuple(x)
+        return None if self.rows is None else self.vertex(self.n)[1]
 
-    @cached_property
+    @property
     def value(self) -> Fraction | None:
         """The optimal value c·x."""
-        if self.rows is None:
-            return None
-        return Fraction(-self.rows[-1][-1], self.dens[-1])
+        return None if self.rows is None else self.vertex(0)[0]
 
-    def positive(self) -> set[int]:
-        """The labels with a positive value: basic, in a row whose right-hand
-        side is not 0.  Every other value is 0; no `Fraction` is built."""
-        return {j for j, row in zip(self.basis, self.rows) if row[-1]}
-
-    def zero_cost_nonbasic(self) -> list[int]:
+    def zero_cost_nonbasic(self) -> set[int]:
         """The nonbasic labels whose reduced cost is 0, read off the signs of
         the reduced-cost row's integers; no `Fraction` is built."""
-        return [j for j, v in zip(self.cols, self.rows[-1]) if not v]
+        return {j for j, v in zip(self.cols, self.rows[-1]) if not v}
 
-    @cached_property
+    @property
     def reduced_costs(self) -> tuple[Fraction, ...] | None:
         """One per standard-form column: 0 on the basic ones."""
         if self.rows is None:
@@ -136,56 +149,62 @@ def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> LpResult:
     reduced-cost row.
     """
     n = len(c)
-    n_ub = 0 if A_ub is None else len(A_ub)
-    n_std = n + n_ub
-    # Each row as integers over a row denominator, and its starting label,
-    # or None where the row needs an artificial.
-    rows: list[list[int]] = []
-    dens: list[int] = []
-    basis: list[int | None] = []
-    if A_eq is not None:
-        for row, b in zip(A_eq, b_eq):
-            if len(row) != n:
-                raise LpError("equality row length mismatch")
-            ints, den = _lift([*row, b])
-            rows.append(ints)
-            dens.append(den)
-            basis.append(None)
-    if A_ub is not None:
-        for k, (row, b) in enumerate(zip(A_ub, b_ub)):
-            if len(row) != n:
-                raise LpError("inequality row length mismatch")
-            ints, den = _lift([*row, b])
-            rows.append(ints)
-            dens.append(den)
-            basis.append(n + k if ints[-1] >= 0 else None)
-    cost, cost_den = _lift([*c, 0])
-    rows.append(cost)
-    dens.append(cost_den)
-    # The nonbasic labels: the n variables, then the slack of each A_ub row
-    # that starts on an artificial.  That slack's column is the row
-    # denominator in its own row and 0 in every other.
-    first = len(basis) - n_ub
-    art_ub = [i for i in range(first, len(basis)) if basis[i] is None]
-    cols = list(range(n)) + [n + i - first for i in art_ub]
-    if art_ub:
-        for i, row in enumerate(rows):
-            rows[i] = row[:n] + [dens[i] if i == k else 0 for k in art_ub] + row[n:]
-    status = _two_phase(rows, dens, basis, cols, n_std)
+    A_eq, b_eq, A_ub, b_ub = A_eq or (), b_eq or (), A_ub or (), b_ub or ()
+    # The set-up runs in plain loops: at the sizes of the epigraph LP, a
+    # comprehension or a builtin over a few entries costs more than its work.
+    #
+    # The A_ub rows that start on an artificial.  Their slacks are nonbasic
+    # columns after the n variables: an entry equal to the row denominator
+    # in its own row (slack value 1), and 0 in every other row.
+    art_ub = []
+    for k, b in enumerate(b_ub):
+        if b < 0:
+            art_ub.append(k)
+    pad = [0] * len(art_ub)
+    # Each row copied once from its input, then lifted in place to integers
+    # over a row denominator; the cost row comes last.
+    rows = []
+    for row, b in zip(A_eq, b_eq):
+        if len(row) != n:
+            raise LpError("equality row length mismatch")
+        rows.append([*row, *pad, b])
+    for row, b in zip(A_ub, b_ub):
+        if len(row) != n:
+            raise LpError("inequality row length mismatch")
+        rows.append([*row, *pad, b])
+    rows.append([*c, *pad, 0])
+    dens = _lift(rows)
+    # Each row's starting label: its slack, or None where it needs an
+    # artificial.  The nonbasic labels: the n variables, then those slacks.
+    m_eq = len(A_eq)
+    basis = [None] * m_eq
+    basis += range(n, n + len(A_ub))
+    cols = [*range(n)]
+    for t, k in enumerate(art_ub):
+        i = m_eq + k
+        rows[i][n + t] = dens[i]
+        basis[i] = None
+        cols.append(n + k)
+    status = _two_phase(rows, dens, basis, cols, n + len(A_ub))
     if status != "optimal":
         return LpResult(status)
     return LpResult(status, tuple(basis), cols, rows, dens, n)
 
 
-def _lift(values: list) -> tuple[list[int], int]:
-    """`values`, each an `int` or a `Fraction`, as integers over one
-    positive denominator, gcd-reduced.  A list of `int`s is taken as it
-    stands, over denominator 1.
+def _lift(rows: list[list]) -> list[int]:
+    """Put each row of `rows`, of `int`s and `Fraction`s, in place as
+    integers over one positive row denominator, gcd-reduced, and return the
+    denominators.  A row of `int`s is kept as it stands, over 1, after one
+    scan: its sum, which is an `int` unless a `Fraction` is in the row.
     """
-    if set(map(type, values)) == {int}:
-        return values, 1
-    den = lcm(*(v.denominator for v in values))
-    return _reduced([v.numerator * (den // v.denominator) for v in values], den)
+    dens = []
+    for i, row in enumerate(rows):
+        den = 1
+        if type(sum(row)) is not int:
+            den = lcm(*[v.denominator for v in row])
+            rows[i], den = _reduced([v.numerator * (den // v.denominator) for v in row], den)
+        dens.append(den)
+    return dens
 
 
 def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
@@ -209,59 +228,77 @@ def _two_phase(
     its last row carries the reduced costs and the negated optimal value.
     """
     m = len(basis)
-    art_rows = [i for i, label in enumerate(basis) if label is None]
+    art_rows = []
+    for i, label in enumerate(basis):
+        if label is None:
+            art_rows.append(i)
     if art_rows:
-        # Normalize b >= 0 so the artificial basis is feasible.
-        for i in art_rows:
-            if A[i][-1] < 0:
-                A[i] = [-v for v in A[i]]
         # Phase 1 minimises the sum of the artificials: its reduced costs are
         # minus the column sums of their rows, over the lcm of those rows'
-        # denominators.
-        L = lcm(*(D[i] for i in art_rows))
-        phase1 = [0] * len(A[m])
+        # denominators.  The artificials are basic, labelled after every
+        # standard-form column in row order, and each of their rows is
+        # negated first if need be, so that b >= 0 and that basis is
+        # feasible.  The phase-2 row (artificials cost nothing) rides along
+        # so phase 2 starts from it.
+        L = 1
         for i in art_rows:
+            L = lcm(L, D[i])
+        phase1 = [0] * len(A[m])
+        for t, i in enumerate(art_rows):
+            row = A[i]
+            if row[-1] < 0:
+                row = A[i] = [-v for v in row]
             scale = L // D[i]
-            phase1 = [z - scale * v for z, v in zip(phase1, A[i])]
+            phase1 = [z - scale * v for z, v in zip(phase1, row)]
+            basis[i] = n_std + t
         z, dz = _reduced(phase1, L)
         A.insert(m, z)
         D.insert(m, dz)
-        # The artificials are basic, labelled after every standard-form
-        # column in row order.  The phase-2 row (artificials cost nothing)
-        # rides along so phase 2 starts from it.
-        for t, i in enumerate(art_rows):
-            basis[i] = n_std + t
         _iterate(A, D, basis, cols)
         # Every b_i stays >= 0, so phase 1 reached 0 iff no artificial is positive.
-        if any(A[i][-1] for i in range(m) if basis[i] >= n_std):
-            return "infeasible"
+        left = []
+        for i, label in enumerate(basis):
+            if label >= n_std:
+                if A[i][-1]:
+                    return "infeasible"
+                left.append(i)
         del A[m], D[m]
         # Drive leftover artificials out of the basis (degenerate rows) on
-        # the lowest standard-form label with a nonzero entry.
-        i = 0
-        while i < len(basis):
-            if basis[i] >= n_std:
-                row = A[i]
-                col = min(
-                    (j for j, label in enumerate(cols) if label < n_std and row[j]),
-                    key=cols.__getitem__,
-                    default=None,
-                )
-                if col is None:
-                    # Redundant constraint; drop the row.
-                    del A[i], D[i], basis[i]
-                    continue
+        # the lowest standard-form label with a nonzero entry, in row order.
+        # Such a pivot changes no other row's basic label.
+        dropped = 0
+        for i in left:
+            i -= dropped
+            row = A[i]
+            col = min(
+                (j for j, label in enumerate(cols) if label < n_std and row[j]),
+                key=cols.__getitem__,
+                default=None,
+            )
+            if col is None:
+                # Redundant constraint; drop the row.
+                del A[i], D[i], basis[i]
+                dropped += 1
+            else:
                 _pivot(A, D, basis, cols, i, col)
-            i += 1
         # Phase 2 on the standard-form labels only: the artificial columns
-        # are deleted in place, last first.  A row that loses a nonzero
-        # entry may have a larger gcd, so it is reduced again.
-        art = [j for j, label in enumerate(cols) if label >= n_std][::-1]
+        # are deleted in place, last first.  A row that held a nonzero entry
+        # in one may have a larger gcd, so only such a row is reduced again.
+        art = []
+        for j, label in enumerate(cols):
+            if label >= n_std:
+                art.insert(0, j)
         for j in art:
             del cols[j]
         for i, row in enumerate(A):
-            if any([row.pop(j) for j in art]):
-                A[i], D[i] = _reduced(row, D[i])
+            held = False
+            for j in art:
+                if row.pop(j):
+                    held = True
+            if held:
+                g = gcd(D[i], *row)
+                if g != 1:
+                    A[i], D[i] = [v // g for v in row], D[i] // g
     return _iterate(A, D, basis, cols)
 
 

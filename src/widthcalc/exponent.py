@@ -17,7 +17,13 @@ q > 2 rows, and h the same over the low-shape rows at s = 1.
 The minimum, its argmin, whether the argmin is the unique minimiser, the
 active pieces there and the dual weights of the pieces are all computed
 exactly with a rational simplex; `oracle.check_certificate` checks the
-minimum from the weights and the argmin without it.
+minimum from the weights and the argmin without it.  `minimize` reads the
+optimal tableau once, through `LpResult.vertex`: θ, the argmin (σ turned
+into s = 1 + σ) and the labels with a positive value.  The only `Fraction`s
+it builds are θ, s and each nonzero α_j, and every zero α_j is one shared
+`Fraction(0)`; uniqueness and the active pieces are read off the signs of
+the tableau's integers.  The dual weights are built from the kept tableau
+only when `ExponentResult.weights` is read.
 Whether the class is compactly embedded is not read off the sign of θ: the
 LP objective encodes the width estimate only under the paper's hypotheses,
 so compactness is decided by `classify_regime(spec).compact` in `closedform`.
@@ -27,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 
 from ._simplex import solve_lp
@@ -63,7 +68,7 @@ class PiecewiseMax:
 
     dim: int
     has_s: bool
-    s_max: Fraction | None  # q/2 when has_s, else None
+    s_max: tuple[int, int] | None  # q/2 as (numerator, denominator), lowest terms
     L: int
     pieces: tuple[tuple[Provenance, tuple[int, ...]], ...]
 
@@ -76,13 +81,13 @@ class ExponentResult:
     unique: bool
     active_pieces: tuple[Provenance, ...]
 
-    @cached_property
+    @property
     def weights(self) -> tuple[tuple[Provenance, Fraction], ...]:
         """The LP dual weights λ_k > 0 of the pieces, by tag, in piece order.
 
         λ_k is the reduced cost of piece k's slack in the optimal tableau
         times that row's scale, its t⁻ coefficient, so Σ λ_k = 1.  Built on
-        first read from the tableau `minimize` keeps; no LP runs.
+        each read from the tableau `minimize` keeps; no LP runs.
         """
         res, A_ub, pieces = self._tableau
         k = len(pieces)  # the piece rows, and their slacks, come last
@@ -100,10 +105,18 @@ def build_objective(spec: ProblemSpec) -> PiecewiseMax:
     row's (family, indices) tag and integer coefficients come from the one
     table, so no row is rebuilt here.
     """
-    high = spec.q > 2
+    # On the spec's integer scale 1/q = Q/D, so q > 2 iff 2Q < D, and q/2 = D/(2Q).
+    D, Q2 = spec.D, 2 * spec.Q
+    high = Q2 < D
     L, pieces = spec.rate_rows(high)
-    s_max = spec.q / 2 if high else None
-    return PiecewiseMax(dim=spec.d, has_s=high, s_max=s_max, L=L, pieces=pieces)
+    s_max = None
+    if high:
+        g = gcd(D, Q2)
+        s_max = D // g, Q2 // g
+    # Frozen: the fields go straight into the instance dict.
+    obj = PiecewiseMax.__new__(PiecewiseMax)
+    obj.__dict__.update(dim=len(spec.r), has_s=high, s_max=s_max, L=L, pieces=pieces)
+    return obj
 
 
 def _epigraph_lp(obj: PiecewiseMax):
@@ -121,28 +134,28 @@ def _epigraph_lp(obj: PiecewiseMax):
     which slacks are zero.  Returns (cost, A_eq, b_eq, A_ub, b_ub) for
     `solve_lp`.
     """
-    d = obj.dim
-    n = d + (1 if obj.has_s else 0) + 2
+    d, L, has_s = obj.dim, obj.L, obj.has_s
+    n = d + has_s + 2
     cost = [0] * n
     cost[-2], cost[-1] = 1, -1
     row = [1] * d + [0] * (n - d)
-    if obj.has_s:
+    if has_s:
         row[d] = -1
     A_eq, b_eq = [row], [1]
     A_ub, b_ub = [], []
-    if obj.has_s:
+    if has_s:
         # σ ≤ q/2 − 1 = (a − b)/b, in lowest terms as q/2 = a/b is.
+        a, b = obj.s_max
         up = [0] * n
-        up[d] = obj.s_max.denominator
+        up[d] = b
         A_ub.append(up)
-        b_ub.append(obj.s_max.numerator - obj.s_max.denominator)
+        b_ub.append(a - b)
     for _, coeffs in obj.pieces:
-        g = gcd(obj.L, *coeffs)
-        c_s, c_1 = coeffs[d] // g, coeffs[d + 1] // g
-        row = [c // g for c in coeffs[:d]]
-        if obj.has_s:
-            row.append(c_s)
-        row += [-obj.L // g, obj.L // g]
+        g = gcd(L, *coeffs)
+        row = [c // g for c in coeffs] if g != 1 else list(coeffs)
+        c_1 = row.pop()
+        c_s = row[d] if has_s else row.pop()
+        row += (-L // g, L // g)
         A_ub.append(row)
         b_ub.append(-c_s - c_1)
     return cost, A_eq, b_eq, A_ub, b_ub
@@ -167,18 +180,21 @@ def _argmin_is_unique(res, cost, A_eq, b_eq, A_ub, b_ub) -> bool:
     The argmin is unique iff that maximum is 0.
     """
     n = len(cost)
-    free = {j for j in res.zero_cost_nonbasic() if j not in (n - 2, n - 1)}
+    zero = res.zero_cost_nonbasic()
+    free = zero - {n - 2, n - 1}
     if not free:
         return True
-    rc = res.reduced_costs
+    # The columns of reduced cost 0, the basic ones and `zero`, read off the
+    # signs of the tableau's integers.
+    flat = {*res.basis, *zero}
     # Σ free = Σ_k b_k − c·x over the free slacks k, so its maximum is 0 iff
     # the least c·x over the face is Σ_k b_k.
     slacks = [j - n for j in free if j >= n]
     c = [sum(A_ub[k][j] for k in slacks) - (j in free) for j in range(n)]
-    keep = [j for j in range(n) if not rc[j]]
+    keep = [j for j in range(n) if j in flat]
     # A ≤ row whose slack has positive reduced cost is an equality on the face.
-    tight = [k for k in range(len(A_ub)) if rc[n + k]]
-    loose = [k for k in range(len(A_ub)) if not rc[n + k]]
+    tight = [k for k in range(len(A_ub)) if n + k not in flat]
+    loose = [k for k in range(len(A_ub)) if n + k in flat]
     face = solve_lp(
         [c[j] for j in keep],
         [[row[j] for j in keep] for row in A_eq + [A_ub[k] for k in tight]],
@@ -195,15 +211,18 @@ def minimize(obj: PiecewiseMax) -> ExponentResult:
     """Exact minimum of the objective over its domain, with uniqueness.
 
     One epigraph LP gives θ, read off its final reduced-cost row, and an
-    optimal vertex, which is the reported argmin.  The active pieces are
-    those whose epigraph row has a zero slack at that vertex: there t = θ,
-    the maximum of the pieces.  Whether the argmin is the only minimiser is
-    decided from the same optimal tableau by `_argmin_is_unique`, which
-    solves one more LP, over the optimal face, only when a nonbasic column
-    other than the t⁺/t⁻ split has reduced cost 0.  θ and uniqueness do not depend on the
-    vertex; a unique argmin is the vertex every start reaches, and a
-    non-unique one is the vertex this solve stops at.  The dual weights
-    (`ExponentResult.weights`) come off the same tableau when first read.
+    optimal vertex, which is the reported argmin; `LpResult.vertex` reads
+    both, and the labels with a positive value, in one pass, and the only
+    `Fraction`s built are θ, s and the nonzero α_j.  The active pieces are
+    those whose epigraph row has a zero slack at that vertex, whose label
+    has no positive value: there t = θ, the maximum of the pieces.  Whether
+    the argmin is the only minimiser is decided from the same optimal
+    tableau by `_argmin_is_unique`, which solves one more LP, over the
+    optimal face, only when a nonbasic column other than the t⁺/t⁻ split
+    has reduced cost 0.  θ and uniqueness do not depend on the vertex; a
+    unique argmin is the vertex every start reaches, and a non-unique one is
+    the vertex this solve stops at.  The dual weights
+    (`ExponentResult.weights`) come off the same tableau when read.
     """
     if not obj.pieces:
         raise ParameterError("objective has no pieces")
@@ -212,24 +231,28 @@ def minimize(obj: PiecewiseMax) -> ExponentResult:
     if res.status != "optimal":  # the domain is compact and nonempty
         raise ParameterError(f"degenerate objective: LP status {res.status}")
     d = obj.dim
-    x = res.x
-    positive = res.positive()
+    theta, alpha, levels = res.vertex(d)
     argmin_s = None
-    if obj.has_s:  # s = 1 + σ: (a + b)/b is in lowest terms, as σ = a/b is
-        sigma = x[d]
-        argmin_s = Fraction(sigma.numerator + sigma.denominator, sigma.denominator)
-    # The first piece's slack label: the variables, then the σ bound row's slack.
+    if obj.has_s:  # s = 1 + σ = (den + v)/den for σ = v/den
+        v, den = levels.get(d, (0, 1))
+        argmin_s = Fraction(den + v, den)
+    # The active pieces: those whose slack has no positive value.  The first
+    # piece's slack label follows the variables and the σ bound row's slack.
     first = len(lp[0]) + len(lp[3]) - len(obj.pieces)
-    result = ExponentResult(
-        theta=res.value,
-        argmin_alpha=x[:d],
+    active = []
+    for j, (tag, _) in enumerate(obj.pieces, first):
+        if j not in levels:
+            active.append(tag)
+    # Frozen: the fields, and the tableau for `weights`, go straight into
+    # the instance dict.
+    result = ExponentResult.__new__(ExponentResult)
+    result.__dict__.update(
+        theta=theta,
+        argmin_alpha=alpha,
         argmin_s=argmin_s,
         unique=_argmin_is_unique(res, *lp),
-        active_pieces=tuple(
-            tag for j, (tag, _) in enumerate(obj.pieces, first) if j not in positive
-        ),
+        active_pieces=tuple(active),
+        _tableau=(res, lp[3], obj.pieces),
     )
-    # Frozen: the tableau goes straight into the instance dict, for `weights`.
-    result.__dict__["_tableau"] = (res, lp[3], obj.pieces)
     return result
 

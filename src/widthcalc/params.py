@@ -110,9 +110,9 @@ class ProblemSpec:
     `piece_rows(X, Q, D, high)` table in the low or the high shape, scaled
     to integers over one denominator and built on first use; φ/ψ and the
     epigraph LP read it.  `closedform.classify_regime` keeps its report on
-    the instance in the same way.  None of this takes part in ==, hash,
-    repr or str: two specs with the same (r̄, p̄, q) are equal whatever they
-    hold.
+    the instance in the same way, and the hash of (r̄, p̄, q) is kept on
+    first use.  None of this takes part in ==, hash, repr or str: two specs
+    with the same (r̄, p̄, q) are equal whatever they hold.
     """
 
     r: tuple[Fraction, ...]
@@ -120,50 +120,57 @@ class ProblemSpec:
     q: Fraction
 
     def __init__(self, r, p, q):
-        object.__setattr__(self, "r", tuple(as_fraction(x) for x in r))
-        object.__setattr__(self, "p", tuple(as_fraction(x) for x in p))
-        object.__setattr__(self, "q", as_fraction(q))
-        self._validate()
-        # Over D, the lcm of 2, q's numerator and the numerators of p_j r_j,
-        # each of 1/r_j, 1/p_j = X_j/D, (1/r_j)(1/p_j), 1/q = Q/D and 1/2 is
-        # an integer numerator; the sums run on those integers.
-        rn = [v.numerator for v in self.r]
-        rd = [v.denominator for v in self.r]
-        pn = [v.numerator for v in self.p]
-        pd = [v.denominator for v in self.p]
-        D = lcm(2, self.q.numerator, *(a * b for a, b in zip(rn, pn)))
-        total = sum(b * (D // a) for a, b in zip(rn, rd))  # d/<r̄>, times D
-        mixed = sum(  # d/<p̄ ∘ r̄>, times D
-            b1 * b2 * (D // (a1 * a2)) for a1, b1, a2, b2 in zip(rn, rd, pn, pd)
-        )
-        # Frozen: the derived values go straight into the instance dict.
-        self.__dict__.update(
-            D=D,
-            X=tuple(b * (D // a) for a, b in zip(pn, pd)),
-            Q=self.q.denominator * (D // self.q.numerator),
-            total=total,
-            mixed=mixed,
-            _rows={},
-        )
-
-    def _validate(self) -> None:
-        d = len(self.r)
+        r, p, q = tuple(map(as_fraction, r)), tuple(map(as_fraction, p)), as_fraction(q)
+        d = len(r)
         if d < 2:
             raise ParameterError(f"need at least 2 coordinates, got {d}")
         if d > MAX_DIMENSION:
             raise RangeError(f"d = {d} exceeds the supported maximum {MAX_DIMENSION}")
-        if len(self.p) != d:
-            raise ParameterError(f"|p| = {len(self.p)} does not match |r| = {d}")
+        if len(p) != d:
+            raise ParameterError(f"|p| = {len(p)} does not match |r| = {d}")
         # Denominators are positive: a > 0 iff its numerator is, and a > 1
         # iff its numerator exceeds its denominator.
-        for j, rj in enumerate(self.r):
-            if rj.numerator <= 0:
+        rs, ps = [], []
+        for j, rj in enumerate(r):
+            a, b = rj.as_integer_ratio()
+            if a <= 0:
                 raise ParameterError(f"r{j + 1} = {rj} must be > 0")
-        for j, pj in enumerate(self.p):
-            if pj.numerator <= pj.denominator:
+            rs.append((a, b))
+        for j, pj in enumerate(p):
+            a, b = pj.as_integer_ratio()
+            if a <= b:
                 raise ParameterError(f"p{j + 1} = {pj} must be > 1 (and finite)")
-        if self.q.numerator <= self.q.denominator:
-            raise ParameterError(f"q = {self.q} must be > 1 (and finite)")
+            ps.append((a, b))
+        qn, qd = q.as_integer_ratio()
+        if qn <= qd:
+            raise ParameterError(f"q = {q} must be > 1 (and finite)")
+        # Over D, the lcm of 2, q's numerator and the numerators of p_j r_j,
+        # each of 1/r_j, 1/p_j = X_j/D, (1/r_j)(1/p_j), 1/q = Q/D and 1/2 is
+        # an integer numerator; the sums run on those integers, in plain
+        # loops: at d = 2 a comprehension per list costs more than the sums.
+        D = lcm(2, qn)
+        for (rn, _), (pn, _) in zip(rs, ps):
+            D = lcm(D, rn * pn)
+        X = []
+        total = mixed = 0  # d/<r̄> and d/<p̄ ∘ r̄>, times D
+        for (rn, rd), (pn, pd) in zip(rs, ps):
+            X.append(pd * (D // pn))
+            total += rd * (D // rn)
+            mixed += rd * pd * (D // (rn * pn))
+        # Frozen: the fields and the derived values go straight into the
+        # instance dict.
+        self.__dict__.update(
+            r=r, p=p, q=q, D=D, X=tuple(X), Q=qd * (D // qn), total=total, mixed=mixed, _rows={}
+        )
+
+    def __hash__(self) -> int:
+        """hash((r, p, q)), as a frozen dataclass hashes, computed once: the
+        lookup caches of `oracle` hash a spec on every call, and each
+        `Fraction` hash takes a modular inverse."""
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.r, self.p, self.q))
+        return h
 
     @property
     def d(self) -> int:
@@ -200,27 +207,31 @@ class ProblemSpec:
         """
         table = self._rows.get(high)
         if table is None:
-            d = self.d
-            rn = [v.numerator for v in self.r]
-            rd = [v.denominator for v in self.r]
+            r = self.r
+            d = len(r)
             pieces = []  # (tag, [(column, numerator, denominator)]), in lowest terms
+            L = 1
             for family, idx, den, weights, t_coeff, logn_coeff, _ in piece_rows(
                 self.X, self.Q, self.D, high
             ):
                 terms = []
                 for i, w in zip(idx, weights):
-                    if w == den:  # weight 1: the coefficient is r_i, in lowest terms
-                        terms.append((i, rn[i], rd[i]))
-                        continue
-                    a, b = w * rn[i], den * rd[i]
-                    g = gcd(a, b)
-                    terms.append((i, a // g, b // g))
-                for j, a in ((d, t_coeff), (d + 1, logn_coeff)):
-                    if a:
-                        g = gcd(a, den)
-                        terms.append((j, a // g, den // g))
+                    a, b = r[i].as_integer_ratio()
+                    if w != den:  # weight 1 leaves r_i in lowest terms
+                        a, b = w * a, den * b
+                        g = gcd(a, b)
+                        a, b = a // g, b // g
+                    terms.append((i, a, b))
+                    L = lcm(L, b)
+                if t_coeff:
+                    g = gcd(t_coeff, den)
+                    terms.append((d, t_coeff // g, den // g))
+                    L = lcm(L, den // g)
+                if logn_coeff:
+                    g = gcd(logn_coeff, den)
+                    terms.append((d + 1, logn_coeff // g, den // g))
+                    L = lcm(L, den // g)
                 pieces.append(((family, idx), terms))
-            L = lcm(*(b for _, terms in pieces for _, _, b in terms))
             rows = []
             for tag, terms in pieces:
                 row = [0] * (d + 2)
@@ -290,19 +301,24 @@ def piece_rows(X: Sequence[int], Q: int, D: int, high: bool) -> list[PieceRow]:
         raise ParameterError(
             f"the high (q > 2) piece rows need 1/q < 1/2, got 1/q = {Fraction(Q, D)}"
         )
-    idx = range(len(X))
+    # The single-index families in one pass over the coordinates, then in
+    # family order.
     unit = (D,)
-    rows = [("large-p", (j,), D, unit, 0, 0, Q - X[j]) for j in idx if X[j] <= Q]
-    if high:
-        two_theta_q = D - 2 * Q  # c_j/2 = (X_j − Q)/(D − 2Q)
-        rows += [
-            ("mid-p", (j,), two_theta_q, (two_theta_q,), Q - X[j], X[j] - Q, 0)
-            for j in idx
-            if Q <= X[j] <= H
-        ]
-        rows += [("small-p", (j,), D, unit, -X[j], H, 0) for j in idx if X[j] >= H]
-    else:
-        rows += [("small-p", (j,), D, unit, Q - X[j], 0, 0) for j in idx if X[j] >= Q]
+    two_theta_q = D - 2 * Q  # c_j/2 = (X_j − Q)/(D − 2Q), in the high shape
+    mid_weight = (two_theta_q,)
+    large, mid, small = [], [], []
+    for j, x in enumerate(X):
+        if x <= Q:
+            large.append(("large-p", (j,), D, unit, 0, 0, Q - x))
+        if not high:
+            if x >= Q:
+                small.append(("small-p", (j,), D, unit, Q - x, 0, 0))
+            continue
+        if Q <= x <= H:
+            mid.append(("mid-p", (j,), two_theta_q, mid_weight, Q - x, x - Q, 0))
+        if x >= H:
+            small.append(("small-p", (j,), D, unit, -x, H, 0))
+    rows = large + mid + small
     rows += _cross_rows("cross-lambda", X, Q, 0)
     if high:
         rows += _cross_rows("cross-mu", X, H, 1)
@@ -312,12 +328,15 @@ def piece_rows(X: Sequence[int], Q: int, D: int, high: bool) -> list[PieceRow]:
 def _cross_rows(family, X, level, half) -> list[PieceRow]:
     """Pairs X_i < level < X_j, weighted (X_j − level, level − X_i)/(X_j − X_i),
     with t_coeff = −half/2 and logn_coeff = half/2, all over 2(X_j − X_i)."""
-    below = [i for i, v in enumerate(X) if v < level]
-    above = [j for j, v in enumerate(X) if v > level]
+    above = []
+    for j, v in enumerate(X):
+        if v > level:
+            above.append((j, v))
     rows = []
-    for i in below:
-        for j in above:
-            span = X[j] - X[i]
-            weights = (2 * (X[j] - level), 2 * (level - X[i]))
-            rows.append((family, (i, j), 2 * span, weights, -half * span, half * span, 0))
+    for i, u in enumerate(X):
+        if u < level:
+            for j, v in above:
+                span = v - u
+                weights = (2 * (v - level), 2 * (level - u))
+                rows.append((family, (i, j), 2 * span, weights, -half * span, half * span, 0))
     return rows

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from _reference import (
     D16_ANCHORS,
+    catalog_argvs,
     check_compact,
     permuted,
     plain_piece_rows,
@@ -17,6 +18,7 @@ from _reference import (
 )
 from hypothesis import strategies as st
 
+import widthcalc._simplex as simplex
 import widthcalc.exponent as exponent
 import widthcalc.oracle as oracle
 import widthcalc.params as params
@@ -307,3 +309,96 @@ def test_active_pieces_and_verdict_agree_with_an_all_artificial_solve(spec):
     if unique:
         assert ref.x[: spec.d] == res.argmin_alpha
         assert (1 + ref.x[spec.d] if high else None) == res.argmin_s
+
+
+def _reference_result(spec):
+    """`minimize`'s fields derived again from a plain `solve_lp` result of the
+    same epigraph LP, through its `x`, `value` and `reduced_costs` alone.
+
+    The active pieces are those whose ≤ row has a zero slack b − A·x; the
+    argmin is unique when no nonbasic column other than t⁺/t⁻ has reduced
+    cost 0, and otherwise when every coordinate of (ᾱ, σ) is pinned on the
+    optimal face (`_face_is_a_point`); λ_k is the reduced cost of piece k's
+    slack times its row's t⁻ coefficient.
+    """
+    obj = build_objective(spec)
+    cost, A_eq, b_eq, A_ub, b_ub = exponent._epigraph_lp(obj)
+    res = solve_lp(cost, A_eq, b_eq, A_ub, b_ub)
+    d, n, k = spec.d, len(cost), len(obj.pieces)
+    x, theta, rc = res.x, res.value, res.reduced_costs
+    slack = [b - sum(a * v for a, v in zip(row, x)) for row, b in zip(A_ub, b_ub)]
+    free = [
+        j for j in range(n + len(A_ub))
+        if j not in res.basis and rc[j] == 0 and j not in (n - 2, n - 1)
+    ]
+    return dict(
+        theta=theta,
+        argmin_alpha=x[:d],
+        argmin_s=1 + x[d] if obj.has_s else None,
+        unique=not free or _face_is_a_point(spec, theta),
+        active_pieces=tuple(tag for (tag, _), v in zip(obj.pieces, slack[-k:]) if v == 0),
+        weights=tuple(
+            (tag, r * row[-1]) for (tag, _), r, row in zip(obj.pieces, rc[-k:], A_ub[-k:]) if r
+        ),
+    )
+
+
+def _assert_matches_the_plain_solve(spec):
+    res = minimize(build_objective(spec))
+    mine = {name: getattr(res, name) for name in (
+        "theta", "argmin_alpha", "argmin_s", "unique", "active_pieces", "weights"
+    )}
+    assert mine == _reference_result(spec), spec
+    assert sum(w for _, w in res.weights) == 1
+
+
+def _argv_spec(argv):
+    """The spec of an `exponent --r … --p … --q …` argv."""
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    return _spec(opts["--r"].split(","), opts["--p"].split(","), opts["--q"])
+
+
+def test_minimize_reads_what_a_plain_solve_reads_on_the_exponent_catalog():
+    specs = [_argv_spec(argv) for argv in catalog_argvs() if argv[0] == "exponent"]
+    assert len(specs) == 592
+    for spec in specs:
+        _assert_matches_the_plain_solve(spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(threshold_specs())
+@example(_spec((2, 2), (3, "3/2"), 2))  # flat: the optimal face is a segment
+def test_minimize_reads_what_a_plain_solve_reads_at_thresholds(spec):
+    _assert_matches_the_plain_solve(spec)
+
+
+@pytest.mark.parametrize(
+    "r,p,q",
+    [
+        ((1, 1), (3, 3), 2),  # θ > 0, both α nonzero
+        ((1, "1/4"), (8, "8/5"), 2),  # a zero α
+        (("3/2", "5/4"), ("7/2", "5/3"), "9/4"),  # q > 2: σ and s
+        ((1, 1), (3, 3), 4),  # q > 2 with s = 1, so σ = 0
+        ((1, 1), ("3/2", "3/2"), "7/4"),
+    ],
+)
+def test_a_d2_minimize_builds_only_theta_s_and_the_nonzero_alpha(monkeypatch, r, p, q):
+    """With the `Fraction` of `_simplex` and `exponent` counted, a d = 2
+    `minimize` builds θ, s when q > 2, and each nonzero α_j, and nothing for
+    a zero value, σ, t⁺ or t⁻."""
+    obj = build_objective(_spec(r, p, q))
+    built = []
+
+    def counted(*args):
+        built.append(F(*args))
+        return built[-1]
+
+    monkeypatch.setattr(simplex, "Fraction", counted)
+    monkeypatch.setattr(exponent, "Fraction", counted)
+    res = minimize(obj)
+    monkeypatch.undo()
+    assert res.unique  # the tableau decides: no face LP runs
+    expected = [res.theta, *(a for a in res.argmin_alpha if a)]
+    if obj.has_s:
+        expected.append(res.argmin_s)
+    assert sorted(built) == sorted(expected)

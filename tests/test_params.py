@@ -161,6 +161,28 @@ def test_equal_specs_stay_equal_whatever_their_caches_hold(case):
 
 @settings(max_examples=40, deadline=None)
 @given(wide_specs())
+def test_a_spec_hashes_its_field_tuple_once(case):
+    spec, _ = case
+    twin = ProblemSpec(r=spec.r, p=spec.p, q=spec.q)
+    assert hash(spec) == hash((spec.r, spec.p, spec.q)) == hash(twin)
+    assert spec == twin and not spec != twin
+    assert spec != ProblemSpec(r=spec.r, p=spec.p, q=spec.q + 1)
+    first = hash(spec), hash(twin)
+
+    def refused(self):
+        raise AssertionError(f"hashed the Fraction {self}")
+
+    # Kept: a second hash reads no `Fraction` hash.
+    real = F.__hash__
+    F.__hash__ = refused
+    try:
+        assert (hash(spec), hash(twin)) == first
+    finally:
+        F.__hash__ = real
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_specs())
 def test_permuted_spec_derives_its_own_invariants(case):
     spec, order = case
     spec.rate_rows(False)  # a filled cache on the original must not leak

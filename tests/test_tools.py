@@ -1,5 +1,5 @@
 """The scripts under `tools/`: the byte-identity corpus on a short prefix,
-and the code-line counter on a snippet."""
+the code-line counter on a snippet, and the A/B timer on a few ops."""
 
 import importlib.util
 import io
@@ -60,3 +60,21 @@ def test_code_line_counter_skips_comments_and_docstrings(tmp_path):
     stream = io.StringIO()
     assert codelines.main([str(tmp_path), str(path)], stream) == 12
     assert stream.getvalue().splitlines() == ["6 snippet.py", "6 snippet.py", "12 total"]
+
+
+def test_ab_timer_finds_no_differing_op_between_a_tree_and_itself(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    abtime = _tool("abtime")
+    argvs = abtime.catalog("batch-d2")
+    assert [argv[0] for argv in argvs[:4]] == ["sweep", "verify", "sweep", "verify"]
+    one = abtime.load_package(TOOLS.parent, "widthcalc_ab_one")
+    two = abtime.load_package(TOOLS.parent, "widthcalc_ab_two")
+    assert one.cli is not two.cli
+    stream = io.StringIO()
+    rounds = abtime.compare(one.cli.main, two.cli.main, argvs[:3], rounds=2, stream=stream)
+    assert [differ for *_, differ in rounds] == [0, 0]
+    lines = stream.getvalue().splitlines()
+    assert len(lines) == 2 and all(line.endswith("differing ops 0 of 3") for line in lines)
+    # A side whose bytes differ is counted.
+    silent = abtime.compare(one.cli.main, lambda argv: 0, argvs[:2], rounds=1, stream=stream)
+    assert silent[0][3] == 2
