@@ -31,7 +31,7 @@ so compactness is decided by `classify_regime(spec).compact` in `closedform`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -80,6 +80,9 @@ class ExponentResult:
     argmin_s: Fraction | None
     unique: bool
     active_pieces: tuple[Provenance, ...]
+    # (optimal LpResult, its ≤ rows, the pieces), for `weights`: a field, so
+    # `dataclasses.replace` carries it to the copy.
+    _tableau: tuple = field(repr=False, compare=False)
 
     @property
     def weights(self) -> tuple[tuple[Provenance, Fraction], ...]:

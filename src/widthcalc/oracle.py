@@ -29,11 +29,15 @@ as a disagreement:
     face s = q/2 equals q/2 times the low-q-shaped objective) and the
     log-rescaling identity ψ(t̄, t; L) = L · h̃(t̄/L, t/L), plus positive
     homogeneity of the block rate φ.
+  * `check_certificate` checks an LP result's duality certificate on this
+    module's own pieces: the dual weights bound θ from below, and the
+    argmin attains it, with no simplex run.
   * `cross_validate` samples problem specs stratified over all nine
-    closed-form branches and compares the closed form against the LP
-    minimum, optionally against a grid bracket, and runs identity spot
-    checks.  Its report is a deterministic function of (seed, samples):
-    the generator is a fixed 64-bit linear congruential recurrence and the
+    closed-form branches, compares the closed form against the LP minimum,
+    checks the LP result's certificate, and runs identity spot checks; the
+    lattice bracket runs only when the call names a grid.  Its report is a
+    deterministic function of (seed, samples, grid, identity points): the
+    generator is a fixed 64-bit linear congruential recurrence and the
     report holds no timestamps or environment details.
 
 Reports are returned as data, never rendered here: `cli` prints them as
@@ -42,9 +46,10 @@ text and as JSON.
 The pieces are integer rows over one common denominator, built by `_table`
 for one spec and shape.  `_table` keeps the last two tables it built, the
 two shapes of one spec, and every check fetches its own from it, so a
-`cross_validate` record builds each shape it reads once; a point is scaled
-to integers once, and one `Fraction` is built only for a value that is
-returned or compared.
+`cross_validate` record builds each shape it reads once (the certificate
+builds the shape of q, which the lattice and the identity checks reuse); a
+point is scaled to integers once, and one `Fraction` is built only for a
+value that is returned or compared.
 """
 
 from __future__ import annotations
@@ -352,14 +357,15 @@ def check_certificate(spec: ProblemSpec, result) -> list[str]:
     by_tag = dict(rows)
     theta, weights, alpha, s = result.theta, result.weights, result.argmin_alpha, result.argmin_s
     failures = []
-    if any(w <= 0 for _, w in weights) or sum(w for _, w in weights) != 1:
+    # λ_k = lam_k/M: positive with sum 1 iff every lam_k > 0 and Σ lam_k = M.
+    M, lam = over_one_denominator([w for _, w in weights])
+    if min(lam, default=0) <= 0 or sum(lam) != M:
         failures.append(f"weights are not positive with sum 1: {weights}")
     if any(tag not in by_tag for tag, _ in weights):
         failures.append(f"a weighted piece is not a piece of the objective: {weights}")
     else:
         # Σ λ_k·piece_k as one row over M·L, at the vertices c·e_j, s = c for
         # c = 1 and, when q > 2, c = q/2 (the low shape has no s slope); c = C/E.
-        M, lam = over_one_denominator([w for _, w in weights])
         *w, slope, const = (
             sum(m * by_tag[tag][k] for m, (tag, _) in zip(lam, weights)) for k in range(spec.d + 2)
         )
@@ -368,15 +374,16 @@ def check_certificate(spec: ProblemSpec, result) -> list[str]:
         bound = Fraction(least + E * const, M * L * E)
         if bound != theta:
             failures.append(f"dual bound {bound} != theta {theta}")
-    if (
-        len(alpha) != spec.d
-        or (s is None) == high
-        or min(alpha) < 0
-        or sum(alpha) != (s if high else 1)
-        or high and not _ONE <= s <= spec.q / 2
-    ):
-        return failures + [f"argmin {alpha}, s={s} is outside the domain"]
+    outside = [f"argmin {alpha}, s={s} is outside the domain"]
+    if len(alpha) != spec.d or (s is None) == high:
+        return failures + outside
+    # ᾱ = a/E and s (1 when q ≤ 2) = S/E: the domain is a ≥ 0, Σa = S and,
+    # when q > 2, 1 ≤ s ≤ q/2, that is 2q_d·E ≤ 2q_d·S ≤ q_n·E.
     E, point = over_one_denominator((*alpha, s if high else _ONE))
+    *a, S = point
+    qn, qd2 = spec.q.numerator, 2 * spec.q.denominator
+    if min(a) < 0 or sum(a) != S or high and not qd2 * E <= qd2 * S <= qn * E:
+        return failures + outside
     values = {tag: sum(map(operator.mul, c, point + [E])) for tag, c in rows}
     # A value v over L·E equals θ when v·θ_den = θ_num·L·E.
     target = theta.numerator * L * E
@@ -653,9 +660,12 @@ def cross_validate(
     """Sample specs round-robin over the nine branches and compare routes.
 
     Each record checks (1) the classified case matches the stratum,
-    (2) the closed-form exponent equals the LP minimum exactly, (3) when
-    `grid` is set, the bracket contains the exponent, and (4) when
-    `identity_points` is set, the scaling identities hold exactly.
+    (2) the closed-form exponent equals the LP minimum exactly, (3) the LP
+    result's duality certificate holds (`check_certificate`, on the table
+    of the shape of q), (4) when `grid` is set, the lattice bracket contains
+    the exponent, and (5) when `identity_points` is set, the scaling
+    identities hold exactly.  A record fails when any check fails, and its
+    `detail` names each failed check.
     """
     rng = Lcg(seed)
     records: list[ValidationRecord] = []
@@ -672,6 +682,9 @@ def cross_validate(
             problems.append("no closed-form exponent")
         elif report.exponent != result.theta:
             problems.append(f"closed={report.exponent}!=lp={result.theta}")
+        failures = check_certificate(spec, result)
+        if failures:
+            problems.append("certificate: " + "; ".join(failures))
         g_lower = g_best = None
         if grid is not None:
             bracket = grid_minimize(spec, grid)

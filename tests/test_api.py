@@ -22,8 +22,6 @@ SRC = ROOT / "src" / "widthcalc"
 # Public names kept without a caller, each with the reason.  A name leaves
 # this table as soon as it gets one.
 KEPT = {
-    "check_certificate": "the LP-duality checker of `minimize` results, which "
-    "`exponent` output and `verify` records are to call",
     "_Parser.print_help": "argparse calls it for --help",
 }
 

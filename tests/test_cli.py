@@ -521,6 +521,23 @@ def test_verify_fails_loudly_on_an_injected_bug(capsys, monkeypatch):
     assert out.endswith("result: FAIL (9 failures)\n")
 
 
+def test_verify_fails_on_a_wrong_argmin_with_the_right_theta(capsys, monkeypatch):
+    # θ agrees with the closed form, so only the LP's certificate, checked
+    # at the argmin, sees the mutant.
+    real = cli.oracle.minimize
+
+    def reversed_argmin(objective):
+        res = real(objective)
+        return dataclasses.replace(res, argmin_alpha=res.argmin_alpha[::-1])
+
+    monkeypatch.setattr(cli.oracle, "minimize", reversed_argmin)
+    code, out, _ = run(capsys, "verify", "--samples", "9", "--seed", "1")
+    assert code == 1
+    failed = [line for line in out.splitlines() if "FAIL(" in line]
+    assert failed and all("FAIL(certificate: " in line for line in failed)
+    assert "closed=" not in out
+
+
 # ---------------------------------------------------------------------------
 # config files and usage errors
 

@@ -1,5 +1,6 @@
 """The piecewise objective and its exact LP minimisation."""
 
+import dataclasses
 import operator
 from contextlib import contextmanager
 from fractions import Fraction as F
@@ -147,6 +148,16 @@ def test_generic_objective_is_certified_without_probes():
     with _lp_counter() as lps:
         res = minimize(build_objective(_spec((1, 1), (3, 3), 2)))
     assert res.unique and len(lps) == 1
+
+
+def test_a_replaced_result_keeps_its_weights():
+    # The tableau behind `weights` is a field, so a `dataclasses.replace`
+    # copy reads the same weights; it takes no part in == or repr.
+    for spec in (_spec((1, 1), (3, 3), 2), _spec((2, 1), (8, "3/2"), 4)):
+        res = minimize(build_objective(spec))
+        copy = dataclasses.replace(res, theta=res.theta + 1)
+        assert copy.weights == res.weights and copy.theta == res.theta + 1
+        assert dataclasses.replace(res) == res and "_tableau" not in repr(res)
 
 
 def _seeded_specs(rng, per_side):

@@ -173,8 +173,8 @@ GOLDEN = {
     "finite-radius-pq": (0, "6d148b7f252519bde43940bb6f3d3fe9e993c41ac697395319fe230c3b340218"),
     "sweep-n-high": (0, "b06aba07c853fdda9e78712f9f9c2886632f1037ac4d6ee218cba56ce65076fd"),
     "sweep-n-low": (0, "b97c5ba2c325c9ac96bfb5a626865d84e14510ef0e86c86a51d171a89076c9fb"),
-    "verify": (0, "2f39bfaf93c00ad8400283ab096e20c35f439adcdd63670b99e0f177b5175c1e"),
-    "verify-json": (0, "cc25362836159c23eac276d53f5e741798602a6f3eb92aa012aea3b539e83358"),
+    "verify": (0, "f56614839554957d454f44dbda5b0fa1e422c93a0fca5b842ceac2db1e09fb1f"),
+    "verify-json": (0, "9353eaa0f870044fad545e86cbbb51634325f594b415bdb6ddcf191bdb1b5ffc"),
     "exp-text-d2-high": (0, "3e32d8ea290dbd277f250fb37e951384ce44e6afe45742e031c2c9a96117d8fe"),
     "exp-text-d2-flat": (3, "53b30ce257d6366dc0239640aaa501482cd6f1b826bfaed0f5110b5bdebc6567"),
     "exp-grid-text-d2-low": (0, "91ece43c0884b17a9e000992fee81a8e8191290b8254aa5ee3734588db97475f"),

@@ -576,18 +576,21 @@ def test_cross_validation_classifies_each_spec_once(monkeypatch):
 
 
 def test_a_record_builds_each_table_shape_once():
-    # The lattice bracket reads the shape of q and the identity checks read
-    # both shapes, so a q > 2 record needs two tables and a q ≤ 2 one needs
-    # one; whatever a record reads twice comes from the cache.
+    # The certificate and the lattice bracket read the shape of q and the
+    # identity checks read both shapes, so a q > 2 record needs two tables
+    # and a q ≤ 2 one needs one; whatever a record reads twice comes from
+    # the cache: the lattice's read of the certificate's table, and one
+    # identity read.
     oracle._table.cache_clear()
     report = cross_validate(18, seed=7, grid=48, identity_points=1)
     info = oracle._table.cache_info()
     assert report.ok and {rec.spec.q > 2 for rec in report.records} == {False, True}
     assert info.misses == sum(2 if rec.spec.q > 2 else 1 for rec in report.records)
-    assert info.hits == len(report.records)
-    # Without the lattice and the identity checks no table is built.
+    assert info.hits == 2 * len(report.records)
+    # Without the lattice and the identity checks only the certificate's
+    # table is built, once per record.
     oracle._table.cache_clear()
-    assert cross_validate(9, seed=7).ok and oracle._table.cache_info().misses == 0
+    assert cross_validate(9, seed=7).ok and oracle._table.cache_info()[:2] == (0, 9)
 
 
 def test_grid_check_above_two_builds_only_the_high_table():

@@ -21,12 +21,13 @@ import widthcalc.oracle  # noqa: F401
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 # One call per layer: a certificate, the LP on both sides of q = 2, the face
-# LP of a flat optimum (the only route to `simplex.probe`), and the oracle.
+# LP of a flat optimum (the only route to `simplex.probe`), and the oracle,
+# whose lattice bracket runs only when `verify` names a grid.
 ARGVS = (
     ["finite", "--N", "4096", "--n", "512", "--q", "4", "--balls", "inf:1/64,3:1/4"],
     ["exponent", "--r", "1,2", "--p", "3,3/2", "--q", "5"],
     ["exponent", "--r", "2,2", "--p", "3,3/2", "--q", "2"],
-    ["verify", "--samples", "2"],
+    ["verify", "--samples", "2", "--grid", "128"],
 )
 
 

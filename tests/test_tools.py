@@ -1,8 +1,10 @@
 """The scripts under `tools/`: the byte-identity corpus on a short prefix,
-the code-line counter on a snippet, and the A/B timer on a few ops."""
+the code-line counter on a snippet, the A/B timer on a few ops, and the
+benchmark-pair summary with the `BENCH_*.json` files it writes."""
 
 import importlib.util
 import io
+import json
 from pathlib import Path
 
 from _reference import catalog_argvs
@@ -78,3 +80,41 @@ def test_ab_timer_finds_no_differing_op_between_a_tree_and_itself(monkeypatch):
     # A side whose bytes differ is counted.
     silent = abtime.compare(one.cli.main, lambda argv: 0, argvs[:2], rounds=1, stream=stream)
     assert silent[0][3] == 2
+
+
+def _result(ops_per_s, p50, failed=0):
+    names = {"setup_s": 0.1, "ops_per_s": ops_per_s, "op_p50_ms": p50, "op_p90_ms": 2 * p50,
+             "peak_rss_mb": 30.0}
+    return {"attempted": 100, "failed": failed,
+            "metrics": {name: {"value": v} for name, v in names.items()}}
+
+
+def test_bench_pairs_are_summarised_per_side_with_pairs_won():
+    benchpairs = _tool("benchpairs")
+    contract = json.loads((TOOLS.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    pairs = {"batch-d2": [(_result(200, 5.0), _result(250, 4.0)),
+                          (_result(210, 4.0), _result(205, 4.0, failed=1)),
+                          (_result(190, 5.5), _result(260, 3.5))]}
+    data = benchpairs.summarise(pairs, contract, {("batch-d2", "ops_per_s")})["batch-d2"]
+    ops, p50 = data["metrics"]["ops_per_s"], data["metrics"]["op_p50_ms"]
+    assert (ops["claimed"], p50["claimed"]) == (True, False)
+    assert ops["parent"] == {"q1": 195, "median": 200, "q3": 205, "runs": [200, 210, 190]}
+    assert ops["change"]["median"] == 250 and ops["bound"] == 0.25
+    # Higher is better for ops_per_s, lower for op_p50_ms; a tie counts for neither.
+    assert (ops["pairs_won"], p50["pairs_won"], ops["pairs"]) == (2, 2, 3)
+    assert data["failed"] == {"parent": 0, "change": 1}
+    assert data["attempted"] == {"parent": 300, "change": 300}
+
+
+def test_every_bench_file_parses_with_ordered_quartiles():
+    for path in sorted(TOOLS.parent.glob("BENCH_*.json")):
+        report = json.loads(path.read_text(encoding="utf-8"))
+        assert path.name == f"BENCH_{report['commit']}.json"
+        assert report["workloads"], path
+        for workload, data in report["workloads"].items():
+            for name, metric in data["metrics"].items():
+                for side in ("parent", "change"):
+                    q = metric[side]
+                    assert q["q1"] <= q["median"] <= q["q3"], (path.name, workload, name, side)
+                    assert len(q["runs"]) == report["runs_per_side"]
+                assert 0 <= metric["pairs_won"] <= metric["pairs"]
