@@ -107,10 +107,13 @@ def test_bench_pairs_are_summarised_per_side_with_pairs_won():
 
 
 def test_every_bench_file_parses_with_ordered_quartiles():
+    contract = json.loads((TOOLS.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     for path in sorted(TOOLS.parent.glob("BENCH_*.json")):
         report = json.loads(path.read_text(encoding="utf-8"))
         assert path.name == f"BENCH_{report['commit']}.json"
         assert report["workloads"], path
+        # The benchmark's own run length, in at least ten pairs.
+        assert report["runs_per_side"] >= 10 and report["seconds"] == contract["run_seconds"]
         for workload, data in report["workloads"].items():
             for name, metric in data["metrics"].items():
                 for side in ("parent", "change"):

@@ -2,9 +2,10 @@
 
 Runs `perfbench/run.py` end to end (`--trace 0`) in two checkouts, the
 parent's and the change's, as the benchmark's own command does: from the
-checkout's root, for each workload, in pairs.  Pair k runs both sides on
-seed FIRST + k, and the side that runs first alternates pair by pair.  Each
-run's last stdout line is its JSON result.
+checkout's root, for every workload of `BENCHMARK.json`, for its
+`run_seconds`, in ten pairs.  Pair k runs both sides on seed k (1 to 10),
+and the side that runs first alternates pair by pair.  Each run's last
+stdout line is its JSON result.
 
 For each workload and each end-to-end metric of `BENCHMARK.json` the file
 holds both sides' Q1, median and Q3 and every run's value, the pairs the
@@ -30,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -44,10 +46,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def quartiles(values: list[float]) -> dict:
     """Q1, median and Q3 (the inclusive method), with the values themselves."""
-    if len(values) < 2:
-        q1 = median = q3 = values[0]
-    else:
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3, "runs": list(values)}
 
 
@@ -85,19 +84,14 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="root of the change's checkout")
     parser.add_argument("--parent-commit", required=True, help="short sha of the parent")
     parser.add_argument("--commit", required=True, help="short sha of the change")
-    parser.add_argument("--workloads", help="comma list (every workload of BENCHMARK.json)")
-    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload (10)")
-    parser.add_argument("--first-seed", type=int, default=1, help="seed of the first pair (1)")
-    parser.add_argument("--seconds", type=float, help="run length (BENCHMARK.json's run_seconds)")
     parser.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC",
                         help="a claimed gain; repeat for more")
     args = parser.parse_args(argv)
     contract = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    names = [w["name"] for w in contract["workloads"]]
-    workloads = args.workloads.split(",") if args.workloads else names
-    seconds = args.seconds or contract["run_seconds"]
+    workloads = [w["name"] for w in contract["workloads"]]
+    seconds = contract["run_seconds"]
     claims = {tuple(claim.split(":", 1)) for claim in args.claim}
-    seeds = [args.first_seed + k for k in range(args.pairs)]
+    seeds = list(range(1, PAIRS + 1))
     trees = dict(zip(SIDES, (args.parent, args.change)))
     pairs = {}
     for workload in workloads:
@@ -113,7 +107,7 @@ def main(argv=None) -> int:
         "commit": args.commit,
         "parent": args.parent_commit,
         "seeds": seeds,
-        "runs_per_side": args.pairs,
+        "runs_per_side": PAIRS,
         "seconds": seconds,
         "workloads": summarise(pairs, contract, claims),
     }
