@@ -472,11 +472,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     seed = parse_integer(args.seed, "--seed")
     if samples < 0:
         raise ParameterError(f"--samples must be ≥ 0, got {samples}")
-    grid = None
-    if args.grid is not None:
-        grid = parse_integer(args.grid, "--grid")
-        if grid < 1:
-            raise ParameterError(f"--grid must be ≥ 1, got {grid}")
     points = parse_integer(args.identity_points, "--identity-points")
     if points < 0:
         raise ParameterError(f"--identity-points must be ≥ 0, got {points}")
@@ -485,16 +480,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"--samples {samples} with {points} identity points each asks for"
             f" {samples * (1 + points)} checks, more than {WORK_BUDGET}"
         )
-    report = oracle.cross_validate(samples, seed, grid=grid, identity_points=points)
+    report = oracle.cross_validate(samples, seed, identity_points=points)
     failed = sum(not rec.ok for rec in report.records)
     _show(args, 0, [
         ("kind", None, "verification-report", str, None),
         (None, "", "widthcalc verification report", None, str),
         ("seed", "", report.seed, int,
-         lambda seed: f"seed={seed} samples={report.samples}"
-                      + ("" if report.grid is None else f" grid={report.grid}")),
+         lambda seed: f"seed={seed} samples={report.samples}"),
         ("samples", None, report.samples, int, None),
-        ("grid", None, report.grid, int, None),
         ("ok", None, report.ok, bool, None),
         ("branches", "branches:", report.branch_counts(), dict,
          lambda counts: " ".join(f"{k}={counts[k]}" for k in sorted(counts)) or "none"),
@@ -514,8 +507,6 @@ def _record_json(rec: oracle.ValidationRecord) -> dict:
         "case": rec.case,
         "theta": json_rational(rec.theta),
         "theta_lp": json_rational(rec.theta_lp),
-        "grid_lower": json_rational(rec.grid_lower),
-        "grid_best": json_rational(rec.grid_best),
         "identity_points": rec.identity_points,
         "ok": rec.ok,
         "detail": rec.detail,
@@ -526,8 +517,6 @@ def _record_text(rec: oracle.ValidationRecord) -> str:
     spec = rec.spec
     parts = [rec.branch, f"r={_fmt_tuple(spec.r)}", f"p={_fmt_tuple(spec.p)}", f"q={spec.q}",
              f"case={rec.case}", f"theta={rec.theta}", f"lp={rec.theta_lp}"]
-    if rec.grid_lower is not None:
-        parts.append(f"grid=[{rec.grid_lower},{rec.grid_best}]")
     if rec.identity_points:
         parts.append(f"id={rec.identity_points}")
     parts.append("ok" if rec.ok else f"FAIL({rec.detail})")
@@ -603,9 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub, spec_opts=False)
     sub.add_argument("--samples", default="100")
     sub.add_argument("--seed", default="0")
-    sub.add_argument("--grid", help="also bracket each LP minimum on a lattice of"
-                     " denominator GRID (off by default; every record checks its LP"
-                     " certificate)")
     sub.add_argument("--identity-points", default="2")
     sub.add_argument("--format", choices=_FORMATS, default="text")
     sub.set_defaults(func=_cmd_verify)

@@ -90,14 +90,17 @@ class ExponentResult:
 
         λ_k is the reduced cost of piece k's slack in the optimal tableau
         times that row's scale, its t⁻ coefficient, so Σ λ_k = 1.  Built on
-        each read from the tableau `minimize` keeps; no LP runs.
+        each read from the tableau `minimize` keeps, with no LP run: the
+        slacks' entries are read off the integer reduced-cost row, and one
+        `Fraction` is built per weight.
         """
         res, A_ub, pieces = self._tableau
-        k = len(pieces)  # the piece rows, and their slacks, come last
+        # The piece rows come last, and row k of A_ub has the slack label n + k.
+        first = res.n + len(A_ub) - len(pieces)
+        den = res.dens[-1]
+        costs = sorted((j, v) for j, v in zip(res.cols, res.rows[-1]) if v and j >= first)
         return tuple(
-            (tag, rc * row[-1])
-            for (tag, _), rc, row in zip(pieces, res.reduced_costs[-k:], A_ub[-k:])
-            if rc
+            (pieces[j - first][0], Fraction(v * A_ub[j - res.n][-1], den)) for j, v in costs
         )
 
 

@@ -34,10 +34,9 @@ as a disagreement:
     argmin attains it, with no simplex run.
   * `cross_validate` samples problem specs stratified over all nine
     closed-form branches, compares the closed form against the LP minimum,
-    checks the LP result's certificate, and runs identity spot checks; the
-    lattice bracket runs only when the call names a grid.  Its report is a
-    deterministic function of (seed, samples, grid, identity points): the
-    generator is a fixed 64-bit linear congruential recurrence and the
+    checks the LP result's certificate, and runs identity spot checks.  Its
+    report is a deterministic function of (seed, samples, identity points):
+    the generator is a fixed 64-bit linear congruential recurrence and the
     report holds no timestamps or environment details.
 
 Reports are returned as data, never rendered here: `cli` prints them as
@@ -47,9 +46,9 @@ The pieces are integer rows over one common denominator, built by `_table`
 for one spec and shape.  `_table` keeps the last two tables it built, the
 two shapes of one spec, and every check fetches its own from it, so a
 `cross_validate` record builds each shape it reads once (the certificate
-builds the shape of q, which the lattice and the identity checks reuse); a
-point is scaled to integers once, and one `Fraction` is built only for a
-value that is returned or compared.
+builds the shape of q, which the identity checks reuse); a point is scaled
+to integers once, and one `Fraction` is built only for a value that is
+returned or compared.
 """
 
 from __future__ import annotations
@@ -87,6 +86,9 @@ __all__ = [
 # a cell's cost grows with the piece count (82 pieces at d = 16, q > 2), so
 # counting cells alone would let one input run far longer than another.
 _BUDGET = 1 << 17
+
+# Proposals `sample_branch` draws for one spec before it gives up.
+_MAX_TRIES = 50_000
 
 BRANCH_LABELS = (
     "T1.1",
@@ -246,18 +248,18 @@ def _propose(rng: Lcg, label: str) -> ProblemSpec:
     return ProblemSpec(r=r, p=p, q=q)
 
 
-def sample_branch(rng: Lcg, label: str, max_tries: int = 50_000) -> ProblemSpec:
+def sample_branch(rng: Lcg, label: str) -> ProblemSpec:
     """Rejection-sample a spec whose classified case equals `label`."""
     if label not in BRANCH_LABELS and label != SCREEN_LABEL:
         raise ParameterError(f"unknown branch label {label!r}")
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         try:
             spec = _propose(rng, label)
         except (ParameterError, ZeroDivisionError):
             continue
         if closedform.classify_regime(spec).case == label:
             return spec
-    raise RuntimeError(f"failed to sample a {label} instance in {max_tries} tries")
+    raise RuntimeError(f"failed to sample a {label} instance in {_MAX_TRIES} tries")
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +631,6 @@ class ValidationRecord:
     case: str
     theta: Fraction | None
     theta_lp: Fraction
-    grid_lower: Fraction | None
-    grid_best: Fraction | None
     identity_points: int
     ok: bool
     detail: str
@@ -640,7 +640,6 @@ class ValidationRecord:
 class ValidationReport:
     seed: int
     samples: int
-    grid: int | None
     records: tuple[ValidationRecord, ...]
 
     @property
@@ -651,19 +650,13 @@ class ValidationReport:
         return dict(Counter(rec.branch for rec in self.records))
 
 
-def cross_validate(
-    samples: int,
-    seed: int,
-    grid: int | None = None,
-    identity_points: int = 0,
-) -> ValidationReport:
+def cross_validate(samples: int, seed: int, identity_points: int = 0) -> ValidationReport:
     """Sample specs round-robin over the nine branches and compare routes.
 
     Each record checks (1) the classified case matches the stratum,
     (2) the closed-form exponent equals the LP minimum exactly, (3) the LP
     result's duality certificate holds (`check_certificate`, on the table
-    of the shape of q), (4) when `grid` is set, the lattice bracket contains
-    the exponent, and (5) when `identity_points` is set, the scaling
+    of the shape of q), and (4) when `identity_points` is set, the scaling
     identities hold exactly.  A record fails when any check fails, and its
     `detail` names each failed check.
     """
@@ -685,12 +678,6 @@ def cross_validate(
         failures = check_certificate(spec, result)
         if failures:
             problems.append("certificate: " + "; ".join(failures))
-        g_lower = g_best = None
-        if grid is not None:
-            bracket = grid_minimize(spec, grid)
-            g_lower, g_best = bracket.lower, bracket.best_value
-            if not bracket.contains(result.theta):
-                problems.append(f"lp={result.theta} outside [{g_lower},{g_best}]")
         id_count = 0
         if identity_points:
             id_report = check_scaling_identities(
@@ -706,11 +693,9 @@ def cross_validate(
                 case=report.case,
                 theta=report.exponent,
                 theta_lp=result.theta,
-                grid_lower=g_lower,
-                grid_best=g_best,
                 identity_points=id_count,
                 ok=not problems,
                 detail="; ".join(problems),
             )
         )
-    return ValidationReport(seed=seed, samples=samples, grid=grid, records=tuple(records))
+    return ValidationReport(seed=seed, samples=samples, records=tuple(records))

@@ -199,7 +199,6 @@ def test_finite_input_validation(capsys):
          "--m-vec", "3,3/2", "--from", "0", "--to", "4", "--steps", "2"),
         ("verify", "--samples", "3/2"),
         ("verify", "--samples", "0", "--seed", "1/2"),
-        ("verify", "--samples", "0", "--grid", "65/2"),
         ("verify", "--samples", "0", "--identity-points", "3/2"),
     ],
 )
@@ -370,15 +369,15 @@ def _no_exact_work(*args, **kwargs):
     raise AssertionError("exact work started before the budget was checked")
 
 
-@pytest.mark.parametrize("samples", ["0", "1"])
-@pytest.mark.parametrize("grid", ["-5", "0"])
-def test_verify_refuses_a_grid_below_one_before_sampling(capsys, monkeypatch, samples, grid):
+def test_verify_refuses_the_grid_flag_before_sampling(capsys, monkeypatch):
+    # `verify` has no lattice route: `--grid` is an unknown option.
     monkeypatch.setattr(cli.oracle, "cross_validate", _no_exact_work)
     for fmt in ("text", "json"):
-        code, out, err = run(
-            capsys, "verify", "--samples", samples, "--grid", grid, "--format", fmt)
+        code, out, err = run(capsys, "verify", "--grid", "48", "--format", fmt)
         assert (code, out) == (4, "")
-        assert err == f"error: --grid must be ≥ 1, got {grid}\n"
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: widthcalc ")
+        assert error == "widthcalc: error: unrecognized arguments: --grid 48"
 
 
 def test_sweep_steps_are_answered_up_to_the_budget_and_refused_above(capsys, monkeypatch):
@@ -414,13 +413,12 @@ def test_verify_checks_are_answered_up_to_the_budget_and_refused_above(capsys, m
 
 
 def test_verify_runs_are_byte_identical(capsys):
-    args = ("verify", "--samples", "18", "--seed", "42", "--grid", "32",
-            "--identity-points", "1")
+    args = ("verify", "--samples", "18", "--seed", "42", "--identity-points", "1")
     text = [run(capsys, *args) for _ in range(2)]
     data = [run(capsys, *args, "--format", "json") for _ in range(2)]
     assert text[0] == text[1] and data[0] == data[1]
     assert text[0][0] == data[0][0] == 0
-    assert "seed=42 samples=18 grid=32" in text[0][1]
+    assert "seed=42 samples=18\n" in text[0][1]
     assert text[0][1].endswith("result: PASS (0 failures)\n")
     payload = json.loads(data[0][1])
     assert payload["ok"] is True
@@ -851,7 +849,6 @@ def argvs(draw):
     if command == "verify":
         opt("--samples", st.sampled_from(["0", "1", "2", "-1", "1/2"]), tenths_present=10)
         opt("--seed", st.integers(-5, 2**40).map(str))
-        opt("--grid", st.sampled_from(["0", "1", "4", "16", "-3", "10**9", "4000"]), tenths_present=5)
         opt("--identity-points", st.sampled_from(["0", "1", "2", "-1"]), tenths_present=5)
     return argv
 

@@ -160,8 +160,26 @@ def test_a_replaced_result_keeps_its_weights():
         assert dataclasses.replace(res) == res and "_tableau" not in repr(res)
 
 
-def _seeded_specs(rng, per_side):
-    for d in range(3, 9):
+def test_weights_are_read_off_the_integer_reduced_cost_row(monkeypatch):
+    # `weights` reads only the piece slacks' integers off the tableau: with
+    # `LpResult.reduced_costs`, which builds a `Fraction` per column, made to
+    # raise, it still gives the values it gave before, in piece order.
+    results = [minimize(build_objective(spec))
+               for spec in _seeded_specs(Lcg(31), per_side=3, dims=range(2, 9))]
+    before = [res.weights for res in results]
+    assert all(before)
+
+    def refused(self):
+        raise AssertionError("weights read LpResult.reduced_costs")
+
+    monkeypatch.setattr(simplex.LpResult, "reduced_costs", property(refused))
+    with pytest.raises(AssertionError):
+        results[0]._tableau[0].reduced_costs
+    assert [res.weights for res in results] == before
+
+
+def _seeded_specs(rng, per_side, dims=range(3, 9)):
+    for d in dims:
         for high in (False, True):
             for _ in range(per_side):
                 if high:

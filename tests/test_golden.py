@@ -174,7 +174,7 @@ GOLDEN = {
     "sweep-n-high": (0, "b06aba07c853fdda9e78712f9f9c2886632f1037ac4d6ee218cba56ce65076fd"),
     "sweep-n-low": (0, "b97c5ba2c325c9ac96bfb5a626865d84e14510ef0e86c86a51d171a89076c9fb"),
     "verify": (0, "f56614839554957d454f44dbda5b0fa1e422c93a0fca5b842ceac2db1e09fb1f"),
-    "verify-json": (0, "9353eaa0f870044fad545e86cbbb51634325f594b415bdb6ddcf191bdb1b5ffc"),
+    "verify-json": (0, "b10f7cd401815d54893707d79932ee3bb60f78b433dc50058179b7d6c14cc356"),
     "exp-text-d2-high": (0, "3e32d8ea290dbd277f250fb37e951384ce44e6afe45742e031c2c9a96117d8fe"),
     "exp-text-d2-flat": (3, "53b30ce257d6366dc0239640aaa501482cd6f1b826bfaed0f5110b5bdebc6567"),
     "exp-grid-text-d2-low": (0, "91ece43c0884b17a9e000992fee81a8e8191290b8254aa5ee3734588db97475f"),

@@ -532,8 +532,8 @@ def test_sampled_intersections_sit_in_the_display_range():
 
 
 def test_cross_validation_is_deterministic_and_green():
-    first = cross_validate(18, seed=7, grid=48, identity_points=2)
-    second = cross_validate(18, seed=7, grid=48, identity_points=2)
+    first = cross_validate(18, seed=7, identity_points=2)
+    second = cross_validate(18, seed=7, identity_points=2)
     assert first.ok
     assert first == second
     assert first.branch_counts() == {label: 2 for label in BRANCH_LABELS}
@@ -563,7 +563,7 @@ def test_cross_validation_classifies_each_spec_once(monkeypatch):
     monkeypatch.setattr(closedform, "_classify", classify)
     monkeypatch.setattr(oracle, "sample_branch", sample)
     monkeypatch.setattr(closedform, "classify_regime", regime)
-    report = cross_validate(18, seed=7, grid=48, identity_points=1)
+    report = cross_validate(18, seed=7, identity_points=1)
     assert report.ok
     counts = Counter(map(id, classified))
     assert max(counts.values()) == 1
@@ -576,19 +576,18 @@ def test_cross_validation_classifies_each_spec_once(monkeypatch):
 
 
 def test_a_record_builds_each_table_shape_once():
-    # The certificate and the lattice bracket read the shape of q and the
-    # identity checks read both shapes, so a q > 2 record needs two tables
-    # and a q ≤ 2 one needs one; whatever a record reads twice comes from
-    # the cache: the lattice's read of the certificate's table, and one
-    # identity read.
+    # The certificate reads the shape of q and the identity checks read both
+    # shapes, so a q > 2 record needs two tables and a q ≤ 2 one needs one;
+    # the identity checks' read of the certificate's table comes from the
+    # cache.
     oracle._table.cache_clear()
-    report = cross_validate(18, seed=7, grid=48, identity_points=1)
+    report = cross_validate(18, seed=7, identity_points=1)
     info = oracle._table.cache_info()
     assert report.ok and {rec.spec.q > 2 for rec in report.records} == {False, True}
     assert info.misses == sum(2 if rec.spec.q > 2 else 1 for rec in report.records)
-    assert info.hits == 2 * len(report.records)
-    # Without the lattice and the identity checks only the certificate's
-    # table is built, once per record.
+    assert info.hits == len(report.records)
+    # Without the identity checks only the certificate's table is built,
+    # once per record.
     oracle._table.cache_clear()
     assert cross_validate(9, seed=7).ok and oracle._table.cache_info()[:2] == (0, 9)
 
