@@ -369,15 +369,19 @@ def _no_exact_work(*args, **kwargs):
     raise AssertionError("exact work started before the budget was checked")
 
 
-def test_verify_refuses_the_grid_flag_before_sampling(capsys, monkeypatch):
-    # `verify` has no lattice route: `--grid` is an unknown option.
+@pytest.mark.parametrize("samples", ["0", "1"])
+@pytest.mark.parametrize("grid", ["-5", "0"])
+def test_verify_refuses_a_grid_below_one_before_sampling(capsys, monkeypatch, samples, grid):
+    # `verify` has no lattice route: `--grid` is an unknown option, whatever
+    # its value, and is refused before any sampling.
     monkeypatch.setattr(cli.oracle, "cross_validate", _no_exact_work)
     for fmt in ("text", "json"):
-        code, out, err = run(capsys, "verify", "--grid", "48", "--format", fmt)
+        code, out, err = run(
+            capsys, "verify", "--samples", samples, "--grid", grid, "--format", fmt)
         assert (code, out) == (4, "")
         usage, error = err.splitlines()
         assert usage.startswith("usage: widthcalc ")
-        assert error == "widthcalc: error: unrecognized arguments: --grid 48"
+        assert error == f"widthcalc: error: unrecognized arguments: --grid {grid}"
 
 
 def test_sweep_steps_are_answered_up_to_the_budget_and_refused_above(capsys, monkeypatch):
