@@ -11,8 +11,8 @@ from widthcalc.cli import main
 
 # One spec, full report.  Exit codes classify the outcome: 0 covered,
 # 2 not compact, 3 uncovered or an exact tie, 4 bad input.
-print("$ widthcalc exponent --r 1,2 --p 3,3/2 --q 2 --grid-check")
-main(["exponent", "--r", "1,2", "--p", "3,3/2", "--q", "2", "--grid-check"])
+print("$ widthcalc exponent --r 1,2 --p 3,3/2 --q 2 --check")
+main(["exponent", "--r", "1,2", "--p", "3,3/2", "--q", "2", "--check"])
 
 # Sweeping q across the covered range; the regime column tracks the
 # closed-form branch as q crosses the structural thresholds.

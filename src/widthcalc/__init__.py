@@ -9,8 +9,9 @@ arithmetic:
     which closed-form regime applies;
   * `finitedim` / `oracle`: the finite-dimensional counterpart, orders of
     widths of ℓ_p ball intersections with verifiable lower-bound
-    certificates, plus independent lattice and identity oracles that
-    cross-check every route against the others.
+    certificates, plus the oracle's independent checks (the LP-duality
+    certificate and the scaling identities) that cross-check every route
+    against the others.
 """
 
 from .closedform import RegimeReport, classify_regime

@@ -244,11 +244,9 @@ def _cmd_exponent(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
     report = closedform.classify_regime(spec)
     result = minimize(build_objective(spec))
-    bracket = None
-    grid_ok = True
-    if args.grid_check:
-        bracket = oracle.grid_minimize(spec)
-        grid_ok = bracket.contains(result.theta)
+    failures = oracle.check_certificate(spec, result) if args.check else None
+    # The binding pieces, those of dual weight λ > 0.
+    binding = [render_provenance(tag) for tag, _ in result.weights] if args.check else None
     closed_ok = report.exponent is None or report.exponent == result.theta
     margin = spec.compact_margin()
     _show(args, 9, [
@@ -266,14 +264,12 @@ def _cmd_exponent(args: argparse.Namespace) -> int:
         ("tie", None, report.tie, bool, None),
         ("thetas", None, report.thetas, _json_thetas, None),
         ("margin", None, margin, json_rational, None),
-        ("grid", "grid", bracket,
-         lambda b: {"grid": b.grid, "lower": json_rational(b.lower),
-                    "best": json_rational(b.best_value), "contains": grid_ok},
-         lambda b: f"[{b.lower}, {b.best_value}] at G={b.grid} "
-                   f"({'contains theta' if grid_ok else 'VIOLATION'})"),
+        ("certificate", "cert", failures,
+         lambda f: {"ok": not f, "binding": binding, "failures": f},
+         lambda f: "FAILED: " + "; ".join(f) if f else f"ok (binding {', '.join(binding)})"),
         ("agreement", None, closed_ok, bool, None),
     ])
-    if not closed_ok or not grid_ok:
+    if not closed_ok or failures:
         return 1
     return _regime_exit(report)
 
@@ -559,8 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("exponent", help="decay exponent of one spec")
     _add_common(sub, spec_opts=True)
-    sub.add_argument("--grid-check", action="store_true",
-                     help="also bracket the minimum on a lattice")
+    sub.add_argument("--check", action="store_true",
+                     help="also check the LP answer's duality certificate")
     sub.add_argument("--format", choices=_FORMATS, default="text")
     sub.set_defaults(func=_cmd_exponent)
 

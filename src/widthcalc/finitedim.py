@@ -261,16 +261,13 @@ def intersection_order(spec: IntersectionSpec) -> WidthOrder:
 
 
 def _int_ceil(x: PowerProduct) -> int:
-    k = x.approx_floor_ceil()[1]
-    while PowerProduct.from_fraction(max(k, 1)) < x:
-        k += 1
-    while k >= 1 and x <= PowerProduct.from_fraction(k - 1):
-        k -= 1
-    return max(k, 1)
+    """max(⌈x⌉, 1)."""
+    k = _int_floor(x)
+    return max(k + (x != PowerProduct.from_fraction(k)), 1)
 
 
 def _int_floor(x: PowerProduct) -> int:
-    k = x.approx_floor_ceil()[0]
+    k = x.approx_floor()
     while k >= 1 and PowerProduct.from_fraction(k) > x:
         k -= 1
     while x >= PowerProduct.from_fraction(k + 1):

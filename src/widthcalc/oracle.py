@@ -7,11 +7,14 @@ rebuilt from the defining formulas so that a bug in either route shows up
 as a disagreement:
 
   * `grid_minimize` brackets the true minimum of the piecewise objective
-    by the exact minimum over a rational lattice of denominator G: the
-    call's `grid`, or 64·d (`default_grid`) when it names none, so a
-    bracket is a function of its arguments alone.  The objective is a max
-    of affine pieces, hence Lipschitz; rounding any feasible point onto
-    the lattice moves each coordinate by at most 1/G, so
+    by the exact minimum over a rational lattice of denominator G, the
+    call's `grid`.  No command runs it: `check_certificate` checks the
+    LP's answer exactly at every supported d, where at G = 64·d the work
+    budget below refuses many specs at d = 8 and every one from d = 12
+    on; it stays as library code for the tests, the demos and the
+    benchmark's tracer.  The objective is a max of affine pieces, hence
+    Lipschitz; rounding any feasible point onto the lattice moves each
+    coordinate by at most 1/G, so
 
         best − gap ≤ min ≤ best,   gap = (Σ_j max|coeff_j| + max|s coeff|)/G.
 
@@ -31,7 +34,8 @@ as a disagreement:
     homogeneity of the block rate φ.
   * `check_certificate` checks an LP result's duality certificate on this
     module's own pieces: the dual weights bound θ from below, and the
-    argmin attains it, with no simplex run.
+    argmin attains it, with no simplex run.  `exponent --check` and every
+    `cross_validate` record run it.
   * `cross_validate` samples problem specs stratified over all nine
     closed-form branches, compares the closed form against the LP minimum,
     checks the LP result's certificate, and runs identity spot checks.  Its
@@ -73,7 +77,6 @@ __all__ = [
     "sample_branch",
     "check_certificate",
     "GridBracket",
-    "default_grid",
     "grid_minimize",
     "IdentityReport",
     "check_scaling_identities",
@@ -362,9 +365,9 @@ def check_certificate(spec: ProblemSpec, result) -> list[str]:
     # λ_k = lam_k/M: positive with sum 1 iff every lam_k > 0 and Σ lam_k = M.
     M, lam = over_one_denominator([w for _, w in weights])
     if min(lam, default=0) <= 0 or sum(lam) != M:
-        failures.append(f"weights are not positive with sum 1: {weights}")
+        failures.append(f"weights are not positive with sum 1: {_listed(weights)}")
     if any(tag not in by_tag for tag, _ in weights):
-        failures.append(f"a weighted piece is not a piece of the objective: {weights}")
+        failures.append(f"a weighted piece is not a piece of the objective: {_listed(weights)}")
     else:
         # Σ λ_k·piece_k as one row over M·L, at the vertices c·e_j, s = c for
         # c = 1 and, when q > 2, c = q/2 (the low shape has no s slope); c = C/E.
@@ -376,7 +379,7 @@ def check_certificate(spec: ProblemSpec, result) -> list[str]:
         bound = Fraction(least + E * const, M * L * E)
         if bound != theta:
             failures.append(f"dual bound {bound} != theta {theta}")
-    outside = [f"argmin {alpha}, s={s} is outside the domain"]
+    outside = [f"argmin ({', '.join(map(str, alpha))}), s={s} is outside the domain"]
     if len(alpha) != spec.d or (s is None) == high:
         return failures + outside
     # ᾱ = a/E and s (1 when q ≤ 2) = S/E: the domain is a ≥ 0, Σa = S and,
@@ -396,6 +399,11 @@ def check_certificate(spec: ProblemSpec, result) -> list[str]:
     if len(result.active_pieces) != len(active) or set(result.active_pieces) != active:
         failures.append(f"active pieces {result.active_pieces} != {sorted(active)}")
     return failures
+
+
+def _listed(weights) -> str:
+    """(tag, λ) pairs as `tag=a/b`, the form every rational is printed in."""
+    return ", ".join(f"{tag}={w}" for tag, w in weights)
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +430,7 @@ class GridBracket:
         return self.lower <= value <= self.best_value
 
 
-def default_grid(d: int) -> int:
-    """The lattice denominator G used when a call names none: 64·d."""
-    return 64 * d
-
-
-def grid_minimize(spec: ProblemSpec, grid: int | None = None) -> GridBracket:
+def grid_minimize(spec: ProblemSpec, grid: int) -> GridBracket:
     """Exact bracket of the objective minimum from a denominator-G lattice.
 
     q ≤ 2: points ᾱ = ā/G with ā ∈ Z≥0^d, Σā = G.  q > 2: additionally
@@ -445,7 +448,7 @@ def grid_minimize(spec: ProblemSpec, grid: int | None = None) -> GridBracket:
     not it is cut short, and a lattice that needs more raises `RangeError`.
     """
     d = spec.d
-    G = default_grid(d) if grid is None else int(grid)
+    G = int(grid)
     if G < 1:
         raise ParameterError(f"grid must be ≥ 1, got {G}")
     q = spec.q

@@ -476,10 +476,10 @@ class PowerProduct:
 
         return libmp.to_str(self.to_libmp(libmp.dps_to_prec(sig + 15)), sig, strip_zeros=False)
 
-    def approx_floor_ceil(self) -> tuple[int, int]:
-        """⌊·⌋ and ⌈·⌉ of the value rounded to about 96 bits past the binary
-        point, however large it is, so that exact correction steps after
-        it take one or two turns."""
+    def approx_floor(self) -> int:
+        """⌊·⌋ of the value rounded to about 96 bits past the binary point,
+        however large it is, so that exact correction steps after it take
+        one or two turns."""
         from mpmath import libmp
 
         # The value's integer bits ⌊log2⌋ + 1, or one more where the brackets'
@@ -489,7 +489,7 @@ class PowerProduct:
         hi = sum(n * _log_bracket(p, 64)[n > 0] for p, n in self._factors.items())
         top = hi // (self._den * _log_bracket(2, 64)[0]) + 1
         approx = self.to_libmp(96 + max(0, top))
-        return libmp.to_int(approx, libmp.round_floor), libmp.to_int(approx, libmp.round_ceiling)
+        return libmp.to_int(approx, libmp.round_floor)
 
     # ------------------------------------------------------------------
     # arithmetic

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import widthcalc.cli as cli
-from _reference import catalog_argvs
+from _reference import D16_ANCHORS, catalog_argvs
 from test_golden import ARGV as GOLDEN_ARGV
 from widthcalc import finitedim
 from widthcalc.cli import CSV_HEADER, main, parse_extended, parse_rational
@@ -62,18 +62,37 @@ def test_exponent_text_output(capsys):
     assert "theta     1/2 (0.500000000000)" in out
 
 
-def test_exponent_json_with_grid_check(capsys):
+def test_exponent_json_with_check(capsys):
     code, out, _ = run(
         capsys, "exponent", "--r", "1,1", "--p", "3,3", "--q", "2",
-        "--grid-check", "--format", "json",
+        "--check", "--format", "json",
     )
     assert code == 0
     payload = json.loads(out)
     assert payload["theta"] == {"ratio": "1/2", "decimal": "0.500000000000"}
     assert payload["agreement"] is True
-    assert payload["grid"]["grid"] == 128
-    assert payload["grid"]["contains"] is True
+    assert payload["certificate"] == {
+        "ok": True, "binding": ["large-p[j=1]", "large-p[j=2]"], "failures": []
+    }
     assert payload["case"] == "T1.1"
+
+
+def test_check_holds_on_the_anchors_and_a_catalog_sample(capsys):
+    # The d = 16 anchors and every eighth exponent-highd catalog entry (d = 4,
+    # 6, 8 and 12, on both sides of q = 2): the certificate holds, and the
+    # exit code and every other field are those of the call without --check.
+    cases = [["exponent", "--r", r, "--p", p, "--q", q] for r, p, q, *_ in D16_ANCHORS]
+    cases += [argv[:-2] for argv in catalog_argvs() if argv[0] == "exponent"][::8]
+    assert {len(argv[2].split(",")) for argv in cases} == {4, 6, 8, 12, 16}
+    for argv in cases:
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        plain = json.loads(out)
+        assert plain.pop("certificate") is None
+        checked_code, out, _ = run(capsys, *argv, "--check", "--format", "json")
+        checked = json.loads(out)
+        cert = checked.pop("certificate")
+        assert (checked_code, checked) == (code, plain), argv
+        assert cert["ok"] and cert["failures"] == [] and cert["binding"], argv
 
 
 def test_exponent_exit_codes_follow_the_regime(capsys):
@@ -94,6 +113,42 @@ def test_exponent_flags_an_lp_disagreement(capsys, monkeypatch):
     code, out, _ = run(capsys, "exponent", "--r", "1,1", "--p", "3,3", "--q", "2")
     assert code == 1
     assert "MISMATCH" in out
+
+
+def test_check_fails_on_a_wrong_argmin_with_the_right_theta(capsys, monkeypatch):
+    # Only s moves, so θ, the closed form and any bracket on θ still agree;
+    # the certificate sees that the argmin left the domain.
+    real = cli.minimize
+
+    def skewed(objective):
+        res = real(objective)
+        return dataclasses.replace(res, argmin_s=res.argmin_s + F(1, 977))
+
+    monkeypatch.setattr(cli, "minimize", skewed)
+    spec = ("--r", "2,1", "--p", "8,3/2", "--q", "4")
+    assert run(capsys, "exponent", *spec)[0] == 0
+    code, out, _ = run(capsys, "exponent", *spec, "--check")
+    assert code == 1
+    assert "closed    2/3 (match)" in out
+    cert = out.splitlines()[-1]
+    assert cert.startswith("cert      FAILED: argmin (") and "is outside the domain" in cert
+    assert "Fraction(" not in out
+    code, out, _ = run(capsys, "exponent", *spec, "--check", "--format", "json")
+    payload = json.loads(out)
+    assert code == 1 and payload["agreement"] is True
+    assert payload["certificate"]["ok"] is False
+    assert payload["certificate"]["failures"] == [cert.removeprefix("cert      FAILED: ")]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_exponent_refuses_the_grid_check_flag(capsys, fmt):
+    # No command runs the lattice: `--grid-check` is an unknown option.
+    code, out, err = run(
+        capsys, "exponent", "--r", "1,1", "--p", "3,3", "--q", "2", "--grid-check", "--format", fmt)
+    assert (code, out) == (4, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: widthcalc ")
+    assert error == "widthcalc: error: unrecognized arguments: --grid-check"
 
 
 def test_regime_report_fields(capsys):
@@ -429,21 +484,6 @@ def test_verify_runs_are_byte_identical(capsys):
     assert payload["branches"] == {label: 2 for label in cli.oracle.BRANCH_LABELS}
 
 
-@pytest.mark.parametrize("grid_env", ["32", "bogus"])
-def test_the_lattice_grid_ignores_the_environment(capsys, monkeypatch, grid_env):
-    # The lattice grid comes from the command line alone: no environment
-    # variable, WIDTHCALC_GRID included, changes the bytes or the exit code.
-    calls = [
-        ("verify", "--samples", "9", "--seed", "3"),
-        ("exponent", "--r", "1,1", "--p", "3,3", "--q", "2", "--grid-check", "--format", "json"),
-    ]
-    monkeypatch.delenv("WIDTHCALC_GRID", raising=False)
-    unset = [run(capsys, *argv) for argv in calls]
-    monkeypatch.setenv("WIDTHCALC_GRID", grid_env)
-    assert [run(capsys, *argv) for argv in calls] == unset
-    assert [code for code, _, _ in unset] == [0, 0]
-
-
 def test_verify_json_report(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--samples", "9", "--seed", "1", "--format", "json")
     assert code == 0
@@ -564,12 +604,12 @@ def test_config_that_is_not_utf8_is_refused(capsys, tmp_path):
 
 def test_config_boolean_and_unknown_keys(capsys, tmp_path):
     cfg = tmp_path / "widths.cfg"
-    cfg.write_text("--r 1,1 --p 3,3 --q 2\n--grid-check\n")
+    cfg.write_text("--r 1,1 --p 3,3 --q 2\n--check\n")
     code, out, _ = run(capsys, "exponent", "--config", str(cfg))
-    assert code == 0 and "grid      [" in out
+    assert code == 0 and "cert      ok" in out
     # A file option is refused exactly as the same flag on the command line is.
     spec = ("--r", "1,1", "--p", "3,3", "--q", "2")
-    for text in ("--volume 11\n", "--grid-check=yes\n"):
+    for text in ("--volume 11\n", "--check=yes\n"):
         cfg.write_text(text)
         code, out, err = run(capsys, "exponent", *spec, "--config", str(cfg))
         assert (code, out) == (4, "")
@@ -783,7 +823,7 @@ def test_one_parser_serves_back_to_back_calls(tmp_path, monkeypatch):
         ["--help"],
         ["exponent", "--r", "1,1", "--p", "3,3", "--q", "4", "--format", "json"],
         ["sweep", "--help"],
-        ["exponent", "--config", str(cfg), "--grid-check"],
+        ["exponent", "--config", str(cfg), "--check"],
         ["regime", "--config", str(cfg)],
         ["exponent", "--config", str(cfg)],
     ]
@@ -795,7 +835,7 @@ def test_one_parser_serves_back_to_back_calls(tmp_path, monkeypatch):
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, 4, 4, 0, 0, 0, 0, 0, 0]
     assert shared[0] == shared[-1]
-    assert "grid      [" in shared[6][1] and "grid      [" not in shared[8][1]
+    assert "cert      ok" in shared[6][1] and "cert      " not in shared[8][1]
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +876,7 @@ def argvs(draw):
     if command != "sweep":
         opt("--format", st.sampled_from(["text", "json"]), tenths_present=5)
     if command == "exponent" and draw(st.booleans()):
-        argv.append("--grid-check")
+        argv.append("--check")
     if command == "finite":
         opt("--N", st.one_of(st.integers(-2, 2**12).map(str), rational_text))
         opt("--n", st.one_of(st.integers(-2, 2**10).map(str), rational_text))

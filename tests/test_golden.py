@@ -12,7 +12,7 @@ unfactored base), `sweep --vary n`
 against the oracle).  Each report layout is pinned in text and in JSON:
 `regime` on a covered spec, a tie, a non-compact spec and d = 16, and in
 JSON on one spec per case label, ties and each uncovered kind included;
-`exponent` in text and with `--grid-check`; `finite` on one ball at q = 2
+`exponent` in text and with `--check`; `finite` on one ball at q = 2
 and q = inf; and `verify`.  A changed digest is a changed output: update
 one only together with the behaviour change that explains it.
 """
@@ -100,8 +100,8 @@ ARGV = [
         "verify", "--samples", "60", "--seed", "42", "--identity-points", "20", "--format", "json")),
     ("exp-text-d2-high", ("exponent", *D2_HIGH)),
     ("exp-text-d2-flat", ("exponent", *D2_FLAT)),
-    ("exp-grid-text-d2-low", ("exponent", *D2_LOW, "--grid-check")),
-    ("exp-grid-json-d2-low", ("exponent", *D2_LOW, "--grid-check", "--format", "json")),
+    ("exp-check-text-d2-low", ("exponent", *D2_LOW, "--check")),
+    ("exp-check-json-d2-low", ("exponent", *D2_LOW, "--check", "--format", "json")),
     ("regime-text-d2-low", _regime(*D2_LOW)),
     ("regime-text-d2-flat", _regime(*D2_FLAT)),
     ("regime-text-d2-noncompact", _regime(*D2_NONCOMPACT)),
@@ -147,16 +147,16 @@ ARGV = [
 ]
 
 GOLDEN = {
-    "exp-d2-low": (0, "dba2ecb68c3b94afc35cd6b59dd9d5441b95ce4673c8706cbf2c4d9794389521"),
-    "exp-d2-flat": (3, "24de9300ec993ff9c6ac2b187031b9bc63435d792fa468b23bf98a9409542ddd"),
-    "exp-d2-noncompact": (2, "f1cd53d1546735d9318a4cfa568f0430fc9032639d7514b0063b2c1e95a6035c"),
-    "exp-d2-high": (0, "25fa4a4708ac3cb99221ade34119f8b724782a3f171126f3e6aca833fe616f87"),
-    "exp-d4-high": (0, "cbdc7e350e206d577e0417e86d8202b4dff6ece9eca33482037d69909b0ec30a"),
-    "exp-d4-low": (0, "27098dfaafe4e3f8aa9b6016f0f32e3160866a6eac839d09c849a75aaa77a705"),
-    "exp-d8-high": (3, "a76ed9d9dcadf50e59f9a3612a8f64fcd69b694d15cf5832060edaee07926865"),
-    "exp-d8-low": (3, "55d9a76af4ba4211bf924cbe844c14925e67147a5b116b0e814eb65e09ae3955"),
-    "exp-d16-high": (2, "277b9ba745ea0558efbcff70eb185127ba1cafdd621b2558ec0aec23fcfa3ffd"),
-    "exp-d16-low": (3, "4a8bd7d5ff615e4c3a3f928b69e21df4e59524b0f9ec4b91ede683ccced9dd6c"),
+    "exp-d2-low": (0, "e9702a79c9aaa7b504ae6ec5b82b2319859f0ad128c5622e1309631447120205"),
+    "exp-d2-flat": (3, "b34ac32606b5eefda44ccab3d3f675eef008b3d1b7913d999acacd70b809ec8f"),
+    "exp-d2-noncompact": (2, "4f9a5f3ad8b383a1d3290c5b49023b1b3a6b3966a99f2f3c885a67cf013b7e5d"),
+    "exp-d2-high": (0, "41a3e26e0dae0787a27672fb6d0b8dc99baed790070d553a986f995c26a744ed"),
+    "exp-d4-high": (0, "ba03a6c0f82a58468fc38b16246f93f4c860272879830e0a3cd317805f7e73e3"),
+    "exp-d4-low": (0, "d58ad7a1a8f84c5bb45724a94114863202b281622d4df857ce425c1a57789739"),
+    "exp-d8-high": (3, "e87e3b5ac0e941ffe96840e94c964b3fe7ba874e2f87cc9e56404fa0616df18c"),
+    "exp-d8-low": (3, "3c674eba77ffd72e92b1a6cb6db25d223685fc349db673f16dbf9cdb75027be9"),
+    "exp-d16-high": (2, "00ddb2a3daa4cd2adcaa95206ef5fcbf7e9f9085db80d881f937aeb60537646f"),
+    "exp-d16-low": (3, "129818d00c81040353bd06125ec63186b62d139f97c2dc52de5bdd973a268ae8"),
     "finite-small": (0, "b336333f19ce9371e3b178deea99899810519fa06790aa338a8fb524d1e47a7d"),
     "finite-large": (0, "5f3058a8aafb9b91d2563f1f9c23477f4bcc3f7e85c9e160bbe1b007e9cc4cde"),
     "finite-mid": (0, "cd1cf20b5434bfa6453423c4d5fa12192fa7efbe190f682dd489d062b5c5b92a"),
@@ -177,8 +177,8 @@ GOLDEN = {
     "verify-json": (0, "b10f7cd401815d54893707d79932ee3bb60f78b433dc50058179b7d6c14cc356"),
     "exp-text-d2-high": (0, "3e32d8ea290dbd277f250fb37e951384ce44e6afe45742e031c2c9a96117d8fe"),
     "exp-text-d2-flat": (3, "53b30ce257d6366dc0239640aaa501482cd6f1b826bfaed0f5110b5bdebc6567"),
-    "exp-grid-text-d2-low": (0, "91ece43c0884b17a9e000992fee81a8e8191290b8254aa5ee3734588db97475f"),
-    "exp-grid-json-d2-low": (0, "2258a08563db44b2d65c159ffd27929a08ff8811cf0fbe1063eba25e958ac8c5"),
+    "exp-check-text-d2-low": (0, "24c6a1b26fb67ef449089863e3cb926cea35aab4f5486f9d4a4aa867a9438079"),
+    "exp-check-json-d2-low": (0, "850b8b7375077768bf0af4a9b70d57da2d64d180deaedb2b016c2444b6f9b1d1"),
     "regime-text-d2-low": (0, "015d0fc6681b52b87bf3893640a2efc85be1478f31a7e0c0641ba4f51934cbfa"),
     "regime-text-d2-flat": (3, "109f41209a14af910e8a28240d858f8944a65304c777cf10d8351ae12d17a26d"),
     "regime-text-d2-noncompact": (2, "a1fdd180f017e27504198b6addd502dcfa975a95a7c62b0edef76c4807328323"),
@@ -245,9 +245,9 @@ PARSE_GOLDEN = {
     "unknown-option": (4, EMPTY,
         "b2af495e9843fe40527cff81a0ae0f67b48e512025035dce6bb71b8f95bbf8e6"),
     "missing-value": (4, EMPTY,
-        "eb349ff355fa99c0be06ee0eb8c3c5d5ee7bfa86d61b513874bfa96f737a2f32"),
+        "e18fecb78343ac67eec357c1201e12acfd15084511289913b910d28665ad5119"),
     "bad-choice": (4, EMPTY,
-        "8abd79f6287fe584b3ba94ed708e7741348dd5ca59d3327e62d39a7dd8d9e595"),
+        "f3c0efd7c63695bf239711874f72ba4f96ebb42d3f66c16b63fd200e16123a46"),
     "verify-unknown-option": (4, EMPTY,
         "fc403d6c68abe9d89842fec1471f6a30e53cb5e642866f7c0eb7637932088e16"),
     "sweep-extra-word": (4, EMPTY,
@@ -258,7 +258,7 @@ PARSE_GOLDEN = {
         "d948427cd63ec338f6d9b969496fc5a0a0591a0743c81ce7f847609ce20453f2"),
     "help": (0, "51fac9604cf209ad7e5267fbad63ced874052e59dad88872c7b00c7ebf5a843e",
         EMPTY),
-    "exponent-help": (0, "caade55fc3899a4686d8bddd7a0fa8f63d30000e73299684504e5ec5de506ffb",
+    "exponent-help": (0, "99297a689721815a4b7da562cee4a9a0af246e31ecf716ecca56be52c74e7150",
         EMPTY),
 }
 

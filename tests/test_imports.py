@@ -32,7 +32,7 @@ COMMANDS = {
     "regime": (["regime", "--r", "1,2", "--p", "3,3/2", "--q", "4"], False),
     "exponent-text": (["exponent", *SPEC], False),
     "exponent-json": (["exponent", *SPEC, "--format", "json"], False),
-    "exponent-grid-check": (["exponent", *SPEC, "--grid-check"], False),
+    "exponent-check": (["exponent", *SPEC, "--check"], False),
     "sweep-q": (["sweep", *SPEC, "--vary", "q", "--from", "3/2", "--to", "5/2", "--steps", "24"],
                 False),
     "verify": (["verify", "--samples", "9", "--seed", "42"], False),

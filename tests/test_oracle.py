@@ -33,7 +33,6 @@ from widthcalc.oracle import (
     check_certificate,
     check_scaling_identities,
     cross_validate,
-    default_grid,
     grid_minimize,
     sample_branch,
 )
@@ -253,6 +252,26 @@ def test_certificate_mutants_are_caught():
         assert check_certificate(spec, minimize(dropped)), spec
 
 
+def test_failed_checks_print_rationals_as_a_over_b():
+    spec = _spec((2, 1), (8, "3/2"), 4)
+    res = minimize(build_objective(spec))
+    fields = dict(
+        theta=res.theta, weights=res.weights, argmin_alpha=res.argmin_alpha,
+        argmin_s=res.argmin_s, active_pieces=res.active_pieces,
+    )
+    (tag, w), *rest = res.weights
+    wrongs = {
+        f"{tag}={-w}": {"weights": ((tag, -w), *rest)},
+        f"{('small-p', (5,))}={w}": {"weights": ((("small-p", (5,)), w), *rest)},
+        f"theta {res.theta + F(1, 3)}": {"theta": res.theta + F(1, 3)},
+        f"s={res.argmin_s + F(1, 977)} is outside": {"argmin_s": res.argmin_s + F(1, 977)},
+    }
+    for shown, wrong in wrongs.items():
+        failures = check_certificate(spec, SimpleNamespace(**{**fields, **wrong}))
+        assert any(shown in f for f in failures), (shown, failures)
+        assert not any("Fraction(" in f for f in failures), failures
+
+
 def test_a_wrong_rate_rows_weight_fails_the_certificate(monkeypatch):
     real = params.ProblemSpec.rate_rows
 
@@ -298,12 +317,6 @@ def test_a_wrong_oracle_row_weight_fails_the_identities(monkeypatch, shape):
 
 # ---------------------------------------------------------------------------
 # grid brackets
-
-
-def test_default_grid_scales_with_dimension():
-    assert default_grid(2) == 128
-    assert [default_grid(d) for d in (1, 5, 16)] == [64, 320, 1024]
-    assert grid_minimize(_spec((1, 1), (3, 3), 2)).grid == 128
 
 
 def test_bracket_on_the_balanced_pair():
@@ -458,22 +471,21 @@ def test_float_inseparable_lattice_keeps_its_bracket():
 
 
 def test_cli_refuses_a_bracket_over_budget():
-    # At d = 16 the default lattice (G = 1024) needs more branch-and-bound
-    # cells than the budget allows.
-    argv = [
-        "exponent",
-        "--r", "2,9/4,2,3,13/4,3/2,11/4,5/2,5/2,11/4,7/4,3/4,15/4,11/4,3/4,1",
-        "--p", "11/8,3/2,5/4,5/4,13/8,5,3/2,3/2,5/4,9/8,11/8,3/2,13/8,13/8,11/8,11/8",
-        "--q", "7/4",
-        "--grid-check",
-    ]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code == 4
-    assert out.getvalue() == ""
-    lines = err.getvalue().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: lattice bracket needs more than")
+    # At d = 16 the lattice G = 64·d = 1024 needs more branch-and-bound cells
+    # than the budget allows.  No command runs the lattice, so the refusal is
+    # the call's own: a `RangeError` whose text is one line.
+    spec = _spec(
+        (2, "9/4", 2, 3, "13/4", "3/2", "11/4", "5/2", "5/2", "11/4", "7/4", "3/4", "15/4",
+         "11/4", "3/4", 1),
+        ("11/8", "3/2", "5/4", "5/4", "13/8", 5, "3/2", "3/2", "5/4", "9/8", "11/8", "3/2",
+         "13/8", "13/8", "11/8", "11/8"),
+        "7/4",
+    )
+    with pytest.raises(params.RangeError) as refused:
+        grid_minimize(spec, 1024)
+    lines = str(refused.value).splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lattice bracket needs more than")
+    assert lines[0].endswith(" at G=1024")
 
 
 def test_import_leaves_numpy_out():
@@ -592,10 +604,10 @@ def test_a_record_builds_each_table_shape_once():
     assert cross_validate(9, seed=7).ok and oracle._table.cache_info()[:2] == (0, 9)
 
 
-def test_grid_check_above_two_builds_only_the_high_table():
+def test_check_above_two_builds_only_the_high_table():
     oracle._table.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["exponent", "--r", "1,1", "--p", "3,3", "--q", "4", "--grid-check"]) == 0
+        assert main(["exponent", "--r", "1,1", "--p", "3,3", "--q", "4", "--check"]) == 0
     assert oracle._table.cache_info()[:] == (0, 1, 2, 1)  # hits, misses, maxsize, currsize
     oracle._table(_spec((1, 1), (3, 3), 4), True)  # the one table held is the high one
     assert oracle._table.cache_info().hits == 1

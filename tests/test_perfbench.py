@@ -10,23 +10,25 @@ import contextlib
 import importlib.util
 import io
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import widthcalc.cli as cli
 import widthcalc.closedform  # noqa: F401  (the tracer wraps only loaded modules)
 import widthcalc.exponent  # noqa: F401
 import widthcalc.finitedim  # noqa: F401
-import widthcalc.oracle  # noqa: F401
+import widthcalc.oracle
+from widthcalc.params import ProblemSpec
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
-# One call per layer: a certificate, the LP on both sides of q = 2 (the q > 2
-# call with the lattice bracket, which only `exponent --grid-check` runs),
-# the face LP of a flat optimum (the only route to `simplex.probe`), and the
-# oracle's sampler and checks.
+# One call per layer: a certificate, the LP on both sides of q = 2, the face
+# LP of a flat optimum (the only route to `simplex.probe`), and the oracle's
+# sampler and checks.  No command runs the lattice bracket, so it is reached
+# by one direct call on the q > 2 spec.
 ARGVS = (
     ["finite", "--N", "4096", "--n", "512", "--q", "4", "--balls", "inf:1/64,3:1/4"],
-    ["exponent", "--r", "1,2", "--p", "3,3/2", "--q", "5", "--grid-check"],
+    ["exponent", "--r", "1,2", "--p", "3,3/2", "--q", "5"],
     ["exponent", "--r", "2,2", "--p", "3,3/2", "--q", "2"],
     ["verify", "--samples", "2"],
 )
@@ -56,12 +58,14 @@ def test_every_traced_span_is_reached_and_uninstall_restores_the_package():
         for argv in ARGVS:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert tracer.op(cli.main, argv) in (0, 3), argv
+        spec = ProblemSpec(r=(F(1), F(2)), p=(F(3), F(3, 2)), q=F(5))
+        assert tracer.op(widthcalc.oracle.grid_minimize, spec, 64).contains(F(2, 3))
         metrics = tracer.metrics()
     finally:
         tracer.uninstall()
     names = {name for _, _, name, _ in spans.FUNCTIONS} | {m[3] for m in spans.METHODS}
     names = (names - {spans.SOLVE}) | {spans.OP, spans.EPIGRAPH, spans.PROBE}
     assert {name for name in names if tracer.calls[name] == 0} == set()
-    assert tracer.ops == len(ARGVS)
+    assert tracer.ops == len(ARGVS) + 1
     assert metrics["finitedim.checks_per_certificate"][0] > 0
     assert all(vars(owner)[key] is value for owner, key, value in before)

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from mpmath import libmp
 
 import _reference
-from widthcalc import values
+from widthcalc import finitedim, values
 from widthcalc.cli import main
 from widthcalc.params import ParameterError
 from widthcalc.values import (
@@ -544,13 +544,16 @@ def test_power_products_match_the_fraction_exponent_model(la, pa, lb, pb):
 @settings(max_examples=200, deadline=None)
 @given(leaves, power_exponent)
 def test_approx_floor_ceil_are_the_exact_floor_and_ceiling(la, pa):
-    # Checked on value^D, a rational: lo^D ≤ value^D < (lo + 1)^D.
+    # Checked on value^D, a rational: lo^D ≤ value^D < (lo + 1)^D.  The
+    # ceiling is derived from the floor by one exact comparison, and
+    # `finitedim` clamps it to at least 1.
     v, model = _build(la, pa)
-    lo, hi = v.approx_floor_ceil()
+    lo = v.approx_floor()
     d = _model_den(model)
     exact = _raised(model, d)
     assert lo**d <= exact < (lo + 1) ** d
-    assert hi == (lo if exact == lo**d else lo + 1)
+    assert finitedim._int_floor(v) == lo
+    assert finitedim._int_ceil(v) == max(lo if exact == lo**d else lo + 1, 1)
 
 
 def test_proven_prime_forms_print_fraction_exponents():

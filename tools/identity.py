@@ -8,7 +8,7 @@ Runs `widthcalc.cli.main` in this process, with COLUMNS=80, over
     again in its other `--format`;
   * the `ARGV` and `PARSE_ARGV` of `tests/test_golden.py`;
   * the d = 16 anchors of `tests/_reference.py`, through `exponent` and
-    `regime` in both formats and `exponent --grid-check` in both formats;
+    `regime` in both formats and `exponent --check` in both formats;
   * `verify --samples 500 --seed 42` in both formats.
 
 Each call prints one line, `<index> <sha256>`, the digest taken over the
@@ -64,7 +64,7 @@ def corpus() -> list[list[str]]:
     for r, p, q, *_ in importlib.import_module("_reference").D16_ANCHORS:
         anchor = ["--r", r, "--p", p, "--q", q]
         for argv in (
-            ["exponent", *anchor], ["regime", *anchor], ["exponent", *anchor, "--grid-check"]
+            ["exponent", *anchor], ["regime", *anchor], ["exponent", *anchor, "--check"]
         ):
             argvs += [argv, _other_format(argv)]
     verify = ["verify", "--samples", "500", "--seed", "42"]
